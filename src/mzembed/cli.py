@@ -365,16 +365,15 @@ def cmd_eval(args) -> int:
 def _eval_siamese(
     settings, train, known, novel, molecules, weights, enc_cfg, sin_cfg, vocab, precision
 ) -> int:
-    import numpy as np
-
     from .search import (
         build_index,
         evaluate_search,
         modified_cosine,
+        summarize_hits,
         write_accuracy_report,
         write_search_audit,
     )
-    from .siamese import _pair_mse, build_similarity_bins, sample_uniform_pairs, tanimoto
+    from .siamese import _pair_mse, build_similarity_bins, sample_uniform_pairs
     from .rng import stream_rng
     from .training import TrainConfig
 
@@ -414,47 +413,33 @@ def _eval_siamese(
                 threshold=threshold, query_set=name, include_exact=include_exact,
             )
         )
-    acc = out_path(settings, "search_accuracy.tsv")
-    tmp = acc + ".tmp"
-    write_accuracy_report(tmp, reports)
-    os.replace(tmp, acc)
-    audit = out_path(settings, "search_audit.tsv")
-    tmp = audit + ".tmp"
-    write_search_audit(tmp, reports)
-    os.replace(tmp, audit)
+
+    def write_reports(accuracy_name, audit_name, rows):
+        for filename, write in (
+            (accuracy_name, write_accuracy_report), (audit_name, write_search_audit)
+        ):
+            path = out_path(settings, filename)
+            write(path + ".tmp", rows)
+            os.replace(path + ".tmp", path)
+
+    write_reports("search_accuracy.tsv", "search_audit.tsv", reports)
 
     # Modified-cosine baseline over the same queries and references.
     refs = sorted(train, key=lambda s: s.id)
-    cos_lines = ["query_set\tmatch\taccuracy\tn_structures"]
-    audit_lines = ["query_set\tquery_id\thit_id\tscore\texact\ttanimoto"]
-
-    def macro(per):
-        return float(np.mean([np.mean(v) for _, v in sorted(per.items())]))
-
+    cosine_reports = []
     for name, queries, include_exact in (("known", known, True), ("novel", novel, False)):
         if not queries:
             continue
-        exact_hits: dict[str, list[float]] = {}
-        approx_hits: dict[str, list[float]] = {}
+        hits = []
         for query in queries:
             scored = [(modified_cosine(query, r, tolerance), r) for r in refs]
             # Ties break toward the smaller reference id.
             best_score, best = min(scored, key=lambda t: (-t[0], t[1].id))
-            is_exact = best.structure_id == query.structure_id
-            sim = tanimoto(
-                molecules[query.structure_id].fingerprint,
-                molecules[best.structure_id].fingerprint,
-            )
-            exact_hits.setdefault(query.structure_id, []).append(float(is_exact))
-            approx_hits.setdefault(query.structure_id, []).append(float(sim >= threshold))
-            audit_lines.append(
-                f"{name}\t{query.id}\t{best.id}\t{best_score:.6f}\t{int(is_exact)}\t{sim:.6f}"
-            )
-        if include_exact:
-            cos_lines.append(f"{name}\texact\t{macro(exact_hits):.6f}\t{len(exact_hits)}")
-        cos_lines.append(f"{name}\tapproximate\t{macro(approx_hits):.6f}\t{len(approx_hits)}")
-    atomic_write_text(out_path(settings, "cosine_accuracy.tsv"), "\n".join(cos_lines) + "\n")
-    atomic_write_text(out_path(settings, "cosine_audit.tsv"), "\n".join(audit_lines) + "\n")
+            hits.append((query, best.id, best.structure_id, best_score))
+        cosine_reports.append(
+            summarize_hits(hits, molecules, threshold, name, include_exact)
+        )
+    write_reports("cosine_accuracy.tsv", "cosine_audit.tsv", cosine_reports)
     print("wrote pair_mse.tsv, search_accuracy.tsv, search_audit.tsv, cosine_accuracy.tsv")
     return EXIT_OK
 

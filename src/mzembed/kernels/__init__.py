@@ -1,27 +1,10 @@
-"""Peak-matching kernels: compiled extension with a pure-Python fallback.
+"""Modified-cosine peak matching: one vectorised numpy kernel.
 
-The compiled backend is used when the extension built; setup.py compiles
-it from the committed, Cython-generated _matching.c, so a C compiler is
-all it needs. Set MZEMBED_PURE_PYTHON=1 to force the fallback. Both
-produce bit-identical scores, so the choice only affects speed.
+BACKEND names the kernel for run records; there is no other to select.
 """
 
-import os
+from ._reference import score_modified_cosine
 
-from . import _reference
-
-if os.environ.get("MZEMBED_PURE_PYTHON", "") == "1":
-    _impl = _reference
-    BACKEND = "python"
-else:
-    try:
-        from . import _matching as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _reference
-        BACKEND = "python"
-
-score_modified_cosine = _impl.score_modified_cosine
+BACKEND = "numpy"
 
 __all__ = ["BACKEND", "score_modified_cosine"]

@@ -1,8 +1,10 @@
-"""Pure-Python modified-cosine peak matching.
+"""Modified-cosine peak matching, vectorised with numpy.
 
-This is the fallback for the compiled extension in _matching.pyx. The
-two implementations follow the same algorithm step for step, including
-summation order, so their results are bit-identical; tests assert that.
+Candidate pairs, their weights and their order come from whole-array
+operations; only the matching itself walks the sorted candidates. The
+floating-point operations and their order are those of the plain
+double loop over (i, j) kept in the tests as the reference, so the
+scores are bit-identical to it; tests assert that.
 """
 
 from __future__ import annotations
@@ -29,32 +31,20 @@ def score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=
     int_b = np.ascontiguousarray(int_b, dtype=np.float64)
     n_a, n_b = mz_a.shape[0], mz_b.shape[0]
 
-    sum_a = 0.0
-    for i in range(n_a):
-        sum_a += int_a[i]
-    sum_b = 0.0
-    for j in range(n_b):
-        sum_b += int_b[j]
+    # cumsum adds left to right; np.sum adds pairwise and can round differently.
+    sum_a = float(np.cumsum(int_a)[-1]) if n_a else 0.0
+    sum_b = float(np.cumsum(int_b)[-1]) if n_b else 0.0
     denom = math.sqrt(sum_a) * math.sqrt(sum_b)
     if denom == 0.0:
         return 0.0
 
-    cand_w = []
-    cand_i = []
-    cand_j = []
-    for i in range(n_a):
-        for j in range(n_b):
-            diff = mz_a[i] - mz_b[j]
-            if abs(diff) <= tol or abs(diff - prec_diff) <= tol:
-                cand_w.append(math.sqrt(int_a[i]) * math.sqrt(int_b[j]))
-                cand_i.append(i)
-                cand_j.append(j)
-    if not cand_w:
+    diff = mz_a[:, None] - mz_b[None, :]
+    # Row-major, so candidates come in the (i, j) order of a double loop.
+    ii, jj = np.nonzero((np.abs(diff) <= tol) | (np.abs(diff - prec_diff) <= tol))
+    if ii.shape[0] == 0:
         return 0.0
 
-    w = np.array(cand_w, dtype=np.float64)
-    ii = np.array(cand_i, dtype=np.int64)
-    jj = np.array(cand_j, dtype=np.int64)
+    w = np.sqrt(int_a)[ii] * np.sqrt(int_b)[jj]
     order = np.lexsort((jj, ii, -w))
     w, ii, jj = w[order], ii[order], jj[order]
     n = w.shape[0]
@@ -62,21 +52,21 @@ def score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=
     if n <= exact_limit:
         total = _exact_best(w, ii, jj, n)
     else:
-        used_a = np.zeros(n_a, dtype=bool)
-        used_b = np.zeros(n_b, dtype=bool)
+        used_a = [False] * n_a
+        used_b = [False] * n_b
         total = 0.0
-        for k in range(n):
-            if not used_a[ii[k]] and not used_b[jj[k]]:
-                used_a[ii[k]] = True
-                used_b[jj[k]] = True
-                total += w[k]
+        for weight, i, j in zip(w.tolist(), ii.tolist(), jj.tolist()):
+            if not used_a[i] and not used_b[j]:
+                used_a[i] = True
+                used_b[j] = True
+                total += weight
 
     score = total / denom
     if score > 1.0:
         score = 1.0
     elif score < 0.0:
         score = 0.0
-    return score
+    return float(score)
 
 
 def _exact_best(w, ii, jj, n):

@@ -166,27 +166,44 @@ def evaluate_search(
     query_set: str = "",
     include_exact: bool = True,
 ) -> AccuracyReport:
-    """Top-1 retrieval accuracy, macro-averaged over query structures.
+    """Top-1 embedding retrieval accuracy, scored by summarize_hits.
+
+    Exact accuracy is omitted (None) for query sets whose structures are
+    absent from the index by construction.
+    """
+    if not queries:
+        raise DataError("no query spectra to evaluate")
+    hits = []
+    for query in queries:
+        hit_id, hit_structure, score = search(
+            query, index, 1, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
+            precision=precision,
+        ).hits[0]
+        hits.append((query, hit_id, hit_structure, score))
+    return summarize_hits(hits, molecules, threshold, query_set, include_exact)
+
+
+def summarize_hits(
+    hits: list[tuple[Spectrum, str, str | None, float]],
+    molecules: dict[str, MoleculeRecord],
+    threshold: float = DEFAULT_TANIMOTO_THRESHOLD,
+    query_set: str = "",
+    include_exact: bool = True,
+) -> AccuracyReport:
+    """Accuracy of top-1 hits, given as (query, hit id, hit structure,
+    score) rows, whichever method ranked them.
 
     Exact: the hit shares the query's structure. Approximate: the hit
     structure's Tanimoto to the query structure is at least threshold.
     Per-query outcomes are averaged within each query structure first,
-    then across structures. Exact accuracy is omitted (None) for query
-    sets whose structures are absent from the index by construction.
+    then across structures.
     """
-    if not queries:
-        raise DataError("no query spectra to evaluate")
     exact_hits: dict[str, list[float]] = {}
     approx_hits: dict[str, list[float]] = {}
     audit = []
-    for query in queries:
+    for query, hit_id, hit_structure, score in hits:
         if query.structure_id is None or query.structure_id not in molecules:
             raise DataError(f"query {query.id!r} has no resolvable structure")
-        result = search(
-            query, index, 1, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-            precision=precision,
-        )
-        hit_id, hit_structure, score = result.hits[0]
         if hit_structure is None or hit_structure not in molecules:
             raise DataError(f"hit {hit_id!r} has no resolvable structure")
         is_exact = hit_structure == query.structure_id

@@ -1,25 +1,16 @@
-"""Modified-cosine kernel: brute-force matching oracle, backend parity,
-greedy fallback behavior and the spectrum-level wrapper."""
+"""Modified-cosine kernel: brute-force matching oracle, bit-identity with
+the loop kernel, greedy fallback behavior and the spectrum-level wrapper."""
 
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mzembed.data import Peak, Spectrum
 from mzembed.errors import NumericsError
-from mzembed.kernels import BACKEND, score_modified_cosine
-from mzembed.kernels import _reference
+from mzembed.kernels import score_modified_cosine
+from mzembed.kernels._reference import _exact_best
 from mzembed.search import modified_cosine
 
 
@@ -48,6 +39,58 @@ def brute_force_score(mz_a, int_a, mz_b, int_b, prec_diff, tol):
     if denom == 0.0:
         return 0.0
     return min(best / denom, 1.0)
+
+
+def loop_score(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=12):
+    """The kernel as a plain double loop over (i, j): the reference its
+    vectorised form must match bit for bit."""
+    n_a, n_b = len(mz_a), len(mz_b)
+    sum_a = 0.0
+    for i in range(n_a):
+        sum_a += int_a[i]
+    sum_b = 0.0
+    for j in range(n_b):
+        sum_b += int_b[j]
+    denom = math.sqrt(sum_a) * math.sqrt(sum_b)
+    if denom == 0.0:
+        return 0.0
+
+    cand_w, cand_i, cand_j = [], [], []
+    for i in range(n_a):
+        for j in range(n_b):
+            diff = mz_a[i] - mz_b[j]
+            if abs(diff) <= tol or abs(diff - prec_diff) <= tol:
+                cand_w.append(math.sqrt(int_a[i]) * math.sqrt(int_b[j]))
+                cand_i.append(i)
+                cand_j.append(j)
+    if not cand_w:
+        return 0.0
+
+    w = np.array(cand_w, dtype=np.float64)
+    ii = np.array(cand_i, dtype=np.int64)
+    jj = np.array(cand_j, dtype=np.int64)
+    order = np.lexsort((jj, ii, -w))
+    w, ii, jj = w[order], ii[order], jj[order]
+    n = w.shape[0]
+
+    if n <= exact_limit:
+        total = _exact_best(w, ii, jj, n)
+    else:
+        used_a = np.zeros(n_a, dtype=bool)
+        used_b = np.zeros(n_b, dtype=bool)
+        total = 0.0
+        for k in range(n):
+            if not used_a[ii[k]] and not used_b[jj[k]]:
+                used_a[ii[k]] = True
+                used_b[jj[k]] = True
+                total += w[k]
+
+    score = total / denom
+    if score > 1.0:
+        score = 1.0
+    elif score < 0.0:
+        score = 0.0
+    return score
 
 
 def random_peaks(rng, n, lo=80.0, hi=900.0):
@@ -175,92 +218,8 @@ class TestGreedyFallback:
         assert 0.0 < first <= 1.0
 
 
-COMPILED = "mzembed.kernels._matching"
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _build_skip_reason():
-    """Why the committed kernel sources cannot be built here, or None."""
-    if os.environ.get("MZEMBED_PURE_PYTHON", "") == "1":
-        return "pure-Python backend forced by environment"
-    if not (REPO_ROOT / "setup.py").is_file():
-        return f"no setup.py in {REPO_ROOT} to build the kernel from"
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or ""
-    compiler = shlex.split(cc)[0] if cc.strip() else ""
-    if not compiler or shutil.which(compiler) is None:
-        return f"C compiler {cc!r} not found on PATH"
-    include = Path(sysconfig.get_paths()["include"])
-    if not (include / "Python.h").is_file():
-        return f"Python.h not found in {include}"
-    return None
-
-
-@pytest.fixture(scope="session")
-def kernel_build(tmp_path_factory):
-    """The committed sources built into a temporary directory.
-
-    Returns the build's library directory and the build log. egg_info and
-    build both write under the temporary directory, so the source tree is
-    left as it was.
-    """
-    reason = _build_skip_reason()
-    if reason:
-        pytest.skip(reason)
-    base = tmp_path_factory.mktemp("kernel_build")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "-q",
-         "egg_info", "--egg-base", str(base), "build", "--build-base", str(base)],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-    )
-    log = proc.stdout + proc.stderr
-    assert proc.returncode == 0, log
-    (lib,) = base.glob("lib*")
-    return lib, log
-
-
-@pytest.fixture(scope="session")
-def compiled_kernel(request):
-    """The compiled kernel module: the running package's own if it has
-    one, else the one from kernel_build."""
-    if importlib.util.find_spec(COMPILED) is not None:
-        return importlib.import_module(COMPILED)
-    lib, log = request.getfixturevalue("kernel_build")
-    built = [
-        path
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        for path in lib.glob(f"mzembed/kernels/_matching{suffix}")
-    ]
-    assert built, "the build produced no compiled kernel:\n" + log
-    spec = importlib.util.spec_from_file_location(COMPILED, built[0])
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        # The module registers itself in sys.modules when loaded; drop
-        # it so no later import picks up the test build.
-        sys.modules.pop(COMPILED, None)
-    return module
-
-
-class TestBackendParity:
-    def test_compiled_backend_active(self, request):
-        if os.environ.get("MZEMBED_PURE_PYTHON", "") == "1":
-            pytest.skip("pure-Python backend forced by environment")
-        if importlib.util.find_spec(COMPILED) is not None:
-            assert BACKEND == "cython"
-            return
-        # No extension in this process: the package built from the
-        # committed sources must select it in a fresh interpreter.
-        lib, log = request.getfixturevalue("kernel_build")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from mzembed.kernels import BACKEND; print(BACKEND)"],
-            cwd=lib, env=dict(os.environ, PYTHONPATH=str(lib)),
-            capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "cython", log
-
-    def test_backends_bit_identical(self, rng, compiled_kernel):
+class TestLoopParity:
+    def test_bit_identical_to_loop_kernel(self, rng):
         for trial in range(200):
             n_a = int(rng.integers(1, 15))
             n_b = int(rng.integers(1, 15))
@@ -268,13 +227,28 @@ class TestBackendParity:
             mz_b, int_b = random_peaks(rng, n_b, 100.0, 140.0)
             prec_diff = float(rng.uniform(-10.0, 10.0))
             tol = float(rng.uniform(0.05, 3.0))
-            compiled = compiled_kernel.score_modified_cosine(
-                mz_a, int_a, mz_b, int_b, prec_diff, tol
+            got = score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol)
+            want = loop_score(mz_a, int_a, mz_b, int_b, prec_diff, tol)
+            assert got == want, (trial, got, want)
+        # Two intensity levels make many candidate weights equal, so the
+        # (i, j) tie-break decides which pairs the greedy walk takes.
+        # Odd trials send the small candidate sets to the exhaustive
+        # search instead, with the same ties.
+        for trial in range(200):
+            n_a = int(rng.integers(2, 15))
+            n_b = int(rng.integers(2, 15))
+            mz_a = np.sort(rng.uniform(100.0, 110.0, n_a))
+            mz_b = np.sort(rng.uniform(100.0, 110.0, n_b))
+            int_a = rng.choice([0.25, 1.0], n_a)
+            int_b = rng.choice([0.25, 1.0], n_b)
+            prec_diff = float(rng.uniform(-3.0, 3.0))
+            tol = float(rng.uniform(0.2, 2.0))
+            limit = 12 * (trial % 2)
+            got = score_modified_cosine(
+                mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=limit
             )
-            fallback = _reference.score_modified_cosine(
-                mz_a, int_a, mz_b, int_b, prec_diff, tol
-            )
-            assert compiled == fallback, (trial, compiled, fallback)
+            want = loop_score(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=limit)
+            assert got == want, (trial, got, want)
 
 
 class TestSpectrumWrapper:
