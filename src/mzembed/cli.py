@@ -375,7 +375,6 @@ def _eval_siamese(
     )
     from .siamese import _pair_mse, build_similarity_bins, sample_uniform_pairs
     from .rng import stream_rng
-    from .training import TrainConfig
 
     trn_cfg = build_configs(settings)[4]
     threshold = settings.get_float("threshold", 0.6)
@@ -393,10 +392,7 @@ def _eval_siamese(
             stream_rng(trn_cfg.seed, "eval", name),
         )
         by_id = {s.id: s for s in spectra}
-        mse = _pair_mse(
-            pairs, by_id, enc_cfg, weights, sin_cfg, vocab, precision,
-            trn_cfg.batch_size,
-        )
+        mse = _pair_mse(pairs, by_id, enc_cfg, weights, sin_cfg, vocab, precision)
         mse_lines.append(f"{name}\t{mse:.6f}\t{len(pairs)}")
     atomic_write_text(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
 
@@ -447,16 +443,8 @@ def _eval_siamese(
 def _eval_properties(
     settings, mode, known, novel, molecules, model, scaler, enc_cfg, sin_cfg, vocab, precision
 ) -> int:
-    import numpy as np
-
-    from .embed import bin_spectrum
     from .errors import CheckpointError
-    from .properties import (
-        baseline_forward,
-        evaluate_properties,
-        predict_properties_batch,
-    )
-    from .tensor import Tensor, no_grad
+    from .properties import evaluate_properties, predict_baseline, predict_properties_batch
 
     if scaler is None:
         raise CheckpointError("checkpoint carries no label scaler; retrain")
@@ -466,10 +454,7 @@ def _eval_properties(
         bin_max = settings.get_float("max-mz", 2000.0)
 
         def predict_fn(spectra):
-            x = np.stack([bin_spectrum(s, bin_width, bin_max) for s in spectra], axis=0)
-            with no_grad():
-                scaled = baseline_forward(Tensor(x), model)
-            return scaler.invert(scaled.data)
+            return predict_baseline(spectra, model, scaler, bin_width, bin_max)
 
     else:
 

@@ -34,6 +34,7 @@ from .tensor import (
     feed_forward,
     layer_norm,
     multi_head_attention,
+    no_grad,
     ones,
     uniform_fan_in,
     zeros,
@@ -385,3 +386,38 @@ def encode_spectrum(
         mode=mode, precision=precision, rng=rng,
     )
     return batch.reshape((cfg.d,))
+
+
+def encode_many(
+    spectra: list[Spectrum],
+    cfg: EncoderConfig,
+    weights: ModelWeights,
+    sin_cfg: SinusoidalConfig | None = None,
+    vocab: TokenVocab | None = None,
+    precision: PrecisionMode = BINARY64,
+) -> np.ndarray:
+    """Encode spectra in inference mode to a (len(spectra), d) float64 array.
+
+    Spectra share a batch only with spectra of the same slot count, so
+    no row is padded and each row equals encode_spectrum of that
+    spectrum alone, whatever else is in the list. Rows follow the input
+    order.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(spectra):
+        groups.setdefault(1 + min(len(s.fragments), cfg.max_fragments), []).append(i)
+    out = np.empty((len(spectra), cfg.d), dtype=np.float64)
+    with no_grad():
+        for rows in groups.values():
+            group = [spectra[i] for i in rows]
+            try:
+                emb = encode_batch(
+                    group, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
+                    mode="infer", precision=precision,
+                )
+            except Exception as exc:
+                noun = "spectrum" if len(group) == 1 else "spectra"
+                names = ", ".join(repr(s.id) for s in group)
+                raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
+            out[rows] = emb.data
+    return out

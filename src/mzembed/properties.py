@@ -17,7 +17,7 @@ from .data.labels import PROPERTY_NAMES
 from .data.types import MoleculeRecord, Spectrum
 from .embed.features import bin_spectrum
 from .embed.precision import BINARY64, PrecisionMode
-from .encoder import EncoderConfig, ModelWeights, encode_batch, init_weights
+from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, init_weights
 from .errors import ConfigError, DataError, NumericsError
 from .rng import stream_rng
 from .tensor import (
@@ -134,22 +134,6 @@ def spectrum_labels(
     return np.stack(rows, axis=0)
 
 
-def predict_properties(
-    spectrum: Spectrum,
-    cfg: EncoderConfig,
-    weights: ModelWeights,
-    scaler: LabelScaler,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
-) -> np.ndarray:
-    """Predicted property values in natural units, ordered as PROPERTY_NAMES."""
-    return predict_properties_batch(
-        [spectrum], cfg, weights, scaler, sin_cfg=sin_cfg, vocab=vocab,
-        precision=precision,
-    )[0]
-
-
 def predict_properties_batch(
     spectra: list[Spectrum],
     cfg: EncoderConfig,
@@ -158,21 +142,34 @@ def predict_properties_batch(
     sin_cfg=None,
     vocab=None,
     precision: PrecisionMode = BINARY64,
-    batch_size: int = 64,
 ) -> np.ndarray:
+    """Predicted property values in natural units, one row per spectrum,
+    columns ordered as PROPERTY_NAMES. A row does not depend on the
+    other spectra in the list."""
     if weights.head is None:
         raise ConfigError("weights carry no property head; train with mode=properties")
-    out = []
+    embs = encode_many(
+        spectra, cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision
+    )
+    # Each row passes through the head as a (1, d) matrix, as a lone
+    # spectrum would; an (n, d) matmul may round differently.
     with no_grad():
-        for start in range(0, len(spectra), batch_size):
-            chunk = spectra[start : start + batch_size]
-            embs = encode_batch(
-                chunk, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-                mode="infer", precision=precision,
-            )
-            scaled = feed_forward(embs, weights.head)
-            out.append(scaler.invert(scaled.data))
-    return np.concatenate(out, axis=0)
+        scaled = feed_forward(Tensor(embs[:, None, :]), weights.head)
+    return scaler.invert(scaled.data[:, 0, :])
+
+
+def predict_baseline(
+    spectra: list[Spectrum],
+    params: BaselineParams,
+    scaler: LabelScaler,
+    bin_width: float = 0.1,
+    bin_max_mz: float = 2000.0,
+) -> np.ndarray:
+    """Baseline property predictions in natural units from binned spectra."""
+    x = np.stack([bin_spectrum(s, bin_width, bin_max_mz) for s in spectra], axis=0)
+    with no_grad():
+        scaled = baseline_forward(Tensor(x), params)
+    return scaler.invert(scaled.data)
 
 
 @dataclass
@@ -275,12 +272,7 @@ def train_properties(
             return baseline_forward(Tensor(binned[indices]), model)
 
         def predict_fn(spectra):
-            x = np.stack(
-                [bin_spectrum(s, bin_width, bin_max_mz) for s in spectra], axis=0
-            )
-            with no_grad():
-                scaled = baseline_forward(Tensor(x), model)
-            return scaler.invert(scaled.data)
+            return predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
 
     else:
         model = init_weights(
@@ -299,7 +291,7 @@ def train_properties(
         def predict_fn(spectra):
             return predict_properties_batch(
                 spectra, enc_cfg, model, scaler, sin_cfg=sin_cfg, vocab=vocab,
-                precision=precision, batch_size=trn_cfg.batch_size,
+                precision=precision,
             )
 
     adam = make_optimizer(params, trn_cfg)

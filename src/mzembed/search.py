@@ -8,7 +8,7 @@ import numpy as np
 
 from .data.types import MoleculeRecord, Spectrum
 from .embed.precision import BINARY64, PrecisionMode
-from .encoder import EncoderConfig, ModelWeights, encode_spectrum
+from .encoder import EncoderConfig, ModelWeights, encode_many, encode_spectrum
 from .errors import DataError, NumericsError
 from .kernels import score_modified_cosine
 from .siamese import tanimoto
@@ -80,24 +80,9 @@ def build_index(
     produce the same index bytes.
     """
     ordered = sorted(spectra, key=lambda s: s.id)
-    if not ordered:
-        return EmbeddingIndex(
-            matrix=np.zeros((0, cfg.d), dtype=np.float64),
-            spectrum_ids=[],
-            structure_ids=[],
-        )
-    rows = []
-    with no_grad():
-        for s in ordered:
-            try:
-                emb = encode_spectrum(
-                    s, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-                    mode="infer", precision=precision,
-                )
-            except Exception as exc:
-                raise DataError(f"failed to encode spectrum {s.id!r}: {exc}") from exc
-            rows.append(emb.data.astype(np.float64))
-    matrix = np.stack(rows, axis=0)
+    matrix = encode_many(
+        ordered, cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision
+    )
     ids = [s.id for s in ordered]
     return EmbeddingIndex(
         matrix=_normalize_rows(matrix, ids),

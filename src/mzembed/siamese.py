@@ -10,10 +10,10 @@ import numpy as np
 
 from .data.types import MoleculeRecord, Spectrum
 from .embed.precision import BINARY64, PrecisionMode
-from .encoder import EncoderConfig, ModelWeights, encode_batch, init_weights
+from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, init_weights
 from .errors import ConfigError, DataError, DimensionError
 from .rng import stream_rng
-from .tensor import Tensor, cosine_similarity, no_grad
+from .tensor import Tensor, cosine_similarity
 from .training import TrainConfig, TrainLog, apply_step, make_optimizer
 
 DEFAULT_BIN_COUNT = 10
@@ -187,25 +187,23 @@ def _pair_mse(
     sin_cfg,
     vocab,
     precision: PrecisionMode,
-    batch_size: int,
 ) -> float:
-    """Inference-mode pair MSE, averaged over all pairs."""
+    """Inference-mode pair MSE over all pairs; each distinct spectrum is
+    encoded once."""
     if not pairs:
         return float("nan")
-    total = 0.0
-    with no_grad():
-        for start in range(0, len(pairs), batch_size):
-            chunk = pairs[start : start + batch_size]
-            spectra = [by_id[p.a] for p in chunk] + [by_id[p.b] for p in chunk]
-            embs = encode_batch(
-                spectra, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-                mode="infer", precision=precision,
-            )
-            half = len(chunk)
-            labels = np.array([p.label for p in chunk], dtype=np.float64)
-            loss = siamese_loss(embs[:half], embs[half:], labels)
-            total += float(loss.data) * half
-    return total / len(pairs)
+    row = {sid: i for i, sid in enumerate(dict.fromkeys(s for p in pairs for s in (p.a, p.b)))}
+    embs = encode_many(
+        [by_id[sid] for sid in row], cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
+        precision=precision,
+    )
+    labels = np.array([p.label for p in pairs], dtype=np.float64)
+    loss = siamese_loss(
+        Tensor(embs[[row[p.a] for p in pairs]]),
+        Tensor(embs[[row[p.b] for p in pairs]]),
+        labels,
+    )
+    return float(loss.data)
 
 
 def train_siamese(
@@ -301,8 +299,7 @@ def train_siamese(
             if name in eval_pairs:
                 pairs_n, by_id_n = eval_pairs[name]
                 held[name] = _pair_mse(
-                    pairs_n, by_id_n, enc_cfg, weights, sin_cfg, vocab,
-                    precision, trn_cfg.batch_size,
+                    pairs_n, by_id_n, enc_cfg, weights, sin_cfg, vocab, precision
                 )
             else:
                 held[name] = float("nan")

@@ -18,6 +18,7 @@ from mzembed.encoder import (
     ModelWeights,
     describe_config,
     encode_batch,
+    encode_many,
     encode_spectrum,
     init_weights,
     weights_from_named,
@@ -277,6 +278,53 @@ class TestBatching:
         big = toy_spectrum("b", "m", rng, n_peaks=(14, 15))
         wide_batch = encode_batch([target, big], cfg, weights, sin_cfg=SinusoidalConfig(d=8))
         assert np.allclose(small_batch.data[0], wide_batch.data[0], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sin", "token"])
+    def test_encode_many_matches_single_exactly(self, rng, kind):
+        # Only spectra with equal slot counts share a batch, so no row is
+        # padded and each equals its lone encode bit for bit. Equal slot
+        # counts agreeing across batch sizes is observed BLAS behaviour,
+        # which this test pins down.
+        vocab = TokenVocab(resolution=0.1, max_mz=2000.0) if kind == "token" else None
+        cfg = small_cfg(kind=kind, layers=2, heads=2, max_fragments=8)
+        weights = init_weights(cfg, seed=2, vocab=vocab)
+        sin_cfg = SinusoidalConfig(d=8)
+        # Repeated sizes, and 9 and 12 peaks capped to the 8 of another.
+        sizes = [5, 9, 5, 12, 6, 8, 5, 9, 4]
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate(sizes)
+        ]
+        many = encode_many(spectra, cfg, weights, sin_cfg=sin_cfg, vocab=vocab)
+        assert many.shape == (len(spectra), 8)
+        assert many.dtype == np.float64
+        for row, s in zip(many, spectra):
+            single = encode_spectrum(s, cfg, weights, sin_cfg=sin_cfg, vocab=vocab)
+            assert np.array_equal(row, single.data)
+
+    def test_encode_many_keeps_input_order(self, rng):
+        cfg = small_cfg(layers=2, heads=2)
+        weights = init_weights(cfg, seed=2)
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(4 + i % 3, 5 + i % 3)) for i in range(7)
+        ]
+        forward = encode_many(spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        backward = encode_many(spectra[::-1], cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        assert np.array_equal(forward, backward[::-1])
+        assert not np.array_equal(forward[0], forward[1])
+
+    def test_encode_many_empty(self):
+        cfg = small_cfg()
+        out = encode_many([], cfg, init_weights(cfg, seed=0), sin_cfg=SinusoidalConfig(d=8))
+        assert out.shape == (0, 8)
+
+    def test_encode_many_names_failing_group(self, rng):
+        cfg = small_cfg()
+        weights = init_weights(cfg, seed=0)
+        spectra = [
+            toy_spectrum(sid, "m", rng, n_peaks=(5, 6), normalize=False) for sid in ("a", "b")
+        ]
+        with pytest.raises(DataError, match=r"^failed to encode spectra 'a', 'b': "):
+            encode_many(spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
 
     def test_empty_batch_rejected(self):
         cfg = small_cfg()

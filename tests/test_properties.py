@@ -16,7 +16,7 @@ from mzembed.properties import (
     baseline_forward,
     evaluate_properties,
     init_baseline,
-    predict_properties,
+    predict_baseline,
     predict_properties_batch,
     r2_score,
     spectrum_labels,
@@ -137,6 +137,16 @@ class TestBaseline:
         assert out.data.shape == (1, 10)
         assert np.all(np.isfinite(out.data))
 
+    def test_predict_baseline_inverts_the_scaler(self, rng):
+        spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
+        x = np.stack([bin_spectrum(s, 0.5, 1000.0) for s in spectra])
+        params = init_baseline(x.shape[1], 8, seed=0)
+        scaler = LabelScaler.fit(rng.normal(2.0, 3.0, size=(30, 10)))
+        got = predict_baseline(spectra, params, scaler, 0.5, 1000.0)
+        want = baseline_forward(Tensor(x), params).data * scaler.std + scaler.mean
+        assert got.shape == (3, 10)
+        assert np.array_equal(got, want)
+
 
 class TestSpectrumLabels:
     def test_rows_align_with_spectra(self, rng):
@@ -170,14 +180,19 @@ class TestPredict:
         assert got.shape == (3, 10)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
-    def test_single_matches_batch_row(self, rng):
+    def test_row_does_not_depend_on_batch(self, rng):
+        # A spectrum predicted alone gets the same bits as its row in a
+        # batch with differently sized spectra.
         cfg = small_cfg()
         weights = init_weights(cfg, seed=4, head_out=10)
         scaler = LabelScaler.fit(rng.normal(size=(30, 10)))
-        s = toy_spectrum("s", "m", rng)
-        single = predict_properties(s, cfg, weights, scaler, sin_cfg=SIN8)
-        batch = predict_properties_batch([s], cfg, weights, scaler, sin_cfg=SIN8)
-        assert np.array_equal(single, batch[0])
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(4 + 2 * i, 5 + 2 * i)) for i in range(6)
+        ]
+        batch = predict_properties_batch(spectra, cfg, weights, scaler, sin_cfg=SIN8)
+        for row, s in zip(batch, spectra):
+            alone = predict_properties_batch([s], cfg, weights, scaler, sin_cfg=SIN8)
+            assert np.array_equal(alone[0], row)
 
     def test_headless_weights_rejected(self, rng):
         cfg = small_cfg()

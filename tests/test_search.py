@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import toy_dataset, toy_molecule, toy_spectrum
-from mzembed.data import MoleculeRecord
-from mzembed.embed import SinusoidalConfig
+from mzembed.data import MoleculeRecord, Peak, Spectrum
+from mzembed.embed import BINARY16, SinusoidalConfig, normalize_intensities
 from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights
 from mzembed.errors import DataError, NumericsError
 from mzembed.search import (
@@ -58,6 +58,19 @@ class TestIndex:
         assert len(index) == 0
         with pytest.raises(DataError):
             search_embedding(np.ones(8), index, 1)
+
+    def test_unencodable_spectrum_named(self, rng):
+        # binary16 tops out at 65504, so this fragment m/z cannot be cast.
+        cfg, weights = small_model()
+        huge = normalize_intensities(
+            Spectrum(id="huge", precursor=Peak(1000.0, 1.0), fragments=(Peak(70000.0, 1.0),))
+        )
+        spectra = [toy_spectrum("ok", "m", rng), huge]
+        with pytest.raises(DataError) as info:
+            build_index(spectra, cfg, weights, sin_cfg=SIN8, precision=BINARY16)
+        assert str(info.value) == (
+            "failed to encode spectrum 'huge': m/z overflows binary16: max |value| 70000.0"
+        )
 
     def test_misaligned_ids_rejected(self):
         with pytest.raises(DataError):

@@ -7,12 +7,13 @@ from scipy import stats
 
 from conftest import toy_dataset, toy_molecule
 from mzembed.data import MoleculeRecord
-from mzembed.embed import SinusoidalConfig
-from mzembed.encoder import EncoderConfig
+from mzembed.embed import BINARY64, SinusoidalConfig
+from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights
 from mzembed.errors import ConfigError, DataError, DimensionError
 from mzembed.rng import stream_rng
 from mzembed.siamese import (
     PairSample,
+    _pair_mse,
     bin_of,
     build_similarity_bins,
     sample_uniform_pairs,
@@ -211,6 +212,33 @@ class TestLoss:
         loss.backward()
         assert a.grad is not None and np.any(a.grad != 0)
         assert b.grad is not None and np.any(b.grad != 0)
+
+
+class TestPairMse:
+    def test_equals_loss_over_lone_encodes(self):
+        # Spectra of mixed sizes, each in several pairs: the held-out MSE
+        # must not depend on how the pairs were batched.
+        spectra, molecules = toy_dataset(n_structures=4, spectra_per=3, seed=5)
+        cfg = EncoderConfig(d=8, layers=2, heads=2, inner_dim=8, dropout=0.0,
+                            kind="sin", max_fragments=16)
+        sin_cfg = SinusoidalConfig(d=8)
+        weights = init_weights(cfg, seed=1)
+        bins = build_similarity_bins(molecules, sorted(molecules))
+        pairs = sample_uniform_pairs(molecules, spectra, bins, 40, seed=3)
+        lone = {s.id: encode_spectrum(s, cfg, weights, sin_cfg=sin_cfg).data for s in spectra}
+        want = siamese_loss(
+            Tensor(np.stack([lone[p.a] for p in pairs])),
+            Tensor(np.stack([lone[p.b] for p in pairs])),
+            np.array([p.label for p in pairs]),
+        )
+        by_id = {s.id: s for s in spectra}
+        got = _pair_mse(pairs, by_id, cfg, weights, sin_cfg, None, BINARY64)
+        assert got == float(want.data)
+
+    def test_no_pairs_is_nan(self):
+        cfg = EncoderConfig(d=8, layers=1, heads=1, inner_dim=8, dropout=0.0)
+        weights = init_weights(cfg, seed=1)
+        assert np.isnan(_pair_mse([], {}, cfg, weights, SinusoidalConfig(d=8), None, BINARY64))
 
 
 class TestTrainLoop:
