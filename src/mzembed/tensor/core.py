@@ -2,9 +2,12 @@
 
 Values are numpy arrays in binary32 or binary64. Each operation records
 its parents and a backward closure; ``Tensor.backward`` replays the
-closures in reverse topological order. Gradients accumulate across
-repeated backward calls until cleared, and tensors created with
-``requires_grad=False`` never receive a gradient.
+closures in reverse topological order and consumes the graph as it
+goes: each node drops its closure, its parents and its own gradient once
+its closure has run, so activations are freed by reference counting
+while the walk continues. Only leaf tensors keep a ``.grad``, and a graph
+can be walked once; a second ``backward`` through it raises. Tensors
+created with ``requires_grad=False`` never receive a gradient.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _consumed():
+    """Marks a graph node whose closure ``Tensor.backward`` has run."""
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -87,8 +94,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy, because one array may be handed to several parents
+            # (``__add__`` and ``__sub__`` pass ``out.grad`` on as is).
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def zero_grad(self):
         self.grad = None
@@ -97,8 +107,14 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def backward(self):
-        """Populate gradients of every requires_grad tensor reachable
-        from this scalar. Repeated calls accumulate."""
+        """Add the gradient of this scalar to the ``.grad`` of every
+        requires_grad leaf it depends on, and consume the graph.
+
+        Leaf gradients add up over calls until cleared. Interior nodes
+        give up their closures, parents and gradients as the walk passes
+        them, so the graph cannot be walked again: a second call through
+        a consumed node raises ``MzembedError``.
+        """
         if self.data.ndim != 0:
             raise MzembedError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -113,15 +129,25 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise MzembedError(
+                    "backward through a graph that an earlier backward() "
+                    "already consumed; rebuild the graph to differentiate again"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.requires_grad:
-                node._backward()
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            node._backward()
+            node._backward = _consumed
+            node._parents = ()
+            node.grad = None
 
     # -- graph construction helper ------------------------------------
 
@@ -304,7 +330,7 @@ class Tensor:
                 g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+                a._accumulate(np.broadcast_to(g, a.data.shape))
             return run
 
         return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)

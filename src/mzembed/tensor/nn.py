@@ -33,6 +33,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``W x + b`` applied to the last axis of ``x``.
 
     ``w`` has shape (out, in); ``x`` may carry any leading batch axes.
+    With batch axes this is one graph node whose backward flattens them,
+    so the weight gradient is a single GEMM.
     """
     if x.shape[-1] != w.shape[-1]:
         raise DimensionError(
@@ -40,7 +42,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if x.ndim == 1:
         return w @ x + b
-    return x @ w.swapaxes(-1, -2) + b
+
+    def bwd(out):
+        def run():
+            g = out.grad
+            g2 = g.reshape(-1, g.shape[-1])
+            if x.requires_grad:
+                x._accumulate(g @ w.data)
+            if w.requires_grad:
+                w._accumulate(g2.T @ x.data.reshape(-1, x.shape[-1]))
+            if b.requires_grad:
+                b._accumulate(g2.sum(0))
+        return run
+
+    return Tensor._make(x.data @ w.data.swapaxes(-1, -2) + b.data, (x, w, b), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

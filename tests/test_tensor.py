@@ -1,10 +1,13 @@
 """Tensor core: forward values against numpy, gradients against finite
 differences, and the optimizer update rules against hand-stepped math."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from mzembed.errors import DimensionError, NumericsError
+from mzembed.errors import DimensionError, MzembedError, NumericsError
 from mzembed.tensor import (
     Adam,
     Tensor,
@@ -220,6 +223,31 @@ class TestGradients:
             x,
         )
 
+    def test_linear_batched(self, rng):
+        # (B, N, d) input, as the encoder feeds it; the random mix makes
+        # the upstream gradient differ per element.
+        x = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=(5, 4))
+        b = rng.normal(size=(5,))
+        mix = Tensor(rng.normal(size=(2, 3, 5)))
+        check_gradients(lambda xx, ww, bb: linear(xx, ww, bb) * mix, x, w, b)
+        out = linear(Tensor(x), Tensor(w), Tensor(b))
+        assert np.array_equal(out.data, x @ w.T + b)
+
+    def test_linear_keeps_weight_dtype(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(5,)).astype(np.float32), requires_grad=True)
+        out = linear(x, w, b)
+        assert out.dtype == np.float64
+        assert np.array_equal(out.data, x.data @ w.data.T + b.data)
+        out.sum().backward()
+        assert x.grad.dtype == np.float64
+        assert w.grad.dtype == np.float32 and b.grad.dtype == np.float32
+        expected_w = x.data.reshape(-1, 4).sum(axis=0)
+        assert np.allclose(w.grad, np.broadcast_to(expected_w, (5, 4)), rtol=1e-6)
+        assert np.array_equal(b.grad, np.full(5, 6.0, dtype=np.float32))
+
     def test_cosine_similarity(self, rng):
         a = rng.normal(size=(4, 8))
         b = rng.normal(size=(4, 8))
@@ -280,6 +308,60 @@ class TestGradients:
         y = x * x + x * 3.0
         y.backward()
         assert np.isclose(x.grad, 2 * 2.0 + 3.0)
+
+
+class TestGraphRelease:
+    """backward consumes the graph: interior nodes are freed by
+    reference counting, and only leaves keep a gradient."""
+
+    def test_activations_freed_without_cycle_collector(self, rng):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = Tensor(rng.normal(size=(4, 3)))
+            w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            b = Tensor(np.zeros(5), requires_grad=True)
+            hidden = linear(x, w, b)
+            alive = weakref.ref(hidden.data)
+            loss = relu(hidden).sum()
+            loss.backward()
+            del hidden, loss
+            assert alive() is None
+            assert w.grad is not None and b.grad is not None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_second_backward_raises(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        y = x * 2.0
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(MzembedError, match="consumed"):
+            loss.backward()
+        with pytest.raises(MzembedError, match="consumed"):
+            (y * 3.0).sum().backward()
+
+    def test_leaf_gradients_add_up_over_graphs(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        (x * 2.0).sum().backward()
+        (x * 3.0).sum().backward()
+        assert np.array_equal(x.grad, np.full(3, 5.0))
+
+    def test_first_gradient_is_not_shared(self):
+        # __add__ hands the same array to both operands; a's later
+        # in-place addition must not leak into b.
+        for order in (0, 1):
+            a = Tensor(np.ones(3), requires_grad=True)
+            b = Tensor(np.ones(3), requires_grad=True)
+            terms = [(a + b).sum(), (a * 2.0).sum()]
+            loss = terms[order] + terms[1 - order]
+            loss.backward()
+            assert np.array_equal(b.grad, np.ones(3))
+            assert np.array_equal(a.grad, np.full(3, 3.0))
+        x = Tensor(np.ones(3), requires_grad=True)
+        (x + x).sum().backward()
+        assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 class TestSoftmaxStability:
