@@ -1,8 +1,16 @@
 """Neural-network operations built on the autodiff core.
 
-Composite operations (softmax, layer_norm, attention) are assembled
-from primitives, so their gradients come out of the graph rather than
-hand-derived formulas.
+The memory-heavy composites are single graph nodes with hand-derived
+backwards, each keeping only what its gradient needs: ``softmax`` and
+the attention probabilities (``attention_probs``: scores, scale, key
+mask and softmax in one node) keep their output, ``layer_norm`` keeps
+the normalized input and the standard deviation, ``dropout`` keeps a
+boolean mask, and ``linear`` keeps its operands. Their forwards are the
+same numpy expressions as the primitive-by-primitive composites they
+replace, so inference outputs are unchanged. The feed-forward block,
+the head split and merge and cosine similarity are still assembled
+from primitives. Acceptance criterion 1 checks every one of these
+gradients against central differences.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from .core import Tensor, concat
+from .core import Tensor, _unbroadcast, concat
 
 LAYER_NORM_EPS = 1e-5
 
@@ -58,41 +66,83 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(x.data @ w.data.swapaxes(-1, -2) + b.data, (x, w, b), bwd)
 
 
+def _softmax(s: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``exp(s - shift) / sum`` along ``axis``; ``out=s`` works in place."""
+    shift = np.max(s, axis=axis, keepdims=True)
+    # -inf shifts only occur for fully masked rows; pin them so the
+    # subtraction below stays defined.
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    e = np.subtract(s, shift, out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax backward from the output ``y`` alone: ``y * (g - sum(g * y))``."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``.
 
-    The subtracted maximum is treated as a constant: softmax is shift
-    invariant, so this leaves the gradient untouched.
+    One graph node that keeps only its output: the backward is
+    ``y * (g - sum(g * y))``. Subtracting the row maximum leaves the
+    value and the gradient untouched, since softmax is shift invariant.
 
     Rows must keep at least one finite entry along ``axis``: masking is
     done with -inf logits, and a fully masked row would divide zero by
     zero. Attention always leaves the precursor slot unmasked, so that
     case never arises there.
     """
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    # -inf shifts only occur for fully masked rows; pin them so the
-    # subtraction below stays defined.
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    e = (x - Tensor(shift)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    def bwd(out):
+        def run():
+            x._accumulate(_softmax_grad(out.data, out.grad, axis))
+        return run
+
+    return Tensor._make(_softmax(x.data, axis), (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale."""
+    """Normalize the last axis to zero mean / unit variance, then scale.
+
+    One graph node with parents ``(x, gain, bias)`` that keeps the
+    normalized input and the standard deviation.
+    """
     if gain.shape[-1] != x.shape[-1] or bias.shape[-1] != x.shape[-1]:
         raise DimensionError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match {x.shape}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    xd = x.data
+    inv_n = np.asarray(1.0 / xd.shape[-1], dtype=xd.dtype)
+    centered = xd - xd.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    sigma = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
+    xhat = centered / sigma
+
+    def bwd(out):
+        def run():
+            g = out.grad
+            if gain.requires_grad:
+                gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(g, bias.data.shape))
+            if x.requires_grad:
+                gx = g * gain.data
+                gx -= gx.mean(axis=-1, keepdims=True)
+                gx -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+                gx /= sigma
+                x._accumulate(gx)
+        return run
+
+    return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Zero elements with probability ``p`` and rescale survivors.
 
-    Identity when not training or p == 0.
+    Identity when not training or p == 0. Otherwise one graph node that
+    keeps a boolean mask.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -100,8 +150,16 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ConfigError("training-mode dropout requires an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype)
-    return x * Tensor(keep * (1.0 / (1.0 - p)))
+    keep = rng.random(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    dtype = x.data.dtype
+
+    def bwd(out):
+        def run():
+            x._accumulate(out.grad * (keep.astype(dtype) * scale))
+        return run
+
+    return Tensor._make(x.data * (keep.astype(dtype) * scale), (x,), bwd)
 
 
 @dataclass
@@ -156,6 +214,35 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(-2, -3).reshape(*lead, n, h * dh)
 
 
+def attention_probs(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ / sqrt(dh) + mask bias)`` over the key axis, one node.
+
+    ``q`` and ``k`` are (..., n, dh); ``key_mask`` is a boolean array
+    over key slots (True = attend) that broadcasts over the head and
+    query axes. The node keeps only its output ``y``; its backward is
+    ``gs = y * (g - sum(g * y)) * scale``, ``dq = gs @ k`` and
+    ``dk = gsᵀ @ q``.
+    """
+    s = q.data @ np.swapaxes(k.data, -1, -2)
+    # Cast the scale, so float32 scores stay float32.
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=s.dtype)
+    s *= scale
+    if key_mask is not None:
+        s += np.where(key_mask, 0.0, -np.inf).astype(s.dtype)[..., None, None, :]
+
+    def bwd(out):
+        def run():
+            gs = _softmax_grad(out.data, out.grad, -1)
+            gs *= scale
+            if q.requires_grad:
+                q._accumulate(_unbroadcast(gs @ k.data, q.data.shape))
+            if k.requires_grad:
+                k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.data.shape))
+        return run
+
+    return Tensor._make(_softmax(s, -1, out=s), (q, k), bwd)
+
+
 def multi_head_attention(
     query: Tensor,
     key: Tensor,
@@ -177,18 +264,12 @@ def multi_head_attention(
     d = query.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"model dimension {d} not divisible by {heads} heads")
-    dh = d // heads
 
     q = _split_heads(linear(query, params.wq, params.bq), heads)
     k = _split_heads(linear(key, params.wk, params.bk), heads)
     v = _split_heads(linear(value, params.wv, params.bv), heads)
 
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-    if key_mask is not None:
-        bias = np.where(key_mask, 0.0, -np.inf).astype(scores.data.dtype)
-        # Broadcast over head and query axes: (..., 1, 1, n_k).
-        scores = scores + Tensor(bias[..., None, None, :])
-    probs = softmax(scores, axis=-1)
+    probs = attention_probs(q, k, key_mask)
     if training and attn_dropout > 0.0:
         probs = dropout(probs, attn_dropout, training, rng)
     return linear(_merge_heads(probs @ v), params.wo, params.bo)

@@ -377,6 +377,74 @@ class TestTrainingMode:
             assert np.any(tensor.grad != 0.0) or "bias" in name, name
 
 
+def graph_nodes(root):
+    """Every tensor reachable from ``root`` through ``_parents``."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def held_arrays(node):
+    """The node's value and the arrays its backward closure keeps."""
+    yield node.data
+    for cell in getattr(node._backward, "__closure__", None) or ():
+        if isinstance(cell.cell_contents, np.ndarray):
+            yield cell.cell_contents
+
+
+def base_buffer(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestTrainingGraphSize:
+    def test_attention_maps_held_once_per_layer(self, rng):
+        # A padded batch (mixed peak counts), so the key mask is active.
+        cfg = small_cfg(d=16, layers=3, heads=2, dropout=0.2)
+        weights = init_weights(cfg, seed=0)
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1))
+            for i, n in enumerate((5, 12, 8, 10))
+        ]
+        out = encode_batch(
+            spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=16),
+            mode="train", rng=stream_rng(0, "dropout", 0),
+        )
+        n_slots = 13
+        assert n_slots != cfg.d // cfg.heads
+        map_shape = (len(spectra), cfg.heads, n_slots, n_slots)
+        nodes = graph_nodes(out)
+
+        maps = {
+            id(base_buffer(a))
+            for node in nodes
+            for a in held_arrays(node)
+            if a.shape == map_shape and np.issubdtype(a.dtype, np.floating)
+        }
+        # Per full layer: the probabilities and their dropout.
+        assert 0 < len(maps) <= 2 * (cfg.layers - 1)
+
+        drops = [
+            node for node in nodes
+            if getattr(node._backward, "__qualname__", "").startswith("dropout.")
+        ]
+        # Attention probabilities, attention output and feed-forward
+        # output in every layer.
+        assert len(drops) == 3 * cfg.layers
+        for node in drops:
+            constants = [p.data for p in node._parents if not p.requires_grad]
+            closure = [a for a in held_arrays(node) if a is not node.data]
+            for a in constants + closure:
+                assert not np.issubdtype(a.dtype, np.floating), a.shape
+
+
 class TestTokenKind:
     def test_token_forward_runs_and_is_permutation_invariant(self, rng):
         vocab = TokenVocab(resolution=0.1, max_mz=2000.0)

@@ -26,7 +26,7 @@ from mzembed.tensor import (
     softmax,
     uniform_fan_in,
 )
-from mzembed.tensor.nn import AttentionParams, FeedForwardParams
+from mzembed.tensor.nn import AttentionParams, FeedForwardParams, attention_probs
 
 
 def numerical_gradient(f, x, h=1e-5):
@@ -376,6 +376,167 @@ class TestSoftmaxStability:
         assert np.all(np.isfinite(out.data))
         assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
         assert np.isclose(out.data.sum(), 1.0)
+
+
+def composite_softmax(x, axis=-1):
+    """Softmax as the chain of primitives it used to be built from."""
+    shift = np.max(x, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    e = np.exp(x - shift)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm as the chain of primitives it used to be built from:
+    each mean is a sum times 1/n in the input's dtype."""
+    inv_n = np.asarray(1.0 / x.shape[-1], dtype=x.dtype)
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    return centered / np.sqrt(var + np.asarray(eps, dtype=x.dtype)) * gain + bias
+
+
+def split_heads(x, heads):
+    # The strided (B, heads, n, dh) view the encoder hands to attention.
+    b, n, d = x.shape
+    return x.reshape(b, n, heads, d // heads).swapaxes(1, 2)
+
+
+class TestFusedForwardBits:
+    """The one-node softmax, layer norm, dropout and attention
+    probabilities compute the same bits as the primitive chains they
+    replace, so inference outputs do not move."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softmax(self, rng, dtype):
+        x = (rng.normal(size=(4, 3, 7)) * 5.0).astype(dtype)
+        x[0, 0, 2] = -np.inf
+        x[1, 1:, 3:5] = -np.inf
+        x[3, 2, :6] = -np.inf  # one finite entry left in the row
+        out = softmax(Tensor(x), axis=-1)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, composite_softmax(x))
+        assert np.array_equal(
+            softmax(Tensor(x), axis=1).data, composite_softmax(x, axis=1)
+        )
+
+    def test_layer_norm(self, rng):
+        x = rng.normal(size=(3, 5, 16)) * 3.0 + 1.0
+        gain = rng.normal(1.0, 0.2, 16).astype(np.float32)
+        bias = rng.normal(0.0, 0.2, 16).astype(np.float32)
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+        assert out.dtype == np.float64
+        assert np.array_equal(out.data, composite_layer_norm(x, gain, bias))
+        x32 = x.astype(np.float32)
+        out32 = layer_norm(Tensor(x32), Tensor(gain), Tensor(bias))
+        assert out32.dtype == np.float32
+        assert np.array_equal(out32.data, composite_layer_norm(x32, gain, bias))
+
+    def test_dropout(self, rng):
+        x = rng.normal(size=(6, 4, 9))
+        mine, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        out = dropout(Tensor(x), 0.3, training=True, rng=mine)
+        keep = (theirs.random(x.shape) >= 0.3).astype(x.dtype)
+        assert np.array_equal(out.data, x * (keep * (1.0 / (1.0 - 0.3))))
+        # The same draws, so the rng stream continues where it did.
+        assert mine.random() == theirs.random()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_attention_probs(self, rng, dtype):
+        heads = 3
+        q = split_heads(rng.normal(size=(2, 4, 15)).astype(dtype), heads)
+        k = split_heads(rng.normal(size=(2, 6, 15)).astype(dtype), heads)
+        mask = np.array([[True] * 6, [True, True, True, True, False, False]])
+        out = attention_probs(Tensor(q), Tensor(k), mask)
+        assert out.dtype == dtype
+        prod = q @ np.swapaxes(k, -1, -2)  # the node's own BLAS call
+        scores = prod * np.asarray(1.0 / np.sqrt(5), dtype=dtype)
+        masked = scores + np.where(mask, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+        assert np.array_equal(out.data, composite_softmax(masked))
+        unmasked = attention_probs(Tensor(q), Tensor(k))
+        assert np.array_equal(unmasked.data, composite_softmax(scores))
+
+
+def constant_attention(rng, d):
+    """AttentionParams of random constant weights and zero biases."""
+    params = {}
+    for name in "qkvo":
+        params[f"w{name}"] = Tensor(rng.normal(size=(d, d)) * 0.3)
+        params[f"b{name}"] = Tensor(np.zeros(d))
+    return AttentionParams(**params)
+
+
+class TestEncoderShapeGradients:
+    """Gradient checks in the shapes and dtypes the encoder uses."""
+
+    def test_attention_one_query_masked_keys(self, rng):
+        # The last layer: only the precursor slot queries all keys.
+        d, heads = 8, 2
+        mask = np.array([[True] * 5, [True, True, True, False, False]])
+        mix = Tensor(rng.normal(size=(2, 1, d)))
+        consts = constant_attention(rng, d)
+
+        def build(xx, wq, wk):
+            params = AttentionParams(**{**vars(consts), "wq": wq, "wk": wk})
+            out = multi_head_attention(xx[:, 0:1, :], xx, xx, params, heads, key_mask=mask)
+            return out * mix
+
+        check_gradients(
+            build,
+            rng.normal(size=(2, 5, d)),
+            rng.normal(size=(d, d)) * 0.3,
+            rng.normal(size=(d, d)) * 0.3,
+        )
+
+    def test_attention_float32_keeps_dtype(self, rng):
+        d, heads = 8, 2
+        mask = np.array([[True] * 5, [True, True, True, False, False]])
+        x = rng.normal(size=(2, 5, d))
+        wq = rng.normal(size=(d, d)) * 0.3
+        wk = rng.normal(size=(d, d)) * 0.3
+        mix = rng.normal(size=(2, 5, d))
+        consts = constant_attention(rng, d)
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            tq = Tensor(wq.astype(dtype), requires_grad=True)
+            tk = Tensor(wk.astype(dtype), requires_grad=True)
+            tx = Tensor(x.astype(dtype), requires_grad=True)
+            params = AttentionParams(**{
+                name: Tensor(t.data.astype(dtype)) for name, t in vars(consts).items()
+            } | {"wq": tq, "wk": tk})
+            out = multi_head_attention(tx, tx, tx, params, heads, key_mask=mask)
+            assert out.dtype == dtype
+            (out * Tensor(mix.astype(dtype))).sum().backward()
+            grads[dtype] = (tx.grad, tq.grad, tk.grad)
+            assert all(g.dtype == dtype for g in grads[dtype])
+        for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+            assert np.allclose(g32, g64, rtol=1e-4, atol=1e-5)
+
+        q = Tensor(split_heads(x.astype(np.float32), heads), requires_grad=True)
+        k = Tensor(split_heads(x.astype(np.float32), heads), requires_grad=True)
+        probs = attention_probs(q, k, mask)
+        assert probs.dtype == np.float32
+        (probs * Tensor(rng.normal(size=probs.shape).astype(np.float32))).sum().backward()
+        assert q.grad.dtype == np.float32 and k.grad.dtype == np.float32
+
+    def test_layer_norm_batched_float32_affine(self, rng):
+        x = rng.normal(size=(3, 4, 6)) * 2.0 + 0.5
+        gain = rng.normal(1.0, 0.2, 6)
+        bias = rng.normal(0.0, 0.2, 6)
+        mix = rng.normal(size=(3, 4, 6))
+        check_gradients(
+            lambda xx, gg, bb: layer_norm(xx, gg, bb) * Tensor(mix), x, gain, bias
+        )
+
+        tx = Tensor(x, requires_grad=True)
+        tg = Tensor(gain.astype(np.float32), requires_grad=True)
+        tb = Tensor(bias.astype(np.float32), requires_grad=True)
+        (layer_norm(tx, tg, tb) * Tensor(mix)).sum().backward()
+        assert tx.grad.dtype == np.float64
+        assert tg.grad.dtype == np.float32 and tb.grad.dtype == np.float32
+        assert tg.grad.shape == (6,) and tb.grad.shape == (6,)
+        xhat = composite_layer_norm(x, np.ones(6), np.zeros(6))
+        assert np.allclose(tb.grad, mix.sum(axis=(0, 1)), rtol=1e-6)
+        assert np.allclose(tg.grad, (mix * xhat).sum(axis=(0, 1)), rtol=1e-6)
 
 
 class TestOptimizer:
