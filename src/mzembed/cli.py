@@ -370,6 +370,7 @@ def _eval_siamese(
         evaluate_search,
         modified_cosine,
         summarize_hits,
+        top_k,
         write_accuracy_report,
         write_search_audit,
     )
@@ -396,9 +397,12 @@ def _eval_siamese(
         mse_lines.append(f"{name}\t{mse:.6f}\t{len(pairs)}")
     atomic_write_text(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
 
-    # Embedding retrieval against the training reference library.
+    # Embedding retrieval and the modified-cosine baseline, both against
+    # the training reference library.
     index = build_index(train, enc_cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision)
-    reports = []
+    refs = sorted(train, key=lambda s: s.id)
+    ref_ids = [r.id for r in refs]
+    reports, cosine_reports = [], []
     for name, queries, include_exact in (("known", known, True), ("novel", novel, False)):
         if not queries:
             continue
@@ -408,6 +412,14 @@ def _eval_siamese(
                 sin_cfg=sin_cfg, vocab=vocab, precision=precision,
                 threshold=threshold, query_set=name, include_exact=include_exact,
             )
+        )
+        hits = []
+        for query in queries:
+            scores = [modified_cosine(query, r, tolerance) for r in refs]
+            best = top_k(scores, ref_ids, 1)[0]
+            hits.append((query, ref_ids[best], refs[best].structure_id, scores[best]))
+        cosine_reports.append(
+            summarize_hits(hits, molecules, threshold, name, include_exact)
         )
 
     def write_reports(accuracy_name, audit_name, rows):
@@ -419,22 +431,6 @@ def _eval_siamese(
             os.replace(path + ".tmp", path)
 
     write_reports("search_accuracy.tsv", "search_audit.tsv", reports)
-
-    # Modified-cosine baseline over the same queries and references.
-    refs = sorted(train, key=lambda s: s.id)
-    cosine_reports = []
-    for name, queries, include_exact in (("known", known, True), ("novel", novel, False)):
-        if not queries:
-            continue
-        hits = []
-        for query in queries:
-            scored = [(modified_cosine(query, r, tolerance), r) for r in refs]
-            # Ties break toward the smaller reference id.
-            best_score, best = min(scored, key=lambda t: (-t[0], t[1].id))
-            hits.append((query, best.id, best.structure_id, best_score))
-        cosine_reports.append(
-            summarize_hits(hits, molecules, threshold, name, include_exact)
-        )
     write_reports("cosine_accuracy.tsv", "cosine_audit.tsv", cosine_reports)
     print("wrote pair_mse.tsv, search_accuracy.tsv, search_audit.tsv, cosine_accuracy.tsv")
     return EXIT_OK
@@ -479,7 +475,8 @@ def _eval_properties(
 def cmd_search(args) -> int:
     from .data import load_mgf
     from .embed import normalize_intensities
-    from .search import build_index, search
+    from .encoder import encode_many
+    from .search import build_index, search_embedding
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
     mode = _train_mode(settings)
@@ -488,14 +485,15 @@ def cmd_search(args) -> int:
     train, _, _ = split_sets(spectra, assignment)
 
     queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
+    queries.sort(key=lambda s: s.id)
     k = settings.get_int("k", 5)
     index = build_index(train, enc_cfg, model, sin_cfg=sin_cfg, vocab=vocab, precision=precision)
+    embeddings = encode_many(
+        queries, enc_cfg, model, sin_cfg=sin_cfg, vocab=vocab, precision=precision
+    )
     lines = ["query_id\trank\thit_id\thit_structure\tscore"]
-    for query in sorted(queries, key=lambda s: s.id):
-        result = search(
-            query, index, k, enc_cfg, model, sin_cfg=sin_cfg, vocab=vocab,
-            precision=precision,
-        )
+    for query, emb in zip(queries, embeddings):
+        result = search_embedding(emb, index, k, query_id=query.id)
         for rank, (hit_id, hit_structure, score) in enumerate(result.hits, start=1):
             lines.append(
                 f"{query.id}\t{rank}\t{hit_id}\t{hit_structure or ''}\t{score:.6f}"

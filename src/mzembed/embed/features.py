@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.types import Peak, Spectrum
-from ..errors import ConfigError, NumericsError
+from ..errors import ConfigError, DataError
 from ..tensor import FeedForwardParams, Tensor, concat, feed_forward, gather_rows
 from .precision import BINARY64, PrecisionMode
 from .sinusoidal import SinusoidalConfig, sinusoidal_embed
@@ -19,11 +19,11 @@ def normalize_intensities(spectrum: Spectrum) -> Spectrum:
 
     The precursor's raw intensity never enters the scaling, so the
     operation is idempotent. All-zero fragment intensities leave nothing
-    to scale by and raise NumericsError.
+    to scale by and raise DataError.
     """
     peak_max = max(p.intensity for p in spectrum.fragments)
     if peak_max <= 0:
-        raise NumericsError(
+        raise DataError(
             f"spectrum {spectrum.id!r}: all fragment intensities are zero"
         )
     fragments = tuple(

@@ -196,10 +196,6 @@ class PropertyReport:
             lines.append(f"{name}\t{known:.6f}\t{novel:.6f}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.serialize())
-
 
 def _split_r2(
     predictions: np.ndarray | None, labels: np.ndarray | None

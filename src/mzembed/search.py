@@ -91,6 +91,12 @@ def build_index(
     )
 
 
+def top_k(scores, ids: list[str], k: int) -> list[int]:
+    """Positions of the k highest scores, best first; equal scores go to
+    the smaller id."""
+    return sorted(range(len(ids)), key=lambda r: (-scores[r], ids[r]))[:k]
+
+
 def search_embedding(query: np.ndarray, index: EmbeddingIndex, k: int, query_id: str = "") -> SearchResult:
     """Rank index rows by cosine against one query embedding."""
     if len(index) == 0:
@@ -100,9 +106,7 @@ def search_embedding(query: np.ndarray, index: EmbeddingIndex, k: int, query_id:
     if norm < 1e-30:
         raise NumericsError(f"zero-norm query embedding for {query_id!r}")
     scores = index.matrix @ (q / norm)
-    order = sorted(
-        range(len(index)), key=lambda r: (-scores[r], index.spectrum_ids[r])
-    )[: min(k, len(index))]
+    order = top_k(scores, index.spectrum_ids, k)
     hits = [
         (index.spectrum_ids[r], index.structure_ids[r], float(scores[r])) for r in order
     ]
@@ -158,11 +162,13 @@ def evaluate_search(
     """
     if not queries:
         raise DataError("no query spectra to evaluate")
+    embeddings = encode_many(
+        queries, cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision
+    )
     hits = []
-    for query in queries:
-        hit_id, hit_structure, score = search(
-            query, index, 1, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-            precision=precision,
+    for query, emb in zip(queries, embeddings):
+        hit_id, hit_structure, score = search_embedding(
+            emb, index, 1, query_id=query.id
         ).hits[0]
         hits.append((query, hit_id, hit_structure, score))
     return summarize_hits(hits, molecules, threshold, query_set, include_exact)

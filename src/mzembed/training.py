@@ -104,10 +104,6 @@ class TrainLog:
             lines.append("\t".join(_format_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.serialize())
-
 
 def _format_cell(value) -> str:
     if isinstance(value, float):

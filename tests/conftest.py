@@ -1,7 +1,16 @@
 """Shared synthetic-data builders and the acceptance summary hook."""
 
+import os
+
 import numpy as np
 import pytest
+
+# pyproject.toml puts src/ on this process's path only; tests that start
+# a fresh interpreter (python -m mzembed.cli) need it in the environment.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 from mzembed.data import MoleculeRecord, Peak, Spectrum
 from mzembed.embed import normalize_intensities

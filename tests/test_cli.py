@@ -8,7 +8,7 @@ import pytest
 
 from conftest import toy_dataset
 from mzembed.cli import main
-from mzembed.data import PROPERTY_NAMES, serialize_mgf
+from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, serialize_mgf
 
 CONFIG_SMALL = """\
 # tiny model for tests
@@ -249,6 +249,38 @@ class TestSearchPredictExport:
         assert len(lines) == 1 + 3 * 2
         ranks = [int(line.split("\t")[1]) for line in lines[1:]]
         assert ranks == [1, 2] * 3
+
+    def test_zero_intensity_query_exits_2(self, workspace, tmp_path, capsys):
+        zero = Spectrum(
+            id="zero_q0000", precursor=Peak(1000.0, 1.0),
+            fragments=(Peak(100.0, 0.0), Peak(200.0, 0.0)),
+        )
+        queries = tmp_path / "zero.mgf"
+        queries.write_text(serialize_mgf([zero]))
+        code = main(
+            ["search", "--mode", "siamese", "--queries", str(queries),
+             *common_args(workspace)]
+        )
+        assert code == 2
+        assert "spectrum 'zero_q0000'" in capsys.readouterr().err
+
+    def test_unencodable_query_exits_2(self, tmp_path, capsys):
+        # binary16 tops out at 65504, so this fragment m/z cannot be cast.
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        args = ["--mode", "siamese", "--precision", "16", *common_args(paths)]
+        assert main(["train", "--epochs", "0", *args]) == 0
+        huge = Spectrum(
+            id="huge_q0000", precursor=Peak(1000.0, 1.0), fragments=(Peak(70000.0, 1.0),)
+        )
+        queries = tmp_path / "huge.mgf"
+        queries.write_text(serialize_mgf([huge]))
+        capsys.readouterr()
+        assert main(["search", "--queries", str(queries), *args]) == 2
+        assert capsys.readouterr().err == (
+            "error: failed to encode spectrum 'huge_q0000': "
+            "m/z overflows binary16: max |value| 70000.0\n"
+        )
 
     def test_predictions_table(self, workspace, tmp_path):
         queries = tmp_path / "queries.mgf"

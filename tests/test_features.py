@@ -19,7 +19,7 @@ from mzembed.embed import (
     tokenize_mz,
 )
 from mzembed.encoder import EncoderConfig, init_weights
-from mzembed.errors import NumericsError
+from mzembed.errors import DataError
 
 
 class TestTokenVocab:
@@ -86,7 +86,7 @@ class TestNormalization:
             precursor=Peak(500.0, 0.0),
             fragments=tuple(Peak(100.0 + i, 0.0) for i in range(5)),
         )
-        with pytest.raises(NumericsError):
+        with pytest.raises(DataError):
             normalize_intensities(s)
 
 

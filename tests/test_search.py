@@ -1,6 +1,8 @@
 """Embedding search: index construction, ranking, tie-breaks and the
 macro-averaged accuracy report."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mzembed.search import (
     evaluate_search,
     search,
     search_embedding,
+    top_k,
     write_accuracy_report,
     write_search_audit,
 )
@@ -120,6 +123,16 @@ class TestRanking:
         result = search_embedding(row, index, 3)
         assert [h[0] for h in result.hits] == ["s0", "s1", "s2"]
 
+    def test_top_k_ties_go_to_smaller_id_in_any_row_order(self):
+        ids = ["s2", "s0", "s3", "s1", "s4"]
+        scores = [0.5, 0.9, 0.9, 0.9, -1.0]
+        for perm in itertools.permutations(range(len(ids))):
+            got = top_k([scores[i] for i in perm], [ids[i] for i in perm], 3)
+            assert [ids[perm[r]] for r in got] == ["s0", "s1", "s3"]
+
+    def test_top_k_past_row_count_returns_every_row(self):
+        assert top_k(np.array([0.1, 0.3, 0.2]), ["a", "b", "c"], 10) == [1, 2, 0]
+
     def test_k_truncates_to_index_size(self, rng):
         matrix = rng.normal(size=(4, 8))
         index = self.make_index(matrix)
@@ -168,6 +181,25 @@ class TestEvaluate:
         assert np.isclose(report.approximate, self.hand_macro(approx_out), atol=1e-12)
         assert report.n_structures == len(exact_out)
         assert len(report.audit) == len(queries)
+
+    def test_audit_rows_equal_lone_search(self, rng):
+        # Queries with equal peak counts share one encode batch; each row
+        # must still rank exactly as a lone search() of that query does.
+        # At d=32 a padded batch moves some scores in the last bit.
+        cfg = EncoderConfig(d=32, layers=2, heads=4, inner_dim=32, dropout=0.0,
+                            kind="sin", max_fragments=16)
+        weights, sin_cfg = init_weights(cfg, seed=6), SinusoidalConfig(d=32)
+        spectra, molecules = toy_dataset(n_structures=4, spectra_per=3, seed=5)
+        index = build_index(spectra, cfg, weights, sin_cfg=sin_cfg)
+        queries = [
+            toy_spectrum(f"q{i}", f"m{i % 4}", rng, n_peaks=(n, n + 1))
+            for i, n in enumerate((7, 9, 7, 12, 7, 10, 9, 15))
+        ]
+        report = evaluate_search(queries, index, molecules, cfg, weights, sin_cfg=sin_cfg)
+        assert len(report.audit) == len(queries)
+        for query, (query_id, hit_id, score, _, _) in zip(queries, report.audit):
+            lone = search(query, index, 1, cfg, weights, sin_cfg=sin_cfg).hits[0]
+            assert (query_id, hit_id, score) == (query.id, lone[0], lone[2])
 
     def test_self_queries_give_perfect_exact(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)

@@ -106,11 +106,3 @@ class TestTrainLog:
         log = TrainLog(columns=("a", "b"))
         with pytest.raises(ConfigError):
             log.append(1)
-
-    def test_write_round_trip(self, tmp_path):
-        log = TrainLog(columns=("epoch", "loss"), meta={"seed": "0"})
-        log.append(0, 0.125)
-        path = tmp_path / "log.tsv"
-        log.write(path)
-        assert path.read_text() == log.serialize()
-        assert path.read_bytes().endswith(b"\n")
