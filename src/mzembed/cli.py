@@ -118,8 +118,8 @@ def out_path(settings: Settings, name: str) -> str:
 
 
 def build_configs(settings: Settings):
-    """EncoderConfig, SinusoidalConfig, TokenVocab, PrecisionMode, TrainConfig."""
-    from .embed import PrecisionMode, SinusoidalConfig, TokenVocab
+    """EncoderConfig (the model) and TrainConfig (the optimization)."""
+    from .embed import LAMBDA_MAX_DEFAULT, LAMBDA_MIN_DEFAULT, PrecisionMode
     from .encoder import EncoderConfig
     from .training import TrainConfig
 
@@ -132,17 +132,12 @@ def build_configs(settings: Settings):
         dropout=settings.get_float("dropout", 0.1),
         kind=settings.get("embedding", "sin"),
         max_fragments=settings.get_int("max-fragments", 512),
-    )
-    sin_cfg = SinusoidalConfig(
-        lambda_min=settings.get_float("lambda-min", 10.0 ** -2.5),
-        lambda_max=settings.get_float("lambda-max", 10.0 ** 3.3),
-        d=d,
-    )
-    vocab = TokenVocab(
+        lambda_min=settings.get_float("lambda-min", LAMBDA_MIN_DEFAULT),
+        lambda_max=settings.get_float("lambda-max", LAMBDA_MAX_DEFAULT),
         resolution=settings.get_float("resolution", 0.1),
         max_mz=settings.get_float("max-mz", 2000.0),
+        precision=PrecisionMode.from_string(settings.get("precision", "64")),
     )
-    precision = PrecisionMode.from_string(settings.get("precision", "64"))
     trn_cfg = TrainConfig(
         epochs=settings.get_int("epochs", 50),
         batch_size=settings.get_int("batch-size", 64),
@@ -151,20 +146,18 @@ def build_configs(settings: Settings):
         beta2=settings.get_float("beta2", 0.999),
         weight_decay=settings.get_float("weight-decay", 0.1),
         clip=settings.get_float("clip", 0.5),
-        dropout=settings.get_float("dropout", 0.1),
         seed=settings.get_int("seed", 0),
         pairs_per_epoch=settings.get_int("pairs-per-epoch", 1024),
         eval_pairs=settings.get_int("eval-pairs", 10_000),
     )
-    return enc_cfg, sin_cfg, vocab, precision, trn_cfg
+    return enc_cfg, trn_cfg
 
 
 def run_config_text(settings: Settings, mode: str) -> str:
     """The digest-protected configuration record for checkpoints."""
     from .encoder import describe_config
 
-    enc_cfg, sin_cfg, vocab, precision, _ = build_configs(settings)
-    text = describe_config(enc_cfg, sin_cfg=sin_cfg, vocab=vocab, precision=precision)
+    text = describe_config(build_configs(settings)[0])
     text += f"mode={mode}\n"
     if mode == "properties-baseline":
         text += f"bin_width={settings.get_float('bin-width', 0.1)!r}\n"
@@ -207,7 +200,7 @@ def load_model(settings: Settings, mode: str):
     from .properties import BaselineParams, LabelScaler
     from .tensor import Tensor, load_checkpoint
 
-    enc_cfg, sin_cfg, vocab, precision, _ = build_configs(settings)
+    enc_cfg, _ = build_configs(settings)
     config_text = run_config_text(settings, mode)
     ckpt = settings.get("checkpoint") or out_path(settings, f"model_{mode}.ckpt")
     if not os.path.exists(ckpt):
@@ -228,8 +221,8 @@ def load_model(settings: Settings, mode: str):
             }
         )
     else:
-        model = weights_from_named(params, enc_cfg, vocab=vocab)
-    return model, scaler, enc_cfg, sin_cfg, vocab, precision
+        model = weights_from_named(params, enc_cfg)
+    return model, scaler, enc_cfg
 
 
 # ------------------------------------------------------------- commands
@@ -287,12 +280,25 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _train_mode(settings: Settings) -> str:
+def _train_mode(settings: Settings, default: str = "siamese") -> str:
     from .errors import ConfigError
 
-    mode = settings.get("mode", "siamese")
+    mode = settings.get("mode", default)
     if mode not in ("siamese", "properties", "properties-baseline"):
         raise ConfigError(f"mode must be siamese/properties/properties-baseline, got {mode!r}")
+    return mode
+
+
+def _encoder_mode(settings: Settings) -> str:
+    """The train mode of a command that needs the m/z embedding."""
+    from .errors import ConfigError
+
+    mode = _train_mode(settings)
+    if mode == "properties-baseline":
+        raise ConfigError(
+            "the properties-baseline model has no m/z embedding; "
+            "use mode siamese or properties"
+        )
     return mode
 
 
@@ -305,7 +311,7 @@ def cmd_train(args) -> int:
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
     mode = _train_mode(settings)
-    enc_cfg, sin_cfg, vocab, precision, trn_cfg = build_configs(settings)
+    enc_cfg, trn_cfg = build_configs(settings)
     spectra, molecules, assignment = load_dataset(settings)
     train, known, novel = split_sets(spectra, assignment)
     eval_sets = {}
@@ -316,15 +322,11 @@ def cmd_train(args) -> int:
 
     config_text = run_config_text(settings, mode)
     if mode == "siamese":
-        weights, log = train_siamese(
-            train, molecules, trn_cfg, enc_cfg, sin_cfg=sin_cfg, vocab=vocab,
-            precision=precision, eval_sets=eval_sets,
-        )
+        weights, log = train_siamese(train, molecules, trn_cfg, enc_cfg, eval_sets=eval_sets)
         named = {k: v.data for k, v in weights.named().items()}
     else:
         model, scaler, _report, log = train_properties(
-            train, molecules, trn_cfg, enc_cfg, sin_cfg=sin_cfg, vocab=vocab,
-            precision=precision, eval_sets=eval_sets,
+            train, molecules, trn_cfg, enc_cfg, eval_sets=eval_sets,
             baseline=(mode == "properties-baseline"),
             bin_width=settings.get_float("bin-width", 0.1),
             bin_max_mz=settings.get_float("max-mz", 2000.0),
@@ -349,22 +351,14 @@ def cmd_eval(args) -> int:
     mode = _train_mode(settings)
     spectra, molecules, assignment = load_dataset(settings)
     train, known, novel = split_sets(spectra, assignment)
-    model, scaler, enc_cfg, sin_cfg, vocab, precision = load_model(settings, mode)
+    model, scaler, enc_cfg = load_model(settings, mode)
 
     if mode == "siamese":
-        return _eval_siamese(
-            settings, train, known, novel, molecules,
-            model, enc_cfg, sin_cfg, vocab, precision,
-        )
-    return _eval_properties(
-        settings, mode, known, novel, molecules, model, scaler,
-        enc_cfg, sin_cfg, vocab, precision,
-    )
+        return _eval_siamese(settings, train, known, novel, molecules, model, enc_cfg)
+    return _eval_properties(settings, mode, known, novel, molecules, model, scaler, enc_cfg)
 
 
-def _eval_siamese(
-    settings, train, known, novel, molecules, weights, enc_cfg, sin_cfg, vocab, precision
-) -> int:
+def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) -> int:
     from .search import (
         build_index,
         evaluate_search,
@@ -377,7 +371,7 @@ def _eval_siamese(
     from .siamese import _pair_mse, build_similarity_bins, sample_uniform_pairs
     from .rng import stream_rng
 
-    trn_cfg = build_configs(settings)[4]
+    trn_cfg = build_configs(settings)[1]
     threshold = settings.get_float("threshold", 0.6)
     tolerance = settings.get_float("tolerance", 0.1)
 
@@ -393,13 +387,13 @@ def _eval_siamese(
             stream_rng(trn_cfg.seed, "eval", name),
         )
         by_id = {s.id: s for s in spectra}
-        mse = _pair_mse(pairs, by_id, enc_cfg, weights, sin_cfg, vocab, precision)
+        mse = _pair_mse(pairs, by_id, enc_cfg, weights)
         mse_lines.append(f"{name}\t{mse:.6f}\t{len(pairs)}")
     atomic_write_text(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
 
     # Embedding retrieval and the modified-cosine baseline, both against
     # the training reference library.
-    index = build_index(train, enc_cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision)
+    index = build_index(train, enc_cfg, weights)
     refs = sorted(train, key=lambda s: s.id)
     ref_ids = [r.id for r in refs]
     reports, cosine_reports = [], []
@@ -409,7 +403,6 @@ def _eval_siamese(
         reports.append(
             evaluate_search(
                 queries, index, molecules, enc_cfg, weights,
-                sin_cfg=sin_cfg, vocab=vocab, precision=precision,
                 threshold=threshold, query_set=name, include_exact=include_exact,
             )
         )
@@ -436,30 +429,25 @@ def _eval_siamese(
     return EXIT_OK
 
 
-def _eval_properties(
-    settings, mode, known, novel, molecules, model, scaler, enc_cfg, sin_cfg, vocab, precision
-) -> int:
+def _property_predictor(settings, mode, model, scaler, enc_cfg):
+    """Natural-unit property predictions from a loaded checkpoint: the
+    binned baseline's forward pass, or the encoder and its head."""
     from .errors import CheckpointError
-    from .properties import evaluate_properties, predict_baseline, predict_properties_batch
+    from .properties import predict_baseline, predict_properties_batch
 
     if scaler is None:
         raise CheckpointError("checkpoint carries no label scaler; retrain")
-
     if mode == "properties-baseline":
         bin_width = settings.get_float("bin-width", 0.1)
         bin_max = settings.get_float("max-mz", 2000.0)
+        return lambda spectra: predict_baseline(spectra, model, scaler, bin_width, bin_max)
+    return lambda spectra: predict_properties_batch(spectra, enc_cfg, model, scaler)
 
-        def predict_fn(spectra):
-            return predict_baseline(spectra, model, scaler, bin_width, bin_max)
 
-    else:
+def _eval_properties(settings, mode, known, novel, molecules, model, scaler, enc_cfg) -> int:
+    from .properties import evaluate_properties
 
-        def predict_fn(spectra):
-            return predict_properties_batch(
-                spectra, enc_cfg, model, scaler, sin_cfg=sin_cfg, vocab=vocab,
-                precision=precision,
-            )
-
+    predict_fn = _property_predictor(settings, mode, model, scaler, enc_cfg)
     eval_sets = {}
     if known:
         eval_sets["known"] = known
@@ -479,18 +467,16 @@ def cmd_search(args) -> int:
     from .search import build_index, search_embedding
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
-    mode = _train_mode(settings)
-    model, _scaler, enc_cfg, sin_cfg, vocab, precision = load_model(settings, mode)
+    mode = _encoder_mode(settings)
+    model, _scaler, enc_cfg = load_model(settings, mode)
     spectra, _molecules, assignment = load_dataset(settings)
     train, _, _ = split_sets(spectra, assignment)
 
     queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
     queries.sort(key=lambda s: s.id)
     k = settings.get_int("k", 5)
-    index = build_index(train, enc_cfg, model, sin_cfg=sin_cfg, vocab=vocab, precision=precision)
-    embeddings = encode_many(
-        queries, enc_cfg, model, sin_cfg=sin_cfg, vocab=vocab, precision=precision
-    )
+    index = build_index(train, enc_cfg, model)
+    embeddings = encode_many(queries, enc_cfg, model)
     lines = ["query_id\trank\thit_id\thit_structure\tscore"]
     for query, emb in zip(queries, embeddings):
         result = search_embedding(emb, index, k, query_id=query.id)
@@ -507,19 +493,13 @@ def cmd_search(args) -> int:
 def cmd_predict(args) -> int:
     from .data import PROPERTY_NAMES, load_mgf
     from .embed import normalize_intensities
-    from .errors import CheckpointError
-    from .properties import predict_properties_batch
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
-    mode = settings.get("mode", "properties")
-    model, scaler, enc_cfg, sin_cfg, vocab, precision = load_model(settings, mode)
-    if scaler is None:
-        raise CheckpointError("checkpoint carries no label scaler; retrain")
+    mode = _train_mode(settings, "properties")
+    predict_fn = _property_predictor(settings, mode, *load_model(settings, mode))
     queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
     queries.sort(key=lambda s: s.id)
-    preds = predict_properties_batch(
-        queries, enc_cfg, model, scaler, sin_cfg=sin_cfg, vocab=vocab, precision=precision
-    )
+    preds = predict_fn(queries)
     lines = ["spectrum_id\t" + "\t".join(PROPERTY_NAMES)]
     for s, row in zip(queries, preds):
         lines.append(s.id + "\t" + "\t".join(f"{v:.6f}" for v in row))
@@ -536,8 +516,8 @@ def cmd_export_embeddings(args) -> int:
     from .tensor import Tensor, feed_forward, no_grad
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
-    mode = settings.get("mode", "siamese")
-    model, _scaler, enc_cfg, sin_cfg, vocab, precision = load_model(settings, mode)
+    mode = _encoder_mode(settings)
+    model, _scaler, enc_cfg = load_model(settings, mode)
 
     start = settings.get_float("grid-start", 0.0)
     step = settings.get_float("grid-step", 0.02)
@@ -546,10 +526,10 @@ def cmd_export_embeddings(args) -> int:
 
     if enc_cfg.kind == "sin":
         with no_grad():
-            se = sinusoidal_embed(grid, sin_cfg, precision)
+            se = sinusoidal_embed(grid, enc_cfg.sinusoidal, enc_cfg.precision)
             emb = feed_forward(Tensor(se), model.peak_inner).data
     else:
-        ids = tokenize_mz(grid, vocab)
+        ids = tokenize_mz(grid, enc_cfg.vocab)
         emb = model.token_table.data[ids]
 
     lines = [
@@ -559,7 +539,7 @@ def cmd_export_embeddings(args) -> int:
     frac = fractional_mz(grid)
     for i in range(grid.shape[0]):
         comps = "\t".join(f"{v:.8g}" for v in emb[i])
-        lines.append(f"{grid[i]:.5f}\t{frac[i]:.5f}\t{precision}\t{comps}")
+        lines.append(f"{grid[i]:.5f}\t{frac[i]:.5f}\t{enc_cfg.precision}\t{comps}")
     path = out_path(settings, "embedding_export.tsv")
     atomic_write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({grid.shape[0]} rows)")

@@ -1,9 +1,11 @@
 """Spectrum quality filtering.
 
-Two rules, applied to every spectrum:
+Three rules, applied to every spectrum:
 
-* at least 5 peaks in total, precursor included, and
-* every m/z value recorded with at least 3 decimal places in the source.
+* at least 5 peaks in total, precursor included,
+* every m/z value recorded with at least 3 decimal places in the source, and
+* at least one fragment with a positive intensity (an all-zero spectrum
+  has nothing to normalize by and cannot be encoded).
 
 Spectra without decimal-place records (synthetic constructions) fail the
 second rule; the filter judges recorded source precision, not float
@@ -24,8 +26,8 @@ def clean_spectra(
 ) -> tuple[list[Spectrum], list[tuple[str, str]]]:
     """Split spectra into (kept, rejected) where rejected is (id, reason).
 
-    A spectrum failing both rules is reported once, with the peak-count
-    reason; the first broken rule wins.
+    A spectrum failing several rules is reported once, with the reason
+    of the first broken rule in the order above.
     """
     kept: list[Spectrum] = []
     rejected: list[tuple[str, str]] = []
@@ -50,6 +52,8 @@ def rejection_reason(spectrum: Spectrum) -> str | None:
             f"m/z recorded with {worst} decimal places, "
             f"need at least {MIN_MZ_DECIMALS}"
         )
+    if max(p.intensity for p in spectrum.fragments) <= 0:
+        return "all fragment intensities are zero"
     return None
 
 

@@ -103,6 +103,8 @@ def bin_spectrum(
     """
     if bin_width <= 0:
         raise ConfigError(f"bin width must be positive, got {bin_width}")
+    if max_mz <= bin_width:
+        raise ConfigError(f"bin max m/z must exceed the bin width, got {max_mz}")
     n_bins = int(round(max_mz / bin_width))
     out = np.zeros(n_bins, dtype=np.float64)
     for peak in spectrum.fragments:

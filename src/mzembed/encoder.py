@@ -22,7 +22,7 @@ import numpy as np
 from .data.types import Spectrum
 from .embed.features import is_normalized, peak_embed_sin, peak_embed_token
 from .embed.precision import BINARY64, PrecisionMode
-from .embed.sinusoidal import SinusoidalConfig
+from .embed.sinusoidal import LAMBDA_MAX_DEFAULT, LAMBDA_MIN_DEFAULT, SinusoidalConfig
 from .embed.tokens import TokenVocab
 from .errors import ConfigError, DataError
 from .rng import stream_rng
@@ -45,6 +45,15 @@ MAX_FRAGMENTS_DEFAULT = 512
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The whole model description: encoder shape, peak embedding kind
+    with its settings, and the m/z input precision.
+
+    Construction builds the embedding config the kind uses, once:
+    ``sinusoidal`` for the sin kind (from lambda_min, lambda_max and d),
+    ``vocab`` for the token kind (from resolution and max_mz). The other
+    is None, and the other kind's settings are not read.
+    """
+
     d: int = 512
     layers: int = 6
     heads: int = 32
@@ -52,6 +61,13 @@ class EncoderConfig:
     dropout: float = 0.1
     kind: str = "sin"  # peak embedding kind: "sin" | "token"
     max_fragments: int = MAX_FRAGMENTS_DEFAULT
+    lambda_min: float = LAMBDA_MIN_DEFAULT  # sin kind
+    lambda_max: float = LAMBDA_MAX_DEFAULT  # sin kind
+    resolution: float = 0.1  # token kind
+    max_mz: float = 2000.0  # token kind
+    precision: PrecisionMode = BINARY64
+    sinusoidal: SinusoidalConfig | None = field(default=None, init=False, repr=False)
+    vocab: TokenVocab | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.d % self.heads != 0:
@@ -64,6 +80,11 @@ class EncoderConfig:
             raise ConfigError(f"peak embedding kind must be sin or token, got {self.kind!r}")
         if self.max_fragments < 4:
             raise ConfigError(f"max_fragments must be at least 4, got {self.max_fragments}")
+        if self.kind == "sin":
+            sinusoidal = SinusoidalConfig(self.lambda_min, self.lambda_max, self.d)
+            object.__setattr__(self, "sinusoidal", sinusoidal)
+        else:
+            object.__setattr__(self, "vocab", TokenVocab(self.resolution, self.max_mz))
 
     @property
     def ffn_dim(self) -> int:
@@ -149,7 +170,6 @@ def _init_attention(d: int, rng, dtype) -> AttentionParams:
 def init_weights(
     cfg: EncoderConfig,
     seed: int,
-    vocab: TokenVocab | None = None,
     head_out: int | None = None,
     dtype=np.float32,
 ) -> ModelWeights:
@@ -167,9 +187,7 @@ def init_weights(
     if cfg.kind == "sin":
         peak_inner = _init_ff(d, d, d, rng, dtype)
     else:
-        if vocab is None:
-            raise ConfigError("token embedding kind requires a TokenVocab")
-        token_table = uniform_fan_in((vocab.size, d), d, rng, dtype=dtype)
+        token_table = uniform_fan_in((cfg.vocab.size, d), d, rng, dtype=dtype)
     peak_outer = _init_ff(d, d, d + 1, rng, dtype)
 
     layers = []
@@ -199,14 +217,12 @@ def init_weights(
     )
 
 
-def weights_from_named(
-    named: dict[str, np.ndarray], cfg: EncoderConfig, vocab: TokenVocab | None = None
-) -> ModelWeights:
+def weights_from_named(named: dict[str, np.ndarray], cfg: EncoderConfig) -> ModelWeights:
     """Rebuild structured weights from a flat name -> array mapping."""
     head_out = None
     if "head.w2" in named:
         head_out = named["head.w2"].shape[0]
-    template = init_weights(cfg, seed=0, vocab=vocab, head_out=head_out)
+    template = init_weights(cfg, seed=0, head_out=head_out)
     expected = template.named()
     extra_names = sorted(set(named) - set(expected))
     missing = sorted(set(expected) - set(named))
@@ -227,12 +243,7 @@ def weights_from_named(
     return template
 
 
-def describe_config(
-    cfg: EncoderConfig,
-    sin_cfg: SinusoidalConfig | None = None,
-    vocab: TokenVocab | None = None,
-    precision: PrecisionMode = BINARY64,
-) -> str:
+def describe_config(cfg: EncoderConfig) -> str:
     """Canonical key-value text naming the model configuration.
 
     Its digest is embedded in checkpoints so a checkpoint can refuse to
@@ -247,18 +258,14 @@ def describe_config(
         "dropout": repr(cfg.dropout),
         "kind": cfg.kind,
         "max_fragments": str(cfg.max_fragments),
-        "precision": str(precision),
+        "precision": str(cfg.precision),
     }
     if cfg.kind == "sin":
-        if sin_cfg is None:
-            sin_cfg = SinusoidalConfig(d=cfg.d)
-        pairs["lambda_min"] = repr(sin_cfg.lambda_min)
-        pairs["lambda_max"] = repr(sin_cfg.lambda_max)
+        pairs["lambda_min"] = repr(cfg.lambda_min)
+        pairs["lambda_max"] = repr(cfg.lambda_max)
     else:
-        if vocab is None:
-            vocab = TokenVocab()
-        pairs["resolution"] = repr(vocab.resolution)
-        pairs["max_mz"] = repr(vocab.max_mz)
+        pairs["resolution"] = repr(cfg.resolution)
+        pairs["max_mz"] = repr(cfg.max_mz)
     return "".join(f"{k}={v}\n" for k, v in sorted(pairs.items()))
 
 
@@ -309,10 +316,8 @@ def encode_batch(
     spectra: list[Spectrum],
     cfg: EncoderConfig,
     weights: ModelWeights,
-    sin_cfg: SinusoidalConfig | None = None,
-    vocab: TokenVocab | None = None,
+    *,
     mode: str = "infer",
-    precision: PrecisionMode = BINARY64,
     rng=None,
 ) -> Tensor:
     """Encode spectra to a (batch, d) embedding tensor.
@@ -330,19 +335,12 @@ def encode_batch(
 
     mz, intensity, mask = _prepare_batch(spectra, cfg)
     if cfg.kind == "sin":
-        if sin_cfg is None:
-            sin_cfg = SinusoidalConfig(d=cfg.d)
-        if sin_cfg.d != cfg.d:
-            raise ConfigError(
-                f"sinusoidal d={sin_cfg.d} does not match encoder d={cfg.d}"
-            )
         x = peak_embed_sin(
-            mz, intensity, sin_cfg, weights.peak_inner, weights.peak_outer, precision
+            mz, intensity, cfg.sinusoidal, weights.peak_inner, weights.peak_outer,
+            cfg.precision,
         )
     else:
-        if vocab is None:
-            vocab = TokenVocab()
-        x = peak_embed_token(mz, intensity, vocab, weights.token_table, weights.peak_outer)
+        x = peak_embed_token(mz, intensity, cfg.vocab, weights.token_table, weights.peak_outer)
 
     full_mask = None if bool(mask.all()) else mask
     for layer in weights.layers[:-1]:
@@ -374,27 +372,17 @@ def encode_spectrum(
     spectrum: Spectrum,
     cfg: EncoderConfig,
     weights: ModelWeights,
-    sin_cfg: SinusoidalConfig | None = None,
-    vocab: TokenVocab | None = None,
+    *,
     mode: str = "infer",
-    precision: PrecisionMode = BINARY64,
     rng=None,
 ) -> Tensor:
     """Encode one spectrum to a (d,) embedding tensor."""
-    batch = encode_batch(
-        [spectrum], cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-        mode=mode, precision=precision, rng=rng,
-    )
+    batch = encode_batch([spectrum], cfg, weights, mode=mode, rng=rng)
     return batch.reshape((cfg.d,))
 
 
 def encode_many(
-    spectra: list[Spectrum],
-    cfg: EncoderConfig,
-    weights: ModelWeights,
-    sin_cfg: SinusoidalConfig | None = None,
-    vocab: TokenVocab | None = None,
-    precision: PrecisionMode = BINARY64,
+    spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights
 ) -> np.ndarray:
     """Encode spectra in inference mode to a (len(spectra), d) float64 array.
 
@@ -411,10 +399,7 @@ def encode_many(
         for rows in groups.values():
             group = [spectra[i] for i in rows]
             try:
-                emb = encode_batch(
-                    group, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-                    mode="infer", precision=precision,
-                )
+                emb = encode_batch(group, cfg, weights, mode="infer")
             except Exception as exc:
                 noun = "spectrum" if len(group) == 1 else "spectra"
                 names = ", ".join(repr(s.id) for s in group)

@@ -9,14 +9,13 @@ any reporting, so R-squared is always computed in natural units.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data.labels import PROPERTY_NAMES
 from .data.types import MoleculeRecord, Spectrum
 from .embed.features import bin_spectrum
-from .embed.precision import BINARY64, PrecisionMode
 from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, init_weights
 from .errors import ConfigError, DataError, NumericsError
 from .rng import stream_rng
@@ -139,18 +138,13 @@ def predict_properties_batch(
     cfg: EncoderConfig,
     weights: ModelWeights,
     scaler: LabelScaler,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
 ) -> np.ndarray:
     """Predicted property values in natural units, one row per spectrum,
     columns ordered as PROPERTY_NAMES. A row does not depend on the
     other spectra in the list."""
     if weights.head is None:
         raise ConfigError("weights carry no property head; train with mode=properties")
-    embs = encode_many(
-        spectra, cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision
-    )
+    embs = encode_many(spectra, cfg, weights)
     # Each row passes through the head as a (1, d) matrix, as a lone
     # spectrum would; an (n, d) matmul may round differently.
     with no_grad():
@@ -234,9 +228,6 @@ def train_properties(
     molecules: dict[str, MoleculeRecord],
     trn_cfg: TrainConfig,
     enc_cfg: EncoderConfig,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
     eval_sets: dict[str, list[Spectrum]] | None = None,
     baseline: bool = False,
     bin_width: float = 0.1,
@@ -255,8 +246,6 @@ def train_properties(
     scaler = LabelScaler.fit(labels_raw)
     labels_scaled = scaler.apply(labels_raw)
 
-    enc_cfg = dc_replace(enc_cfg, dropout=trn_cfg.dropout)
-
     if baseline:
         binned = np.stack(
             [bin_spectrum(s, bin_width, bin_max_mz) for s in train_spectra], axis=0
@@ -264,31 +253,23 @@ def train_properties(
         model = init_baseline(binned.shape[1], enc_cfg.d, trn_cfg.seed)
         params = model.named()
 
-        def forward(indices, training, rng):
+        def forward(indices, rng):
             return baseline_forward(Tensor(binned[indices]), model)
 
         def predict_fn(spectra):
             return predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
 
     else:
-        model = init_weights(
-            enc_cfg, seed=trn_cfg.seed, vocab=vocab, head_out=N_PROPERTIES
-        )
+        model = init_weights(enc_cfg, seed=trn_cfg.seed, head_out=N_PROPERTIES)
         params = model.trainable()
 
-        def forward(indices, training, rng):
+        def forward(indices, rng):
             chunk = [train_spectra[i] for i in indices]
-            embs = encode_batch(
-                chunk, enc_cfg, model, sin_cfg=sin_cfg, vocab=vocab,
-                mode="train" if training else "infer", precision=precision, rng=rng,
-            )
+            embs = encode_batch(chunk, enc_cfg, model, mode="train", rng=rng)
             return feed_forward(embs, model.head)
 
         def predict_fn(spectra):
-            return predict_properties_batch(
-                spectra, enc_cfg, model, scaler, sin_cfg=sin_cfg, vocab=vocab,
-                precision=precision,
-            )
+            return predict_properties_batch(spectra, enc_cfg, model, scaler)
 
     adam = make_optimizer(params, trn_cfg)
     log = TrainLog(
@@ -307,7 +288,7 @@ def train_properties(
         epoch_loss = 0.0
         for start in range(0, n, trn_cfg.batch_size):
             indices = order[start : start + trn_cfg.batch_size]
-            pred = forward(indices, True, dropout_rng)
+            pred = forward(indices, dropout_rng)
             target = Tensor(labels_scaled[indices])
             diff = pred - target
             loss = (diff * diff).mean(axis=-1).mean()

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data.types import MoleculeRecord, Spectrum
-from .embed.precision import BINARY64, PrecisionMode
 from .encoder import EncoderConfig, ModelWeights, encode_many, encode_spectrum
 from .errors import DataError, NumericsError
 from .kernels import score_modified_cosine
@@ -70,9 +69,6 @@ def build_index(
     spectra: list[Spectrum],
     cfg: EncoderConfig,
     weights: ModelWeights,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
 ) -> EmbeddingIndex:
     """Encode reference spectra and assemble the search index.
 
@@ -80,9 +76,7 @@ def build_index(
     produce the same index bytes.
     """
     ordered = sorted(spectra, key=lambda s: s.id)
-    matrix = encode_many(
-        ordered, cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision
-    )
+    matrix = encode_many(ordered, cfg, weights)
     ids = [s.id for s in ordered]
     return EmbeddingIndex(
         matrix=_normalize_rows(matrix, ids),
@@ -119,16 +113,10 @@ def search(
     k: int,
     cfg: EncoderConfig,
     weights: ModelWeights,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
 ) -> SearchResult:
     """Encode a query spectrum and rank the index against it."""
     with no_grad():
-        emb = encode_spectrum(
-            query, cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-            mode="infer", precision=precision,
-        )
+        emb = encode_spectrum(query, cfg, weights, mode="infer")
     return search_embedding(emb.data, index, k, query_id=query.id)
 
 
@@ -148,9 +136,6 @@ def evaluate_search(
     molecules: dict[str, MoleculeRecord],
     cfg: EncoderConfig,
     weights: ModelWeights,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
     threshold: float = DEFAULT_TANIMOTO_THRESHOLD,
     query_set: str = "",
     include_exact: bool = True,
@@ -162,9 +147,7 @@ def evaluate_search(
     """
     if not queries:
         raise DataError("no query spectra to evaluate")
-    embeddings = encode_many(
-        queries, cfg, weights, sin_cfg=sin_cfg, vocab=vocab, precision=precision
-    )
+    embeddings = encode_many(queries, cfg, weights)
     hits = []
     for query, emb in zip(queries, embeddings):
         hit_id, hit_structure, score = search_embedding(

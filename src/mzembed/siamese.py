@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data.types import MoleculeRecord, Spectrum
-from .embed.precision import BINARY64, PrecisionMode
 from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, init_weights
 from .errors import ConfigError, DataError, DimensionError
 from .rng import stream_rng
@@ -184,19 +183,13 @@ def _pair_mse(
     by_id: dict[str, Spectrum],
     cfg: EncoderConfig,
     weights: ModelWeights,
-    sin_cfg,
-    vocab,
-    precision: PrecisionMode,
 ) -> float:
     """Inference-mode pair MSE over all pairs; each distinct spectrum is
     encoded once."""
     if not pairs:
         return float("nan")
     row = {sid: i for i, sid in enumerate(dict.fromkeys(s for p in pairs for s in (p.a, p.b)))}
-    embs = encode_many(
-        [by_id[sid] for sid in row], cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-        precision=precision,
-    )
+    embs = encode_many([by_id[sid] for sid in row], cfg, weights)
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     loss = siamese_loss(
         Tensor(embs[[row[p.a] for p in pairs]]),
@@ -211,9 +204,6 @@ def train_siamese(
     molecules: dict[str, MoleculeRecord],
     trn_cfg: TrainConfig,
     enc_cfg: EncoderConfig,
-    sin_cfg=None,
-    vocab=None,
-    precision: PrecisionMode = BINARY64,
     eval_sets: dict[str, list[Spectrum]] | None = None,
     weights: ModelWeights | None = None,
 ) -> tuple[ModelWeights, TrainLog]:
@@ -223,9 +213,6 @@ def train_siamese(
     held-out spectra; their pair MSE is logged every epoch from a fixed
     pair sample. Returns the trained weights and the epoch log.
     """
-    import dataclasses
-
-    enc_cfg = dataclasses.replace(enc_cfg, dropout=trn_cfg.dropout)
     eval_sets = eval_sets or {}
     by_id = {s.id: s for s in train_spectra}
     if len(by_id) != len(train_spectra):
@@ -239,7 +226,7 @@ def train_siamese(
     bins = build_similarity_bins(molecules, train_structures, seed=trn_cfg.seed)
 
     if weights is None:
-        weights = init_weights(enc_cfg, seed=trn_cfg.seed, vocab=vocab)
+        weights = init_weights(enc_cfg, seed=trn_cfg.seed)
     params = weights.trainable()
     adam = make_optimizer(params, trn_cfg)
 
@@ -280,10 +267,7 @@ def train_siamese(
         for start in range(0, len(pairs), trn_cfg.batch_size):
             chunk = pairs[start : start + trn_cfg.batch_size]
             spectra = [by_id[p.a] for p in chunk] + [by_id[p.b] for p in chunk]
-            embs = encode_batch(
-                spectra, enc_cfg, weights, sin_cfg=sin_cfg, vocab=vocab,
-                mode="train", precision=precision, rng=dropout_rng,
-            )
+            embs = encode_batch(spectra, enc_cfg, weights, mode="train", rng=dropout_rng)
             half = len(chunk)
             labels = np.array([p.label for p in chunk], dtype=np.float64)
             loss = siamese_loss(embs[:half], embs[half:], labels)
@@ -298,9 +282,7 @@ def train_siamese(
         for name in ("known", "novel"):
             if name in eval_pairs:
                 pairs_n, by_id_n = eval_pairs[name]
-                held[name] = _pair_mse(
-                    pairs_n, by_id_n, enc_cfg, weights, sin_cfg, vocab, precision
-                )
+                held[name] = _pair_mse(pairs_n, by_id_n, enc_cfg, weights)
             else:
                 held[name] = float("nan")
         log.append(

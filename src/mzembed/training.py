@@ -15,8 +15,8 @@ class TrainConfig:
     """Optimization hyperparameters.
 
     Defaults follow the reference training recipe: Adam at 5e-5 with
-    decoupled weight decay 0.1, global-norm gradient clipping at 0.5,
-    dropout 0.1. The recommended epoch range at full scale is 25 to 50;
+    decoupled weight decay 0.1, global-norm gradient clipping at 0.5
+    (dropout, 0.1, is a model setting on EncoderConfig). The recommended epoch range at full scale is 25 to 50;
     toy overfit runs legitimately exceed it, so only positivity is
     enforced here.
     """
@@ -28,7 +28,6 @@ class TrainConfig:
     beta2: float = 0.999
     weight_decay: float = 0.1
     clip: float = 0.5
-    dropout: float = 0.1
     seed: int = 0
     pairs_per_epoch: int = 1024
     eval_pairs: int = 10_000
@@ -41,8 +40,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 def make_optimizer(params: dict[str, Tensor], cfg: TrainConfig) -> Adam:

@@ -325,18 +325,17 @@ def test_criterion_04_permutation_invariance():
     cfg = EncoderConfig(
         d=32, layers=2, heads=4, inner_dim=32, dropout=0.0, max_fragments=32
     )
-    sin_cfg = SinusoidalConfig(d=32)
     weights = init_weights(cfg, seed=0)
     rng = np.random.default_rng(99)
     checked = 0
     for spec in spectra:
-        reference = encode_spectrum(spec, cfg, weights, sin_cfg).data.tobytes()
+        reference = encode_spectrum(spec, cfg, weights).data.tobytes()
         for _ in range(50):
             order = rng.permutation(len(spec.fragments))
             shuffled = replace(
                 spec, fragments=tuple(spec.fragments[i] for i in order)
             )
-            out = encode_spectrum(shuffled, cfg, weights, sin_cfg).data.tobytes()
+            out = encode_spectrum(shuffled, cfg, weights).data.tobytes()
             assert out == reference
             checked += 1
     assert checked == 1000
@@ -439,7 +438,6 @@ def test_criterion_06_metric_oracles():
     cfg = EncoderConfig(
         d=8, layers=1, heads=2, inner_dim=8, dropout=0.0, max_fragments=8
     )
-    sin_cfg = SinusoidalConfig(d=8)
     weights = init_weights(cfg, seed=1)
     for trial in range(1000):
         local = np.random.default_rng(10_000 + trial)
@@ -461,15 +459,13 @@ def test_criterion_06_metric_oracles():
             )
             for j in range(3)
         ]
-        index = build_index(index_spectra, cfg, weights, sin_cfg)
-        report = evaluate_search(
-            queries, index, molecules, cfg, weights, sin_cfg, threshold=0.6
-        )
+        index = build_index(index_spectra, cfg, weights)
+        report = evaluate_search(queries, index, molecules, cfg, weights, threshold=0.6)
 
         exact_by_structure: dict[str, list[float]] = {}
         approx_by_structure: dict[str, list[float]] = {}
         for query in queries:
-            emb = encode_spectrum(query, cfg, weights, sin_cfg).data.reshape(-1)
+            emb = encode_spectrum(query, cfg, weights).data.reshape(-1)
             scores = index.matrix @ (emb / np.linalg.norm(emb))
             best = min(
                 range(len(index.spectrum_ids)),
@@ -547,23 +543,21 @@ def test_criterion_08_siamese_overfit():
     cfg = EncoderConfig(
         d=32, layers=2, heads=4, inner_dim=32, dropout=0.0, kind="sin", max_fragments=32
     )
-    sin_cfg = SinusoidalConfig(d=32)
     trn = TrainConfig(
         epochs=200,
         batch_size=32,
         lr=1e-3,
-        dropout=0.0,
         seed=0,
         pairs_per_epoch=64,
         eval_pairs=16,
     )
-    weights, log = train_siamese(spectra, molecules, trn, cfg, sin_cfg)
+    weights, log = train_siamese(spectra, molecules, trn, cfg)
     train_col = log.columns.index("train_mse")
     assert min(row[train_col] for row in log.rows) < 0.01
 
-    index = build_index(spectra, cfg, weights, sin_cfg)
+    index = build_index(spectra, cfg, weights)
     for spec in spectra:
-        result = search(spec, index, 1, cfg, weights, sin_cfg)
+        result = search(spec, index, 1, cfg, weights)
         hit_id, _, _ = result.hits[0]
         assert hit_id == spec.id
     assert time.perf_counter() - start < 300.0
@@ -622,10 +616,9 @@ def test_criterion_09_property_regression():
     cfg = EncoderConfig(
         d=32, layers=2, heads=4, inner_dim=32, dropout=0.0, max_fragments=32
     )
-    sin_cfg = SinusoidalConfig(d=32)
-    trn = TrainConfig(epochs=200, batch_size=16, lr=1e-3, dropout=0.0, seed=0)
+    trn = TrainConfig(epochs=200, batch_size=16, lr=1e-3, seed=0)
     _, _, report, _ = train_properties(
-        spectra, molecules, trn, cfg, sin_cfg, eval_sets={"known": spectra}
+        spectra, molecules, trn, cfg, eval_sets={"known": spectra}
     )
     worst = min(known for _, known, _ in report.rows)
     assert worst > 0.95
@@ -639,16 +632,15 @@ def test_criterion_09_property_regression():
     cfg9 = EncoderConfig(
         d=32, layers=2, heads=4, inner_dim=32, dropout=0.0, max_fragments=16
     )
-    budget = TrainConfig(epochs=200, batch_size=16, lr=1e-3, dropout=0.0, seed=0)
+    budget = TrainConfig(epochs=200, batch_size=16, lr=1e-3, seed=0)
     _, _, transformer_report, _ = train_properties(
-        train, mass_molecules, budget, cfg9, sin_cfg, eval_sets={"novel": novel}
+        train, mass_molecules, budget, cfg9, eval_sets={"novel": novel}
     )
     _, _, baseline_report, _ = train_properties(
         train,
         mass_molecules,
         budget,
         cfg9,
-        sin_cfg,
         eval_sets={"novel": novel},
         baseline=True,
         bin_width=0.1,
@@ -710,7 +702,6 @@ def test_criterion_10_precision_ablation():
     cfg = EncoderConfig(
         d=32, layers=2, heads=4, inner_dim=32, dropout=0.0, max_fragments=16
     )
-    sin_cfg = SinusoidalConfig(d=32)
     known_col = 2  # columns: epoch, train_mse, known_mse, novel_mse, wall_time_s
     for seed in (0, 1, 2):
         finals = {}
@@ -719,7 +710,6 @@ def test_criterion_10_precision_ablation():
                 epochs=40,
                 batch_size=32,
                 lr=1e-3,
-                dropout=0.0,
                 seed=seed,
                 pairs_per_epoch=96,
                 eval_pairs=64,
@@ -728,9 +718,7 @@ def test_criterion_10_precision_ablation():
                 train,
                 molecules,
                 trn,
-                cfg,
-                sin_cfg,
-                precision=PrecisionMode(bits),
+                replace(cfg, precision=PrecisionMode(bits)),
                 eval_sets={"known": held},
             )
             finals[bits] = log.rows[-1][known_col]
@@ -777,26 +765,24 @@ def test_criterion_11_round_trips(tmp_path):
 
     small_spectra, small_molecules = toy_dataset(3, 2, seed=21)
     small_cfg = EncoderConfig(
-        d=8, layers=1, heads=2, inner_dim=8, dropout=0.0, max_fragments=16
+        d=8, layers=1, heads=2, inner_dim=8, dropout=0.1, max_fragments=16
     )
-    small_sin = SinusoidalConfig(d=8)
     trn = TrainConfig(
         epochs=2,
         batch_size=8,
         lr=1e-3,
-        dropout=0.1,
         seed=13,
         pairs_per_epoch=16,
         eval_pairs=8,
     )
     runs = []
     for tag in ("one", "two"):
-        w, log = train_siamese(small_spectra, small_molecules, trn, small_cfg, small_sin)
+        w, log = train_siamese(small_spectra, small_molecules, trn, small_cfg)
         path = tmp_path / f"{tag}.ckpt"
         save_checkpoint(
             path,
             {name: t.data for name, t in w.named().items()},
-            describe_config(small_cfg, small_sin),
+            describe_config(small_cfg),
         )
         rows = np.array([row[:4] for row in log.rows])  # drop wall time
         runs.append((path.read_bytes(), rows))

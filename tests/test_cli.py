@@ -1,5 +1,6 @@
 """End-to-end command line flows on a tiny on-disk dataset."""
 
+import argparse
 import subprocess
 import sys
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import toy_dataset
-from mzembed.cli import main
-from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, serialize_mgf
+from mzembed.cli import Settings, main, run_config_text
+from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, load_mgf, serialize_mgf
+from mzembed.embed import PrecisionMode, normalize_intensities
+from mzembed.encoder import EncoderConfig, describe_config
 
 CONFIG_SMALL = """\
 # tiny model for tests
@@ -125,6 +128,19 @@ class TestPrepare:
             ["prepare", "--spectra", str(tmp_path / "nope.mgf"), *common_args(paths)]
         )
         assert code == 2
+
+    def test_all_zero_spectrum_rejected_and_train_runs(self, tmp_path):
+        paths = write_inputs(tmp_path)
+        zero = Spectrum(
+            id="zero", precursor=Peak(1000.0, 1.0),
+            fragments=tuple(Peak(100.0 + 10.0 * i, 0.0) for i in range(5)),
+            structure_id="m0",
+        )
+        paths["raw"].write_text(serialize_mgf([*paths["spectra"], zero]))
+        assert run_prepare(paths) == 0
+        rejections = (paths["out"] / "rejections.tsv").read_text().splitlines()
+        assert rejections[1:] == ["zero\tall fragment intensities are zero"]
+        assert main(["train", "--mode", "siamese", *common_args(paths)]) == 0
 
 
 class TestTrain:
@@ -298,6 +314,52 @@ class TestSearchPredictExport:
             assert len(values) == 10
             assert all(np.isfinite(float(v)) for v in values)
 
+    def test_baseline_predictions_match_predict_baseline(self, workspace, tmp_path):
+        from mzembed.properties import BaselineParams, LabelScaler, predict_baseline
+        from mzembed.tensor import Tensor, load_checkpoint
+
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:3]))
+        code = main(
+            ["predict", "--mode", "properties-baseline", "--queries", str(queries),
+             *common_args(workspace)]
+        )
+        assert code == 0
+
+        params, _ = load_checkpoint(workspace["out"] / "model_properties-baseline.ckpt")
+        model = BaselineParams(
+            **{n: Tensor(params[f"baseline.{n}"]) for n in ("w1", "b1", "w2", "b2", "w3", "b3")}
+        )
+        scaler = LabelScaler(
+            mean=params["scaler.mean"].astype(np.float64),
+            std=params["scaler.std"].astype(np.float64),
+        )
+        spectra = sorted(
+            (normalize_intensities(s) for s in load_mgf(queries)), key=lambda s: s.id
+        )
+        want = predict_baseline(spectra, model, scaler, bin_width=0.1, bin_max_mz=2000.0)
+        lines = (workspace["out"] / "predictions.tsv").read_text().splitlines()
+        assert lines[0] == "spectrum_id\t" + "\t".join(PROPERTY_NAMES)
+        assert lines[1:] == [
+            s.id + "\t" + "\t".join(f"{v:.6f}" for v in row) for s, row in zip(spectra, want)
+        ]
+
+    @pytest.mark.parametrize("command", ["export-embeddings", "search"])
+    def test_baseline_without_mz_embedding_exits_2(self, workspace, tmp_path, capsys, command):
+        args = ["--config", str(workspace["config"]), "--out-dir", str(workspace["out"])]
+        if command == "search":
+            queries = tmp_path / "queries.mgf"
+            queries.write_text(serialize_mgf(workspace["spectra"][:1]))
+            args += ["--queries", str(queries), "--fingerprints", str(workspace["fingerprints"]),
+                     "--properties", str(workspace["properties"])]
+        capsys.readouterr()
+        code = main([command, "--mode", "properties-baseline", *args])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the properties-baseline model has no m/z embedding; "
+            "use mode siamese or properties\n"
+        )
+
     def test_embedding_export_grid(self, workspace):
         code = main(
             ["export-embeddings", "--mode", "siamese",
@@ -350,3 +412,63 @@ class TestConfigHandling:
         )
         assert result.returncode == 0
         assert "prepare" in result.stdout
+
+
+# Checkpoints embed a digest of this text, so any change to it makes
+# every saved checkpoint refuse to load. The strings are literal on
+# purpose: a refactor of the config types must reproduce them exactly.
+DESCRIBE_SIN = (
+    "d=8\ndropout=0.1\nheads=2\ninner_dim=8\nkind=sin\n"
+    "lambda_max=1995.2623149688789\nlambda_min=0.0031622776601683794\n"
+    "layers=1\nmax_fragments=512\nprecision={}\nschema_version=1\n"
+)
+DESCRIBE_TOKEN = (
+    "d=8\ndropout=0.1\nheads=2\ninner_dim=8\nkind=token\n"
+    "layers=1\nmax_fragments=512\nmax_mz=2000.0\nprecision={}\n"
+    "resolution=0.1\nschema_version=1\n"
+)
+PRECISIONS = {
+    "16": "binary16", "32": "binary32", "64": "binary64", "64:full": "binary64-full",
+}
+
+
+def settings_of(**values):
+    base = {"schema_version": "1", "d": "8", "layers": "1", "heads": "2"}
+    return Settings({**base, **values}, argparse.Namespace())
+
+
+class TestConfigText:
+    @pytest.mark.parametrize("precision", sorted(PRECISIONS))
+    @pytest.mark.parametrize("kind,golden", [("sin", DESCRIBE_SIN), ("token", DESCRIBE_TOKEN)])
+    def test_describe_config_and_run_config_text(self, kind, golden, precision):
+        want = golden.format(PRECISIONS[precision])
+        cfg = EncoderConfig(
+            d=8, layers=1, heads=2, kind=kind, precision=PrecisionMode.from_string(precision)
+        )
+        assert describe_config(cfg) == want
+        text = run_config_text(settings_of(embedding=kind, precision=precision), "siamese")
+        assert text == want + "mode=siamese\n"
+
+    def test_embedding_settings_reach_the_text(self):
+        sin = settings_of(**{"lambda-min": "0.01", "lambda-max": "1000"})
+        assert run_config_text(sin, "properties") == (
+            "d=8\ndropout=0.1\nheads=2\ninner_dim=8\nkind=sin\n"
+            "lambda_max=1000.0\nlambda_min=0.01\nlayers=1\nmax_fragments=512\n"
+            "precision=binary64\nschema_version=1\nmode=properties\n"
+        )
+        token = settings_of(embedding="token", resolution="0.5", **{"max-mz": "1500"})
+        assert run_config_text(token, "properties") == (
+            "d=8\ndropout=0.1\nheads=2\ninner_dim=8\nkind=token\n"
+            "layers=1\nmax_fragments=512\nmax_mz=1500.0\nprecision=binary64\n"
+            "resolution=0.5\nschema_version=1\nmode=properties\n"
+        )
+
+    def test_baseline_bin_lines(self):
+        default = run_config_text(settings_of(), "properties-baseline")
+        assert default == DESCRIBE_SIN.format("binary64") + (
+            "mode=properties-baseline\nbin_width=0.1\nbin_max_mz=2000.0\n"
+        )
+        custom = settings_of(precision="32", **{"bin-width": "0.2", "max-mz": "1500"})
+        assert run_config_text(custom, "properties-baseline") == DESCRIBE_SIN.format(
+            "binary32"
+        ) + "mode=properties-baseline\nbin_width=0.2\nbin_max_mz=1500.0\n"

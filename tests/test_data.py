@@ -25,8 +25,8 @@ from mzembed.data.labels import PROPERTY_NAMES
 from mzembed.errors import DataError, ParseError
 
 
-def spectrum_with(n_fragments, decimals):
-    frags = tuple(Peak(100.0 + i, 1.0) for i in range(n_fragments))
+def spectrum_with(n_fragments, decimals, intensity=1.0):
+    frags = tuple(Peak(100.0 + i, intensity) for i in range(n_fragments))
     return Spectrum(
         id="s",
         precursor=Peak(500.0, 1.0),
@@ -63,6 +63,22 @@ class TestCleaning:
         )
         assert s.mz_decimals is None
         assert rejection_reason(s) is not None
+
+    def test_all_zero_intensities_rejected(self):
+        zero = spectrum_with(6, 4, intensity=0.0)
+        assert rejection_reason(zero) == "all fragment intensities are zero"
+        kept, rejected = clean_spectra([zero])
+        assert kept == []
+        assert rejected == [("s", "all fragment intensities are zero")]
+
+    def test_one_positive_intensity_passes(self):
+        zero = spectrum_with(6, 4, intensity=0.0)
+        lit = Spectrum(
+            id="s", precursor=zero.precursor,
+            fragments=zero.fragments[:-1] + (Peak(105.0, 0.5),),
+            mz_decimals=zero.mz_decimals,
+        )
+        assert rejection_reason(lit) is None
 
     def test_clean_spectra_partitions(self):
         good = spectrum_with(6, 4)

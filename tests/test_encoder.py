@@ -6,13 +6,7 @@ import pytest
 
 from conftest import toy_spectrum
 from mzembed.data import Peak, Spectrum
-from mzembed.embed import (
-    BINARY64,
-    SinusoidalConfig,
-    TokenVocab,
-    normalize_intensities,
-    wavelengths,
-)
+from mzembed.embed import wavelengths
 from mzembed.encoder import (
     EncoderConfig,
     ModelWeights,
@@ -81,15 +75,15 @@ def np_attention(query, key, value, p, heads):
     return proj(merged, p.wo, p.bo)
 
 
-def np_encode(spectrum, cfg, weights, sin_cfg):
+def np_encode(spectrum, cfg, weights):
     """Reference forward for an unpadded single spectrum, sin features."""
     mz, intensity = fragment_arrays(spectrum)
     mz = np.concatenate(([spectrum.precursor.mz], mz))
     intensity = np.concatenate(([spectrum.precursor.intensity], intensity))
 
-    lam = wavelengths(sin_cfg)
+    lam = wavelengths(cfg.sinusoidal)
     angles = 2.0 * np.pi * mz[:, None] / lam[None, :]
-    se = np.empty((mz.shape[0], sin_cfg.d))
+    se = np.empty((mz.shape[0], cfg.d))
     se[:, 0::2] = np.sin(angles)
     se[:, 1::2] = np.cos(angles)
 
@@ -116,6 +110,7 @@ class TestConfig:
         assert (cfg.d, cfg.layers, cfg.heads) == (512, 6, 32)
         assert cfg.ffn_dim == 512
         assert cfg.max_fragments == 512
+        assert cfg.dropout == 0.1
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -175,9 +170,9 @@ class TestWeights:
         assert "scaler.mean" not in rebuilt.trainable()
 
     def test_token_model_has_table(self):
-        vocab = TokenVocab(resolution=0.1, max_mz=100.0)
-        w = init_weights(small_cfg(kind="token"), seed=0, vocab=vocab)
-        assert w.token_table.data.shape == (vocab.size, 8)
+        cfg = small_cfg(kind="token", resolution=0.1, max_mz=100.0)
+        w = init_weights(cfg, seed=0)
+        assert w.token_table.data.shape == (cfg.vocab.size, 8)
         assert "peak.table" in w.named()
         assert w.peak_inner is None
 
@@ -189,14 +184,14 @@ class TestWeights:
 
 class TestDescribeConfig:
     def test_text_is_sorted_key_value(self):
-        text = describe_config(small_cfg(), sin_cfg=SinusoidalConfig(d=8))
+        text = describe_config(small_cfg())
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
         assert keys == sorted(keys)
         assert "d=8" in text
 
     def test_text_changes_with_config(self):
-        a = describe_config(small_cfg(), sin_cfg=SinusoidalConfig(d=8))
-        b = describe_config(small_cfg(heads=2), sin_cfg=SinusoidalConfig(d=8))
+        a = describe_config(small_cfg())
+        b = describe_config(small_cfg(heads=2))
         assert a != b
 
 
@@ -204,18 +199,17 @@ class TestForwardOracle:
     @pytest.mark.parametrize("layers,heads", [(1, 1), (2, 2), (3, 4)])
     def test_matches_hand_unrolled_numpy(self, rng, layers, heads):
         cfg = small_cfg(layers=layers, heads=heads)
-        sin_cfg = SinusoidalConfig(d=8)
         weights = init_weights(cfg, seed=7)
         s = toy_spectrum("s", "m", rng)
-        ours = encode_spectrum(s, cfg, weights, sin_cfg=sin_cfg, mode="infer")
-        reference = np_encode(s, cfg, weights, sin_cfg)
+        ours = encode_spectrum(s, cfg, weights, mode="infer")
+        reference = np_encode(s, cfg, weights)
         assert np.allclose(ours.data, reference, rtol=1e-10, atol=1e-10)
 
     def test_embedding_is_finite_and_nonzero(self, rng):
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=0)
         s = toy_spectrum("s", "m", rng)
-        out = encode_spectrum(s, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        out = encode_spectrum(s, cfg, weights)
         assert np.all(np.isfinite(out.data))
         assert np.linalg.norm(out.data) > 0
 
@@ -225,7 +219,7 @@ class TestPermutationInvariance:
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=1)
         s = toy_spectrum("s", "m", rng)
-        base = encode_spectrum(s, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        base = encode_spectrum(s, cfg, weights)
         for trial in range(20):
             perm = rng.permutation(len(s.fragments))
             shuffled = Spectrum(
@@ -234,7 +228,7 @@ class TestPermutationInvariance:
                 fragments=tuple(s.fragments[i] for i in perm),
                 structure_id=s.structure_id,
             )
-            out = encode_spectrum(shuffled, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+            out = encode_spectrum(shuffled, cfg, weights)
             assert np.array_equal(base.data, out.data)
 
     def test_cap_keeps_most_intense(self):
@@ -249,8 +243,8 @@ class TestPermutationInvariance:
         )
         s = Spectrum(id="s", precursor=Peak(500.0, 2.0), fragments=frags)
         capped = Spectrum(id="s", precursor=Peak(500.0, 2.0), fragments=frags[1:])
-        a = encode_spectrum(s, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
-        b = encode_spectrum(capped, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        a = encode_spectrum(s, cfg, weights)
+        b = encode_spectrum(capped, cfg, weights)
         assert np.array_equal(a.data, b.data)
 
 
@@ -262,10 +256,10 @@ class TestBatching:
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(4 + i, 5 + i)) for i in range(5)
         ]
-        batch = encode_batch(spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        batch = encode_batch(spectra, cfg, weights)
         assert batch.data.shape == (5, 8)
         for i, s in enumerate(spectra):
-            single = encode_spectrum(s, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+            single = encode_spectrum(s, cfg, weights)
             assert np.allclose(batch.data[i], single.data, rtol=1e-10, atol=1e-12)
 
     def test_padded_slots_cannot_leak(self, rng):
@@ -274,9 +268,9 @@ class TestBatching:
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=2)
         target = toy_spectrum("t", "m", rng, n_peaks=(4, 5))
-        small_batch = encode_batch([target], cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        small_batch = encode_batch([target], cfg, weights)
         big = toy_spectrum("b", "m", rng, n_peaks=(14, 15))
-        wide_batch = encode_batch([target, big], cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        wide_batch = encode_batch([target, big], cfg, weights)
         assert np.allclose(small_batch.data[0], wide_batch.data[0], rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["sin", "token"])
@@ -285,20 +279,18 @@ class TestBatching:
         # padded and each equals its lone encode bit for bit. Equal slot
         # counts agreeing across batch sizes is observed BLAS behaviour,
         # which this test pins down.
-        vocab = TokenVocab(resolution=0.1, max_mz=2000.0) if kind == "token" else None
         cfg = small_cfg(kind=kind, layers=2, heads=2, max_fragments=8)
-        weights = init_weights(cfg, seed=2, vocab=vocab)
-        sin_cfg = SinusoidalConfig(d=8)
+        weights = init_weights(cfg, seed=2)
         # Repeated sizes, and 9 and 12 peaks capped to the 8 of another.
         sizes = [5, 9, 5, 12, 6, 8, 5, 9, 4]
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate(sizes)
         ]
-        many = encode_many(spectra, cfg, weights, sin_cfg=sin_cfg, vocab=vocab)
+        many = encode_many(spectra, cfg, weights)
         assert many.shape == (len(spectra), 8)
         assert many.dtype == np.float64
         for row, s in zip(many, spectra):
-            single = encode_spectrum(s, cfg, weights, sin_cfg=sin_cfg, vocab=vocab)
+            single = encode_spectrum(s, cfg, weights)
             assert np.array_equal(row, single.data)
 
     def test_encode_many_keeps_input_order(self, rng):
@@ -307,14 +299,14 @@ class TestBatching:
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(4 + i % 3, 5 + i % 3)) for i in range(7)
         ]
-        forward = encode_many(spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
-        backward = encode_many(spectra[::-1], cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        forward = encode_many(spectra, cfg, weights)
+        backward = encode_many(spectra[::-1], cfg, weights)
         assert np.array_equal(forward, backward[::-1])
         assert not np.array_equal(forward[0], forward[1])
 
     def test_encode_many_empty(self):
         cfg = small_cfg()
-        out = encode_many([], cfg, init_weights(cfg, seed=0), sin_cfg=SinusoidalConfig(d=8))
+        out = encode_many([], cfg, init_weights(cfg, seed=0))
         assert out.shape == (0, 8)
 
     def test_encode_many_names_failing_group(self, rng):
@@ -324,18 +316,18 @@ class TestBatching:
             toy_spectrum(sid, "m", rng, n_peaks=(5, 6), normalize=False) for sid in ("a", "b")
         ]
         with pytest.raises(DataError, match=r"^failed to encode spectra 'a', 'b': "):
-            encode_many(spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+            encode_many(spectra, cfg, weights)
 
     def test_empty_batch_rejected(self):
         cfg = small_cfg()
         with pytest.raises(DataError):
-            encode_batch([], cfg, init_weights(cfg, seed=0), sin_cfg=SinusoidalConfig(d=8))
+            encode_batch([], cfg, init_weights(cfg, seed=0))
 
     def test_unnormalized_spectrum_rejected(self, rng):
         cfg = small_cfg()
         s = toy_spectrum("s", "m", rng, normalize=False)
         with pytest.raises(DataError):
-            encode_spectrum(s, cfg, init_weights(cfg, seed=0), sin_cfg=SinusoidalConfig(d=8))
+            encode_spectrum(s, cfg, init_weights(cfg, seed=0))
 
 
 class TestTrainingMode:
@@ -343,25 +335,16 @@ class TestTrainingMode:
         cfg = small_cfg(dropout=0.1)
         s = toy_spectrum("s", "m", rng)
         with pytest.raises(ConfigError):
-            encode_spectrum(s, cfg, init_weights(cfg, seed=0), sin_cfg=SinusoidalConfig(d=8), mode="train")
+            encode_spectrum(s, cfg, init_weights(cfg, seed=0), mode="train")
 
     def test_dropout_reproducible_under_stream(self, rng):
         cfg = small_cfg(layers=2, heads=2, dropout=0.3)
         weights = init_weights(cfg, seed=0)
         s = toy_spectrum("s", "m", rng)
-        a = encode_spectrum(
-            s, cfg, weights, sin_cfg=SinusoidalConfig(d=8),
-            mode="train", rng=stream_rng(5, "dropout", 0),
-        )
-        b = encode_spectrum(
-            s, cfg, weights, sin_cfg=SinusoidalConfig(d=8),
-            mode="train", rng=stream_rng(5, "dropout", 0),
-        )
-        c = encode_spectrum(
-            s, cfg, weights, sin_cfg=SinusoidalConfig(d=8),
-            mode="train", rng=stream_rng(5, "dropout", 1),
-        )
-        infer = encode_spectrum(s, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        a = encode_spectrum(s, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+        b = encode_spectrum(s, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+        c = encode_spectrum(s, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 1))
+        infer = encode_spectrum(s, cfg, weights)
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
         assert not np.array_equal(a.data, infer.data)
@@ -370,7 +353,7 @@ class TestTrainingMode:
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=0, head_out=None)
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
-        out = encode_batch(spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=8))
+        out = encode_batch(spectra, cfg, weights)
         (out * out).sum().backward()
         for name, tensor in weights.trainable().items():
             assert tensor.grad is not None, name
@@ -413,10 +396,7 @@ class TestTrainingGraphSize:
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1))
             for i, n in enumerate((5, 12, 8, 10))
         ]
-        out = encode_batch(
-            spectra, cfg, weights, sin_cfg=SinusoidalConfig(d=16),
-            mode="train", rng=stream_rng(0, "dropout", 0),
-        )
+        out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
         n_slots = 13
         assert n_slots != cfg.d // cfg.heads
         map_shape = (len(spectra), cfg.heads, n_slots, n_slots)
@@ -447,11 +427,10 @@ class TestTrainingGraphSize:
 
 class TestTokenKind:
     def test_token_forward_runs_and_is_permutation_invariant(self, rng):
-        vocab = TokenVocab(resolution=0.1, max_mz=2000.0)
-        cfg = small_cfg(kind="token", layers=2, heads=2)
-        weights = init_weights(cfg, seed=0, vocab=vocab)
+        cfg = small_cfg(kind="token", layers=2, heads=2, resolution=0.1, max_mz=2000.0)
+        weights = init_weights(cfg, seed=0)
         s = toy_spectrum("s", "m", rng)
-        base = encode_spectrum(s, cfg, weights, vocab=vocab)
+        base = encode_spectrum(s, cfg, weights)
         perm = rng.permutation(len(s.fragments))
         shuffled = Spectrum(
             id=s.id, precursor=s.precursor,
@@ -459,5 +438,5 @@ class TestTokenKind:
             structure_id=s.structure_id,
         )
         assert np.array_equal(
-            base.data, encode_spectrum(shuffled, cfg, weights, vocab=vocab).data
+            base.data, encode_spectrum(shuffled, cfg, weights).data
         )

@@ -8,7 +8,6 @@ from conftest import toy_spectrum
 from mzembed.data import Peak, Spectrum
 from mzembed.embed import (
     PRECURSOR_INTENSITY,
-    SinusoidalConfig,
     TokenVocab,
     bin_spectrum,
     fractional_mz,
@@ -19,7 +18,7 @@ from mzembed.embed import (
     tokenize_mz,
 )
 from mzembed.encoder import EncoderConfig, init_weights
-from mzembed.errors import DataError
+from mzembed.errors import ConfigError, DataError
 
 
 class TestTokenVocab:
@@ -94,10 +93,9 @@ class TestPeakEmbeddings:
     def test_sin_peak_embedding_shape(self, rng):
         cfg = EncoderConfig(d=16, layers=1, heads=2, kind="sin")
         weights = init_weights(cfg, seed=0)
-        sin_cfg = SinusoidalConfig(d=16)
         mz = rng.uniform(100, 900, 7)
         intensity = rng.uniform(0, 1, 7)
-        out = peak_embed_sin(mz, intensity, sin_cfg, weights.peak_inner, weights.peak_outer)
+        out = peak_embed_sin(mz, intensity, cfg.sinusoidal, weights.peak_inner, weights.peak_outer)
         assert out.data.shape == (7, 16)
 
     def test_intensity_enters_after_inner_block(self, rng):
@@ -105,19 +103,17 @@ class TestPeakEmbeddings:
         # shared, the concatenated intensity changes the outer block.
         cfg = EncoderConfig(d=16, layers=1, heads=2, kind="sin")
         weights = init_weights(cfg, seed=0)
-        sin_cfg = SinusoidalConfig(d=16)
         mz = np.array([250.0])
-        a = peak_embed_sin(mz, np.array([0.2]), sin_cfg, weights.peak_inner, weights.peak_outer)
-        b = peak_embed_sin(mz, np.array([0.9]), sin_cfg, weights.peak_inner, weights.peak_outer)
+        a = peak_embed_sin(mz, np.array([0.2]), cfg.sinusoidal, weights.peak_inner, weights.peak_outer)
+        b = peak_embed_sin(mz, np.array([0.9]), cfg.sinusoidal, weights.peak_inner, weights.peak_outer)
         assert not np.array_equal(a.data, b.data)
 
     def test_token_peak_embedding_uses_table_rows(self, rng):
-        vocab = TokenVocab(resolution=0.1, max_mz=500.0)
-        cfg = EncoderConfig(d=8, layers=1, heads=2, kind="token")
-        weights = init_weights(cfg, seed=0, vocab=vocab)
+        cfg = EncoderConfig(d=8, layers=1, heads=2, kind="token", resolution=0.1, max_mz=500.0)
+        weights = init_weights(cfg, seed=0)
         mz = np.array([100.0, 100.04])  # both round to token 1000
         out = peak_embed_token(
-            mz, np.array([0.5, 0.5]), vocab, weights.token_table, weights.peak_outer
+            mz, np.array([0.5, 0.5]), cfg.vocab, weights.token_table, weights.peak_outer
         )
         assert np.array_equal(out.data[0], out.data[1])
 
@@ -154,6 +150,12 @@ class TestBinning:
         )
         vec = bin_spectrum(s, 0.1, 1000.0)
         assert vec.sum() == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("bin_width,max_mz", [(0.0, 1000.0), (0.1, 0.1), (0.1, -5.0)])
+    def test_bad_grid_rejected(self, bin_width, max_mz):
+        s = Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=(Peak(100.0, 0.4),))
+        with pytest.raises(ConfigError):
+            bin_spectrum(s, bin_width, max_mz)
 
 
 class TestFractionalMass:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import toy_dataset, toy_spectrum
 from mzembed.data import PROPERTY_NAMES
-from mzembed.embed import SinusoidalConfig, bin_spectrum
+from mzembed.embed import bin_spectrum
 from mzembed.encoder import EncoderConfig, init_weights
 from mzembed.errors import ConfigError, DataError, NumericsError
 from mzembed.properties import (
@@ -24,9 +24,6 @@ from mzembed.properties import (
 )
 from mzembed.tensor import Tensor
 from mzembed.training import TrainConfig
-
-SIN8 = SinusoidalConfig(d=8)
-
 
 def small_cfg():
     return EncoderConfig(d=8, layers=1, heads=1, inner_dim=8, dropout=0.0,
@@ -169,11 +166,11 @@ class TestPredict:
         weights = init_weights(cfg, seed=4, head_out=10)
         scaler = LabelScaler.fit(rng.normal(2.0, 3.0, size=(30, 10)))
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
-        got = predict_properties_batch(spectra, cfg, weights, scaler, sin_cfg=SIN8)
+        got = predict_properties_batch(spectra, cfg, weights, scaler)
 
         from mzembed.encoder import encode_batch
 
-        embs = encode_batch(spectra, cfg, weights, sin_cfg=SIN8).data
+        embs = encode_batch(spectra, cfg, weights).data
         h = np.maximum(embs @ weights.head.w1.data.T + weights.head.b1.data, 0.0)
         scaled = h @ weights.head.w2.data.T + weights.head.b2.data
         want = scaled * scaler.std + scaler.mean
@@ -189,9 +186,9 @@ class TestPredict:
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(4 + 2 * i, 5 + 2 * i)) for i in range(6)
         ]
-        batch = predict_properties_batch(spectra, cfg, weights, scaler, sin_cfg=SIN8)
+        batch = predict_properties_batch(spectra, cfg, weights, scaler)
         for row, s in zip(batch, spectra):
-            alone = predict_properties_batch([s], cfg, weights, scaler, sin_cfg=SIN8)
+            alone = predict_properties_batch([s], cfg, weights, scaler)
             assert np.array_equal(alone[0], row)
 
     def test_headless_weights_rejected(self, rng):
@@ -200,7 +197,7 @@ class TestPredict:
         scaler = LabelScaler.fit(rng.normal(size=(30, 10)))
         with pytest.raises(ConfigError):
             predict_properties_batch(
-                [toy_spectrum("s", "m", rng)], cfg, weights, scaler, sin_cfg=SIN8
+                [toy_spectrum("s", "m", rng)], cfg, weights, scaler
             )
 
 
@@ -267,13 +264,13 @@ class TestEvaluate:
 class TestTrainLoop:
     def setup_data(self):
         spectra, molecules = toy_dataset(n_structures=4, spectra_per=2, seed=17)
-        trn = TrainConfig(epochs=3, batch_size=8, lr=1e-3, dropout=0.0, seed=5)
+        trn = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=5)
         return spectra, molecules, trn
 
     def test_transformer_path(self):
         spectra, molecules, trn = self.setup_data()
         model, scaler, report, log = train_properties(
-            spectra, molecules, trn, small_cfg(), sin_cfg=SIN8,
+            spectra, molecules, trn, small_cfg(),
             eval_sets={"known": spectra},
         )
         assert model.head is not None
@@ -296,8 +293,8 @@ class TestTrainLoop:
 
     def test_rerun_is_bit_identical(self):
         spectra, molecules, trn = self.setup_data()
-        m1, s1, _, log1 = train_properties(spectra, molecules, trn, small_cfg(), sin_cfg=SIN8)
-        m2, s2, _, log2 = train_properties(spectra, molecules, trn, small_cfg(), sin_cfg=SIN8)
+        m1, s1, _, log1 = train_properties(spectra, molecules, trn, small_cfg())
+        m2, s2, _, log2 = train_properties(spectra, molecules, trn, small_cfg())
         for name, tensor in m1.named().items():
             assert tensor.data.tobytes() == m2.named()[name].data.tobytes(), name
         assert np.array_equal(s1.mean, s2.mean)
@@ -306,4 +303,4 @@ class TestTrainLoop:
     def test_empty_training_set_rejected(self):
         _, molecules, trn = self.setup_data()
         with pytest.raises(DataError):
-            train_properties([], molecules, trn, small_cfg(), sin_cfg=SIN8)
+            train_properties([], molecules, trn, small_cfg())

@@ -1,6 +1,7 @@
 """Embedding search: index construction, ranking, tie-breaks and the
 macro-averaged accuracy report."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import toy_dataset, toy_molecule, toy_spectrum
 from mzembed.data import MoleculeRecord, Peak, Spectrum
-from mzembed.embed import BINARY16, SinusoidalConfig, normalize_intensities
+from mzembed.embed import BINARY16, normalize_intensities
 from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights
 from mzembed.errors import DataError, NumericsError
 from mzembed.search import (
@@ -23,9 +24,6 @@ from mzembed.search import (
     write_search_audit,
 )
 
-SIN8 = SinusoidalConfig(d=8)
-
-
 def small_model(seed=0):
     cfg = EncoderConfig(d=8, layers=2, heads=2, inner_dim=8, dropout=0.0,
                         kind="sin", max_fragments=16)
@@ -36,28 +34,28 @@ class TestIndex:
     def test_rows_sorted_by_spectrum_id(self, rng):
         cfg, weights = small_model()
         spectra = [toy_spectrum(f"s{i:02d}", "m", rng) for i in (3, 0, 2, 1)]
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         assert index.spectrum_ids == ["s00", "s01", "s02", "s03"]
         assert len(index) == 4
 
     def test_rows_are_unit_norm(self, rng):
         cfg, weights = small_model()
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(5)]
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         norms = np.linalg.norm(index.matrix, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_same_inputs_same_index_bytes(self, rng):
         cfg, weights = small_model()
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(4)]
-        a = build_index(spectra, cfg, weights, sin_cfg=SIN8)
-        b = build_index(list(reversed(spectra)), cfg, weights, sin_cfg=SIN8)
+        a = build_index(spectra, cfg, weights)
+        b = build_index(list(reversed(spectra)), cfg, weights)
         assert a.matrix.tobytes() == b.matrix.tobytes()
         assert a.spectrum_ids == b.spectrum_ids
 
     def test_empty_index_and_search_refusal(self):
         cfg, weights = small_model()
-        index = build_index([], cfg, weights, sin_cfg=SIN8)
+        index = build_index([], cfg, weights)
         assert len(index) == 0
         with pytest.raises(DataError):
             search_embedding(np.ones(8), index, 1)
@@ -70,7 +68,7 @@ class TestIndex:
         )
         spectra = [toy_spectrum("ok", "m", rng), huge]
         with pytest.raises(DataError) as info:
-            build_index(spectra, cfg, weights, sin_cfg=SIN8, precision=BINARY16)
+            build_index(spectra, dataclasses.replace(cfg, precision=BINARY16), weights)
         assert str(info.value) == (
             "failed to encode spectrum 'huge': m/z overflows binary16: max |value| 70000.0"
         )
@@ -148,9 +146,9 @@ class TestRanking:
     def test_spectrum_search_finds_itself(self, rng):
         cfg, weights = small_model(seed=3)
         spectra = [toy_spectrum(f"s{i}", f"m{i}", rng) for i in range(6)]
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         for s in spectra:
-            result = search(s, index, 1, cfg, weights, sin_cfg=SIN8)
+            result = search(s, index, 1, cfg, weights)
             hit_id, hit_structure, score = result.hits[0]
             assert hit_id == s.id
             assert abs(score - 1.0) <= 1e-9
@@ -165,12 +163,9 @@ class TestEvaluate:
     def test_macro_matches_hand_recompute(self, rng):
         spectra, molecules = toy_dataset(n_structures=4, spectra_per=3, seed=9)
         cfg, weights = small_model(seed=1)
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         queries = spectra[::2]
-        report = evaluate_search(
-            queries, index, molecules, cfg, weights, sin_cfg=SIN8,
-            query_set="known",
-        )
+        report = evaluate_search(queries, index, molecules, cfg, weights, query_set="known")
         by_id = {s.id: s for s in spectra}
         exact_out, approx_out = {}, {}
         for query_id, hit_id, score, is_exact, sim in report.audit:
@@ -188,35 +183,33 @@ class TestEvaluate:
         # At d=32 a padded batch moves some scores in the last bit.
         cfg = EncoderConfig(d=32, layers=2, heads=4, inner_dim=32, dropout=0.0,
                             kind="sin", max_fragments=16)
-        weights, sin_cfg = init_weights(cfg, seed=6), SinusoidalConfig(d=32)
+        weights = init_weights(cfg, seed=6)
         spectra, molecules = toy_dataset(n_structures=4, spectra_per=3, seed=5)
-        index = build_index(spectra, cfg, weights, sin_cfg=sin_cfg)
+        index = build_index(spectra, cfg, weights)
         queries = [
             toy_spectrum(f"q{i}", f"m{i % 4}", rng, n_peaks=(n, n + 1))
             for i, n in enumerate((7, 9, 7, 12, 7, 10, 9, 15))
         ]
-        report = evaluate_search(queries, index, molecules, cfg, weights, sin_cfg=sin_cfg)
+        report = evaluate_search(queries, index, molecules, cfg, weights)
         assert len(report.audit) == len(queries)
         for query, (query_id, hit_id, score, _, _) in zip(queries, report.audit):
-            lone = search(query, index, 1, cfg, weights, sin_cfg=sin_cfg).hits[0]
+            lone = search(query, index, 1, cfg, weights).hits[0]
             assert (query_id, hit_id, score) == (query.id, lone[0], lone[2])
 
     def test_self_queries_give_perfect_exact(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
         cfg, weights = small_model(seed=2)
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
-        report = evaluate_search(
-            spectra, index, molecules, cfg, weights, sin_cfg=SIN8,
-        )
+        index = build_index(spectra, cfg, weights)
+        report = evaluate_search(spectra, index, molecules, cfg, weights)
         assert report.exact == 1.0
         assert report.approximate == 1.0
 
     def test_include_exact_false_gives_none(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
         cfg, weights = small_model(seed=2)
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         report = evaluate_search(
-            spectra, index, molecules, cfg, weights, sin_cfg=SIN8,
+            spectra, index, molecules, cfg, weights,
             include_exact=False, query_set="novel",
         )
         assert report.exact is None
@@ -225,17 +218,17 @@ class TestEvaluate:
     def test_structureless_query_rejected(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
         cfg, weights = small_model(seed=2)
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         orphan = toy_spectrum("orphan", "nope", rng)
         with pytest.raises(DataError):
-            evaluate_search([orphan], index, molecules, cfg, weights, sin_cfg=SIN8)
+            evaluate_search([orphan], index, molecules, cfg, weights)
 
     def test_empty_queries_rejected(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
         cfg, weights = small_model(seed=2)
-        index = build_index(spectra, cfg, weights, sin_cfg=SIN8)
+        index = build_index(spectra, cfg, weights)
         with pytest.raises(DataError):
-            evaluate_search([], index, molecules, cfg, weights, sin_cfg=SIN8)
+            evaluate_search([], index, molecules, cfg, weights)
 
 
 class TestReports:

@@ -7,7 +7,6 @@ from scipy import stats
 
 from conftest import toy_dataset, toy_molecule
 from mzembed.data import MoleculeRecord
-from mzembed.embed import BINARY64, SinusoidalConfig
 from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights
 from mzembed.errors import ConfigError, DataError, DimensionError
 from mzembed.rng import stream_rng
@@ -221,24 +220,23 @@ class TestPairMse:
         spectra, molecules = toy_dataset(n_structures=4, spectra_per=3, seed=5)
         cfg = EncoderConfig(d=8, layers=2, heads=2, inner_dim=8, dropout=0.0,
                             kind="sin", max_fragments=16)
-        sin_cfg = SinusoidalConfig(d=8)
         weights = init_weights(cfg, seed=1)
         bins = build_similarity_bins(molecules, sorted(molecules))
         pairs = sample_uniform_pairs(molecules, spectra, bins, 40, seed=3)
-        lone = {s.id: encode_spectrum(s, cfg, weights, sin_cfg=sin_cfg).data for s in spectra}
+        lone = {s.id: encode_spectrum(s, cfg, weights).data for s in spectra}
         want = siamese_loss(
             Tensor(np.stack([lone[p.a] for p in pairs])),
             Tensor(np.stack([lone[p.b] for p in pairs])),
             np.array([p.label for p in pairs]),
         )
         by_id = {s.id: s for s in spectra}
-        got = _pair_mse(pairs, by_id, cfg, weights, sin_cfg, None, BINARY64)
+        got = _pair_mse(pairs, by_id, cfg, weights)
         assert got == float(want.data)
 
     def test_no_pairs_is_nan(self):
         cfg = EncoderConfig(d=8, layers=1, heads=1, inner_dim=8, dropout=0.0)
         weights = init_weights(cfg, seed=1)
-        assert np.isnan(_pair_mse([], {}, cfg, weights, SinusoidalConfig(d=8), None, BINARY64))
+        assert np.isnan(_pair_mse([], {}, cfg, weights))
 
 
 class TestTrainLoop:
@@ -246,16 +244,13 @@ class TestTrainLoop:
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=21)
         enc = EncoderConfig(d=8, layers=1, heads=1, inner_dim=8, dropout=0.0,
                             kind="sin", max_fragments=16)
-        trn = TrainConfig(epochs=2, batch_size=8, lr=1e-3, dropout=0.0,
+        trn = TrainConfig(epochs=2, batch_size=8, lr=1e-3,
                           seed=13, pairs_per_epoch=16, eval_pairs=8)
         return spectra, molecules, enc, trn
 
     def test_two_epochs_log_and_shapes(self):
         spectra, molecules, enc, trn = self.small_setup()
-        weights, log = train_siamese(
-            spectra, molecules, trn, enc, sin_cfg=SinusoidalConfig(d=8),
-            eval_sets={"known": spectra},
-        )
+        weights, log = train_siamese(spectra, molecules, trn, enc, eval_sets={"known": spectra})
         assert log.columns == ("epoch", "train_mse", "known_mse", "novel_mse", "wall_time_s")
         assert len(log.rows) == 2
         for row in log.rows:
@@ -266,8 +261,8 @@ class TestTrainLoop:
 
     def test_rerun_is_bit_identical(self):
         spectra, molecules, enc, trn = self.small_setup()
-        w1, log1 = train_siamese(spectra, molecules, trn, enc, sin_cfg=SinusoidalConfig(d=8))
-        w2, log2 = train_siamese(spectra, molecules, trn, enc, sin_cfg=SinusoidalConfig(d=8))
+        w1, log1 = train_siamese(spectra, molecules, trn, enc)
+        w2, log2 = train_siamese(spectra, molecules, trn, enc)
         for (n1, t1), (n2, t2) in zip(w1.named().items(), w2.named().items()):
             assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes(), n1
@@ -277,14 +272,13 @@ class TestTrainLoop:
 
     def test_loss_moves(self):
         spectra, molecules, enc, trn = self.small_setup()
-        _, log = train_siamese(spectra, molecules, trn, enc, sin_cfg=SinusoidalConfig(d=8))
+        _, log = train_siamese(spectra, molecules, trn, enc)
         assert log.rows[0][1] != log.rows[-1][1]
 
     def test_duplicate_ids_rejected(self):
         spectra, molecules, enc, trn = self.small_setup()
         with pytest.raises(DataError):
-            train_siamese(spectra + [spectra[0]], molecules, trn, enc,
-                          sin_cfg=SinusoidalConfig(d=8))
+            train_siamese(spectra + [spectra[0]], molecules, trn, enc)
 
     def test_unlabeled_training_set_rejected(self, rng):
         from conftest import toy_spectrum
@@ -292,4 +286,4 @@ class TestTrainLoop:
         spectra, molecules, enc, trn = self.small_setup()
         orphans = [toy_spectrum(f"o{i}", None, rng) for i in range(4)]
         with pytest.raises(DataError):
-            train_siamese(orphans, molecules, trn, enc, sin_cfg=SinusoidalConfig(d=8))
+            train_siamese(orphans, molecules, trn, enc)

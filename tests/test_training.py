@@ -14,7 +14,6 @@ class TestTrainConfig:
         assert cfg.lr == 5e-5
         assert cfg.weight_decay == 0.1
         assert cfg.clip == 0.5
-        assert cfg.dropout == 0.1
         assert (cfg.beta1, cfg.beta2) == (0.9, 0.999)
 
     def test_validation(self):
@@ -26,8 +25,6 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-0.1)
-        with pytest.raises(ConfigError):
-            TrainConfig(dropout=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(eval_pairs=0)
 
