@@ -11,6 +11,13 @@ before they enter the sequence. Attention itself is permutation
 equivariant, but float reductions are not associative, so canonical
 ordering is what turns mathematical symmetry into bit-identical
 outputs under input permutation.
+
+Weights are trained and checkpointed as binary32; activations are
+binary64. ``encode_many``, the one inference encode path, computes on
+binary64 column-major copies of the weights (``ModelWeights.for_inference``),
+which multiply to the same bits as the binary32 originals without the
+cast numpy would otherwise make on every matmul. ``cli.load_model``
+converts once at load, so the commands that encode never pay for it.
 """
 
 from __future__ import annotations
@@ -145,25 +152,93 @@ class ModelWeights:
     def parameter_count(self) -> int:
         return sum(int(np.prod(t.data.shape)) for t in self.trainable().values())
 
+    def for_inference(self) -> ModelWeights:
+        """These weights with binary64 column-major copies of every array
+        that ``linear`` and ``layer_norm`` read; ``self`` if they already
+        are.
 
-def _init_ff(n_out: int, n_hidden: int, n_in: int, rng, dtype) -> FeedForwardParams:
-    return FeedForwardParams(
-        w1=uniform_fan_in((n_hidden, n_in), n_in, rng, dtype=dtype),
-        b1=zeros((n_hidden,), dtype=dtype),
-        w2=uniform_fan_in((n_out, n_hidden), n_hidden, rng, dtype=dtype),
-        b2=zeros((n_out,), dtype=dtype),
-    )
+        Activations are binary64. ``linear`` multiplies by ``w.T``, and
+        for a binary32 ``w`` numpy casts ``w.T`` into a fresh C-contiguous
+        binary64 array on every call. ``w.T`` of a Fortran-order binary64
+        ``w`` is exactly that operand, so BLAS runs the same kernel and
+        every output keeps its bits, without the per-call copy. The token
+        table is only gathered, never multiplied, and stays as it is.
+        """
+        params = self.trainable()
+        dense = [name for name in params if name != "peak.table"]
+        if all(
+            params[n].data.dtype == np.float64 and params[n].data.flags.f_contiguous
+            for n in dense
+        ):
+            return self
+        for name in dense:
+            params[name] = Tensor(np.asfortranarray(params[name].data, dtype=np.float64))
+        return _assemble(self.kind, len(self.layers), params, self.extra)
 
 
-def _init_attention(d: int, rng, dtype) -> AttentionParams:
-    def lin(n_out, n_in):
-        return uniform_fan_in((n_out, n_in), n_in, rng, dtype=dtype)
+def _parameter_shapes(cfg: EncoderConfig, head_out: int | None) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable parameter, in ``named()`` order."""
+    d = cfg.d
+    shapes: dict[str, tuple[int, ...]] = {}
 
-    return AttentionParams(
-        wq=lin(d, d), bq=zeros((d,), dtype=dtype),
-        wk=lin(d, d), bk=zeros((d,), dtype=dtype),
-        wv=lin(d, d), bv=zeros((d,), dtype=dtype),
-        wo=lin(d, d), bo=zeros((d,), dtype=dtype),
+    def ff(prefix: str, n_out: int, n_hidden: int, n_in: int):
+        shapes[f"{prefix}.w1"] = (n_hidden, n_in)
+        shapes[f"{prefix}.b1"] = (n_hidden,)
+        shapes[f"{prefix}.w2"] = (n_out, n_hidden)
+        shapes[f"{prefix}.b2"] = (n_out,)
+
+    if cfg.kind == "sin":
+        ff("peak.inner", d, d, d)
+    else:
+        shapes["peak.table"] = (cfg.vocab.size, d)
+    ff("peak.outer", d, d, d + 1)
+    for i in range(cfg.layers):
+        shapes[f"layer{i}.norm1.gain"] = (d,)
+        shapes[f"layer{i}.norm1.bias"] = (d,)
+        for proj in "qkvo":
+            shapes[f"layer{i}.attn.w{proj}"] = (d, d)
+            shapes[f"layer{i}.attn.b{proj}"] = (d,)
+        shapes[f"layer{i}.norm2.gain"] = (d,)
+        shapes[f"layer{i}.norm2.bias"] = (d,)
+        ff(f"layer{i}.ff", d, cfg.ffn_dim, d)
+    if head_out is not None:
+        ff("head", head_out, d, d)
+    return shapes
+
+
+def _assemble(
+    kind: str,
+    n_layers: int,
+    params: dict[str, Tensor],
+    extra: dict[str, Tensor] | None = None,
+) -> ModelWeights:
+    """Structured weights from a name -> tensor mapping in the named layout."""
+
+    def ff(prefix: str) -> FeedForwardParams:
+        return FeedForwardParams(*(params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
+
+    def layer(i: int) -> LayerParams:
+        p = f"layer{i}"
+        attn = AttentionParams(
+            **{n: params[f"{p}.attn.{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+        )
+        return LayerParams(
+            norm1_gain=params[f"{p}.norm1.gain"],
+            norm1_bias=params[f"{p}.norm1.bias"],
+            attn=attn,
+            norm2_gain=params[f"{p}.norm2.gain"],
+            norm2_bias=params[f"{p}.norm2.bias"],
+            ff=ff(f"{p}.ff"),
+        )
+
+    return ModelWeights(
+        kind=kind,
+        peak_outer=ff("peak.outer"),
+        layers=[layer(i) for i in range(n_layers)],
+        peak_inner=ff("peak.inner") if kind == "sin" else None,
+        token_table=params.get("peak.table"),
+        head=ff("head") if "head.w1" in params else None,
+        extra=dict(extra or {}),
     )
 
 
@@ -175,72 +250,48 @@ def init_weights(
 ) -> ModelWeights:
     """Build freshly initialized weights; layout is fixed by the config.
 
-    Linear weights draw from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases
-    start at zero, norm gains at one. The draw order follows the named
-    parameter layout, so the same seed and config always produce the
-    same weights.
+    Linear weights and the token table draw from
+    U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in their second axis;
+    biases start at zero, norm gains at one. The draw order follows the
+    named parameter layout, so the same seed and config always produce
+    the same weights.
     """
-    d = cfg.d
     rng = stream_rng(seed, "init")
-    peak_inner = None
-    token_table = None
-    if cfg.kind == "sin":
-        peak_inner = _init_ff(d, d, d, rng, dtype)
-    else:
-        token_table = uniform_fan_in((cfg.vocab.size, d), d, rng, dtype=dtype)
-    peak_outer = _init_ff(d, d, d + 1, rng, dtype)
-
-    layers = []
-    for _ in range(cfg.layers):
-        layers.append(
-            LayerParams(
-                norm1_gain=ones((d,), dtype=dtype),
-                norm1_bias=zeros((d,), dtype=dtype),
-                attn=_init_attention(d, rng, dtype),
-                norm2_gain=ones((d,), dtype=dtype),
-                norm2_bias=zeros((d,), dtype=dtype),
-                ff=_init_ff(d, cfg.ffn_dim, d, rng, dtype),
-            )
-        )
-
-    head = None
-    if head_out is not None:
-        head = _init_ff(head_out, d, d, rng, dtype)
-
-    return ModelWeights(
-        kind=cfg.kind,
-        peak_outer=peak_outer,
-        layers=layers,
-        peak_inner=peak_inner,
-        token_table=token_table,
-        head=head,
-    )
+    params = {}
+    for name, shape in _parameter_shapes(cfg, head_out).items():
+        if len(shape) == 2:
+            params[name] = uniform_fan_in(shape, shape[1], rng, dtype=dtype)
+        elif name.endswith(".gain"):
+            params[name] = ones(shape, dtype=dtype)
+        else:
+            params[name] = zeros(shape, dtype=dtype)
+    return _assemble(cfg.kind, cfg.layers, params)
 
 
 def weights_from_named(named: dict[str, np.ndarray], cfg: EncoderConfig) -> ModelWeights:
-    """Rebuild structured weights from a flat name -> array mapping."""
-    head_out = None
-    if "head.w2" in named:
-        head_out = named["head.w2"].shape[0]
-    template = init_weights(cfg, seed=0, head_out=head_out)
-    expected = template.named()
-    extra_names = sorted(set(named) - set(expected))
-    missing = sorted(set(expected) - set(named))
+    """Rebuild structured weights from a flat name -> array mapping.
+
+    The layout comes from the config alone; names outside it become
+    ``extra`` constants.
+    """
+    head_out = named["head.w2"].shape[0] if "head.w2" in named else None
+    shapes = _parameter_shapes(cfg, head_out)
+    missing = sorted(set(shapes) - set(named))
     if missing:
         raise ConfigError(f"weight set is missing parameters: {missing}")
-    for name in expected:
+    params = {}
+    for name, want in shapes.items():
         have = np.asarray(named[name])
-        want = expected[name].data.shape
         if have.shape != want:
             raise ConfigError(
                 f"parameter {name}: shape {have.shape} does not match config shape {want}"
             )
-        expected[name].data = have
-    template.extra = {
+        params[name] = Tensor(have, requires_grad=True)
+    extra = {
         name: Tensor(np.asarray(named[name]), requires_grad=False)
-        for name in extra_names
+        for name in sorted(set(named) - set(shapes))
     }
-    return template
+    return _assemble(cfg.kind, cfg.layers, params, extra)
 
 
 def describe_config(cfg: EncoderConfig) -> str:
@@ -389,8 +440,10 @@ def encode_many(
     Spectra share a batch only with spectra of the same slot count, so
     no row is padded and each row equals encode_spectrum of that
     spectrum alone, whatever else is in the list. Rows follow the input
-    order.
+    order. Binary32 weights are converted once per call (see
+    ``ModelWeights.for_inference``); the output bits are the same.
     """
+    weights = weights.for_inference()
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(spectra):
         groups.setdefault(1 + min(len(s.fragments), cfg.max_fragments), []).append(i)

@@ -378,6 +378,56 @@ class TestSearchPredictExport:
         assert float(second[0]) == 0.5
 
 
+    @pytest.mark.parametrize("embedding,precision", [
+        ("sin", "16:full"), ("sin", "32"), ("sin", "64"), ("token", "64"),
+    ])
+    def test_embedding_export_bytes(self, tmp_path, embedding, precision):
+        # The file equals the per-value formatter over the checkpoint's own
+        # binary32 weights: full binary16 emulation puts NaNs in the grid,
+        # and the token table exports binary32 values.
+        from mzembed.cli import build_configs, read_config_file
+        from mzembed.embed import fractional_mz, sinusoidal_embed, tokenize_mz
+        from mzembed.encoder import init_weights
+        from mzembed.tensor import Tensor, feed_forward, no_grad, save_checkpoint
+
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "schema_version=1\nd=8\nlayers=1\nheads=1\ninner-dim=8\n"
+            f"embedding={embedding}\nprecision={precision}\nmax-mz=100\n"
+            "grid-start=10\ngrid-step=3.7\ngrid-count=25\n"
+        )
+        out = tmp_path / "out"
+        settings = Settings(read_config_file(str(config)), argparse.Namespace())
+        cfg = build_configs(settings)[0]
+        weights = init_weights(cfg, seed=9)
+        out.mkdir()
+        save_checkpoint(
+            out / "model_siamese.ckpt",
+            {k: v.data for k, v in weights.named().items()},
+            run_config_text(settings, "siamese"),
+        )
+        assert main(
+            ["export-embeddings", "--mode", "siamese",
+             "--config", str(config), "--out-dir", str(out)]
+        ) == 0
+
+        grid = 10.0 + np.arange(25, dtype=np.float64) * 3.7
+        if embedding == "sin":
+            with no_grad():
+                se = sinusoidal_embed(grid, cfg.sinusoidal, cfg.precision)
+                emb = feed_forward(Tensor(se), weights.peak_inner).data
+        else:
+            emb = weights.token_table.data[tokenize_mz(grid, cfg.vocab)]
+        assert np.isnan(emb).any() == (precision == "16:full")
+        frac = fractional_mz(grid)
+        lines = ["mz\tfrac_mz\tprecision\t" + "\t".join(f"e{i}" for i in range(8))]
+        for i in range(grid.shape[0]):
+            comps = "\t".join(f"{v:.8g}" for v in emb[i])
+            lines.append(f"{grid[i]:.5f}\t{frac[i]:.5f}\t{cfg.precision}\t{comps}")
+        want = "\n".join(lines) + "\n"
+        assert (out / "embedding_export.tsv").read_bytes() == want.encode()
+
+
 class TestConfigHandling:
     def test_missing_schema_version_exits_2(self, tmp_path):
         paths = write_inputs(tmp_path)

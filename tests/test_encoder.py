@@ -1,10 +1,13 @@
 """Spectrum encoder: weight plumbing, a hand-unrolled forward oracle,
 permutation invariance, padding behavior and dropout determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from conftest import toy_spectrum
+from mzembed import encoder
 from mzembed.data import Peak, Spectrum
 from mzembed.embed import wavelengths
 from mzembed.encoder import (
@@ -168,6 +171,19 @@ class TestWeights:
         assert "scaler.mean" in rebuilt.extra
         assert rebuilt.extra["scaler.mean"].requires_grad is False
         assert "scaler.mean" not in rebuilt.trainable()
+
+    def test_loading_draws_no_random_weights(self, monkeypatch):
+        cfg = small_cfg(layers=2)
+        named = {k: v.data for k, v in init_weights(cfg, seed=5, head_out=10).named().items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("weights_from_named must not initialise weights")
+
+        monkeypatch.setattr(encoder, "uniform_fan_in", refuse)
+        rebuilt = weights_from_named(named, cfg)
+        assert list(rebuilt.named()) == list(named)
+        for name, tensor in rebuilt.named().items():
+            assert tensor.data is named[name], name
 
     def test_token_model_has_table(self):
         cfg = small_cfg(kind="token", resolution=0.1, max_mz=100.0)
@@ -440,3 +456,106 @@ class TestTokenKind:
         assert np.array_equal(
             base.data, encode_spectrum(shuffled, cfg, weights).data
         )
+
+
+# ------------------------------------------------------------------
+# inference weights: binary64 column-major copies, the same bits
+# ------------------------------------------------------------------
+
+README_SHAPE = dict(d=256, layers=2, heads=8, inner_dim=256, max_fragments=64)
+
+
+def cli_loaded(tmp_path, cfg_values):
+    """Weights saved as a binary32 checkpoint and read back by cli.load_model."""
+    from mzembed.cli import Settings, build_configs, load_model, run_config_text
+    from mzembed.tensor import save_checkpoint
+
+    values = {"schema_version": "1", "out-dir": str(tmp_path), **cfg_values}
+    settings = Settings(values, argparse.Namespace())
+    cfg = build_configs(settings)[0]
+    weights = init_weights(cfg, seed=4)
+    named = {k: v.data for k, v in weights.named().items()}
+    save_checkpoint(tmp_path / "model_siamese.ckpt", named, run_config_text(settings, "siamese"))
+    loaded, _scaler, loaded_cfg = load_model(settings, "siamese")
+    assert loaded_cfg == cfg
+    return cfg, weights, loaded
+
+
+class TestInferenceWeights:
+    def spectra(self, rng, n=6):
+        return [toy_spectrum(f"s{i}", "m", rng, n_peaks=(4, 9)) for i in range(n)]
+
+    @pytest.mark.parametrize("kind", ["sin", "token"])
+    def test_layout(self, kind):
+        weights = init_weights(small_cfg(kind=kind, layers=2), seed=0, head_out=10)
+        converted = weights.for_inference()
+        assert converted.for_inference() is converted
+        assert list(converted.named()) == list(weights.named())
+        for name, tensor in converted.named().items():
+            if name == "peak.table":
+                assert tensor is weights.token_table
+                continue
+            assert tensor.data.dtype == np.float64, name
+            assert tensor.data.flags.f_contiguous, name
+            assert np.array_equal(tensor.data, weights.named()[name].data), name
+        # Training weights are left as they were.
+        assert all(t.data.dtype == np.float32 for t in weights.named().values())
+
+    @pytest.mark.parametrize("source", ["init", "cli"])
+    def test_linear_operands_share_a_dtype(self, rng, monkeypatch, tmp_path, source):
+        from mzembed.tensor import nn
+
+        values = {"d": "8", "layers": "2", "heads": "2", "inner-dim": "8", "max-fragments": "16"}
+        cfg, weights, loaded = cli_loaded(tmp_path, values)
+        if source == "cli":
+            weights = loaded
+        seen = []
+        real_linear = nn.linear
+
+        def recording_linear(x, w, b):
+            seen.append((x.data.dtype, w.data.dtype, b.data.dtype))
+            return real_linear(x, w, b)
+
+        monkeypatch.setattr(nn, "linear", recording_linear)
+        encode_many(self.spectra(rng), cfg, weights)
+        assert seen
+        assert all(x == w == b == np.float64 for x, w, b in seen), set(seen)
+
+    @pytest.mark.parametrize("kind", ["sin", "token"])
+    @pytest.mark.parametrize("shape", [{}, README_SHAPE], ids=["small", "readme"])
+    def test_converted_weights_encode_the_same_bits(self, rng, kind, shape):
+        cfg = small_cfg(kind=kind, **{"layers": 2, "heads": 2, **shape})
+        weights = init_weights(cfg, seed=3)
+        spectra = self.spectra(rng)
+        many = encode_many(spectra, cfg, weights)
+        assert np.array_equal(many, encode_many(spectra, cfg, weights.for_inference()))
+        for row, s in zip(many, spectra):
+            assert np.array_equal(row, encode_spectrum(s, cfg, weights).data)
+
+    @pytest.mark.parametrize("shape", [{}, README_SHAPE], ids=["small", "readme"])
+    def test_property_head_gives_the_same_bits(self, rng, shape):
+        from mzembed.tensor import Tensor, feed_forward, no_grad
+
+        cfg = small_cfg(**{"layers": 2, "heads": 2, **shape})
+        weights = init_weights(cfg, seed=3, head_out=10)
+        embs = encode_many(self.spectra(rng), cfg, weights)[:, None, :]
+        with no_grad():
+            want = feed_forward(Tensor(embs), weights.head).data
+            got = feed_forward(Tensor(embs), weights.for_inference().head).data
+        assert got.shape == (embs.shape[0], 1, 10)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [{}, README_SHAPE], ids=["small", "readme"])
+    def test_export_peak_feed_forward_gives_the_same_bits(self, shape):
+        from mzembed.embed import sinusoidal_embed
+        from mzembed.tensor import Tensor, feed_forward, no_grad
+
+        cfg = small_cfg(**{"layers": 1, "heads": 1, **shape})
+        weights = init_weights(cfg, seed=3)
+        grid = np.arange(2_000, dtype=np.float64) * 0.37
+        se = Tensor(sinusoidal_embed(grid, cfg.sinusoidal))
+        with no_grad():
+            want = feed_forward(se, weights.peak_inner).data
+            got = feed_forward(se, weights.for_inference().peak_inner).data
+        assert got.shape == (grid.shape[0], cfg.d)
+        assert np.array_equal(got, want)
