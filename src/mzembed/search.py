@@ -87,19 +87,8 @@ def build_index(
 
 def top_k(scores, ids: list[str], k: int) -> list[int]:
     """Positions of the k highest scores, best first; equal scores go to
-    the smaller id.
-
-    A partition finds the k-th highest score; only rows scoring at least
-    that much are sorted, so every row tied with it stays a candidate.
-    NaN scores have no place in that order and fall back to sorting
-    every row.
-    """
-    values = np.asarray(scores, dtype=np.float64)
-    rows = range(values.shape[0])
-    if 0 < k < len(rows) and not np.isnan(values).any():
-        kth = values[np.argpartition(values, -k)[-k]]
-        rows = np.flatnonzero(values >= kth).tolist()
-    return sorted(rows, key=lambda r: (-values[r], ids[r]))[:k]
+    the smaller id."""
+    return sorted(range(len(ids)), key=lambda r: (-scores[r], ids[r]))[:k]
 
 
 def search_embedding(query: np.ndarray, index: EmbeddingIndex, k: int, query_id: str = "") -> SearchResult:
