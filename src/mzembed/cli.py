@@ -114,6 +114,11 @@ def out_path(settings: Settings, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def checkpoint_path(settings: Settings, mode: str) -> str:
+    """The --checkpoint setting, else the mode's checkpoint in the out-dir."""
+    return settings.get("checkpoint") or out_path(settings, f"model_{mode}.ckpt")
+
+
 # ------------------------------------------------------ model assembly
 
 
@@ -192,12 +197,24 @@ def split_sets(spectra, assignment):
     return train, known, novel
 
 
+def library_index(settings: Settings, mode: str, library, enc_cfg, weights):
+    """The search index of the training library, read from
+    ``index_<mode>.bin`` in the out-dir when it matches the library,
+    config and checkpoint, else built and written there."""
+    from .search import cached_index
+
+    return cached_index(
+        out_path(settings, f"index_{mode}.bin"), library, enc_cfg, weights,
+        checkpoint_path(settings, mode),
+    )
+
+
 def load_model(settings: Settings, mode: str):
     """Load a checkpoint, refusing on config digest mismatch.
 
-    Encoder weights come back in their inference layout, binary64
-    column-major (``ModelWeights.for_inference``); no binary32 copy is
-    kept.
+    Weights come back in their inference layout, binary64 column-major
+    (``ModelWeights.for_inference``, ``BaselineParams.for_inference``);
+    no binary32 copy is kept.
     """
     import numpy as np
 
@@ -207,7 +224,7 @@ def load_model(settings: Settings, mode: str):
 
     enc_cfg, _ = build_configs(settings)
     config_text = run_config_text(settings, mode)
-    ckpt = settings.get("checkpoint") or out_path(settings, f"model_{mode}.ckpt")
+    ckpt = checkpoint_path(settings, mode)
     if not os.path.exists(ckpt):
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     params, _ = load_checkpoint(ckpt, config_text)
@@ -221,10 +238,10 @@ def load_model(settings: Settings, mode: str):
     if mode == "properties-baseline":
         model = BaselineParams(
             **{
-                name: Tensor(params[f"baseline.{name}"], requires_grad=True)
+                name: Tensor(params.pop(f"baseline.{name}"))
                 for name in ("w1", "b1", "w2", "b2", "w3", "b3")
             }
-        )
+        ).for_inference()
     else:
         model = weights_from_named(params, enc_cfg).for_inference()
     return model, scaler, enc_cfg
@@ -340,7 +357,7 @@ def cmd_train(args) -> int:
         named["scaler.mean"] = scaler.mean.astype(np.float32)
         named["scaler.std"] = scaler.std.astype(np.float32)
 
-    ckpt = settings.get("checkpoint") or out_path(settings, f"model_{mode}.ckpt")
+    ckpt = checkpoint_path(settings, mode)
     tmp = ckpt + ".tmp"
     save_checkpoint(tmp, named, config_text)
     os.replace(tmp, ckpt)
@@ -365,7 +382,6 @@ def cmd_eval(args) -> int:
 
 def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) -> int:
     from .search import (
-        build_index,
         evaluate_search,
         modified_cosine,
         summarize_hits,
@@ -398,7 +414,7 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
 
     # Embedding retrieval and the modified-cosine baseline, both against
     # the training reference library.
-    index = build_index(train, enc_cfg, weights)
+    index = library_index(settings, "siamese", train, enc_cfg, weights)
     refs = sorted(train, key=lambda s: s.id)
     ref_ids = [r.id for r in refs]
     reports, cosine_reports = [], []
@@ -469,7 +485,7 @@ def cmd_search(args) -> int:
     from .data import load_mgf
     from .embed import normalize_intensities
     from .encoder import encode_many
-    from .search import build_index, search_embedding
+    from .search import search_embedding
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
     mode = _encoder_mode(settings)
@@ -480,7 +496,7 @@ def cmd_search(args) -> int:
     queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
     queries.sort(key=lambda s: s.id)
     k = settings.get_int("k", 5)
-    index = build_index(train, enc_cfg, model)
+    index = library_index(settings, mode, train, enc_cfg, model)
     embeddings = encode_many(queries, enc_cfg, model)
     lines = ["query_id\trank\thit_id\thit_structure\tscore"]
     for query, emb in zip(queries, embeddings):

@@ -101,6 +101,21 @@ class BaselineParams:
             for n in ("w1", "b1", "w2", "b2", "w3", "b3")
         }
 
+    def for_inference(self) -> "BaselineParams":
+        """Binary64 column-major copies of the parameters.
+
+        As with ``ModelWeights.for_inference``: ``linear`` multiplies the
+        binary64 input by ``w.T``, and a binary32 ``w`` would be cast to
+        a fresh binary64 array on every call (82 MB for ``w1`` at the
+        default 20,000 bins). The copy gives the same bits.
+        """
+        return BaselineParams(
+            **{
+                n: Tensor(np.asfortranarray(getattr(self, n).data, dtype=np.float64))
+                for n in ("w1", "b1", "w2", "b2", "w3", "b3")
+            }
+        )
+
 
 def init_baseline(n_bins: int, d: int, seed: int, dtype=np.float32) -> BaselineParams:
     rng = stream_rng(seed, "init")

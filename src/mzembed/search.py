@@ -1,13 +1,38 @@
-"""Spectral library search: embedding index, retrieval and evaluation."""
+"""Spectral library search: embedding index, retrieval and evaluation.
+
+``build_index`` encodes a reference library into an ``EmbeddingIndex``.
+``cached_index`` keeps that index on disk, so repeated searches against an
+unchanged library and checkpoint skip the library encodes. The file holds
+
+    magic "MZEMBED-INDEX/1\n" | 32-byte key | n x d little-endian binary64
+
+where the key is a sha256 over the format tag, the package version, the
+model config text, the checkpoint file's digest and, per library spectrum
+in id order, its id and the precursor and fragment values the encoder
+reads. The matrix is the normalized one ``build_index`` returns; ids and
+structure ids always come from the library passed in. A file that is
+missing, truncated, foreign or written under another key is rebuilt and
+replaced, never read as an index.
+"""
 
 from __future__ import annotations
 
+import hashlib
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .data.types import MoleculeRecord, Spectrum
-from .encoder import EncoderConfig, ModelWeights, encode_many, encode_spectrum
+from .encoder import (
+    EncoderConfig,
+    ModelWeights,
+    describe_config,
+    encode_many,
+    encode_spectrum,
+)
 from .errors import DataError, NumericsError
 from .kernels import score_modified_cosine
 from .siamese import tanimoto
@@ -83,6 +108,82 @@ def build_index(
         spectrum_ids=ids,
         structure_ids=[s.structure_id for s in ordered],
     )
+
+
+INDEX_MAGIC = b"MZEMBED-INDEX/1\n"
+
+
+def index_key(spectra: list[Spectrum], cfg: EncoderConfig, checkpoint) -> bytes:
+    """sha256 over everything the index matrix depends on.
+
+    Spectra enter in id order (the order ``build_index`` encodes them),
+    each as its id, precursor (m/z, intensity) and fragment m/z and
+    intensity arrays, with lengths so no two libraries share a byte
+    stream. The checkpoint is hashed in chunks, never read whole.
+    """
+    digest = hashlib.sha256(INDEX_MAGIC + f"{__version__}\n".encode())
+    digest.update(describe_config(cfg).encode())
+    with open(checkpoint, "rb") as fh:
+        digest.update(hashlib.file_digest(fh, "sha256").digest())
+    for s in sorted(spectra, key=lambda s: s.id):
+        name = s.id.encode()
+        mz, intensity = s.fragment_arrays()
+        digest.update(struct.pack("<Q", len(name)) + name)
+        digest.update(
+            struct.pack("<ddQ", s.precursor.mz, s.precursor.intensity, mz.shape[0])
+        )
+        digest.update(mz.astype("<f8").tobytes())
+        digest.update(intensity.astype("<f8").tobytes())
+    return digest.digest()
+
+
+def _read_index_matrix(path, key: bytes, n: int, d: int) -> np.ndarray | None:
+    """The stored matrix when the file at path is exactly an (n, d) index
+    under key; None for anything else."""
+    header = INDEX_MAGIC + key
+    matrix = np.empty((n, d), dtype="<f8")
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != len(header) + matrix.nbytes:
+                return None
+            if fh.read(len(header)) != header:
+                return None
+            if fh.readinto(matrix) != matrix.nbytes:
+                return None
+    except FileNotFoundError:
+        return None
+    return matrix
+
+
+def cached_index(
+    path,
+    spectra: list[Spectrum],
+    cfg: EncoderConfig,
+    weights: ModelWeights,
+    checkpoint,
+) -> EmbeddingIndex:
+    """The index ``build_index`` would return for these spectra and the
+    weights loaded from checkpoint, read from path when the file there
+    was written under the same key, else built and written to path.
+    """
+    key = index_key(spectra, cfg, checkpoint)
+    ordered = sorted(spectra, key=lambda s: s.id)
+    matrix = _read_index_matrix(path, key, len(ordered), cfg.d)
+    if matrix is not None:
+        return EmbeddingIndex(
+            matrix=matrix,
+            spectrum_ids=[s.id for s in ordered],
+            structure_ids=[s.structure_id for s in ordered],
+        )
+    index = build_index(spectra, cfg, weights)
+    # A per-process temporary name, so two runs sharing an out-dir never
+    # write into one file; os.replace makes the finished file appear whole.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(INDEX_MAGIC + key)
+        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").data)
+    os.replace(tmp, path)
+    return index
 
 
 def top_k(scores, ids: list[str], k: int) -> list[int]:

@@ -12,6 +12,7 @@ from mzembed.cli import Settings, main, run_config_text
 from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, load_mgf, serialize_mgf
 from mzembed.embed import PrecisionMode, normalize_intensities
 from mzembed.encoder import EncoderConfig, describe_config
+from mzembed.search import INDEX_MAGIC
 
 CONFIG_SMALL = """\
 # tiny model for tests
@@ -426,6 +427,97 @@ class TestSearchPredictExport:
             lines.append(f"{grid[i]:.5f}\t{frac[i]:.5f}\t{cfg.precision}\t{comps}")
         want = "\n".join(lines) + "\n"
         assert (out / "embedding_export.tsv").read_bytes() == want.encode()
+
+
+EVAL_OUTPUTS = (
+    "pair_mse.tsv", "search_accuracy.tsv", "search_audit.tsv",
+    "cosine_accuracy.tsv", "cosine_audit.tsv",
+)
+
+
+class TestIndexCache:
+    """``search`` and ``eval`` keep the library index in index_siamese.bin."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        assert main(["train", "--mode", "siamese", *common_args(paths)]) == 0
+        paths["queries"] = tmp_path / "queries.mgf"
+        paths["queries"].write_text(serialize_mgf(paths["spectra"][:5]))
+        paths["index"] = paths["out"] / "index_siamese.bin"
+        return paths
+
+    @staticmethod
+    def search(paths):
+        code = main(
+            ["search", "--mode", "siamese", "--queries", str(paths["queries"]),
+             "--k", "3", *common_args(paths)]
+        )
+        assert code == 0
+        return (paths["out"] / "search_results.tsv").read_bytes()
+
+    def cold_search(self, paths):
+        paths["index"].unlink(missing_ok=True)
+        results = self.search(paths)
+        return results, paths["index"].read_bytes()
+
+    def test_cold_runs_write_the_same_bytes(self, paths):
+        first = self.cold_search(paths)
+        assert first[1].startswith(INDEX_MAGIC)
+        assert self.cold_search(paths) == first
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "foreign"])
+    def test_damaged_index_is_rebuilt(self, paths, damage):
+        results, index = self.cold_search(paths)
+        damaged = {
+            "truncated": index[:-8],
+            "extended": index + bytes(8),
+            "foreign": b"X" + index[1:],
+        }[damage]
+        paths["index"].write_bytes(damaged)
+        assert self.search(paths) == results
+        assert paths["index"].read_bytes() == index
+
+    def test_index_of_another_checkpoint_is_rebuilt(self, paths):
+        _, old_index = self.cold_search(paths)
+        assert main(["train", "--mode", "siamese", "--seed", "4", *common_args(paths)]) == 0
+        stale_results = self.search(paths)
+        stale_index = paths["index"].read_bytes()
+        assert stale_index != old_index
+        assert (stale_results, stale_index) == self.cold_search(paths)
+
+    def test_warm_runs_encode_only_the_queries(self, paths, monkeypatch):
+        import mzembed.encoder
+        import mzembed.search
+
+        encoded = []
+        real = mzembed.encoder.encode_many
+
+        def counting(spectra, *args, **kwargs):
+            encoded.append([s.id for s in spectra])
+            return real(spectra, *args, **kwargs)
+
+        monkeypatch.setattr(mzembed.encoder, "encode_many", counting)
+        monkeypatch.setattr(mzembed.search, "encode_many", counting)
+        queries = sorted(s.id for s in paths["spectra"][:5])
+        cold = self.cold_search(paths)
+        library = encoded[0]
+        assert encoded == [library, queries] and len(library) == 8
+        encoded.clear()
+        assert self.search(paths) == cold[0]
+        assert encoded == [queries]
+
+        # eval reads the index that search wrote, and writes the same
+        # reports as a cold eval.
+        encoded.clear()
+        assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
+        assert encoded and library not in encoded
+        warm = [(paths["out"] / name).read_bytes() for name in EVAL_OUTPUTS]
+        paths["index"].unlink()
+        assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
+        assert [(paths["out"] / name).read_bytes() for name in EVAL_OUTPUTS] == warm
+        assert paths["index"].read_bytes() == cold[1]
 
 
 class TestConfigHandling:

@@ -144,6 +144,17 @@ class TestBaseline:
         assert got.shape == (3, 10)
         assert np.array_equal(got, want)
 
+    def test_converted_params_predict_the_same_bits(self, rng):
+        spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(5)]
+        params = init_baseline(10_000, 16, seed=2)
+        converted = params.for_inference()
+        for tensor in converted.named().values():
+            assert tensor.data.dtype == np.float64 and tensor.data.flags.f_contiguous
+        scaler = LabelScaler.fit(rng.normal(2.0, 3.0, size=(30, 10)))
+        want = predict_baseline(spectra, params, scaler, 0.1, 1000.0)
+        got = predict_baseline(spectra, converted, scaler, 0.1, 1000.0)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSpectrumLabels:
     def test_rows_align_with_spectra(self, rng):

@@ -17,6 +17,7 @@ from mzembed.search import (
     EmbeddingIndex,
     build_index,
     evaluate_search,
+    index_key,
     search,
     search_embedding,
     top_k,
@@ -152,6 +153,59 @@ class TestRanking:
             hit_id, hit_structure, score = result.hits[0]
             assert hit_id == s.id
             assert abs(score - 1.0) <= 1e-9
+
+
+def _with_fragment(spectrum, mz_delta=0.0, intensity_scale=1.0):
+    first = spectrum.fragments[0]
+    moved = Peak(first.mz + mz_delta, first.intensity * intensity_scale)
+    return dataclasses.replace(spectrum, fragments=(moved, *spectrum.fragments[1:]))
+
+
+LIBRARY_EDITS = {
+    "fragment_mz": lambda s: _with_fragment(s, mz_delta=1e-9),
+    "fragment_intensity": lambda s: _with_fragment(s, intensity_scale=0.5),
+    "precursor_mz": lambda s: dataclasses.replace(
+        s, precursor=Peak(s.precursor.mz + 1e-9, s.precursor.intensity)
+    ),
+    "spectrum_id": lambda s: dataclasses.replace(s, id=s.id + "x"),
+}
+
+
+class TestIndexKey:
+    """Every input the index matrix depends on moves the cache key."""
+
+    @pytest.fixture
+    def inputs(self, rng, tmp_path):
+        cfg, _ = small_model()
+        library = [toy_spectrum(f"s{i}", f"m{i}", rng) for i in range(4)]
+        checkpoint = tmp_path / "model.ckpt"
+        checkpoint.write_bytes(bytes(range(256)) * 4)
+        return library, cfg, checkpoint
+
+    @pytest.mark.parametrize("edit", sorted(LIBRARY_EDITS))
+    def test_library_edit_moves_key(self, inputs, edit):
+        library, cfg, checkpoint = inputs
+        edited = [*library[:2], LIBRARY_EDITS[edit](library[2]), library[3]]
+        assert index_key(edited, cfg, checkpoint) != index_key(library, cfg, checkpoint)
+
+    @pytest.mark.parametrize("change", [{"precision": BINARY16}, {"d": 16}])
+    def test_config_edit_moves_key(self, inputs, change):
+        library, cfg, checkpoint = inputs
+        other = dataclasses.replace(cfg, **change)
+        assert index_key(library, other, checkpoint) != index_key(library, cfg, checkpoint)
+
+    def test_checkpoint_byte_moves_key(self, inputs, tmp_path):
+        library, cfg, checkpoint = inputs
+        data = bytearray(checkpoint.read_bytes())
+        data[700] ^= 1
+        flipped = tmp_path / "flipped.ckpt"
+        flipped.write_bytes(bytes(data))
+        assert index_key(library, cfg, flipped) != index_key(library, cfg, checkpoint)
+
+    def test_input_order_leaves_key(self, inputs):
+        library, cfg, checkpoint = inputs
+        shuffled = [library[2], library[0], library[3], library[1]]
+        assert index_key(shuffled, cfg, checkpoint) == index_key(library, cfg, checkpoint)
 
 
 class TestEvaluate:
