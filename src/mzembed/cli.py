@@ -197,18 +197,6 @@ def split_sets(spectra, assignment):
     return train, known, novel
 
 
-def library_index(settings: Settings, mode: str, library, enc_cfg, weights):
-    """The search index of the training library, read from
-    ``index_<mode>.bin`` in the out-dir when it matches the library,
-    config and checkpoint, else built and written there."""
-    from .search import cached_index
-
-    return cached_index(
-        out_path(settings, f"index_{mode}.bin"), library, enc_cfg, weights,
-        checkpoint_path(settings, mode),
-    )
-
-
 def load_model(settings: Settings, mode: str):
     """Load a checkpoint, refusing on config digest mismatch.
 
@@ -382,6 +370,7 @@ def cmd_eval(args) -> int:
 
 def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) -> int:
     from .search import (
+        cached_index,
         evaluate_search,
         modified_cosine,
         summarize_hits,
@@ -414,7 +403,7 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
 
     # Embedding retrieval and the modified-cosine baseline, both against
     # the training reference library.
-    index = library_index(settings, "siamese", train, enc_cfg, weights)
+    index = cached_index(out_path(settings, "index_siamese.bin"), train, enc_cfg, weights)
     refs = sorted(train, key=lambda s: s.id)
     ref_ids = [r.id for r in refs]
     reports, cosine_reports = [], []
@@ -485,7 +474,7 @@ def cmd_search(args) -> int:
     from .data import load_mgf
     from .embed import normalize_intensities
     from .encoder import encode_many
-    from .search import search_embedding
+    from .search import cached_index, search_embedding
 
     settings = Settings(read_config_file(args.config) if args.config else {}, args)
     mode = _encoder_mode(settings)
@@ -496,7 +485,7 @@ def cmd_search(args) -> int:
     queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
     queries.sort(key=lambda s: s.id)
     k = settings.get_int("k", 5)
-    index = library_index(settings, mode, train, enc_cfg, model)
+    index = cached_index(out_path(settings, f"index_{mode}.bin"), train, enc_cfg, model)
     embeddings = encode_many(queries, enc_cfg, model)
     lines = ["query_id\trank\thit_id\thit_structure\tscore"]
     for query, emb in zip(queries, embeddings):

@@ -2,21 +2,26 @@
 
 ``build_index`` encodes a reference library into an ``EmbeddingIndex``.
 ``cached_index`` keeps that index on disk, so repeated searches against an
-unchanged library and checkpoint skip the library encodes. The file holds
+unchanged library and model skip the library encodes. The file holds
 
     magic "MZEMBED-INDEX/1\n" | 32-byte key | n x d little-endian binary64
 
-where the key is a sha256 over the format tag, the package version, the
-model config text, the checkpoint file's digest and, per library spectrum
-in id order, its id and the precursor and fragment values the encoder
-reads. The matrix is the normalized one ``build_index`` returns; ids and
-structure ids always come from the library passed in. A file that is
-missing, truncated, foreign or written under another key is rebuilt and
-replaced, never read as an index.
+where the key is a sha256 over the format tag, the package and numpy
+versions, the model config text, the model weights as inference reads
+them and, per library spectrum in id order, its id and the precursor and
+fragment values the encoder reads. The matrix is the normalized one
+``build_index`` returns; ids and structure ids always come from the
+library passed in. A file that is missing, truncated, foreign or written
+under another key is rebuilt and replaced, never read as an index. So is
+one whose first row differs from a fresh encode of the first library
+spectrum: the key names the inputs, not the code that encoded them, and
+that one encode catches an index written by an encoder that computes
+differently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -113,18 +118,28 @@ def build_index(
 INDEX_MAGIC = b"MZEMBED-INDEX/1\n"
 
 
-def index_key(spectra: list[Spectrum], cfg: EncoderConfig, checkpoint) -> bytes:
+def index_key(spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights) -> bytes:
     """sha256 over everything the index matrix depends on.
 
-    Spectra enter in id order (the order ``build_index`` encodes them),
-    each as its id, precursor (m/z, intensity) and fragment m/z and
-    intensity arrays, with lengths so no two libraries share a byte
-    stream. The checkpoint is hashed in chunks, never read whole.
+    Weights enter in their inference layout (``for_inference``), each
+    array with its name, dtype, shape and memory order, so binary32
+    weights and their converted copy share a key. Spectra enter in id
+    order (the order ``build_index`` encodes them), each as its id,
+    precursor (m/z, intensity) and fragment m/z and intensity arrays,
+    with lengths so no two libraries share a byte stream.
     """
-    digest = hashlib.sha256(INDEX_MAGIC + f"{__version__}\n".encode())
+    digest = hashlib.sha256(
+        INDEX_MAGIC + f"{__version__}\nnumpy {np.__version__}\n".encode()
+    )
     digest.update(describe_config(cfg).encode())
-    with open(checkpoint, "rb") as fh:
-        digest.update(hashlib.file_digest(fh, "sha256").digest())
+    for name, tensor in weights.for_inference().named().items():
+        data = tensor.data
+        if data.flags.f_contiguous and not data.flags.c_contiguous:
+            data, order = data.T, "F"
+        else:
+            data, order = np.ascontiguousarray(data), "C"
+        digest.update(f"{name} {data.dtype.str} {tensor.data.shape} {order}\n".encode())
+        digest.update(data)
     for s in sorted(spectra, key=lambda s: s.id):
         name = s.id.encode()
         mz, intensity = s.fragment_arrays()
@@ -155,21 +170,32 @@ def _read_index_matrix(path, key: bytes, n: int, d: int) -> np.ndarray | None:
     return matrix
 
 
+def _first_row_matches(
+    matrix: np.ndarray, ordered: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights
+) -> bool:
+    """Whether the stored row of the first spectrum equals, bit for bit,
+    the row the current code encodes for it (``encode_many`` rows do not
+    depend on the rest of the batch)."""
+    if not ordered:
+        return True
+    row = _normalize_rows(encode_many(ordered[:1], cfg, weights), [ordered[0].id])
+    return row.astype("<f8").tobytes() == matrix[:1].tobytes()
+
+
 def cached_index(
     path,
     spectra: list[Spectrum],
     cfg: EncoderConfig,
     weights: ModelWeights,
-    checkpoint,
 ) -> EmbeddingIndex:
-    """The index ``build_index`` would return for these spectra and the
-    weights loaded from checkpoint, read from path when the file there
-    was written under the same key, else built and written to path.
+    """The index ``build_index`` would return, read from path when the
+    file there was written under the same key and its first row checks
+    out, else built and written to path.
     """
-    key = index_key(spectra, cfg, checkpoint)
+    key = index_key(spectra, cfg, weights)
     ordered = sorted(spectra, key=lambda s: s.id)
     matrix = _read_index_matrix(path, key, len(ordered), cfg.d)
-    if matrix is not None:
+    if matrix is not None and _first_row_matches(matrix, ordered, cfg, weights):
         return EmbeddingIndex(
             matrix=matrix,
             spectrum_ids=[s.id for s in ordered],
@@ -177,12 +203,18 @@ def cached_index(
         )
     index = build_index(spectra, cfg, weights)
     # A per-process temporary name, so two runs sharing an out-dir never
-    # write into one file; os.replace makes the finished file appear whole.
+    # write into one file; os.replace makes the finished file appear
+    # whole. No later run reuses the name, so a failed write removes it.
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(INDEX_MAGIC + key)
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(INDEX_MAGIC + key)
+            fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return index
 
 

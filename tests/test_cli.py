@@ -467,13 +467,19 @@ class TestIndexCache:
         assert first[1].startswith(INDEX_MAGIC)
         assert self.cold_search(paths) == first
 
-    @pytest.mark.parametrize("damage", ["truncated", "extended", "foreign"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "extended", "foreign", "first_row_bit"]
+    )
     def test_damaged_index_is_rebuilt(self, paths, damage):
         results, index = self.cold_search(paths)
+        # The key is intact in first_row_bit; only the first row's check
+        # against a fresh encode can tell the file is wrong.
+        row = len(INDEX_MAGIC) + 32
         damaged = {
             "truncated": index[:-8],
             "extended": index + bytes(8),
             "foreign": b"X" + index[1:],
+            "first_row_bit": index[:row] + bytes([index[row] ^ 1]) + index[row + 1:],
         }[damage]
         paths["index"].write_bytes(damaged)
         assert self.search(paths) == results
@@ -487,7 +493,7 @@ class TestIndexCache:
         assert stale_index != old_index
         assert (stale_results, stale_index) == self.cold_search(paths)
 
-    def test_warm_runs_encode_only_the_queries(self, paths, monkeypatch):
+    def test_warm_runs_encode_the_queries_and_one_check_row(self, paths, monkeypatch):
         import mzembed.encoder
         import mzembed.search
 
@@ -506,7 +512,7 @@ class TestIndexCache:
         assert encoded == [library, queries] and len(library) == 8
         encoded.clear()
         assert self.search(paths) == cold[0]
-        assert encoded == [queries]
+        assert encoded == [library[:1], queries]
 
         # eval reads the index that search wrote, and writes the same
         # reports as a cold eval.

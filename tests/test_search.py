@@ -3,6 +3,7 @@ macro-averaged accuracy report."""
 
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import pytest
 from conftest import toy_dataset, toy_molecule, toy_spectrum
 from mzembed.data import MoleculeRecord, Peak, Spectrum
 from mzembed.embed import BINARY16, normalize_intensities
-from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights
+from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights, weights_from_named
 from mzembed.errors import DataError, NumericsError
 from mzembed.search import (
     AccuracyReport,
     EmbeddingIndex,
     build_index,
+    cached_index,
     evaluate_search,
     index_key,
     search,
@@ -24,6 +26,7 @@ from mzembed.search import (
     write_accuracy_report,
     write_search_audit,
 )
+from mzembed.tensor import load_checkpoint, save_checkpoint
 
 def small_model(seed=0):
     cfg = EncoderConfig(d=8, layers=2, heads=2, inner_dim=8, dropout=0.0,
@@ -175,37 +178,74 @@ class TestIndexKey:
     """Every input the index matrix depends on moves the cache key."""
 
     @pytest.fixture
-    def inputs(self, rng, tmp_path):
-        cfg, _ = small_model()
+    def inputs(self, rng):
+        cfg, weights = small_model()
         library = [toy_spectrum(f"s{i}", f"m{i}", rng) for i in range(4)]
-        checkpoint = tmp_path / "model.ckpt"
-        checkpoint.write_bytes(bytes(range(256)) * 4)
-        return library, cfg, checkpoint
+        return library, cfg, weights.for_inference()
 
     @pytest.mark.parametrize("edit", sorted(LIBRARY_EDITS))
     def test_library_edit_moves_key(self, inputs, edit):
-        library, cfg, checkpoint = inputs
+        library, cfg, weights = inputs
         edited = [*library[:2], LIBRARY_EDITS[edit](library[2]), library[3]]
-        assert index_key(edited, cfg, checkpoint) != index_key(library, cfg, checkpoint)
+        assert index_key(edited, cfg, weights) != index_key(library, cfg, weights)
 
     @pytest.mark.parametrize("change", [{"precision": BINARY16}, {"d": 16}])
     def test_config_edit_moves_key(self, inputs, change):
-        library, cfg, checkpoint = inputs
+        library, cfg, weights = inputs
         other = dataclasses.replace(cfg, **change)
-        assert index_key(library, other, checkpoint) != index_key(library, cfg, checkpoint)
+        assert index_key(library, other, weights) != index_key(library, cfg, weights)
 
-    def test_checkpoint_byte_moves_key(self, inputs, tmp_path):
-        library, cfg, checkpoint = inputs
-        data = bytearray(checkpoint.read_bytes())
-        data[700] ^= 1
-        flipped = tmp_path / "flipped.ckpt"
-        flipped.write_bytes(bytes(data))
-        assert index_key(library, cfg, flipped) != index_key(library, cfg, checkpoint)
+    def test_checkpoint_bit_moves_key(self, inputs, tmp_path):
+        """Weights loaded from a checkpoint with one payload bit flipped."""
+        library, cfg, weights = inputs
+        named = {k: v.data for k, v in small_model()[1].named().items()}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, named, "cfg\n")
+        loaded = weights_from_named(load_checkpoint(path)[0], cfg)
+        assert index_key(library, cfg, loaded) == index_key(library, cfg, weights)
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 1
+        path.write_bytes(bytes(data))
+        flipped = weights_from_named(load_checkpoint(path)[0], cfg)
+        assert index_key(library, cfg, flipped) != index_key(library, cfg, weights)
+
+    def test_converted_weights_share_the_key(self, inputs):
+        library, cfg, weights = inputs
+        assert index_key(library, cfg, small_model()[1]) == index_key(library, cfg, weights)
 
     def test_input_order_leaves_key(self, inputs):
-        library, cfg, checkpoint = inputs
+        library, cfg, weights = inputs
         shuffled = [library[2], library[0], library[3], library[1]]
-        assert index_key(shuffled, cfg, checkpoint) == index_key(library, cfg, checkpoint)
+        assert index_key(shuffled, cfg, weights) == index_key(library, cfg, weights)
+
+
+class TestCachedIndex:
+    @pytest.fixture
+    def inputs(self, rng, tmp_path):
+        cfg, weights = small_model()
+        library = [toy_spectrum(f"s{i}", f"m{i}", rng) for i in range(5)]
+        return tmp_path / "index.bin", library, cfg, weights
+
+    def test_hit_returns_the_built_index(self, inputs):
+        path, library, cfg, weights = inputs
+        built = build_index(library, cfg, weights)
+        for _ in range(2):  # the cold write, then the read
+            index = cached_index(path, library, cfg, weights)
+            assert index.matrix.tobytes() == built.matrix.tobytes()
+            assert (index.spectrum_ids, index.structure_ids) == (
+                built.spectrum_ids, built.structure_ids,
+            )
+
+    def test_failed_write_leaves_no_temporary_file(self, inputs, monkeypatch):
+        path, library, cfg, weights = inputs
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cached_index(path, library, cfg, weights)
+        assert list(path.parent.iterdir()) == []
 
 
 class TestEvaluate:
