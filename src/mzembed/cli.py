@@ -369,12 +369,12 @@ def cmd_eval(args) -> int:
 
 
 def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) -> int:
+    from .encoder import encode_many
     from .search import (
         cached_index,
+        cosine_hits,
         evaluate_search,
-        modified_cosine,
         summarize_hits,
-        top_k,
         write_accuracy_report,
         write_search_audit,
     )
@@ -384,6 +384,15 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
     trn_cfg = build_configs(settings)[1]
     threshold = settings.get_float("threshold", 0.6)
     tolerance = settings.get_float("tolerance", 0.1)
+
+    # Each spectrum is encoded at most once: the training library's rows
+    # come from its index, the held-out spectra share one encode, and
+    # both the pair MSE and the retrieval read those rows.
+    index = cached_index(out_path(settings, "index_siamese.bin"), train, enc_cfg, weights)
+    queries = known + novel
+    held = encode_many(queries, enc_cfg, weights)
+    rows = dict(zip(index.spectrum_ids, index.raw))
+    rows.update(zip((s.id for s in queries), held))
 
     # Pair MSE per split.
     mse_lines = ["set\tmse\tn_pairs"]
@@ -396,34 +405,33 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
             molecules, spectra, bins, trn_cfg.eval_pairs,
             stream_rng(trn_cfg.seed, "eval", name),
         )
-        by_id = {s.id: s for s in spectra}
-        mse = _pair_mse(pairs, by_id, enc_cfg, weights)
+        mse = _pair_mse(pairs, rows)
         mse_lines.append(f"{name}\t{mse:.6f}\t{len(pairs)}")
     atomic_write_text(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
 
     # Embedding retrieval and the modified-cosine baseline, both against
     # the training reference library.
-    index = cached_index(out_path(settings, "index_siamese.bin"), train, enc_cfg, weights)
-    refs = sorted(train, key=lambda s: s.id)
-    ref_ids = [r.id for r in refs]
-    reports, cosine_reports = [], []
-    for name, queries, include_exact in (("known", known, True), ("novel", novel, False)):
-        if not queries:
-            continue
-        reports.append(
-            evaluate_search(
-                queries, index, molecules, enc_cfg, weights,
-                threshold=threshold, query_set=name, include_exact=include_exact,
-            )
+    sets = [
+        (name, include_exact, part)
+        for name, include_exact, part in (
+            ("known", True, slice(0, len(known))),
+            ("novel", False, slice(len(known), None)),
         )
-        hits = []
-        for query in queries:
-            scores = [modified_cosine(query, r, tolerance) for r in refs]
-            best = top_k(scores, ref_ids, 1)[0]
-            hits.append((query, ref_ids[best], refs[best].structure_id, scores[best]))
-        cosine_reports.append(
-            summarize_hits(hits, molecules, threshold, name, include_exact)
+        if queries[part]
+    ]
+    reports = [
+        evaluate_search(
+            queries[part], index, molecules, enc_cfg, weights,
+            threshold=threshold, query_set=name, include_exact=include_exact,
+            embeddings=held[part],
         )
+        for name, include_exact, part in sets
+    ]
+    hits = cosine_hits(queries, train, tolerance)
+    cosine_reports = [
+        summarize_hits(hits[part], molecules, threshold, name, include_exact)
+        for name, include_exact, part in sets
+    ]
 
     def write_reports(accuracy_name, audit_name, rows):
         for filename, write in (

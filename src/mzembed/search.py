@@ -4,19 +4,22 @@
 ``cached_index`` keeps that index on disk, so repeated searches against an
 unchanged library and model skip the library encodes. The file holds
 
-    magic "MZEMBED-INDEX/1\n" | 32-byte key | n x d little-endian binary64
+    magic "MZEMBED-INDEX/2\n" | 32-byte key | n x d little-endian binary64
 
-where the key is a sha256 over the format tag, the package and numpy
+where the key is a sha256 over the magic, the package and numpy
 versions, the model config text, the model weights as inference reads
 them and, per library spectrum in id order, its id and the precursor and
-fragment values the encoder reads. The matrix is the normalized one
-``build_index`` returns; ids and structure ids always come from the
-library passed in. A file that is missing, truncated, foreign or written
-under another key is rebuilt and replaced, never read as an index. So is
-one whose first row differs from a fresh encode of the first library
-spectrum: the key names the inputs, not the code that encoded them, and
-that one encode catches an index written by an encoder that computes
-differently.
+fragment values the encoder reads. The matrix holds the raw
+``encode_many`` rows in id order; reading normalizes them into the same
+bits ``build_index`` returns, and keeps the raw rows for callers that
+need the encoder output itself (the pair MSE of ``eval``). Ids and
+structure ids always come from the library passed in. A file that is
+missing, truncated, foreign, of the older normalized ``/1`` layout or
+written under another key is rebuilt and replaced, never read as an
+index. So is one whose first row differs from a fresh encode of the first
+library spectrum: the key names the inputs, not the code that encoded
+them, and that one encode catches an index written by an encoder that
+computes differently.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ DEFAULT_TOLERANCE = 0.1
 DEFAULT_TANIMOTO_THRESHOLD = 0.6
 
 
+def _check_tolerance(tol: float) -> None:
+    if tol <= 0:
+        raise NumericsError(f"tolerance must be positive, got {tol}")
+
+
 def modified_cosine(a: Spectrum, b: Spectrum, tol: float = DEFAULT_TOLERANCE) -> float:
     """Modified cosine similarity over fragment peaks.
 
@@ -54,25 +62,57 @@ def modified_cosine(a: Spectrum, b: Spectrum, tol: float = DEFAULT_TOLERANCE) ->
     the precursor mass difference, lies within tol. The precursor peaks
     define the shift but are not matched themselves.
     """
-    if tol <= 0:
-        raise NumericsError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     mz_a, int_a = a.fragment_arrays()
     mz_b, int_b = b.fragment_arrays()
     prec_diff = a.precursor.mz - b.precursor.mz
     return float(score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol))
 
 
+def cosine_hits(
+    queries: list[Spectrum], library: list[Spectrum], tol: float = DEFAULT_TOLERANCE
+) -> list[tuple[Spectrum, str, str | None, float]]:
+    """Each query's best ``modified_cosine`` match in library, as the
+    (query, hit id, hit structure, score) rows ``summarize_hits`` reads.
+
+    Scores equal ``modified_cosine``'s; each spectrum's fragment arrays
+    are built once rather than once per pair. Equal scores go to the
+    smaller id (``top_k``).
+    """
+    _check_tolerance(tol)
+    refs = sorted(library, key=lambda s: s.id)
+    ref_ids = [r.id for r in refs]
+    ref_peaks = [(r.precursor.mz, *r.fragment_arrays()) for r in refs]
+    hits = []
+    for query in queries:
+        mz_q, int_q = query.fragment_arrays()
+        prec_q = query.precursor.mz
+        scores = [
+            float(score_modified_cosine(mz_q, int_q, mz_r, int_r, prec_q - prec_r, tol))
+            for prec_r, mz_r, int_r in ref_peaks
+        ]
+        best = top_k(scores, ref_ids, 1)[0]
+        hits.append((query, ref_ids[best], refs[best].structure_id, scores[best]))
+    return hits
+
+
 @dataclass
 class EmbeddingIndex:
-    """L2-normalized reference embeddings with aligned id arrays."""
+    """L2-normalized reference embeddings, the encoder rows they were
+    normalized from, and aligned id arrays."""
 
     matrix: np.ndarray  # (n, d), rows unit norm
     spectrum_ids: list[str]
     structure_ids: list[str | None]
+    raw: np.ndarray  # (n, d), the encode_many rows
 
     def __post_init__(self):
         if self.matrix.ndim != 2:
             raise DataError(f"index matrix must be 2-D, got shape {self.matrix.shape}")
+        if self.raw.shape != self.matrix.shape:
+            raise DataError(
+                f"index raw rows {self.raw.shape} do not match the matrix {self.matrix.shape}"
+            )
         if not (len(self.spectrum_ids) == len(self.structure_ids) == self.matrix.shape[0]):
             raise DataError("index id arrays do not align with the matrix rows")
 
@@ -106,16 +146,20 @@ def build_index(
     produce the same index bytes.
     """
     ordered = sorted(spectra, key=lambda s: s.id)
-    matrix = encode_many(ordered, cfg, weights)
+    return _assemble_index(encode_many(ordered, cfg, weights), ordered)
+
+
+def _assemble_index(raw: np.ndarray, ordered: list[Spectrum]) -> EmbeddingIndex:
     ids = [s.id for s in ordered]
     return EmbeddingIndex(
-        matrix=_normalize_rows(matrix, ids),
+        matrix=_normalize_rows(raw, ids),
         spectrum_ids=ids,
         structure_ids=[s.structure_id for s in ordered],
+        raw=raw,
     )
 
 
-INDEX_MAGIC = b"MZEMBED-INDEX/1\n"
+INDEX_MAGIC = b"MZEMBED-INDEX/2\n"
 
 
 def index_key(spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights) -> bytes:
@@ -171,15 +215,15 @@ def _read_index_matrix(path, key: bytes, n: int, d: int) -> np.ndarray | None:
 
 
 def _first_row_matches(
-    matrix: np.ndarray, ordered: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights
+    raw: np.ndarray, ordered: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights
 ) -> bool:
     """Whether the stored row of the first spectrum equals, bit for bit,
     the row the current code encodes for it (``encode_many`` rows do not
     depend on the rest of the batch)."""
     if not ordered:
         return True
-    row = _normalize_rows(encode_many(ordered[:1], cfg, weights), [ordered[0].id])
-    return row.astype("<f8").tobytes() == matrix[:1].tobytes()
+    row = encode_many(ordered[:1], cfg, weights)
+    return row.astype("<f8").tobytes() == raw[:1].tobytes()
 
 
 def cached_index(
@@ -190,17 +234,14 @@ def cached_index(
 ) -> EmbeddingIndex:
     """The index ``build_index`` would return, read from path when the
     file there was written under the same key and its first row checks
-    out, else built and written to path.
+    out, else built and written to path. The file holds the raw rows;
+    the matrix is normalized from them on every read.
     """
     key = index_key(spectra, cfg, weights)
     ordered = sorted(spectra, key=lambda s: s.id)
-    matrix = _read_index_matrix(path, key, len(ordered), cfg.d)
-    if matrix is not None and _first_row_matches(matrix, ordered, cfg, weights):
-        return EmbeddingIndex(
-            matrix=matrix,
-            spectrum_ids=[s.id for s in ordered],
-            structure_ids=[s.structure_id for s in ordered],
-        )
+    raw = _read_index_matrix(path, key, len(ordered), cfg.d)
+    if raw is not None and _first_row_matches(raw, ordered, cfg, weights):
+        return _assemble_index(raw, ordered)
     index = build_index(spectra, cfg, weights)
     # A per-process temporary name, so two runs sharing an out-dir never
     # write into one file; os.replace makes the finished file appear
@@ -209,7 +250,7 @@ def cached_index(
     try:
         with open(tmp, "wb") as fh:
             fh.write(INDEX_MAGIC + key)
-            fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(index.raw, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -272,15 +313,24 @@ def evaluate_search(
     threshold: float = DEFAULT_TANIMOTO_THRESHOLD,
     query_set: str = "",
     include_exact: bool = True,
+    *,
+    embeddings: np.ndarray | None = None,
 ) -> AccuracyReport:
     """Top-1 embedding retrieval accuracy, scored by summarize_hits.
 
     Exact accuracy is omitted (None) for query sets whose structures are
-    absent from the index by construction.
+    absent from the index by construction. ``embeddings`` are the
+    ``encode_many`` rows of ``queries``, for a caller that already has
+    them; by default the queries are encoded here.
     """
     if not queries:
         raise DataError("no query spectra to evaluate")
-    embeddings = encode_many(queries, cfg, weights)
+    if embeddings is None:
+        embeddings = encode_many(queries, cfg, weights)
+    elif len(embeddings) != len(queries):
+        raise DataError(
+            f"{len(embeddings)} query embeddings given for {len(queries)} queries"
+        )
     hits = []
     for query, emb in zip(queries, embeddings):
         hit_id, hit_structure, score = search_embedding(

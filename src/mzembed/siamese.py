@@ -4,6 +4,7 @@ cosine-vs-label loss, and the training loop."""
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,22 +179,16 @@ def siamese_loss(emb_a: Tensor, emb_b: Tensor, labels) -> Tensor:
     return (diff * diff).mean() if diff.ndim else diff * diff
 
 
-def _pair_mse(
-    pairs: list[PairSample],
-    by_id: dict[str, Spectrum],
-    cfg: EncoderConfig,
-    weights: ModelWeights,
-) -> float:
-    """Inference-mode pair MSE over all pairs; each distinct spectrum is
-    encoded once."""
+def _pair_mse(pairs: list[PairSample], rows: Mapping[str, np.ndarray]) -> float:
+    """Inference-mode pair MSE over all pairs, from each spectrum's
+    ``encode_many`` row keyed by spectrum id. The caller encodes each
+    spectrum once, or reads its row from the library index."""
     if not pairs:
         return float("nan")
-    row = {sid: i for i, sid in enumerate(dict.fromkeys(s for p in pairs for s in (p.a, p.b)))}
-    embs = encode_many([by_id[sid] for sid in row], cfg, weights)
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     loss = siamese_loss(
-        Tensor(embs[[row[p.a] for p in pairs]]),
-        Tensor(embs[[row[p.b] for p in pairs]]),
+        Tensor(np.stack([rows[p.a] for p in pairs])),
+        Tensor(np.stack([rows[p.b] for p in pairs])),
         labels,
     )
     return float(loss.data)
@@ -230,10 +225,9 @@ def train_siamese(
     params = weights.trainable()
     adam = make_optimizer(params, trn_cfg)
 
-    eval_pairs: dict[str, tuple[list[PairSample], dict[str, Spectrum]]] = {}
+    eval_pairs: dict[str, list[PairSample]] = {}
     for name in sorted(eval_sets):
         spectra = eval_sets[name]
-        eval_by_id = {s.id: s for s in spectra}
         structures = sorted(
             {s.structure_id for s in spectra if s.structure_id is not None}
         )
@@ -244,7 +238,13 @@ def train_siamese(
             molecules, spectra, set_bins, trn_cfg.eval_pairs,
             stream_rng(trn_cfg.seed, "eval", name),
         )
-        eval_pairs[name] = (pairs, eval_by_id)
+        eval_pairs[name] = pairs
+    # The distinct spectra of the logged held-out pairs, encoded together
+    # once per epoch.
+    logged = [eval_pairs.get(name, []) for name in ("known", "novel")]
+    held_by_id = {s.id: s for name in ("known", "novel") for s in eval_sets.get(name, [])}
+    held_ids = list(dict.fromkeys(sid for pairs in logged for p in pairs for sid in (p.a, p.b)))
+    held_spectra = [held_by_id[sid] for sid in held_ids]
 
     log = TrainLog(
         columns=("epoch", "train_mse", "known_mse", "novel_mse", "wall_time_s"),
@@ -278,15 +278,10 @@ def train_siamese(
             epoch_loss += float(loss.data) * half
         train_mse = epoch_loss / len(pairs) if pairs else float("nan")
 
-        held = {}
-        for name in ("known", "novel"):
-            if name in eval_pairs:
-                pairs_n, by_id_n = eval_pairs[name]
-                held[name] = _pair_mse(pairs_n, by_id_n, enc_cfg, weights)
-            else:
-                held[name] = float("nan")
+        rows = dict(zip(held_ids, encode_many(held_spectra, enc_cfg, weights)))
+        known_mse, novel_mse = (_pair_mse(pairs_n, rows) for pairs_n in logged)
         log.append(
-            epoch, train_mse, held["known"], held["novel"],
+            epoch, train_mse, known_mse, novel_mse,
             round(time.perf_counter() - started, 3),
         )
     return weights, log

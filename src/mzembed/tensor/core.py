@@ -103,9 +103,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         """Add the gradient of this scalar to the ``.grad`` of every
         requires_grad leaf it depends on, and consume the graph.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_dataset
-from mzembed.cli import Settings, main, run_config_text
+from mzembed.cli import Settings, main, read_config_file, run_config_text
 from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, load_mgf, serialize_mgf
 from mzembed.embed import PrecisionMode, normalize_intensities
 from mzembed.encoder import EncoderConfig, describe_config
@@ -524,6 +524,68 @@ class TestIndexCache:
         assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
         assert [(paths["out"] / name).read_bytes() for name in EVAL_OUTPUTS] == warm
         assert paths["index"].read_bytes() == cold[1]
+
+    def test_eval_encodes_each_spectrum_once(self, paths, monkeypatch):
+        import mzembed.encoder
+        import mzembed.search
+
+        encoded = []
+        real = mzembed.encoder.encode_many
+
+        def counting(spectra, *args, **kwargs):
+            encoded.append([s.id for s in spectra])
+            return real(spectra, *args, **kwargs)
+
+        monkeypatch.setattr(mzembed.encoder, "encode_many", counting)
+        monkeypatch.setattr(mzembed.search, "encode_many", counting)
+        manifest = (paths["out"] / "split_manifest.tsv").read_text().splitlines()[1:]
+        split = {}
+        for line in manifest:
+            spectrum_id, _, which = line.split("\t")
+            split.setdefault(which, []).append(spectrum_id)
+        library = sorted(split["train"])
+        held = sorted(split["known"]) + sorted(split["novel"])
+        assert len(split["known"]) == 4 and len(split["novel"]) > 0
+
+        # Cold: the library once for the index, the held-out spectra once.
+        paths["index"].unlink(missing_ok=True)
+        assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
+        assert encoded == [library, held]
+        cold = [(paths["out"] / name).read_bytes() for name in EVAL_OUTPUTS]
+
+        # Warm: the index check row and the held-out spectra.
+        encoded.clear()
+        assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
+        assert encoded == [library[:1], held]
+        assert [(paths["out"] / name).read_bytes() for name in EVAL_OUTPUTS] == cold
+
+    @pytest.mark.parametrize("layout", ["v1_file", "v1_key"])
+    def test_index_of_the_normalized_layout_is_rebuilt(self, paths, monkeypatch, layout):
+        # The /1 layout stored the normalized matrix under a key over the
+        # /1 magic. Neither that file nor its rows under the /2 magic is
+        # read: the key covers the magic.
+        import mzembed.search
+        from mzembed.cli import load_dataset, load_model, split_sets
+
+        results, index = self.cold_search(paths)
+        settings = Settings(
+            read_config_file(str(paths["config"])),
+            argparse.Namespace(out_dir=str(paths["out"]),
+                               fingerprints=str(paths["fingerprints"]),
+                               properties=str(paths["properties"])),
+        )
+        weights, _, cfg = load_model(settings, "siamese")
+        spectra, _, assignment = load_dataset(settings)
+        library = split_sets(spectra, assignment)[0]
+        v1_magic = b"MZEMBED-INDEX/1\n"
+        with monkeypatch.context() as patch:
+            patch.setattr(mzembed.search, "INDEX_MAGIC", v1_magic)
+            v1_key = mzembed.search.index_key(library, cfg, weights)
+        matrix = mzembed.search.build_index(library, cfg, weights).matrix
+        magic = v1_magic if layout == "v1_file" else INDEX_MAGIC
+        paths["index"].write_bytes(magic + v1_key + matrix.astype("<f8").tobytes())
+        assert self.search(paths) == results
+        assert paths["index"].read_bytes() == index
 
 
 class TestConfigHandling:

@@ -11,15 +11,24 @@ import pytest
 from conftest import toy_dataset, toy_molecule, toy_spectrum
 from mzembed.data import MoleculeRecord, Peak, Spectrum
 from mzembed.embed import BINARY16, normalize_intensities
-from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights, weights_from_named
+from mzembed.encoder import (
+    EncoderConfig,
+    encode_many,
+    encode_spectrum,
+    init_weights,
+    weights_from_named,
+)
 from mzembed.errors import DataError, NumericsError
 from mzembed.search import (
     AccuracyReport,
+    INDEX_MAGIC,
     EmbeddingIndex,
     build_index,
     cached_index,
+    cosine_hits,
     evaluate_search,
     index_key,
+    modified_cosine,
     search,
     search_embedding,
     top_k,
@@ -80,18 +89,25 @@ class TestIndex:
     def test_misaligned_ids_rejected(self):
         with pytest.raises(DataError):
             EmbeddingIndex(
-                matrix=np.eye(3), spectrum_ids=["a", "b"], structure_ids=[None, None, None]
+                matrix=np.eye(3), spectrum_ids=["a", "b"], structure_ids=[None, None, None],
+                raw=np.eye(3),
+            )
+        with pytest.raises(DataError):
+            EmbeddingIndex(
+                matrix=np.eye(3), spectrum_ids=["a", "b", "c"], structure_ids=[None] * 3,
+                raw=np.eye(2),
             )
 
 
 class TestRanking:
-    def make_index(self, matrix, prefix="s"):
-        matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    def make_index(self, raw, prefix="s"):
+        matrix = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         n = matrix.shape[0]
         return EmbeddingIndex(
             matrix=matrix,
             spectrum_ids=[f"{prefix}{i}" for i in range(n)],
             structure_ids=[f"m{i}" for i in range(n)],
+            raw=raw,
         )
 
     def test_matches_brute_force_cosine(self, rng):
@@ -121,6 +137,7 @@ class TestRanking:
             matrix=matrix,
             spectrum_ids=["s2", "s0", "s1"],
             structure_ids=["m", "m", "m"],
+            raw=matrix,
         )
         result = search_embedding(row, index, 3)
         assert [h[0] for h in result.hits] == ["s0", "s1", "s2"]
@@ -232,9 +249,14 @@ class TestCachedIndex:
         for _ in range(2):  # the cold write, then the read
             index = cached_index(path, library, cfg, weights)
             assert index.matrix.tobytes() == built.matrix.tobytes()
+            assert index.raw.tobytes() == built.raw.tobytes()
             assert (index.spectrum_ids, index.structure_ids) == (
                 built.spectrum_ids, built.structure_ids,
             )
+        # The file holds the raw encoder rows, not the normalized matrix.
+        assert path.read_bytes() == (
+            INDEX_MAGIC + index_key(library, cfg, weights) + built.raw.astype("<f8").tobytes()
+        )
 
     def test_failed_write_leaves_no_temporary_file(self, inputs, monkeypatch):
         path, library, cfg, weights = inputs
@@ -317,12 +339,55 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate_search([orphan], index, molecules, cfg, weights)
 
+    def test_given_embeddings_give_the_encoded_report(self, rng):
+        spectra, molecules = toy_dataset(n_structures=4, spectra_per=3, seed=9)
+        cfg, weights = small_model(seed=1)
+        index = build_index(spectra[::2], cfg, weights)
+        queries = spectra[1::2]
+        encoded = evaluate_search(queries, index, molecules, cfg, weights, query_set="known")
+        given = evaluate_search(
+            queries, index, molecules, cfg, weights, query_set="known",
+            embeddings=encode_many(queries, cfg, weights),
+        )
+        assert given == encoded
+
+    def test_embeddings_of_another_length_rejected(self, rng):
+        spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
+        cfg, weights = small_model(seed=2)
+        index = build_index(spectra, cfg, weights)
+        with pytest.raises(DataError, match="3 query embeddings given for 2 queries"):
+            evaluate_search(
+                spectra[:2], index, molecules, cfg, weights,
+                embeddings=encode_many(spectra[:3], cfg, weights),
+            )
+
     def test_empty_queries_rejected(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
         cfg, weights = small_model(seed=2)
         index = build_index(spectra, cfg, weights)
         with pytest.raises(DataError):
             evaluate_search([], index, molecules, cfg, weights)
+
+
+class TestCosineHits:
+    def test_best_pairwise_modified_cosine(self, rng):
+        spectra, _ = toy_dataset(n_structures=4, spectra_per=3, seed=9)
+        library, queries = spectra[1::2], spectra[::2]
+        hits = cosine_hits(queries, library[::-1], 0.1)
+        refs = sorted(library, key=lambda s: s.id)
+        ids = [r.id for r in refs]
+        assert [h[0] for h in hits] == queries
+        for query, (_, hit_id, hit_structure, score) in zip(queries, hits):
+            scores = [modified_cosine(query, r, 0.1) for r in refs]
+            best = top_k(scores, ids, 1)[0]
+            assert (hit_id, hit_structure, score) == (
+                ids[best], refs[best].structure_id, scores[best],
+            )
+
+    def test_nonpositive_tolerance_rejected(self, rng):
+        spectra, _ = toy_dataset(n_structures=2, spectra_per=2, seed=4)
+        with pytest.raises(NumericsError):
+            cosine_hits(spectra[:1], spectra, 0.0)
 
 
 class TestReports:

@@ -7,7 +7,7 @@ from scipy import stats
 
 from conftest import toy_dataset, toy_molecule
 from mzembed.data import MoleculeRecord
-from mzembed.encoder import EncoderConfig, encode_spectrum, init_weights
+from mzembed.encoder import EncoderConfig, encode_many, encode_spectrum, init_weights
 from mzembed.errors import ConfigError, DataError, DimensionError
 from mzembed.rng import stream_rng
 from mzembed.siamese import (
@@ -229,14 +229,12 @@ class TestPairMse:
             Tensor(np.stack([lone[p.b] for p in pairs])),
             np.array([p.label for p in pairs]),
         )
-        by_id = {s.id: s for s in spectra}
-        got = _pair_mse(pairs, by_id, cfg, weights)
+        rows = dict(zip((s.id for s in spectra), encode_many(spectra, cfg, weights)))
+        got = _pair_mse(pairs, rows)
         assert got == float(want.data)
 
     def test_no_pairs_is_nan(self):
-        cfg = EncoderConfig(d=8, layers=1, heads=1, inner_dim=8, dropout=0.0)
-        weights = init_weights(cfg, seed=1)
-        assert np.isnan(_pair_mse([], {}, cfg, weights))
+        assert np.isnan(_pair_mse([], {}))
 
 
 class TestTrainLoop:
@@ -269,6 +267,34 @@ class TestTrainLoop:
         for r1, r2 in zip(log1.rows, log2.rows):
             # Everything except wall time must reproduce; NaN slots match NaN.
             assert np.array_equal(r1[:4], r2[:4], equal_nan=True)
+
+    def test_held_out_mse_takes_one_encode_per_epoch(self, monkeypatch):
+        import mzembed.siamese
+
+        spectra, molecules, enc, trn = self.small_setup()
+        known, novel = spectra[:3], spectra[3:]
+        real = mzembed.siamese.encode_many
+        calls = []
+
+        def counting(batch, *args, **kwargs):
+            calls.append([s.id for s in batch])
+            return real(batch, *args, **kwargs)
+
+        monkeypatch.setattr(mzembed.siamese, "encode_many", counting)
+        weights, log = train_siamese(
+            spectra, molecules, trn, enc, eval_sets={"known": known, "novel": novel}
+        )
+        assert len(calls) == trn.epochs
+        assert all(len(set(ids)) == len(ids) for ids in calls)
+        # The last epoch's values equal a separate encode of each set.
+        for name, held, column in (("known", known, 2), ("novel", novel, 3)):
+            structures = sorted({s.structure_id for s in held})
+            bins = build_similarity_bins(molecules, structures, seed=trn.seed)
+            pairs = sample_uniform_pairs(
+                molecules, held, bins, trn.eval_pairs, stream_rng(trn.seed, "eval", name)
+            )
+            rows = dict(zip((s.id for s in held), real(held, enc, weights)))
+            assert log.rows[-1][column] == _pair_mse(pairs, rows)
 
     def test_loss_moves(self):
         spectra, molecules, enc, trn = self.small_setup()

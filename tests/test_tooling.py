@@ -43,3 +43,16 @@ def test_encode_span_arguments():
     assert params[1].annotation in (EncoderConfig, "EncoderConfig")
     mode = inspect.signature(encode_batch).parameters["mode"]
     assert mode.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_pair_mse_span_arguments():
+    # The pair-MSE span counts the pairs it finds in the first positional
+    # argument.
+    from mzembed.siamese import PairSample, _pair_mse
+
+    params = list(inspect.signature(_pair_mse).parameters.values())
+    assert params[0].name == "pairs"
+    assert params[0].annotation in (list[PairSample], "list[PairSample]")
+    pairs = [PairSample("a", "b", 0.5), PairSample("a", "c", 0.25)]
+    counts = load_traced_cli()._pair_mse_counts((pairs, {}), {}, 0.0)
+    assert counts == {"n": 4, "unique": 3}
