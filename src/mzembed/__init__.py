@@ -19,6 +19,7 @@ _EXPORTS = {
     "embed": "mzembed.embed",
     "encoder": "mzembed.encoder",
     "kernels": "mzembed.kernels",
+    "outputs": "mzembed.outputs",
     "search": "mzembed.search",
     "siamese": "mzembed.siamese",
     "training": "mzembed.training",

@@ -1,9 +1,11 @@
 """Command line entry points: prepare, train, eval, search, predict,
 export-embeddings.
 
-Heavy imports happen inside the command handlers so that --threads can
-pin the BLAS thread pools through environment variables before numpy
-initializes them.
+SETTINGS declares every key a flag or the config file can give, once:
+its parser, its range check, and the EncoderConfig or TrainConfig field
+it fills. Heavy imports happen inside the command handlers so that the
+threads setting can pin the BLAS thread pools through environment
+variables before numpy initializes them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
+
+from .errors import CheckpointError, ConfigError, DataError, MzembedError, ParseError
+from .outputs import publish
 
 SCHEMA_VERSION = "1"
 
@@ -19,12 +26,98 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-# ----------------------------------------------------------------- config
+# --------------------------------------------------------------- settings
+
+
+@dataclass(frozen=True)
+class Key:
+    """One setting: ``parse`` turns its text into a value that must be one
+    of ``choices`` and pass ``check``, a (predicate, requirement) pair. A
+    key that fills an EncoderConfig ("encoder.<name>") or TrainConfig
+    ("train.<name>") field takes its default and range check from there."""
+
+    help: str
+    parse: Callable[[str], object] = str
+    check: tuple[Callable[[object], bool], str] | None = None
+    choices: tuple[str, ...] | None = None
+    field: str | None = None
+    default: object = None
+
+
+POSITIVE = (lambda v: v > 0, "must be positive")
+AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+FRACTION = (lambda v: 0 <= v <= 1, "must be in [0, 1]")
+MODES = ("siamese", "properties", "properties-baseline")
+
+SETTINGS: dict[str, Key] = {
+    "schema_version": Key("config file format; read_config_file checks it"),
+    # Inputs and outputs.
+    "out-dir": Key("output directory"),
+    "spectra": Key("input MGF file"),
+    "fingerprints": Key("fingerprint TSV"),
+    "properties": Key("property TSV"),
+    "queries": Key("query MGF file"),
+    "checkpoint": Key("checkpoint path"),
+    "train-log": Key("training log path"),
+    # The run.
+    "mode": Key("training/evaluation mode", choices=MODES, default="siamese"),
+    "threads": Key("BLAS thread cap", int, AT_LEAST_ONE),
+    "n-novel": Key("novel structures", int, default=0),
+    "n-known": Key("known spectra", int, default=0),
+    "k": Key("hits per query", int, AT_LEAST_ONE, default=5),
+    "threshold": Key("Tanimoto threshold of an approximate match", float, FRACTION),
+    "tolerance": Key("modified-cosine m/z tolerance", float, POSITIVE),
+    "bin-width": Key("properties-baseline m/z bin width", float, POSITIVE),
+    "grid-start": Key("first grid m/z", float, default=0.0),
+    "grid-step": Key("grid step in Daltons", float, POSITIVE, default=0.02),
+    "grid-count": Key("grid row count", int, AT_LEAST_ONE, default=50_000),
+    # The model: EncoderConfig.
+    "d": Key("model width", int, field="encoder.d"),
+    "layers": Key("encoder layers", int, field="encoder.layers"),
+    "heads": Key("attention heads", int, field="encoder.heads"),
+    "inner-dim": Key("feed-forward hidden width", int, field="encoder.inner_dim"),
+    "dropout": Key("dropout rate", float, field="encoder.dropout"),
+    "embedding": Key("peak embedding kind", choices=("sin", "token"), field="encoder.kind"),
+    "max-fragments": Key("fragments kept per spectrum", int, field="encoder.max_fragments"),
+    "lambda-min": Key("shortest sinusoid wavelength", float, field="encoder.lambda_min"),
+    "lambda-max": Key("longest sinusoid wavelength", float, field="encoder.lambda_max"),
+    "resolution": Key("token m/z resolution", float, field="encoder.resolution"),
+    "max-mz": Key("top m/z of the token vocabulary and baseline bins", float, field="encoder.max_mz"),
+    "precision": Key("m/z input precision: 16, 32 or 64 (:full emulates every op)",
+                     field="encoder.precision"),
+    # The optimization: TrainConfig.
+    "seed": Key("random seed", int, field="train.seed"),
+    "epochs": Key("training epochs", int, field="train.epochs"),
+    "batch-size": Key("pairs or spectra per step", int, field="train.batch_size"),
+    "lr": Key("Adam learning rate", float, field="train.lr"),
+    "beta1": Key("Adam beta1", float, field="train.beta1"),
+    "beta2": Key("Adam beta2", float, field="train.beta2"),
+    "weight-decay": Key("decoupled weight decay", float, field="train.weight_decay"),
+    "clip": Key("gradient norm clip", float, field="train.clip"),
+    "pairs-per-epoch": Key("training pairs per epoch", int, field="train.pairs_per_epoch"),
+    "eval-pairs": Key("held-out pairs per split", int, field="train.eval_pairs"),
+}
+
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def parse_setting(key: str, text: str):
+    """The value of one setting, parsed and range-checked."""
+    spec = SETTINGS.get(key)
+    if spec is None:
+        raise ConfigError(f"unknown setting {key!r}")
+    try:
+        value = spec.parse(text)
+    except ValueError:
+        raise ConfigError(f"setting {key!r} must be {_KINDS[spec.parse]}, got {text!r}") from None
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(f"setting {key!r} must be one of {'/'.join(spec.choices)}, got {text!r}")
+    if spec.check and not spec.check[0](value):
+        raise ConfigError(f"setting {key!r} {spec.check[1]}, got {text!r}")
+    return value
 
 
 def read_config_file(path) -> dict[str, str]:
-    from .errors import ConfigError
-
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict[str, str] = {}
@@ -37,6 +130,8 @@ def read_config_file(path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip()
+            if key not in SETTINGS:
+                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
             values[key] = value.strip()
@@ -49,47 +144,27 @@ def read_config_file(path) -> dict[str, str]:
 
 
 class Settings:
-    """Merged view of config-file values and command line overrides."""
+    """Config-file values overridden by command line flags, each parsed
+    and range-checked by its SETTINGS entry."""
 
     def __init__(self, file_values: dict[str, str], args: argparse.Namespace):
-        self.values = dict(file_values)
-        for key, value in vars(args).items():
-            if key in ("func", "config", "threads") or value is None:
-                continue
-            self.values[key.replace("_", "-")] = str(value)
+        merged = dict(file_values)
+        for name, value in vars(args).items():
+            if name not in ("func", "command", "config") and value is not None:
+                merged[name.replace("_", "-")] = str(value)
+        self.values = {key: parse_setting(key, text) for key, text in merged.items()}
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
+    def get(self, key: str, default=None):
+        """The key's value; when unset, ``default`` or else the table's."""
+        if key in self.values:
+            return self.values[key]
+        return SETTINGS[key].default if default is None else default
 
     def require(self, key: str) -> str:
-        from .errors import ConfigError
-
-        value = self.values.get(key)
+        value = self.get(key)
         if value is None:
             raise ConfigError(f"missing required setting {key!r}")
         return value
-
-    def get_int(self, key: str, default: int) -> int:
-        from .errors import ConfigError
-
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"setting {key!r} must be an integer, got {raw!r}") from None
-
-    def get_float(self, key: str, default: float) -> float:
-        from .errors import ConfigError
-
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"setting {key!r} must be a number, got {raw!r}") from None
 
     def require_path(self, key: str) -> str:
         path = self.require(key)
@@ -97,15 +172,13 @@ class Settings:
             raise FileNotFoundError(f"{key}: no such file: {path}")
         return path
 
+    def fields(self, config: str) -> dict[str, object]:
+        """The set values of ``config``'s ("encoder" or "train") fields, by name."""
+        field = {key: (SETTINGS[key].field or "").partition(".") for key in self.values}
+        return {field[k][2]: v for k, v in self.values.items() if field[k][0] == config}
+
 
 # ----------------------------------------------------------- file helpers
-
-
-def atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
 
 
 def out_path(settings: Settings, name: str) -> str:
@@ -123,50 +196,34 @@ def checkpoint_path(settings: Settings, mode: str) -> str:
 
 
 def build_configs(settings: Settings):
-    """EncoderConfig (the model) and TrainConfig (the optimization)."""
-    from .embed import LAMBDA_MAX_DEFAULT, LAMBDA_MIN_DEFAULT, PrecisionMode
+    """EncoderConfig (the model) and TrainConfig (the optimization), from
+    the keys that are set; every other field keeps its dataclass default."""
+    from .embed import PrecisionMode
     from .encoder import EncoderConfig
     from .training import TrainConfig
 
-    d = settings.get_int("d", 512)
-    enc_cfg = EncoderConfig(
-        d=d,
-        layers=settings.get_int("layers", 6),
-        heads=settings.get_int("heads", 32),
-        inner_dim=settings.get_int("inner-dim", d),
-        dropout=settings.get_float("dropout", 0.1),
-        kind=settings.get("embedding", "sin"),
-        max_fragments=settings.get_int("max-fragments", 512),
-        lambda_min=settings.get_float("lambda-min", LAMBDA_MIN_DEFAULT),
-        lambda_max=settings.get_float("lambda-max", LAMBDA_MAX_DEFAULT),
-        resolution=settings.get_float("resolution", 0.1),
-        max_mz=settings.get_float("max-mz", 2000.0),
-        precision=PrecisionMode.from_string(settings.get("precision", "64")),
-    )
-    trn_cfg = TrainConfig(
-        epochs=settings.get_int("epochs", 50),
-        batch_size=settings.get_int("batch-size", 64),
-        lr=settings.get_float("lr", 5.0e-5),
-        beta1=settings.get_float("beta1", 0.9),
-        beta2=settings.get_float("beta2", 0.999),
-        weight_decay=settings.get_float("weight-decay", 0.1),
-        clip=settings.get_float("clip", 0.5),
-        seed=settings.get_int("seed", 0),
-        pairs_per_epoch=settings.get_int("pairs-per-epoch", 1024),
-        eval_pairs=settings.get_int("eval-pairs", 10_000),
-    )
-    return enc_cfg, trn_cfg
+    encoder = settings.fields("encoder")
+    if "precision" in encoder:
+        encoder["precision"] = PrecisionMode.from_string(encoder["precision"])
+    return EncoderConfig(**encoder), TrainConfig(**settings.fields("train"))
+
+
+def baseline_bins(settings: Settings, enc_cfg) -> tuple[float, float]:
+    """The properties baseline's bin width and top bin edge (max-mz)."""
+    from .properties import DEFAULT_BIN_WIDTH
+
+    return settings.get("bin-width", DEFAULT_BIN_WIDTH), enc_cfg.max_mz
 
 
 def run_config_text(settings: Settings, mode: str) -> str:
     """The digest-protected configuration record for checkpoints."""
     from .encoder import describe_config
 
-    text = describe_config(build_configs(settings)[0])
-    text += f"mode={mode}\n"
+    enc_cfg = build_configs(settings)[0]
+    text = describe_config(enc_cfg) + f"mode={mode}\n"
     if mode == "properties-baseline":
-        text += f"bin_width={settings.get_float('bin-width', 0.1)!r}\n"
-        text += f"bin_max_mz={settings.get_float('max-mz', 2000.0)!r}\n"
+        bin_width, bin_max_mz = baseline_bins(settings, enc_cfg)
+        text += f"bin_width={bin_width!r}\nbin_max_mz={bin_max_mz!r}\n"
     return text
 
 
@@ -187,6 +244,16 @@ def load_dataset(settings: Settings):
     )
     assignment = read_manifest(manifest, spectra)
     return spectra, molecules, assignment
+
+
+def load_queries(settings: Settings):
+    """The query spectra, intensity-normalized, in id order."""
+    from .data import load_mgf
+    from .embed import normalize_intensities
+
+    queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
+    queries.sort(key=lambda s: s.id)
+    return queries
 
 
 def split_sets(spectra, assignment):
@@ -224,12 +291,9 @@ def load_model(settings: Settings, mode: str):
             std=params.pop("scaler.std").astype(np.float64),
         )
     if mode == "properties-baseline":
-        model = BaselineParams(
-            **{
-                name: Tensor(params.pop(f"baseline.{name}"))
-                for name in ("w1", "b1", "w2", "b2", "w3", "b3")
-            }
-        ).for_inference()
+        names = ("w1", "b1", "w2", "b2", "w3", "b3")
+        model = BaselineParams(**{n: Tensor(params.pop(f"baseline.{n}")) for n in names})
+        model = model.for_inference()
     else:
         model = weights_from_named(params, enc_cfg).for_inference()
     return model, scaler, enc_cfg
@@ -238,37 +302,29 @@ def load_model(settings: Settings, mode: str):
 # ------------------------------------------------------------- commands
 
 
-def cmd_prepare(args) -> int:
+def cmd_prepare(settings: Settings) -> int:
     from .data import clean_spectra, load_mgf, load_molecules, make_split
     from .data import serialize_mgf, validate_coverage, write_manifest, write_rejection_log
 
-    settings = Settings(read_config_file(args.config) if args.config else {}, args)
+    seed = build_configs(settings)[1].seed
     spectra = load_mgf(settings.require_path("spectra"))
     molecules = load_molecules(
         settings.require_path("fingerprints"), settings.require_path("properties")
     )
     kept, rejected = clean_spectra(spectra)
     if not kept:
-        from .errors import DataError
-
         raise DataError("no spectra survive cleaning")
     validate_coverage(kept, molecules)
     assignment = make_split(
-        kept,
-        n_novel=settings.get_int("n-novel", 0),
-        n_known=settings.get_int("n-known", 0),
-        seed=settings.get_int("seed", 0),
+        kept, n_novel=settings.get("n-novel"), n_known=settings.get("n-known"), seed=seed
     )
 
-    atomic_write_text(out_path(settings, "cleaned.mgf"), serialize_mgf(kept))
-    manifest = out_path(settings, "split_manifest.tsv")
-    tmp = manifest + ".tmp"
-    write_manifest(tmp, kept, assignment)
-    os.replace(tmp, manifest)
-    rejections = out_path(settings, "rejections.tsv")
-    tmp = rejections + ".tmp"
-    write_rejection_log(tmp, rejected)
-    os.replace(tmp, rejections)
+    publish(out_path(settings, "cleaned.mgf"), serialize_mgf(kept))
+    publish(
+        out_path(settings, "split_manifest.tsv"),
+        lambda tmp: write_manifest(tmp, kept, assignment),
+    )
+    publish(out_path(settings, "rejections.tsv"), lambda tmp: write_rejection_log(tmp, rejected))
 
     audit_lines = ["structure_id\tn_train\tn_known\tn_novel"]
     counts: dict[str, list[int]] = {}
@@ -280,7 +336,7 @@ def cmd_prepare(args) -> int:
     for sid in sorted(counts):
         row = counts[sid]
         audit_lines.append(f"{sid}\t{row[0]}\t{row[1]}\t{row[2]}")
-    atomic_write_text(out_path(settings, "label_audit.tsv"), "\n".join(audit_lines) + "\n")
+    publish(out_path(settings, "label_audit.tsv"), "\n".join(audit_lines) + "\n")
 
     print(
         f"prepared {len(kept)} spectra ({len(rejected)} rejected), "
@@ -290,20 +346,9 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _train_mode(settings: Settings, default: str = "siamese") -> str:
-    from .errors import ConfigError
-
-    mode = settings.get("mode", default)
-    if mode not in ("siamese", "properties", "properties-baseline"):
-        raise ConfigError(f"mode must be siamese/properties/properties-baseline, got {mode!r}")
-    return mode
-
-
 def _encoder_mode(settings: Settings) -> str:
     """The train mode of a command that needs the m/z embedding."""
-    from .errors import ConfigError
-
-    mode = _train_mode(settings)
+    mode = settings.get("mode")
     if mode == "properties-baseline":
         raise ConfigError(
             "the properties-baseline model has no m/z embedding; "
@@ -312,53 +357,45 @@ def _encoder_mode(settings: Settings) -> str:
     return mode
 
 
-def cmd_train(args) -> int:
+def cmd_train(settings: Settings) -> int:
     import numpy as np
 
     from .properties import train_properties
     from .siamese import train_siamese
-    from .tensor import Tensor, save_checkpoint
+    from .tensor import save_checkpoint
 
-    settings = Settings(read_config_file(args.config) if args.config else {}, args)
-    mode = _train_mode(settings)
+    mode = settings.get("mode")
     enc_cfg, trn_cfg = build_configs(settings)
     spectra, molecules, assignment = load_dataset(settings)
     train, known, novel = split_sets(spectra, assignment)
-    eval_sets = {}
-    if known:
-        eval_sets["known"] = known
-    if novel:
-        eval_sets["novel"] = novel
+    eval_sets = {name: part for name, part in (("known", known), ("novel", novel)) if part}
 
     config_text = run_config_text(settings, mode)
     if mode == "siamese":
         weights, log = train_siamese(train, molecules, trn_cfg, enc_cfg, eval_sets=eval_sets)
         named = {k: v.data for k, v in weights.named().items()}
     else:
+        bin_width, bin_max_mz = baseline_bins(settings, enc_cfg)
         model, scaler, _report, log = train_properties(
             train, molecules, trn_cfg, enc_cfg, eval_sets=eval_sets,
             baseline=(mode == "properties-baseline"),
-            bin_width=settings.get_float("bin-width", 0.1),
-            bin_max_mz=settings.get_float("max-mz", 2000.0),
+            bin_width=bin_width, bin_max_mz=bin_max_mz,
         )
         named = {k: v.data for k, v in model.named().items()}
         named["scaler.mean"] = scaler.mean.astype(np.float32)
         named["scaler.std"] = scaler.std.astype(np.float32)
 
     ckpt = checkpoint_path(settings, mode)
-    tmp = ckpt + ".tmp"
-    save_checkpoint(tmp, named, config_text)
-    os.replace(tmp, ckpt)
-    atomic_write_text(ckpt + ".config", config_text)
+    publish(ckpt, lambda tmp: save_checkpoint(tmp, named, config_text))
+    publish(ckpt + ".config", config_text)
     log_path = settings.get("train-log") or out_path(settings, f"train_log_{mode}.tsv")
-    atomic_write_text(log_path, log.serialize())
+    publish(log_path, log.serialize())
     print(f"wrote {ckpt} and {log_path}")
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    settings = Settings(read_config_file(args.config) if args.config else {}, args)
-    mode = _train_mode(settings)
+def cmd_eval(settings: Settings) -> int:
+    mode = settings.get("mode")
     spectra, molecules, assignment = load_dataset(settings)
     train, known, novel = split_sets(spectra, assignment)
     model, scaler, enc_cfg = load_model(settings, mode)
@@ -370,20 +407,13 @@ def cmd_eval(args) -> int:
 
 def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) -> int:
     from .encoder import encode_many
-    from .search import (
-        cached_index,
-        cosine_hits,
-        evaluate_search,
-        summarize_hits,
-        write_accuracy_report,
-        write_search_audit,
-    )
-    from .siamese import _pair_mse, build_similarity_bins, sample_uniform_pairs
-    from .rng import stream_rng
+    from .search import DEFAULT_TANIMOTO_THRESHOLD, DEFAULT_TOLERANCE, cached_index, cosine_hits
+    from .search import evaluate_search, summarize_hits, write_accuracy_report, write_search_audit
+    from .siamese import _pair_mse, eval_pair_sample
 
     trn_cfg = build_configs(settings)[1]
-    threshold = settings.get_float("threshold", 0.6)
-    tolerance = settings.get_float("tolerance", 0.1)
+    threshold = settings.get("threshold", DEFAULT_TANIMOTO_THRESHOLD)
+    tolerance = settings.get("tolerance", DEFAULT_TOLERANCE)
 
     # Each spectrum is encoded at most once: the training library's rows
     # come from its index, the held-out spectra share one encode, and
@@ -399,15 +429,10 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
     for name, spectra in (("train", train), ("known", known), ("novel", novel)):
         if not spectra:
             continue
-        structures = sorted({s.structure_id for s in spectra if s.structure_id})
-        bins = build_similarity_bins(molecules, structures, seed=trn_cfg.seed)
-        pairs = sample_uniform_pairs(
-            molecules, spectra, bins, trn_cfg.eval_pairs,
-            stream_rng(trn_cfg.seed, "eval", name),
-        )
+        pairs = eval_pair_sample(name, spectra, molecules, trn_cfg)
         mse = _pair_mse(pairs, rows)
         mse_lines.append(f"{name}\t{mse:.6f}\t{len(pairs)}")
-    atomic_write_text(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
+    publish(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
 
     # Embedding retrieval and the modified-cosine baseline, both against
     # the training reference library.
@@ -432,17 +457,13 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
         summarize_hits(hits[part], molecules, threshold, name, include_exact)
         for name, include_exact, part in sets
     ]
-
-    def write_reports(accuracy_name, audit_name, rows):
-        for filename, write in (
-            (accuracy_name, write_accuracy_report), (audit_name, write_search_audit)
-        ):
-            path = out_path(settings, filename)
-            write(path + ".tmp", rows)
-            os.replace(path + ".tmp", path)
-
-    write_reports("search_accuracy.tsv", "search_audit.tsv", reports)
-    write_reports("cosine_accuracy.tsv", "cosine_audit.tsv", cosine_reports)
+    for filename, write, rows in (
+        ("search_accuracy.tsv", write_accuracy_report, reports),
+        ("search_audit.tsv", write_search_audit, reports),
+        ("cosine_accuracy.tsv", write_accuracy_report, cosine_reports),
+        ("cosine_audit.tsv", write_search_audit, cosine_reports),
+    ):
+        publish(out_path(settings, filename), lambda tmp: write(tmp, rows))
     print("wrote pair_mse.tsv, search_accuracy.tsv, search_audit.tsv, cosine_accuracy.tsv")
     return EXIT_OK
 
@@ -450,15 +471,13 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
 def _property_predictor(settings, mode, model, scaler, enc_cfg):
     """Natural-unit property predictions from a loaded checkpoint: the
     binned baseline's forward pass, or the encoder and its head."""
-    from .errors import CheckpointError
     from .properties import predict_baseline, predict_properties_batch
 
     if scaler is None:
         raise CheckpointError("checkpoint carries no label scaler; retrain")
     if mode == "properties-baseline":
-        bin_width = settings.get_float("bin-width", 0.1)
-        bin_max = settings.get_float("max-mz", 2000.0)
-        return lambda spectra: predict_baseline(spectra, model, scaler, bin_width, bin_max)
+        bin_width, bin_max_mz = baseline_bins(settings, enc_cfg)
+        return lambda spectra: predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
     return lambda spectra: predict_properties_batch(spectra, enc_cfg, model, scaler)
 
 
@@ -466,33 +485,25 @@ def _eval_properties(settings, mode, known, novel, molecules, model, scaler, enc
     from .properties import evaluate_properties
 
     predict_fn = _property_predictor(settings, mode, model, scaler, enc_cfg)
-    eval_sets = {}
-    if known:
-        eval_sets["known"] = known
-    if novel:
-        eval_sets["novel"] = novel
+    eval_sets = {name: part for name, part in (("known", known), ("novel", novel)) if part}
     report = evaluate_properties(eval_sets, molecules, predict_fn)
     path = out_path(settings, f"property_report_{mode}.tsv")
-    atomic_write_text(path, report.serialize())
+    publish(path, report.serialize())
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    from .data import load_mgf
-    from .embed import normalize_intensities
+def cmd_search(settings: Settings) -> int:
     from .encoder import encode_many
     from .search import cached_index, search_embedding
 
-    settings = Settings(read_config_file(args.config) if args.config else {}, args)
     mode = _encoder_mode(settings)
     model, _scaler, enc_cfg = load_model(settings, mode)
     spectra, _molecules, assignment = load_dataset(settings)
     train, _, _ = split_sets(spectra, assignment)
 
-    queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
-    queries.sort(key=lambda s: s.id)
-    k = settings.get_int("k", 5)
+    queries = load_queries(settings)
+    k = settings.get("k")
     index = cached_index(out_path(settings, f"index_{mode}.bin"), train, enc_cfg, model)
     embeddings = encode_many(queries, enc_cfg, model)
     lines = ["query_id\trank\thit_id\thit_structure\tscore"]
@@ -503,44 +514,38 @@ def cmd_search(args) -> int:
                 f"{query.id}\t{rank}\t{hit_id}\t{hit_structure or ''}\t{score:.6f}"
             )
     path = out_path(settings, "search_results.tsv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    publish(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    from .data import PROPERTY_NAMES, load_mgf
-    from .embed import normalize_intensities
+def cmd_predict(settings: Settings) -> int:
+    from .data import PROPERTY_NAMES
 
-    settings = Settings(read_config_file(args.config) if args.config else {}, args)
-    mode = _train_mode(settings, "properties")
+    mode = settings.get("mode", "properties")
     predict_fn = _property_predictor(settings, mode, *load_model(settings, mode))
-    queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
-    queries.sort(key=lambda s: s.id)
+    queries = load_queries(settings)
     preds = predict_fn(queries)
     lines = ["spectrum_id\t" + "\t".join(PROPERTY_NAMES)]
     for s, row in zip(queries, preds):
         lines.append(s.id + "\t" + "\t".join(f"{v:.6f}" for v in row))
     path = out_path(settings, "predictions.tsv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    publish(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_export_embeddings(args) -> int:
+def cmd_export_embeddings(settings: Settings) -> int:
     import numpy as np
 
     from .embed import fractional_mz, sinusoidal_embed, tokenize_mz
     from .tensor import Tensor, feed_forward, no_grad
 
-    settings = Settings(read_config_file(args.config) if args.config else {}, args)
     mode = _encoder_mode(settings)
     model, _scaler, enc_cfg = load_model(settings, mode)
 
-    start = settings.get_float("grid-start", 0.0)
-    step = settings.get_float("grid-step", 0.02)
-    count = settings.get_int("grid-count", 50_000)
-    grid = start + np.arange(count, dtype=np.float64) * step
+    count = settings.get("grid-count")
+    grid = settings.get("grid-start") + np.arange(count, dtype=np.float64) * settings.get("grid-step")
 
     if enc_cfg.kind == "sin":
         with no_grad():
@@ -562,103 +567,54 @@ def cmd_export_embeddings(args) -> int:
     for mz, fr, row in zip(grid.tolist(), frac.tolist(), emb):
         lines.append(line_format % (mz, fr, precision, *row.tolist()))
     path = out_path(settings, "embedding_export.tsv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    publish(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({grid.shape[0]} rows)")
     return EXIT_OK
 
 
 # --------------------------------------------------------------- parser
 
+COMMON_FLAGS = ("seed", "threads", "out-dir", "precision", "embedding", "mode")
+LABELS = ("fingerprints", "properties")
+COMMANDS = {  # name: (handler, help, flags besides COMMON_FLAGS)
+    "prepare": (cmd_prepare, "clean spectra, build splits", ("spectra", *LABELS, "n-novel", "n-known")),
+    "train": (cmd_train, "train a model", (*LABELS, "epochs", "checkpoint")),
+    "eval": (cmd_eval, "evaluate a trained model", (*LABELS, "checkpoint")),
+    "search": (cmd_search, "library search for query spectra", (*LABELS, "checkpoint", "queries", "k")),
+    "predict": (cmd_predict, "predict properties for query spectra", (*LABELS, "checkpoint", "queries")),
+    "export-embeddings": (
+        cmd_export_embeddings, "write the m/z embedding grid", ("checkpoint", "grid-step", "grid-count")
+    ),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per COMMANDS entry. Flag values stay text: Settings
+    parses them together with the config file's."""
     parser = argparse.ArgumentParser(
         prog="mzembed",
         description="Spectrum embedding models for tandem mass spectrometry",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file (schema_version=1)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--threads", type=int, help="BLAS thread cap")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        p.add_argument(
-            "--precision", choices=("16", "32", "64"), help="m/z input precision"
-        )
-        p.add_argument("--embedding", choices=("sin", "token"), help="peak embedding kind")
-        p.add_argument(
-            "--mode",
-            choices=("siamese", "properties", "properties-baseline"),
-            help="training/evaluation mode",
-        )
-
-    p = sub.add_parser("prepare", help="clean spectra, build splits")
-    common(p)
-    p.add_argument("--spectra", help="input MGF file")
-    p.add_argument("--fingerprints", help="fingerprint TSV")
-    p.add_argument("--properties", help="property TSV")
-    p.add_argument("--n-novel", dest="n_novel", type=int, help="novel structures")
-    p.add_argument("--n-known", dest="n_known", type=int, help="known spectra")
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("train", help="train a model")
-    common(p)
-    p.add_argument("--fingerprints", help="fingerprint TSV")
-    p.add_argument("--properties", help="property TSV")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--checkpoint", help="checkpoint output path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a trained model")
-    common(p)
-    p.add_argument("--fingerprints", help="fingerprint TSV")
-    p.add_argument("--properties", help="property TSV")
-    p.add_argument("--checkpoint", help="checkpoint path")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("search", help="library search for query spectra")
-    common(p)
-    p.add_argument("--fingerprints", help="fingerprint TSV")
-    p.add_argument("--properties", help="property TSV")
-    p.add_argument("--checkpoint", help="checkpoint path")
-    p.add_argument("--queries", help="query MGF file")
-    p.add_argument("--k", type=int, help="hits per query")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("predict", help="predict properties for query spectra")
-    common(p)
-    p.add_argument("--fingerprints", help="fingerprint TSV")
-    p.add_argument("--properties", help="property TSV")
-    p.add_argument("--checkpoint", help="checkpoint path")
-    p.add_argument("--queries", help="query MGF file")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("export-embeddings", help="write the m/z embedding grid")
-    common(p)
-    p.add_argument("--checkpoint", help="checkpoint path")
-    p.add_argument("--grid-step", dest="grid_step", type=float, help="grid step in Daltons")
-    p.add_argument("--grid-count", dest="grid_count", type=int, help="grid row count")
-    p.set_defaults(func=cmd_export_embeddings)
-
+        for key in COMMON_FLAGS + flags:
+            p.add_argument(f"--{key}", choices=SETTINGS[key].choices, help=SETTINGS[key].help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
-    from .errors import (
-        CheckpointError,
-        ConfigError,
-        DataError,
-        MzembedError,
-        ParseError,
-    )
-
     try:
-        return args.func(args)
+        settings = Settings(read_config_file(args.config) if args.config else {}, args)
+        # Before any command imports numpy, which reads these once.
+        threads = settings.get("threads")
+        if threads is not None:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(threads)
+        return args.func(settings)
     except (ConfigError, ParseError, DataError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,6 +32,7 @@ from .tensor import (
 from .training import TrainConfig, TrainLog, apply_step, make_optimizer
 
 N_PROPERTIES = len(PROPERTY_NAMES)
+DEFAULT_BIN_WIDTH = 0.1  # m/z bin width of the baseline's binned spectra
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def predict_baseline(
     spectra: list[Spectrum],
     params: BaselineParams,
     scaler: LabelScaler,
-    bin_width: float = 0.1,
+    bin_width: float = DEFAULT_BIN_WIDTH,
     bin_max_mz: float = 2000.0,
 ) -> np.ndarray:
     """Baseline property predictions in natural units from binned spectra."""
@@ -245,7 +246,7 @@ def train_properties(
     enc_cfg: EncoderConfig,
     eval_sets: dict[str, list[Spectrum]] | None = None,
     baseline: bool = False,
-    bin_width: float = 0.1,
+    bin_width: float = DEFAULT_BIN_WIDTH,
     bin_max_mz: float = 2000.0,
 ):
     """Train the property model (or the binned baseline) and evaluate.

@@ -24,7 +24,6 @@ computes differently.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import struct
@@ -43,6 +42,7 @@ from .encoder import (
 )
 from .errors import DataError, NumericsError
 from .kernels import score_modified_cosine
+from .outputs import publish
 from .siamese import tanimoto
 from .tensor import no_grad
 
@@ -243,19 +243,13 @@ def cached_index(
     if raw is not None and _first_row_matches(raw, ordered, cfg, weights):
         return _assemble_index(raw, ordered)
     index = build_index(spectra, cfg, weights)
-    # A per-process temporary name, so two runs sharing an out-dir never
-    # write into one file; os.replace makes the finished file appear
-    # whole. No later run reuses the name, so a failed write removes it.
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
+
+    def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write(INDEX_MAGIC + key)
             fh.write(np.ascontiguousarray(index.raw, dtype="<f8").data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+
+    publish(path, write)
     return index
 
 

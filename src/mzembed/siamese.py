@@ -194,6 +194,21 @@ def _pair_mse(pairs: list[PairSample], rows: Mapping[str, np.ndarray]) -> float:
     return float(loss.data)
 
 
+def eval_pair_sample(
+    name: str, spectra: list[Spectrum], molecules: dict[str, MoleculeRecord], trn_cfg: TrainConfig
+) -> list[PairSample]:
+    """The fixed pair sample whose MSE is reported for split ``name``:
+    ``eval_pairs`` pairs over the split's own similarity bins, drawn from
+    the split's evaluation stream, so training logs and ``eval`` agree."""
+    structures = sorted({s.structure_id for s in spectra if s.structure_id is not None})
+    if not structures:
+        raise DataError(f"evaluation set {name!r} has no labeled structures")
+    bins = build_similarity_bins(molecules, structures, seed=trn_cfg.seed)
+    return sample_uniform_pairs(
+        molecules, spectra, bins, trn_cfg.eval_pairs, stream_rng(trn_cfg.seed, "eval", name)
+    )
+
+
 def train_siamese(
     train_spectra: list[Spectrum],
     molecules: dict[str, MoleculeRecord],
@@ -225,20 +240,10 @@ def train_siamese(
     params = weights.trainable()
     adam = make_optimizer(params, trn_cfg)
 
-    eval_pairs: dict[str, list[PairSample]] = {}
-    for name in sorted(eval_sets):
-        spectra = eval_sets[name]
-        structures = sorted(
-            {s.structure_id for s in spectra if s.structure_id is not None}
-        )
-        if not structures:
-            raise DataError(f"evaluation set {name!r} has no labeled structures")
-        set_bins = build_similarity_bins(molecules, structures, seed=trn_cfg.seed)
-        pairs = sample_uniform_pairs(
-            molecules, spectra, set_bins, trn_cfg.eval_pairs,
-            stream_rng(trn_cfg.seed, "eval", name),
-        )
-        eval_pairs[name] = pairs
+    eval_pairs = {
+        name: eval_pair_sample(name, eval_sets[name], molecules, trn_cfg)
+        for name in sorted(eval_sets)
+    }
     # The distinct spectra of the logged held-out pairs, encoded together
     # once per epoch.
     logged = [eval_pairs.get(name, []) for name in ("known", "novel")]

@@ -1,18 +1,35 @@
 """End-to-end command line flows on a tiny on-disk dataset."""
 
 import argparse
+import ast
+import os
+import importlib.util
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import toy_dataset
-from mzembed.cli import Settings, main, read_config_file, run_config_text
+from mzembed.cli import (
+    SETTINGS,
+    Settings,
+    build_configs,
+    build_parser,
+    main,
+    read_config_file,
+    run_config_text,
+)
 from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, load_mgf, serialize_mgf
 from mzembed.embed import PrecisionMode, normalize_intensities
 from mzembed.encoder import EncoderConfig, describe_config
 from mzembed.search import INDEX_MAGIC
+from mzembed.training import TrainConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 CONFIG_SMALL = """\
 # tiny model for tests
@@ -615,6 +632,26 @@ class TestConfigHandling:
         rows = [l for l in log if not l.startswith("#")][1:]
         assert len(rows) == 1
 
+    def test_unknown_key_exits_2_naming_key_and_file(self, tmp_path, capsys):
+        # A mistyped key used to be ignored: batch_size=8 trained at 64.
+        paths = write_inputs(tmp_path)
+        paths["config"].write_text(CONFIG_SMALL + "batch_size=8\n")
+        assert run_prepare(paths) == 2
+        err = capsys.readouterr().err
+        assert "'batch_size'" in err and str(paths["config"]) in err
+        assert not paths["out"].exists()
+
+    def test_threads_from_the_config_file(self, tmp_path, monkeypatch):
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in variables:
+            monkeypatch.setenv(var, "7")
+        paths = write_inputs(tmp_path)
+        paths["config"].write_text(CONFIG_SMALL + "threads=1\n")
+        assert run_prepare(paths) == 0
+        assert [os.environ[var] for var in variables] == ["1"] * 3
+        assert run_prepare(paths, ["--threads", "2"]) == 0  # the flag wins
+        assert [os.environ[var] for var in variables] == ["2"] * 3
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "mzembed.cli", "--help"],
@@ -682,3 +719,107 @@ class TestConfigText:
         assert run_config_text(custom, "properties-baseline") == DESCRIBE_SIN.format(
             "binary32"
         ) + "mode=properties-baseline\nbin_width=0.2\nbin_max_mz=1500.0\n"
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestRangeChecks:
+    """A bad value exits 2 before the command writes anything."""
+
+    @pytest.mark.parametrize("command,flags,line", [
+        ("search", ["--k", "0"], ""),
+        ("eval", [], "tolerance=0"),
+        ("eval", [], "threshold=1.5"),
+        ("export-embeddings", ["--grid-step", "0"], ""),
+        ("export-embeddings", ["--grid-count", "0"], ""),
+    ])
+    def test_bad_value_exits_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, command, flags, line
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG_SMALL + line + "\n")
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+        args = ["--config", str(config), "--out-dir", str(out)]
+        if command != "export-embeddings":
+            args += ["--fingerprints", str(workspace["fingerprints"]),
+                     "--properties", str(workspace["properties"])]
+        if command == "search":
+            args += ["--queries", str(queries)]
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main([command, "--mode", "siamese", *flags, *args]) == 2
+        key = (flags[0][2:] if flags else line.split("=")[0])
+        assert f"setting {key!r}" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
+def parser_flags():
+    """(subcommand, flag key) for every flag of every subcommand."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, option[2:])
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option not in ("--help", "--config")
+    ]
+
+
+def handler_keys():
+    """Every literal key cli.py reads through settings.get/require/require_path."""
+    tree = ast.parse((REPO / "src" / "mzembed" / "cli.py").read_text())
+    return sorted({
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("get", "require", "require_path")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "settings"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    })
+
+
+class TestSettingsTable:
+    """Every setting is declared once, in cli.SETTINGS."""
+
+    @pytest.mark.parametrize("command,key", parser_flags())
+    def test_every_flag_is_a_table_key(self, command, key):
+        assert key in SETTINGS
+
+    def test_every_key_a_handler_reads_is_a_table_key(self):
+        keys = handler_keys()
+        assert {"out-dir", "k", "threshold", "tolerance", "bin-width", "grid-start"} <= set(keys)
+        assert [key for key in keys if key not in SETTINGS] == []
+
+    def test_empty_settings_give_the_dataclass_defaults(self):
+        enc_cfg, trn_cfg = build_configs(Settings({}, argparse.Namespace()))
+        assert describe_config(enc_cfg) == describe_config(EncoderConfig())
+        assert trn_cfg == TrainConfig()
+
+    def test_readme_example_config_is_accepted(self, tmp_path):
+        readme = (REPO / "README.md").read_text()
+        example = re.search(r"## Command line.*?```ini\n(.*?)```", readme, re.S).group(1)
+        config = tmp_path / "run.cfg"
+        config.write_text(example)
+        enc_cfg, trn_cfg = build_configs(Settings(read_config_file(config), argparse.Namespace()))
+        assert (enc_cfg.d, enc_cfg.layers, enc_cfg.heads) == (256, 4, 8)
+        assert trn_cfg.batch_size == 64
+
+    def test_benchmark_config_is_accepted(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", REPO / "perfbench" / "inputs.py"
+        )
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        config = tmp_path / "run.cfg"
+        inputs.write_config(str(config), {**inputs.CONFIG, "seed": 31})
+        settings = Settings(read_config_file(config), argparse.Namespace())
+        enc_cfg, trn_cfg = build_configs(settings)
+        assert trn_cfg.batch_size == inputs.CONFIG["batch-size"]
+        assert set(settings.values) == {"schema_version", "seed", *inputs.CONFIG}
