@@ -58,7 +58,6 @@ SETTINGS: dict[str, Key] = {
     "properties": Key("property TSV"),
     "queries": Key("query MGF file"),
     "checkpoint": Key("checkpoint path"),
-    "train-log": Key("training log path"),
     # The run.
     "mode": Key("training/evaluation mode", choices=MODES, default="siamese"),
     "threads": Key("BLAS thread cap", int, AT_LEAST_ONE),
@@ -368,16 +367,17 @@ def cmd_train(settings: Settings) -> int:
     enc_cfg, trn_cfg = build_configs(settings)
     spectra, molecules, assignment = load_dataset(settings)
     train, known, novel = split_sets(spectra, assignment)
-    eval_sets = {name: part for name, part in (("known", known), ("novel", novel)) if part}
 
     config_text = run_config_text(settings, mode)
     if mode == "siamese":
+        eval_sets = {name: part for name, part in (("known", known), ("novel", novel)) if part}
         weights, log = train_siamese(train, molecules, trn_cfg, enc_cfg, eval_sets=eval_sets)
         named = {k: v.data for k, v in weights.named().items()}
     else:
+        # No eval sets: `eval` writes the held-out report, not `train`.
         bin_width, bin_max_mz = baseline_bins(settings, enc_cfg)
         model, scaler, _report, log = train_properties(
-            train, molecules, trn_cfg, enc_cfg, eval_sets=eval_sets,
+            train, molecules, trn_cfg, enc_cfg,
             baseline=(mode == "properties-baseline"),
             bin_width=bin_width, bin_max_mz=bin_max_mz,
         )
@@ -388,7 +388,7 @@ def cmd_train(settings: Settings) -> int:
     ckpt = checkpoint_path(settings, mode)
     publish(ckpt, lambda tmp: save_checkpoint(tmp, named, config_text))
     publish(ckpt + ".config", config_text)
-    log_path = settings.get("train-log") or out_path(settings, f"train_log_{mode}.tsv")
+    log_path = out_path(settings, f"train_log_{mode}.tsv")
     publish(log_path, log.serialize())
     print(f"wrote {ckpt} and {log_path}")
     return EXIT_OK
@@ -468,23 +468,19 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
     return EXIT_OK
 
 
-def _property_predictor(settings, mode, model, scaler, enc_cfg):
-    """Natural-unit property predictions from a loaded checkpoint: the
-    binned baseline's forward pass, or the encoder and its head."""
-    from .properties import predict_baseline, predict_properties_batch
+def _property_predictor(settings, model, scaler, enc_cfg):
+    """Natural-unit property predictions from a loaded checkpoint."""
+    from .properties import property_predictor
 
     if scaler is None:
         raise CheckpointError("checkpoint carries no label scaler; retrain")
-    if mode == "properties-baseline":
-        bin_width, bin_max_mz = baseline_bins(settings, enc_cfg)
-        return lambda spectra: predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
-    return lambda spectra: predict_properties_batch(spectra, enc_cfg, model, scaler)
+    return property_predictor(model, scaler, enc_cfg, *baseline_bins(settings, enc_cfg))
 
 
 def _eval_properties(settings, mode, known, novel, molecules, model, scaler, enc_cfg) -> int:
     from .properties import evaluate_properties
 
-    predict_fn = _property_predictor(settings, mode, model, scaler, enc_cfg)
+    predict_fn = _property_predictor(settings, model, scaler, enc_cfg)
     eval_sets = {name: part for name, part in (("known", known), ("novel", novel)) if part}
     report = evaluate_properties(eval_sets, molecules, predict_fn)
     path = out_path(settings, f"property_report_{mode}.tsv")
@@ -523,7 +519,7 @@ def cmd_predict(settings: Settings) -> int:
     from .data import PROPERTY_NAMES
 
     mode = settings.get("mode", "properties")
-    predict_fn = _property_predictor(settings, mode, *load_model(settings, mode))
+    predict_fn = _property_predictor(settings, *load_model(settings, mode))
     queries = load_queries(settings)
     preds = predict_fn(queries)
     lines = ["spectrum_id\t" + "\t".join(PROPERTY_NAMES)]

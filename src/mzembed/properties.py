@@ -8,7 +8,6 @@ any reporting, so R-squared is always computed in natural units.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .tensor import (
     uniform_fan_in,
     zeros,
 )
-from .training import TrainConfig, TrainLog, apply_step, make_optimizer
+from .training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
 N_PROPERTIES = len(PROPERTY_NAMES)
 DEFAULT_BIN_WIDTH = 0.1  # m/z bin width of the baseline's binned spectra
@@ -182,6 +181,14 @@ def predict_baseline(
     return scaler.invert(scaled.data)
 
 
+def property_predictor(model, scaler: LabelScaler, cfg: EncoderConfig, bin_width: float, bin_max_mz: float):
+    """The natural-unit prediction callable of a trained or loaded model:
+    the binned baseline's forward pass, or the encoder and its head."""
+    if isinstance(model, BaselineParams):
+        return lambda spectra: predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
+    return lambda spectra: predict_properties_batch(spectra, cfg, model, scaler)
+
+
 @dataclass
 class PropertyReport:
     """Per-property R-squared on known/novel splits plus the averaged row."""
@@ -272,9 +279,6 @@ def train_properties(
         def forward(indices, rng):
             return baseline_forward(Tensor(binned[indices]), model)
 
-        def predict_fn(spectra):
-            return predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
-
     else:
         model = init_weights(enc_cfg, seed=trn_cfg.seed, head_out=N_PROPERTIES)
         params = model.trainable()
@@ -283,9 +287,6 @@ def train_properties(
             chunk = [train_spectra[i] for i in indices]
             embs = encode_batch(chunk, enc_cfg, model, mode="train", rng=rng)
             return feed_forward(embs, model.head)
-
-        def predict_fn(spectra):
-            return predict_properties_batch(spectra, enc_cfg, model, scaler)
 
     adam = make_optimizer(params, trn_cfg)
     log = TrainLog(
@@ -296,24 +297,16 @@ def train_properties(
         },
     )
 
-    n = len(train_spectra)
-    for epoch in range(trn_cfg.epochs):
-        started = time.perf_counter()
-        order = stream_rng(trn_cfg.seed, "data", epoch).permutation(n)
-        dropout_rng = stream_rng(trn_cfg.seed, "dropout", epoch)
-        epoch_loss = 0.0
-        for start in range(0, n, trn_cfg.batch_size):
-            indices = order[start : start + trn_cfg.batch_size]
-            pred = forward(indices, dropout_rng)
-            target = Tensor(labels_scaled[indices])
-            diff = pred - target
-            loss = (diff * diff).mean(axis=-1).mean()
-            apply_step(
-                loss, params, adam, trn_cfg.clip,
-                where=f"epoch {epoch}, step {start // trn_cfg.batch_size}",
-            )
-            epoch_loss += float(loss.data) * len(indices)
-        log.append(epoch, epoch_loss / n, round(time.perf_counter() - started, 3))
+    def epoch_order(epoch):
+        return stream_rng(trn_cfg.seed, "data", epoch).permutation(len(train_spectra))
 
+    def step(indices, rng, where):
+        diff = forward(indices, rng) - Tensor(labels_scaled[indices])
+        loss = (diff * diff).mean(axis=-1).mean()
+        apply_step(loss, params, adam, trn_cfg.clip, where=where)
+        return float(loss.data)
+
+    fit(trn_cfg, log, epoch_order, step)
+    predict_fn = property_predictor(model, scaler, enc_cfg, bin_width, bin_max_mz)
     report = evaluate_properties(eval_sets, molecules, predict_fn)
     return model, scaler, report, log

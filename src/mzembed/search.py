@@ -40,7 +40,7 @@ from .encoder import (
     encode_many,
     encode_spectrum,
 )
-from .errors import DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .kernels import score_modified_cosine
 from .outputs import publish
 from .siamese import tanimoto
@@ -255,7 +255,9 @@ def cached_index(
 
 def top_k(scores, ids: list[str], k: int) -> list[int]:
     """Positions of the k highest scores, best first; equal scores go to
-    the smaller id."""
+    the smaller id. ``k`` must be at least 1."""
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     return sorted(range(len(ids)), key=lambda r: (-scores[r], ids[r]))[:k]
 
 

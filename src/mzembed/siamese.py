@@ -3,7 +3,6 @@ cosine-vs-label loss, and the training loop."""
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, ini
 from .errors import ConfigError, DataError, DimensionError
 from .rng import stream_rng
 from .tensor import Tensor, cosine_similarity
-from .training import TrainConfig, TrainLog, apply_step, make_optimizer
+from .training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
 DEFAULT_BIN_COUNT = 10
 EXACT_ENUMERATION_LIMIT = 2000
@@ -261,32 +260,22 @@ def train_siamese(
         },
     )
 
-    for epoch in range(trn_cfg.epochs):
-        started = time.perf_counter()
-        pair_rng = stream_rng(trn_cfg.seed, "pairs", epoch)
-        dropout_rng = stream_rng(trn_cfg.seed, "dropout", epoch)
-        pairs = sample_uniform_pairs(
-            molecules, train_spectra, bins, trn_cfg.pairs_per_epoch, pair_rng
+    def epoch_pairs(epoch):
+        return sample_uniform_pairs(
+            molecules, train_spectra, bins, trn_cfg.pairs_per_epoch,
+            stream_rng(trn_cfg.seed, "pairs", epoch),
         )
-        epoch_loss = 0.0
-        for start in range(0, len(pairs), trn_cfg.batch_size):
-            chunk = pairs[start : start + trn_cfg.batch_size]
-            spectra = [by_id[p.a] for p in chunk] + [by_id[p.b] for p in chunk]
-            embs = encode_batch(spectra, enc_cfg, weights, mode="train", rng=dropout_rng)
-            half = len(chunk)
-            labels = np.array([p.label for p in chunk], dtype=np.float64)
-            loss = siamese_loss(embs[:half], embs[half:], labels)
-            apply_step(
-                loss, params, adam, trn_cfg.clip,
-                where=f"epoch {epoch}, step {start // trn_cfg.batch_size}",
-            )
-            epoch_loss += float(loss.data) * half
-        train_mse = epoch_loss / len(pairs) if pairs else float("nan")
 
+    def step(chunk, rng, where):
+        spectra = [by_id[p.a] for p in chunk] + [by_id[p.b] for p in chunk]
+        embs = encode_batch(spectra, enc_cfg, weights, mode="train", rng=rng)
+        labels = np.array([p.label for p in chunk], dtype=np.float64)
+        loss = siamese_loss(embs[: len(chunk)], embs[len(chunk) :], labels)
+        apply_step(loss, params, adam, trn_cfg.clip, where=where)
+        return float(loss.data)
+
+    def held_out_mse():
         rows = dict(zip(held_ids, encode_many(held_spectra, enc_cfg, weights)))
-        known_mse, novel_mse = (_pair_mse(pairs_n, rows) for pairs_n in logged)
-        log.append(
-            epoch, train_mse, known_mse, novel_mse,
-            round(time.perf_counter() - started, 3),
-        )
-    return weights, log
+        return tuple(_pair_mse(pairs, rows) for pairs in logged)
+
+    return weights, fit(trn_cfg, log, epoch_pairs, step, held_out_mse)

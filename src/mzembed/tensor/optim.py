@@ -38,9 +38,9 @@ def clip_gradients(grads, threshold: float):
 class Adam:
     """Bias-corrected Adam over a named parameter set.
 
-    ``step`` consumes the gradients already attached to the parameters
-    (clip first, via ``clip_gradients``, when a threshold is in play).
-    The step counter increases by exactly 1 per call.
+    ``step`` applies the gradients it is given, one per parameter name
+    (``apply_step`` passes them clipped, via ``clip_gradients``). The
+    step counter increases by exactly 1 per call.
     """
 
     def __init__(
@@ -62,23 +62,15 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, grads: dict[str, np.ndarray] | None = None):
-        """Apply one update. ``grads`` overrides the tensors' own .grad
-        (used after clipping); missing gradients count as zero."""
+    def step(self, grads: dict[str, np.ndarray]):
+        """Apply one update with ``grads[name]`` for every parameter."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             dt = p.data.dtype.type
-            g = None
-            if grads is not None:
-                g = grads.get(name)
-            elif p.grad is not None:
-                g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            g = np.asarray(g, dtype=p.data.dtype)
+            g = np.asarray(grads[name], dtype=p.data.dtype)
             m = self.m[name]
             v = self.v[name]
             m *= dt(b1)

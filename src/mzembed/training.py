@@ -1,12 +1,14 @@
-"""Shared training plumbing: config, step rule, and the epoch log."""
+"""Shared training plumbing: config, step rule, epoch loop and the epoch log."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
+from .rng import stream_rng
 from .tensor import Adam, Tensor, clip_gradients
 
 
@@ -72,6 +74,28 @@ def apply_step(loss: Tensor, params: dict[str, Tensor], adam: Adam, clip: float,
     adam.step(dict(zip(names, clipped)))
     adam.zero_grad()
     return norm
+
+
+def fit(cfg: TrainConfig, log: TrainLog, epoch_items, step, held_out=tuple) -> TrainLog:
+    """Train for ``cfg.epochs`` epochs, appending one ``log`` row each.
+
+    ``step(chunk, rng, where)`` trains on one ``batch_size`` chunk of
+    ``epoch_items(epoch)`` and returns its mean loss; ``rng`` is the
+    epoch's dropout stream and ``where`` names the step in a divergence
+    error. A row holds the epoch, the item-weighted mean loss (nan for no
+    items), the ``held_out()`` values and the epoch's wall time.
+    """
+    for epoch in range(cfg.epochs):
+        started = time.perf_counter()
+        items = epoch_items(epoch)
+        rng = stream_rng(cfg.seed, "dropout", epoch)
+        total = 0.0
+        for index, start in enumerate(range(0, len(items), cfg.batch_size)):
+            chunk = items[start : start + cfg.batch_size]
+            total += step(chunk, rng, f"epoch {epoch}, step {index}") * len(chunk)
+        mean = total / len(items) if len(items) else float("nan")
+        log.append(epoch, mean, *held_out(), round(time.perf_counter() - started, 3))
+    return log
 
 
 @dataclass

@@ -171,6 +171,48 @@ class TestTrain:
         assert log[header_at] == "epoch\ttrain_mse\tknown_mse\tnovel_mse\twall_time_s"
         assert len(log) - header_at - 1 == 2  # one row per epoch
 
+    def test_each_mode_keeps_its_own_log(self, workspace, tmp_path, capsys):
+        # The workspace trains three modes from one config file. The old
+        # train-log key named one path for all of them; it is now unknown.
+        for mode in ("siamese", "properties", "properties-baseline"):
+            log = (workspace["out"] / f"train_log_{mode}.tsv").read_text()
+            assert f"# mode={mode}\n" in log
+        shared = tmp_path / "shared.cfg"
+        shared.write_text(CONFIG_SMALL + f"train-log={tmp_path / 'log.tsv'}\n")
+        code = main(
+            ["train", "--mode", "siamese", "--config", str(shared),
+             "--out-dir", str(tmp_path / "out"),
+             "--fingerprints", str(workspace["fingerprints"]),
+             "--properties", str(workspace["properties"])]
+        )
+        assert code == 2
+        assert "'train-log'" in capsys.readouterr().err
+        assert not (tmp_path / "log.tsv").exists()
+
+    def test_property_training_encodes_only_its_steps(self, tmp_path, monkeypatch):
+        # The held-out R-squared is eval's job; train predicts nothing.
+        import mzembed.properties
+
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        encoded = []
+        real_batch = mzembed.properties.encode_batch
+        real_many = mzembed.properties.encode_many
+
+        def counting_batch(spectra, *args, **kwargs):
+            encoded.append((kwargs["mode"], len(spectra)))
+            return real_batch(spectra, *args, **kwargs)
+
+        def counting_many(spectra, *args, **kwargs):
+            encoded.append(("infer", len(spectra)))
+            return real_many(spectra, *args, **kwargs)
+
+        monkeypatch.setattr(mzembed.properties, "encode_batch", counting_batch)
+        monkeypatch.setattr(mzembed.properties, "encode_many", counting_many)
+        assert main(["train", "--mode", "properties", *common_args(paths)]) == 0
+        # 2 epochs of the 8 training spectra in one batch of 8.
+        assert encoded == [("train", 8), ("train", 8)]
+
     def test_property_checkpoint_carries_scaler(self, workspace):
         from mzembed.tensor import load_checkpoint
 

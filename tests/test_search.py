@@ -18,7 +18,7 @@ from mzembed.encoder import (
     init_weights,
     weights_from_named,
 )
-from mzembed.errors import DataError, NumericsError
+from mzembed.errors import ConfigError, DataError, NumericsError
 from mzembed.search import (
     AccuracyReport,
     INDEX_MAGIC,
@@ -158,6 +158,15 @@ class TestRanking:
         result = search_embedding(rng.normal(size=8), index, 10)
         assert len(result.hits) == 4
         assert result.k == 10
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, rng, k):
+        # k=0 used to return no hits and k=-1 every hit but the last.
+        index = self.make_index(rng.normal(size=(4, 8)))
+        with pytest.raises(ConfigError, match="k must be at least 1"):
+            search_embedding(rng.normal(size=8), index, k)
+        with pytest.raises(ConfigError):
+            top_k(np.array([0.1, 0.3, 0.2]), ["a", "b", "c"], k)
 
     def test_zero_norm_query_rejected(self, rng):
         index = self.make_index(rng.normal(size=(4, 8)))

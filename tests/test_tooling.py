@@ -3,7 +3,8 @@
 ``perfbench/traced_cli.py`` replaces program functions with span-recording
 wrappers by module and attribute name. A renamed or deleted function would
 only surface when a traced benchmark run crashes, so each entry is resolved
-here. The table is read from the file, not edited.
+here, and a siamese ``train`` must reach each ``mzembed.siamese`` entry
+through that module. The table is read from the file, not edited.
 """
 
 import importlib
@@ -56,3 +57,36 @@ def test_pair_mse_span_arguments():
     pairs = [PairSample("a", "b", 0.5), PairSample("a", "c", 0.25)]
     counts = load_traced_cli()._pair_mse_counts((pairs, {}), {}, 0.0)
     assert counts == {"n": 4, "unique": 3}
+
+
+def test_siamese_train_calls_the_wrapped_siamese_names(tmp_path, monkeypatch):
+    # A call that bypasses the module attribute (a moved call site, or a
+    # name bound at import) would leave its span empty without failing.
+    import mzembed.siamese
+    from mzembed.cli import main
+    from test_cli import common_args, run_prepare, write_inputs
+
+    paths = write_inputs(tmp_path)
+    assert run_prepare(paths) == 0
+    calls = {}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for module_name, attr, _, _ in WRAPPERS:
+        if module_name == "mzembed.siamese":
+            monkeypatch.setattr(mzembed.siamese, attr, counting(attr, getattr(mzembed.siamese, attr)))
+    assert main(["train", "--mode", "siamese", *common_args(paths)]) == 0
+    # The test config: 2 epochs of one 8-pair step, and two held-out
+    # splits (known, novel), each with its own bins and pair sample.
+    assert calls == {
+        "encode_batch": 2,
+        "apply_step": 2,
+        "build_similarity_bins": 1 + 2,
+        "sample_uniform_pairs": 2 + 2,
+        "_pair_mse": 2 * 2,
+    }

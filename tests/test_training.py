@@ -5,7 +5,8 @@ import pytest
 
 from mzembed.errors import ConfigError, NumericsError
 from mzembed.tensor import Tensor
-from mzembed.training import TrainConfig, TrainLog, apply_step, make_optimizer
+from mzembed.rng import stream_rng
+from mzembed.training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
 
 class TestTrainConfig:
@@ -78,6 +79,31 @@ class TestApplyStep:
         loss = (params["w"] * params["w"]).sum()
         apply_step(loss, params, adam, 10.0, where="epoch 0, step 0")
         assert params["w"].grad is None or np.all(params["w"].grad == 0)
+
+
+class TestFit:
+    def test_chunks_positions_and_weighted_mean(self):
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=5)
+        seen = []
+
+        def step(chunk, rng, where):
+            seen.append((list(chunk), where, rng.random()))
+            return float(len(chunk))
+
+        log = TrainLog(columns=("epoch", "train_mse", "held", "wall_time_s"))
+        fit(cfg, log, lambda epoch: list(range(5 + epoch)), step, held_out=lambda: (7.0,))
+        assert [(c, w) for c, w, _ in seen[:3]] == [
+            ([0, 1], "epoch 0, step 0"), ([2, 3], "epoch 0, step 1"), ([4], "epoch 0, step 2"),
+        ]
+        # One dropout stream per epoch, shared by its steps.
+        draws = stream_rng(5, "dropout", 1).random(3)
+        assert [r for _, _, r in seen[3:]] == list(draws)
+        assert [row[:3] for row in log.rows] == [(0, 9 / 5, 7.0), (1, 12 / 6, 7.0)]
+
+    def test_no_items_gives_nan(self):
+        log = TrainLog(columns=("epoch", "train_mse", "wall_time_s"))
+        fit(TrainConfig(epochs=1), log, lambda epoch: [], lambda *a: 1.0)
+        assert np.isnan(log.rows[0][1])
 
 
 class TestTrainLog:
