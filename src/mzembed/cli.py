@@ -250,8 +250,10 @@ def load_queries(settings: Settings):
     from .data import load_mgf
     from .embed import normalize_intensities
 
-    queries = [normalize_intensities(s) for s in load_mgf(settings.require_path("queries"))]
-    queries.sort(key=lambda s: s.id)
+    path = settings.require_path("queries")
+    queries = sorted((normalize_intensities(s) for s in load_mgf(path)), key=lambda s: s.id)
+    if not queries:
+        raise DataError(f"query file {path} holds no spectra")
     return queries
 
 

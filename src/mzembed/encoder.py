@@ -12,8 +12,15 @@ equivariant, but float reductions are not associative, so canonical
 ordering is what turns mathematical symmetry into bit-identical
 outputs under input permutation.
 
+``encode_batch`` is the one forward, for training and inference alike.
+It runs spectra of one slot count (the precursor plus at most
+``max_fragments`` fragments) through one forward each, so nothing is
+padded or masked and a row never depends on the rest of the batch.
+Training draws its dropout masks as if the batch were padded to its
+longest spectrum, so the dropout stream does not depend on the grouping.
+
 Weights are trained and checkpointed as binary32; activations are
-binary64. ``encode_many``, the one inference encode path, computes on
+binary64. ``encode_many``, the inference entry point, computes on
 binary64 column-major copies of the weights (``ModelWeights.for_inference``),
 which multiply to the same bits as the binary32 originals without the
 cast numpy would otherwise make on every matmul. ``cli.load_model``
@@ -37,6 +44,7 @@ from .tensor import (
     AttentionParams,
     FeedForwardParams,
     Tensor,
+    concat,
     dropout,
     feed_forward,
     layer_norm,
@@ -320,21 +328,10 @@ def describe_config(cfg: EncoderConfig) -> str:
     return "".join(f"{k}={v}\n" for k, v in sorted(pairs.items()))
 
 
-def _canonical_fragments(spectrum: Spectrum, cfg: EncoderConfig):
-    """Cap to the most intense fragments, then order by (mz, intensity)."""
-    mz = np.array([p.mz for p in spectrum.fragments], dtype=np.float64)
-    intensity = np.array([p.intensity for p in spectrum.fragments], dtype=np.float64)
-    if mz.shape[0] > cfg.max_fragments:
-        keep = np.lexsort((mz, -intensity))[: cfg.max_fragments]
-        mz, intensity = mz[keep], intensity[keep]
-    order = np.lexsort((intensity, mz))
-    return mz[order], intensity[order]
-
-
-def _prepare_batch(spectra: list[Spectrum], cfg: EncoderConfig):
-    """Pad spectra into (B, N) m/z / intensity arrays plus a key mask."""
-    if not spectra:
-        raise DataError("cannot encode an empty spectrum batch")
+def _slot_arrays(spectra: list[Spectrum], cfg: EncoderConfig) -> np.ndarray:
+    """(2, B, n) m/z and intensity of spectra with n slots each: the
+    precursor, then the fragments capped to the most intense and ordered
+    by (mz, intensity)."""
     rows = []
     for s in spectra:
         if not s.fragments:
@@ -343,24 +340,39 @@ def _prepare_batch(spectra: list[Spectrum], cfg: EncoderConfig):
             raise DataError(
                 f"spectrum {s.id!r} is not normalized; run normalize_intensities first"
             )
-        mz, intensity = _canonical_fragments(s, cfg)
-        rows.append(
-            (
-                np.concatenate(([s.precursor.mz], mz)),
-                np.concatenate(([s.precursor.intensity], intensity)),
-            )
+        mz, intensity = np.array([(p.mz, p.intensity) for p in s.fragments], dtype=np.float64).T
+        if mz.shape[0] > cfg.max_fragments:
+            keep = np.lexsort((mz, -intensity))[: cfg.max_fragments]
+            mz, intensity = mz[keep], intensity[keep]
+        order = np.lexsort((intensity, mz))
+        precursor = [[s.precursor.mz], [s.precursor.intensity]]
+        rows.append(np.concatenate((precursor, (mz[order], intensity[order])), axis=1))
+    return np.stack(rows, axis=1)
+
+
+def _encode_group(spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights, keeps):
+    """One unpadded forward over spectra of one slot count, with dropout
+    if ``keeps`` holds each layer's masks for their rows and slots."""
+    mz, intensity = _slot_arrays(spectra, cfg)
+    if cfg.kind == "sin":
+        x = peak_embed_sin(
+            mz, intensity, cfg.sinusoidal, weights.peak_inner, weights.peak_outer,
+            cfg.precision,
         )
-    n_max = max(r[0].shape[0] for r in rows)
-    batch = len(rows)
-    mz = np.zeros((batch, n_max), dtype=np.float64)
-    intensity = np.zeros((batch, n_max), dtype=np.float64)
-    mask = np.zeros((batch, n_max), dtype=bool)
-    for i, (row_mz, row_int) in enumerate(rows):
-        n = row_mz.shape[0]
-        mz[i, :n] = row_mz
-        intensity[i, :n] = row_int
-        mask[i, :n] = True
-    return mz, intensity, mask
+    else:
+        x = peak_embed_token(mz, intensity, cfg.vocab, weights.token_table, weights.peak_outer)
+
+    training, p, last = keeps is not None, cfg.dropout, len(weights.layers) - 1
+    for i, layer in enumerate(weights.layers):
+        keep_attn, keep_a, keep_f = keeps[i] if training else (None, None, None)
+        h = layer_norm(x, layer.norm1_gain, layer.norm1_bias)
+        # The last layer queries, and carries on, only the precursor slot.
+        query, x = (h[:, 0:1], x[:, 0:1]) if i == last else (h, x)
+        a = multi_head_attention(query, h, h, layer.attn, cfg.heads, attn_dropout=p, keep=keep_attn)
+        x = x + dropout(a, p, training, keep=keep_a)
+        h = layer_norm(x, layer.norm2_gain, layer.norm2_bias)
+        x = x + dropout(feed_forward(h, layer.ff), p, training, keep=keep_f)
+    return x.reshape((len(spectra), cfg.d))
 
 
 def encode_batch(
@@ -371,52 +383,47 @@ def encode_batch(
     mode: str = "infer",
     rng=None,
 ) -> Tensor:
-    """Encode spectra to a (batch, d) embedding tensor.
+    """Encode spectra to a (batch, d) embedding tensor, rows in input order.
 
-    Inference mode is deterministic; training mode applies dropout and
-    requires an rng. Padded slots are excluded from attention via the
-    key mask and can never reach the precursor-slot output.
+    Spectra share a forward only with spectra of the same slot count, so
+    no row is padded and none depends on the rest of the batch. Inference
+    mode is deterministic; training mode applies dropout and requires an
+    rng. A failing group raises DataError naming its spectra.
     """
     if mode not in ("infer", "train"):
         raise ConfigError(f"mode must be infer or train, got {mode!r}")
-    training = mode == "train"
-    if training and rng is None:
+    if mode == "train" and rng is None:
         raise ConfigError("training mode requires an rng for dropout")
-    p = cfg.dropout if training else 0.0
-
-    mz, intensity, mask = _prepare_batch(spectra, cfg)
-    if cfg.kind == "sin":
-        x = peak_embed_sin(
-            mz, intensity, cfg.sinusoidal, weights.peak_inner, weights.peak_outer,
-            cfg.precision,
-        )
-    else:
-        x = peak_embed_token(mz, intensity, cfg.vocab, weights.token_table, weights.peak_outer)
-
-    full_mask = None if bool(mask.all()) else mask
-    for layer in weights.layers[:-1]:
-        h = layer_norm(x, layer.norm1_gain, layer.norm1_bias)
-        a = multi_head_attention(
-            h, h, h, layer.attn, cfg.heads,
-            key_mask=full_mask, attn_dropout=p, training=training, rng=rng,
-        )
-        x = x + dropout(a, p, training=training, rng=rng)
-        h = layer_norm(x, layer.norm2_gain, layer.norm2_bias)
-        f = feed_forward(h, layer.ff)
-        x = x + dropout(f, p, training=training, rng=rng)
-
-    # Final layer: only the precursor slot is queried and carried through.
-    layer = weights.layers[-1]
-    h = layer_norm(x, layer.norm1_gain, layer.norm1_bias)
-    a = multi_head_attention(
-        h[:, 0:1, :], h, h, layer.attn, cfg.heads,
-        key_mask=full_mask, attn_dropout=p, training=training, rng=rng,
-    )
-    x0 = x[:, 0:1, :] + dropout(a, p, training=training, rng=rng)
-    h0 = layer_norm(x0, layer.norm2_gain, layer.norm2_bias)
-    f0 = feed_forward(h0, layer.ff)
-    out = x0 + dropout(f0, p, training=training, rng=rng)
-    return out.reshape((len(spectra), cfg.d))
+    if not spectra:
+        raise DataError("cannot encode an empty spectrum batch")
+    slots = [1 + min(len(s.fragments), cfg.max_fragments) for s in spectra]
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(slots):
+        groups.setdefault(n, []).append(i)
+    keeps = None
+    if mode == "train" and cfg.dropout > 0.0:
+        # Each layer's masks (attention probabilities, attention output,
+        # feed-forward output), drawn in layer order at the shapes of the
+        # batch padded to its longest spectrum: one stream for any grouping.
+        b, h, w, d = len(spectra), cfg.heads, max(slots), cfg.d
+        keeps = [
+            tuple(rng.random(sh) >= cfg.dropout for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
+            for q in [w] * (len(weights.layers) - 1) + [1]
+        ]
+    outs = []
+    for n, rows in groups.items():
+        group = [spectra[i] for i in rows]
+        group_keeps = None if keeps is None else [
+            (attn[rows, :, :n, :n], a[rows, :n], f[rows, :n]) for attn, a, f in keeps
+        ]
+        try:
+            outs.append(_encode_group(group, cfg, weights, group_keeps))
+        except Exception as exc:
+            noun = "spectrum" if len(group) == 1 else "spectra"
+            names = ", ".join(repr(s.id) for s in group)
+            raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
+    order = np.concatenate(list(groups.values()))
+    return concat(outs, axis=0)[np.argsort(order)]
 
 
 def encode_spectrum(
@@ -437,25 +444,12 @@ def encode_many(
 ) -> np.ndarray:
     """Encode spectra in inference mode to a (len(spectra), d) float64 array.
 
-    Spectra share a batch only with spectra of the same slot count, so
-    no row is padded and each row equals encode_spectrum of that
-    spectrum alone, whatever else is in the list. Rows follow the input
-    order. Binary32 weights are converted once per call (see
-    ``ModelWeights.for_inference``); the output bits are the same.
+    Each row equals encode_spectrum of that spectrum alone, whatever else
+    is in the list (see ``encode_batch``). Binary32 weights are converted
+    once per call (see ``ModelWeights.for_inference``); the output bits
+    are the same.
     """
-    weights = weights.for_inference()
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(spectra):
-        groups.setdefault(1 + min(len(s.fragments), cfg.max_fragments), []).append(i)
-    out = np.empty((len(spectra), cfg.d), dtype=np.float64)
+    if not spectra:
+        return np.empty((0, cfg.d), dtype=np.float64)
     with no_grad():
-        for rows in groups.values():
-            group = [spectra[i] for i in rows]
-            try:
-                emb = encode_batch(group, cfg, weights, mode="infer")
-            except Exception as exc:
-                noun = "spectrum" if len(group) == 1 else "spectra"
-                names = ", ".join(repr(s.id) for s in group)
-                raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
-            out[rows] = emb.data
-    return out
+        return encode_batch(spectra, cfg, weights.for_inference()).data

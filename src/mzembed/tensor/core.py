@@ -366,7 +366,7 @@ class Tensor:
         def bwd(out):
             def run():
                 g = np.zeros_like(a.data)
-                g[key] = out.grad
+                np.add.at(g, key, out.grad)  # an index array may repeat an element
                 a._accumulate(g)
             return run
 

@@ -138,19 +138,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
     """Zero elements with probability ``p`` and rescale survivors.
 
     Identity when not training or p == 0. Otherwise one graph node that
-    keeps a boolean mask.
+    keeps a boolean mask: ``keep`` if given (True = keep, the shape of
+    ``x``), else ``rng.random(x.shape) >= p`` from the numpy Generator.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("training-mode dropout requires an rng")
-    keep = rng.random(x.shape) >= p
+    if keep is None:
+        if rng is None:
+            raise ConfigError("training-mode dropout requires an rng or a keep mask")
+        keep = rng.random(x.shape) >= p
+    elif keep.shape != x.shape:
+        raise DimensionError(f"dropout: keep mask {keep.shape} does not match {x.shape}")
     scale = 1.0 / (1.0 - p)
     dtype = x.data.dtype
 
@@ -251,15 +255,15 @@ def multi_head_attention(
     heads: int,
     key_mask: np.ndarray | None = None,
     attn_dropout: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    keep: np.ndarray | None = None,
 ) -> Tensor:
     """Scaled dot-product attention over sets: no positional encoding.
 
     ``key_mask`` is a boolean array over key slots (True = attend);
     masked slots are excluded from the softmax normalization entirely.
     Inputs are (..., n, d); query may have a different slot count than
-    key/value.
+    key/value. With ``keep``, a boolean (..., heads, n_query, n_key) mask,
+    the probabilities go through dropout at rate ``attn_dropout``.
     """
     d = query.shape[-1]
     if d % heads != 0:
@@ -270,8 +274,8 @@ def multi_head_attention(
     v = _split_heads(linear(value, params.wv, params.bv), heads)
 
     probs = attention_probs(q, k, key_mask)
-    if training and attn_dropout > 0.0:
-        probs = dropout(probs, attn_dropout, training, rng)
+    if keep is not None:
+        probs = dropout(probs, attn_dropout, True, keep=keep)
     return linear(_merge_heads(probs @ v), params.wo, params.bo)
 
 

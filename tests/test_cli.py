@@ -358,6 +358,25 @@ class TestSearchPredictExport:
             "m/z overflows binary16: max |value| 70000.0\n"
         )
 
+    @pytest.mark.parametrize(
+        "command,mode,output",
+        [
+            ("search", "siamese", "search_results.tsv"),
+            ("predict", "properties", "predictions.tsv"),
+            ("predict", "properties-baseline", "predictions.tsv"),
+        ],
+    )
+    def test_empty_query_file_exits_2(self, workspace, tmp_path, capsys, command, mode, output):
+        queries = tmp_path / "empty.mgf"
+        queries.write_text("")
+        target = workspace["out"] / output
+        before = target.read_bytes() if target.exists() else None
+        capsys.readouterr()
+        code = main([command, "--mode", mode, "--queries", str(queries), *common_args(workspace)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: query file {queries} holds no spectra\n"
+        assert (target.read_bytes() if target.exists() else None) == before
+
     def test_predictions_table(self, workspace, tmp_path):
         queries = tmp_path / "queries.mgf"
         queries.write_text(serialize_mgf(workspace["spectra"][:2]))

@@ -1,5 +1,5 @@
 """Spectrum encoder: weight plumbing, a hand-unrolled forward oracle,
-permutation invariance, padding behavior and dropout determinism."""
+permutation invariance, slot-count batching and dropout determinism."""
 
 import argparse
 
@@ -268,7 +268,7 @@ class TestBatching:
     def test_batch_matches_single(self, rng):
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=2)
-        # Different peak counts force padding in the batch.
+        # Different peak counts: one forward per slot count.
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(4 + i, 5 + i)) for i in range(5)
         ]
@@ -276,18 +276,18 @@ class TestBatching:
         assert batch.data.shape == (5, 8)
         for i, s in enumerate(spectra):
             single = encode_spectrum(s, cfg, weights)
-            assert np.allclose(batch.data[i], single.data, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(batch.data[i], single.data)
 
     def test_padded_slots_cannot_leak(self, rng):
         # The same spectrum must encode identically regardless of what
-        # else sits in the batch (padding width differs).
+        # else sits in the batch (a padded batch would differ in width).
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=2)
         target = toy_spectrum("t", "m", rng, n_peaks=(4, 5))
         small_batch = encode_batch([target], cfg, weights)
         big = toy_spectrum("b", "m", rng, n_peaks=(14, 15))
         wide_batch = encode_batch([target, big], cfg, weights)
-        assert np.allclose(small_batch.data[0], wide_batch.data[0], rtol=1e-10, atol=1e-12)
+        assert np.array_equal(small_batch.data[0], wide_batch.data[0])
 
     @pytest.mark.parametrize("kind", ["sin", "token"])
     def test_encode_many_matches_single_exactly(self, rng, kind):
@@ -365,6 +365,34 @@ class TestTrainingMode:
         assert not np.array_equal(a.data, c.data)
         assert not np.array_equal(a.data, infer.data)
 
+    def test_dropout_stream_pinned(self):
+        # Recorded from the padded forward this encoder replaced, whose
+        # masks were drawn at the padded batch's shapes. Masks drawn at
+        # the slot-count groups' shapes would change both the output and
+        # the generator's next draw.
+        spectra = []
+        for i, n in enumerate((3, 6, 3, 5)):  # slot counts 4, 7, 4, 6
+            fragments = tuple(
+                Peak(50.0 + 37.25 * j + 3.5 * i, 0.1 + 0.225 * ((7 * j + i) % 5))
+                for j in range(n)
+            )
+            spectra.append(Spectrum(f"p{i}", Peak(400.0 + 11.0 * i, 2.0), fragments))
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        stream = stream_rng(5, "dropout", 0)
+        out = encode_batch(spectra, cfg, init_weights(cfg, seed=0), mode="train", rng=stream)
+        want = [
+            [0.22113934750734734, -0.7942232724039825, 0.951070478381105, 0.3265386607908749,
+             -0.6553856964000968, -0.47764545596432284, -0.8534355426503363, 0.8947175620163695],
+            [0.5128719254326743, 0.2639071445585036, -0.4301458215986211, -0.30082059797070176,
+             0.09190139074810601, -0.511697458251084, -0.07834549010721034, 0.5030794804337279],
+            [0.442746949280734, -0.2855867860158122, 0.34228047662957684, -0.005623724654085588,
+             0.08975969535795023, -0.19747535424417298, 0.14997891940352187, -0.10840855864504659],
+            [0.02289640326598591, -0.3667494480272082, 0.6099878897647938, 0.3208355088812248,
+             -0.33886342485387727, -0.7783797568644751, -0.02602909287749952, 0.27235880073309393],
+        ]
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
+        assert stream.random() == 0.35451740580903346
+
     def test_gradients_reach_all_trainable_weights(self, rng):
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=0, head_out=None)
@@ -405,35 +433,38 @@ def base_buffer(array):
 
 class TestTrainingGraphSize:
     def test_attention_maps_held_once_per_layer(self, rng):
-        # A padded batch (mixed peak counts), so the key mask is active.
+        # Mixed peak counts: three slot-count groups, two of two spectra.
         cfg = small_cfg(d=16, layers=3, heads=2, dropout=0.2)
         weights = init_weights(cfg, seed=0)
+        peaks = (5, 12, 5, 10, 12)
         spectra = [
-            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1))
-            for i, n in enumerate((5, 12, 8, 10))
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate(peaks)
         ]
         out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
-        n_slots = 13
-        assert n_slots != cfg.d // cfg.heads
-        map_shape = (len(spectra), cfg.heads, n_slots, n_slots)
+        groups = {n + 1: peaks.count(n) for n in peaks}
+        assert cfg.d // cfg.heads not in groups
         nodes = graph_nodes(out)
-
-        maps = {
-            id(base_buffer(a))
+        floats = [
+            a
             for node in nodes
             for a in held_arrays(node)
-            if a.shape == map_shape and np.issubdtype(a.dtype, np.floating)
-        }
-        # Per full layer: the probabilities and their dropout.
-        assert 0 < len(maps) <= 2 * (cfg.layers - 1)
+            if a.ndim == 4 and np.issubdtype(a.dtype, np.floating)
+        ]
+        # No map of the padded batch.
+        assert not [a for a in floats if a.shape[0] == len(spectra)]
+        for n_slots, rows in groups.items():
+            map_shape = (rows, cfg.heads, n_slots, n_slots)
+            maps = {id(base_buffer(a)) for a in floats if a.shape == map_shape}
+            # Per full layer: the probabilities and their dropout.
+            assert 0 < len(maps) <= 2 * (cfg.layers - 1), n_slots
 
         drops = [
             node for node in nodes
             if getattr(node._backward, "__qualname__", "").startswith("dropout.")
         ]
         # Attention probabilities, attention output and feed-forward
-        # output in every layer.
-        assert len(drops) == 3 * cfg.layers
+        # output in every layer of every group.
+        assert len(drops) == 3 * cfg.layers * len(groups)
         for node in drops:
             constants = [p.data for p in node._parents if not p.requires_grad]
             closure = [a for a in held_arrays(node) if a is not node.data]

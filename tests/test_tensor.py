@@ -167,6 +167,14 @@ class TestGradients:
         check_gradients(lambda a: a.swapaxes(0, 1) * 3.0, x)
         check_gradients(lambda a: a[1:3, ::2] ** 2, x)
 
+    def test_getitem_accumulates_repeats(self, rng):
+        x = rng.normal(size=(4, 3))
+        check_gradients(lambda a: a[[0, 0, 2]] ** 2, x)
+        check_gradients(lambda a: a[np.array([3, 1, 3]), 1:] * 2.0, x)
+        t = Tensor(np.zeros(3), requires_grad=True)
+        t[[0, 0, 2]].sum().backward()
+        assert np.array_equal(t.grad, [2.0, 0.0, 1.0])
+
     def test_concat(self, rng):
         check_gradients(
             lambda a, b: concat([a, b], axis=-1) ** 2,
@@ -297,6 +305,15 @@ class TestGradients:
         x = Tensor(rng.normal(size=(5, 5)))
         out = dropout(x, 0.5, training=False, rng=None)
         assert np.array_equal(out.data, x.data)
+
+    def test_dropout_precomputed_keep(self, rng):
+        x = rng.normal(size=(4, 6))
+        want = dropout(Tensor(x), 0.3, training=True, rng=np.random.default_rng(8))
+        keep = np.random.default_rng(8).random(x.shape) >= 0.3
+        got = dropout(Tensor(x), 0.3, training=True, keep=keep)
+        assert np.array_equal(got.data, want.data)
+        with pytest.raises(DimensionError):
+            dropout(Tensor(x), 0.3, training=True, keep=keep[:, :3])
 
     def test_backward_requires_scalar(self, rng):
         t = Tensor(rng.normal(size=(3,)), requires_grad=True)
