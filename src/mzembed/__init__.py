@@ -2,7 +2,7 @@
 
 Submodules are loaded lazily so that importing the package (as the CLI
 entry point does) stays free of numpy until a command actually runs;
-this lets ``mzembed --threads N`` pin BLAS thread pools first.
+this lets the CLI pin BLAS to one thread per encoder worker first.
 """
 
 from __future__ import annotations

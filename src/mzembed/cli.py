@@ -3,9 +3,10 @@ export-embeddings.
 
 SETTINGS declares every key a flag or the config file can give, once:
 its parser, its range check, and the EncoderConfig or TrainConfig field
-it fills. Heavy imports happen inside the command handlers so that the
-threads setting can pin the BLAS thread pools through environment
-variables before numpy initializes them.
+it fills. Heavy imports happen inside the command handlers so that
+``main`` can pin BLAS to one thread, through environment variables read
+once when numpy loads, before the encoder's worker pool takes the
+thread budget (``pin_blas``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ SETTINGS: dict[str, Key] = {
     "checkpoint": Key("checkpoint path"),
     # The run.
     "mode": Key("training/evaluation mode", choices=MODES, default="siamese"),
-    "threads": Key("BLAS thread cap", int, AT_LEAST_ONE),
+    "threads": Key("thread budget: encoder workers, each on one BLAS thread", int, AT_LEAST_ONE),
     "n-novel": Key("novel structures", int, default=0),
     "n-known": Key("known spectra", int, default=0),
     "k": Key("hits per query", int, AT_LEAST_ONE, default=5),
@@ -603,16 +604,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def thread_budget(threads: int | None) -> int:
+    """The threads setting; else OPENBLAS_NUM_THREADS or OMP_NUM_THREADS,
+    the first that holds a positive integer; else the usable CPUs."""
+    if threads is not None:
+        return threads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        text = os.environ.get(var, "").strip()
+        if text.isdigit() and int(text) > 0:
+            return int(text)
+    return usable_cpus()
+
+
+def _numpy_loaded() -> bool:
+    return "numpy" in sys.modules
+
+
+def pin_blas(threads: int | None) -> int:
+    """Pin BLAS to one thread and return the encoder's worker count: the
+    thread budget, at most the usable CPUs.
+
+    BLAS reads its thread count once, when numpy loads, and on one
+    spectrum's matmuls its second thread gains nothing, where a second
+    encoder worker does. A process that has loaded numpy already (a test
+    run, a library caller) keeps its BLAS threads and encodes serially:
+    workers on top of BLAS threads oversubscribe the cores.
+    """
+    if _numpy_loaded():
+        return 1
+    workers = min(thread_budget(threads), usable_cpus())
+    os.environ.update(dict.fromkeys(BLAS_VARIABLES, "1"))
+    return workers
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = Settings(read_config_file(args.config) if args.config else {}, args)
-        # Before any command imports numpy, which reads these once.
-        threads = settings.get("threads")
-        if threads is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(threads)
-        return args.func(settings)
+        workers = pin_blas(settings.get("threads"))
+        from .encoder import encode_workers  # numpy loads here, after the pin
+
+        with encode_workers(workers):
+            return args.func(settings)
     except (ConfigError, ParseError, DataError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,6 +19,13 @@ padded or masked and a row never depends on the rest of the batch.
 Training draws its dropout masks as if the batch were padded to its
 longest spectrum, so the dropout stream does not depend on the grouping.
 
+Inside ``encode_workers(n)`` the groups run on a process-wide pool of
+``n`` threads, in inference with groups larger than one worker's share
+split by spectra; results are gathered in group order, so the bits are
+those of the serial loop. The masks are drawn before dispatch, on the
+calling thread. Outside it, the default, every group runs on the
+calling thread. ``cli.main`` opens it with one BLAS thread per worker.
+
 Weights are trained and checkpointed as binary32; activations are
 binary64. ``encode_many``, the inference entry point, computes on
 binary64 column-major copies of the weights (``ModelWeights.for_inference``),
@@ -29,6 +36,7 @@ converts once at load, so the commands that encode never pay for it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,6 +336,53 @@ def describe_config(cfg: EncoderConfig) -> str:
     return "".join(f"{k}={v}\n" for k, v in sorted(pairs.items()))
 
 
+# The encode worker pool, one per process: ``encode_workers`` sizes it and
+# ``_map_in_order`` creates it on first use. With one worker, the default,
+# every forward runs on the calling thread.
+_workers = 1
+_pool = None
+
+
+@contextmanager
+def encode_workers(n: int):
+    """Within the block, ``encode_batch`` runs its forwards on up to ``n``
+    threads; afterwards the pool's threads are joined and the previous
+    size is back.
+
+    The threads overlap because numpy releases the GIL inside BLAS calls
+    and large array loops. Each should get one BLAS thread (``cli.main``
+    pins BLAS before numpy loads), or the two kinds of threads
+    oversubscribe the cores. Only one thread at a time may encode.
+    """
+    global _workers, _pool
+    if n < 1:
+        raise ConfigError(f"encode workers must be at least 1, got {n}")
+    previous, _workers = _workers, n
+    try:
+        yield
+    finally:
+        if _pool is not None:
+            # Joins the threads. Only an interrupt leaves work queued; drop it.
+            _pool.shutdown(cancel_futures=True)
+        _workers, _pool = previous, None
+
+
+def _map_in_order(fn, units: list) -> list:
+    """``fn`` of each unit, in unit order. On the pool every unit finishes
+    before the first failure in unit order is raised, so no work is left
+    running; on the calling thread the first failure stops the rest."""
+    global _pool
+    if _workers == 1 or len(units) == 1:
+        return [fn(unit) for unit in units]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_workers, thread_name_prefix="mzembed-encode")
+    futures = [_pool.submit(fn, unit) for unit in units]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
 def _slot_arrays(spectra: list[Spectrum], cfg: EncoderConfig) -> np.ndarray:
     """(2, B, n) m/z and intensity of spectra with n slots each: the
     precursor, then the fragments capped to the most intense and ordered
@@ -388,7 +443,10 @@ def encode_batch(
     Spectra share a forward only with spectra of the same slot count, so
     no row is padded and none depends on the rest of the batch. Inference
     mode is deterministic; training mode applies dropout and requires an
-    rng. A failing group raises DataError naming its spectra.
+    rng. The forwards run on the worker pool (``encode_workers``); in
+    inference a group larger than one worker's share of the spectra is
+    split between workers. A failing group raises DataError naming its
+    spectra, the first such group in group order.
     """
     if mode not in ("infer", "train"):
         raise ConfigError(f"mode must be infer or train, got {mode!r}")
@@ -410,20 +468,27 @@ def encode_batch(
             tuple(rng.random(sh) >= cfg.dropout for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
             for q in [w] * (len(weights.layers) - 1) + [1]
         ]
-    outs = []
-    for n, rows in groups.items():
-        group = [spectra[i] for i in rows]
-        group_keeps = None if keeps is None else [
+    units = list(groups.values())
+    if mode == "infer":
+        # Weight-gradient sums run over a whole group, so only inference
+        # may split one; its rows come out the same either way.
+        share = -(-len(spectra) // _workers)
+        units = [rows[i:i + share] for rows in units for i in range(0, len(rows), share)]
+
+    def run(rows: list[int]) -> Tensor:
+        n = slots[rows[0]]
+        unit_keeps = None if keeps is None else [
             (attn[rows, :, :n, :n], a[rows, :n], f[rows, :n]) for attn, a, f in keeps
         ]
         try:
-            outs.append(_encode_group(group, cfg, weights, group_keeps))
+            return _encode_group([spectra[i] for i in rows], cfg, weights, unit_keeps)
         except Exception as exc:
-            noun = "spectrum" if len(group) == 1 else "spectra"
-            names = ", ".join(repr(s.id) for s in group)
+            noun = "spectrum" if len(groups[n]) == 1 else "spectra"
+            names = ", ".join(repr(spectra[i].id) for i in groups[n])
             raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
-    order = np.concatenate(list(groups.values()))
-    return concat(outs, axis=0)[np.argsort(order)]
+
+    outs = _map_in_order(run, units)
+    return concat(outs, axis=0)[np.argsort(np.concatenate(units))]
 
 
 def encode_spectrum(
@@ -445,9 +510,9 @@ def encode_many(
     """Encode spectra in inference mode to a (len(spectra), d) float64 array.
 
     Each row equals encode_spectrum of that spectrum alone, whatever else
-    is in the list (see ``encode_batch``). Binary32 weights are converted
-    once per call (see ``ModelWeights.for_inference``); the output bits
-    are the same.
+    is in the list and however many workers run it (see ``encode_batch``
+    and ``encode_workers``). Binary32 weights are converted once per call
+    (see ``ModelWeights.for_inference``); the output bits are the same.
     """
     if not spectra:
         return np.empty((0, cfg.d), dtype=np.float64)

@@ -14,14 +14,17 @@ import numpy as np
 import pytest
 
 from conftest import toy_dataset
+from mzembed import cli, encoder
 from mzembed.cli import (
     SETTINGS,
     Settings,
     build_configs,
     build_parser,
     main,
+    pin_blas,
     read_config_file,
     run_config_text,
+    thread_budget,
 )
 from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, load_mgf, serialize_mgf
 from mzembed.embed import PrecisionMode, normalize_intensities
@@ -703,15 +706,25 @@ class TestConfigHandling:
         assert not paths["out"].exists()
 
     def test_threads_from_the_config_file(self, tmp_path, monkeypatch):
+        # As in a fresh process: numpy not yet loaded, four usable CPUs.
+        monkeypatch.setattr(cli, "_numpy_loaded", lambda: False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         for var in variables:
             monkeypatch.setenv(var, "7")
+        real, workers = encoder.encode_workers, []
+
+        def recording(n):
+            workers.append(n)
+            return real(n)
+
+        monkeypatch.setattr(encoder, "encode_workers", recording)
         paths = write_inputs(tmp_path)
         paths["config"].write_text(CONFIG_SMALL + "threads=1\n")
         assert run_prepare(paths) == 0
-        assert [os.environ[var] for var in variables] == ["1"] * 3
         assert run_prepare(paths, ["--threads", "2"]) == 0  # the flag wins
-        assert [os.environ[var] for var in variables] == ["2"] * 3
+        assert workers == [1, 2]
+        assert [os.environ[var] for var in variables] == ["1"] * 3
 
     def test_console_entry_point(self):
         result = subprocess.run(
@@ -720,6 +733,110 @@ class TestConfigHandling:
         )
         assert result.returncode == 0
         assert "prepare" in result.stdout
+
+
+BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreadBudget:
+    """``threads`` is a budget: encoder workers, each on one BLAS thread."""
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        """No BLAS variables and two usable CPUs."""
+        for var in BLAS_VARIABLES:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        return monkeypatch
+
+    def test_setting_then_environment_then_cpus(self, env):
+        assert thread_budget(None) == 2
+        env.setenv("OMP_NUM_THREADS", "5")
+        assert thread_budget(None) == 5
+        env.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert thread_budget(None) == 4
+        assert thread_budget(3) == 3
+
+    @pytest.mark.parametrize("text", ["abc", "0", "-2", "1.5", ""])
+    def test_malformed_variable_counts_as_unset(self, env, text):
+        env.setenv("OPENBLAS_NUM_THREADS", text)
+        assert thread_budget(None) == 2
+        env.setenv("OMP_NUM_THREADS", "3")
+        assert thread_budget(None) == 3
+
+    def test_workers_at_most_the_usable_cpus(self, env):
+        env.setattr(cli, "_numpy_loaded", lambda: False)
+        assert pin_blas(64) == 2
+        assert pin_blas(1) == 1
+        assert [os.environ[var] for var in BLAS_VARIABLES] == ["1"] * 3
+
+    def test_cpu_count_where_affinity_is_missing(self, env):
+        env.delattr(os, "sched_getaffinity")
+        env.setattr(os, "cpu_count", lambda: 3)
+        env.setattr(cli, "_numpy_loaded", lambda: False)
+        assert pin_blas(None) == 3
+        assert pin_blas(8) == 3
+
+    def test_loaded_numpy_keeps_its_blas_threads_and_encodes_serially(self, env):
+        # This test process has loaded numpy, so a pin could not take effect.
+        assert pin_blas(2) == 1
+        assert not any(var in os.environ for var in BLAS_VARIABLES)
+
+    def test_main_returns_with_the_pool_shut_down(self, tmp_path, env):
+        import threading
+
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        assert main(["train", "--mode", "siamese", *common_args(paths)]) == 0
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(paths["spectra"][:8]))
+        real, threads = encoder._encode_group, set()
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            return real(*args)
+
+        env.setattr(encoder, "_encode_group", spy)
+        env.setattr(cli, "_numpy_loaded", lambda: False)
+        code = main(
+            ["search", "--mode", "siamese", "--queries", str(queries), "--threads", "2",
+             *common_args(paths)]
+        )
+        assert code == 0
+        assert threads and all(name.startswith("mzembed-encode") for name in threads)
+        assert encoder._pool is None and encoder._workers == 1
+        alive = [t for t in threading.enumerate() if t.name.startswith("mzembed-encode")]
+        assert not alive
+
+    def test_one_and_two_threads_write_the_same_bytes(self, tmp_path):
+        # In fresh processes, where the BLAS pin takes effect.
+        paths = write_inputs(tmp_path)
+        paths["config"].write_text(CONFIG_SMALL.replace("dropout=0.0", "dropout=0.1"))
+        assert run_prepare(paths) == 0
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(paths["spectra"][::2]))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), *sys.path]))
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            shutil.copytree(paths["out"], out)
+            for command in (
+                ["train", "--mode", "siamese"],
+                ["search", "--mode", "siamese", "--queries", str(queries), "--k", "3"],
+            ):
+                args = [*common_args(paths), "--out-dir", str(out), "--threads", threads]
+                subprocess.run(
+                    [sys.executable, "-m", "mzembed.cli", *command, *args],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+            log = (out / "train_log_siamese.tsv").read_text().splitlines()
+            outputs[threads] = (
+                [line.rsplit("\t", 1)[0] for line in log],  # without wall_time_s
+                *((out / name).read_bytes() for name in (
+                    "model_siamese.ckpt", "index_siamese.bin", "search_results.tsv"
+                )),
+            )
+        assert outputs["1"] == outputs["2"]
 
 
 # Checkpoints embed a digest of this text, so any change to it makes

@@ -2,6 +2,8 @@
 permutation invariance, slot-count batching and dropout determinism."""
 
 import argparse
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -597,3 +599,141 @@ class TestInferenceWeights:
             got = feed_forward(se, weights.for_inference().peak_inner).data
         assert got.shape == (grid.shape[0], cfg.d)
         assert np.array_equal(got, want)
+
+
+class TestWorkerPool:
+    """``encode_workers``: the same bits on any number of workers."""
+
+    @staticmethod
+    def spectra(rng):
+        # Two spectra of 5-9 slots and six at the cap (17 slots): a group
+        # larger than one worker's share (4 of 8) on 2 workers.
+        spectra = [toy_spectrum(f"s{i}", "m", rng, n_peaks=(4, 9)) for i in range(2)]
+        spectra += [toy_spectrum(f"c{i}", "m", rng, n_peaks=(20, 30)) for i in range(6)]
+        return spectra
+
+    @staticmethod
+    def pool_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("mzembed-encode")]
+
+    @staticmethod
+    def spy_units(monkeypatch):
+        """(thread name, spectrum ids) of every forward encode_batch runs."""
+        real, calls = encoder._encode_group, []
+
+        def spy(spectra, *args):
+            calls.append((threading.current_thread().name, [s.id for s in spectra]))
+            return real(spectra, *args)
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+        return calls
+
+    def test_rows_identical_on_one_and_two_workers(self, rng, monkeypatch):
+        cfg = small_cfg(layers=2, heads=2)
+        weights = init_weights(cfg, seed=0)
+        spectra = self.spectra(rng)
+        serial = encode_many(spectra, cfg, weights)
+        calls = self.spy_units(monkeypatch)
+        with encoder.encode_workers(2):
+            pooled = encode_many(spectra, cfg, weights)
+        assert np.array_equal(pooled, serial)
+        assert all(name.startswith("mzembed-encode") for name, _ in calls)
+        # The capped group of six is split at a worker's share.
+        assert sorted(ids for _, ids in calls if ids[0].startswith("c")) == [
+            ["c0", "c1", "c2", "c3"], ["c4", "c5"]
+        ]
+
+    def test_default_is_serial_on_the_calling_thread(self, rng, monkeypatch):
+        cfg = small_cfg()
+        calls = self.spy_units(monkeypatch)
+        encode_many(self.spectra(rng), cfg, init_weights(cfg, seed=0))
+        assert {name for name, _ in calls} == {threading.current_thread().name}
+        assert encoder._pool is None
+
+    def test_one_unit_starts_no_pool(self, rng):
+        cfg = small_cfg()
+        with encoder.encode_workers(2):
+            encode_many([toy_spectrum("s", "m", rng)], cfg, init_weights(cfg, seed=0))
+            assert encoder._pool is None
+
+    def test_training_keeps_groups_whole_and_bits(self, rng, monkeypatch):
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        spectra = self.spectra(rng)
+
+        def train_forward():
+            for t in weights.trainable().values():
+                t.grad = None
+            stream = stream_rng(5, "dropout", 0)
+            out = encode_batch(spectra, cfg, weights, mode="train", rng=stream)
+            (out * out).sum().backward()
+            grads = {n: t.grad.copy() for n, t in weights.trainable().items()}
+            return out.data, grads, stream.random()
+
+        serial = train_forward()
+        calls = self.spy_units(monkeypatch)
+        with encoder.encode_workers(2):
+            pooled = train_forward()
+        assert np.array_equal(pooled[0], serial[0])
+        assert pooled[2] == serial[2]  # the dropout generator's next draw
+        for name, grad in serial[1].items():
+            assert np.array_equal(pooled[1][name], grad), name
+        capped = [ids for _, ids in calls if ids[0].startswith("c")]
+        assert capped == [[f"c{i}" for i in range(6)]]
+
+    def test_eight_workers_with_fast_thread_switching(self, rng):
+        # More workers than cores, switching threads every few bytecodes:
+        # any shared state the forwards wrote would show up as changed bits.
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        spectra = [toy_spectrum(f"s{i}", "m", rng, n_peaks=(3, 15)) for i in range(30)]
+
+        def both():
+            rows = encode_many(spectra, cfg, weights)
+            out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+            out.sum().backward()
+            grads = [t.grad.copy() for t in weights.trainable().values()]
+            for t in weights.trainable().values():
+                t.grad = None
+            return rows, out.data, grads
+
+        serial = both()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with encoder.encode_workers(8):
+                pooled = both()
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled[0], serial[0])
+        assert np.array_equal(pooled[1], serial[1])
+        assert all(np.array_equal(a, b) for a, b in zip(pooled[2], serial[2]))
+
+    def test_failure_names_the_first_group_and_the_pool_survives(self, rng):
+        cfg = small_cfg()
+        weights = init_weights(cfg, seed=0)
+        good = self.spectra(rng)
+        # Two failing groups: six unnormalized spectra at the cap (split
+        # between workers; the last one fails) and a later lone one.
+        bad = [toy_spectrum(f"b{i}", "m", rng, n_peaks=(20, 30)) for i in range(5)]
+        bad.append(toy_spectrum("b5", "m", rng, n_peaks=(20, 30), normalize=False))
+        bad.append(toy_spectrum("z", "m", rng, n_peaks=(3, 4), normalize=False))
+        names = ", ".join(f"'b{i}'" for i in range(6))
+        with encoder.encode_workers(2):
+            with pytest.raises(DataError, match=rf"^failed to encode spectra {names}: "):
+                encode_many(bad, cfg, weights)
+            after = encode_many(good, cfg, weights)
+        assert np.array_equal(after, encode_many(good, cfg, weights))
+
+    def test_exit_joins_the_threads_and_restores_serial(self, rng):
+        cfg = small_cfg()
+        with encoder.encode_workers(2):
+            encode_many(self.spectra(rng), cfg, init_weights(cfg, seed=0))
+            assert self.pool_threads()
+        assert not self.pool_threads()
+        assert encoder._pool is None and encoder._workers == 1
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            with encoder.encode_workers(0):
+                pass

@@ -268,6 +268,40 @@ class TestTrainLoop:
             # Everything except wall time must reproduce; NaN slots match NaN.
             assert np.array_equal(r1[:4], r2[:4], equal_nan=True)
 
+    def test_two_workers_train_the_same_bytes(self, tmp_path, monkeypatch):
+        import mzembed.siamese
+        from mzembed import encoder
+        from mzembed.tensor import save_checkpoint
+
+        spectra, molecules = toy_dataset(n_structures=3, spectra_per=3, seed=21)
+        enc = EncoderConfig(d=8, layers=2, heads=2, inner_dim=8, dropout=0.2,
+                            kind="sin", max_fragments=16)
+        trn = TrainConfig(epochs=1, batch_size=8, lr=1e-3,
+                          seed=13, pairs_per_epoch=16, eval_pairs=8)
+        real = mzembed.siamese.encode_batch
+
+        def train(workers):
+            streams = []
+
+            def spying(batch, *args, rng=None, **kwargs):
+                streams.append(rng)
+                return real(batch, *args, rng=rng, **kwargs)
+
+            monkeypatch.setattr(mzembed.siamese, "encode_batch", spying)
+            with encoder.encode_workers(workers):
+                weights, log = train_siamese(
+                    spectra, molecules, trn, enc, eval_sets={"known": spectra[:4]}
+                )
+            path = tmp_path / f"workers{workers}.ckpt"
+            save_checkpoint(path, {k: v.data for k, v in weights.named().items()}, "test\n")
+            assert len(streams) == 2  # two steps
+            return path.read_bytes(), [row[:4] for row in log.rows], streams[-1].random()
+
+        (ckpt1, log1, draw1), (ckpt2, log2, draw2) = train(1), train(2)
+        assert ckpt1 == ckpt2
+        assert np.array_equal(log1, log2, equal_nan=True)
+        assert draw1 == draw2  # the dropout generator's next draw
+
     def test_held_out_mse_takes_one_encode_per_epoch(self, monkeypatch):
         import mzembed.siamese
 
