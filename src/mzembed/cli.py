@@ -522,6 +522,11 @@ def cmd_predict(settings: Settings) -> int:
     from .data import PROPERTY_NAMES
 
     mode = settings.get("mode", "properties")
+    if mode == "siamese":
+        raise ConfigError(
+            "the siamese model predicts no properties; "
+            "use mode properties or properties-baseline"
+        )
     predict_fn = _property_predictor(settings, *load_model(settings, mode))
     queries = load_queries(settings)
     preds = predict_fn(queries)

@@ -1,13 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays in binary32 or binary64. Each operation records
-its parents and a backward closure; ``Tensor.backward`` replays the
-closures in reverse topological order and consumes the graph as it
-goes: each node drops its closure, its parents and its own gradient once
-its closure has run, so activations are freed by reference counting
-while the walk continues. Only leaf tensors keep a ``.grad``, and a graph
-can be walked once; a second ``backward`` through it raises. Tensors
-created with ``requires_grad=False`` never receive a gradient.
+its parents and one backward function of its output node,
+``backward(node)``, which reads ``node.grad`` and adds to the parents'
+gradients. The function holds the parents and whatever arrays the
+gradient needs, never the node itself, so graphs are acyclic: reference
+counting frees a graph that is dropped without a walk.
+``Tensor.backward`` calls the functions in reverse topological order and
+consumes the graph as it goes: each node drops its function, its parents
+and its own gradient once the function has run, so activations are
+freed while the walk continues. Only leaf tensors keep a ``.grad``, and
+a graph can be walked once; a second ``backward`` through it raises.
+Tensors created with ``requires_grad=False`` never receive a gradient.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def _unbroadcast(grad, shape):
 
 
 def _consumed():
-    """Marks a graph node whose closure ``Tensor.backward`` has run."""
+    """Marks a graph node whose backward ``Tensor.backward`` has run."""
 
 
 class Tensor:
@@ -107,10 +111,12 @@ class Tensor:
         """Add the gradient of this scalar to the ``.grad`` of every
         requires_grad leaf it depends on, and consume the graph.
 
-        Leaf gradients add up over calls until cleared. Interior nodes
-        give up their closures, parents and gradients as the walk passes
-        them, so the graph cannot be walked again: a second call through
-        a consumed node raises ``MzembedError``.
+        Each interior node's ``_backward(node)`` runs once, after every
+        node that uses it. Leaf gradients add up over calls until
+        cleared. Interior nodes give up their backward functions, parents
+        and gradients as the walk passes them, so the graph cannot be
+        walked again: a second call through a consumed node raises
+        ``MzembedError``.
         """
         if self.data.ndim != 0:
             raise MzembedError(
@@ -141,7 +147,7 @@ class Tensor:
             node = topo.pop()
             if node._backward is None:
                 continue
-            node._backward()
+            node._backward(node)
             node._backward = _consumed
             node._parents = ()
             node.grad = None
@@ -150,11 +156,18 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
+        """A node holding ``data``; records ``parents`` and ``backward``
+        when a parent requires a gradient and recording is on.
+
+        ``backward(node)`` is called once by ``Tensor.backward`` with
+        ``node.grad`` set. It must reach the node through its argument
+        only, so that the node is not referenced from its own function.
+        """
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
-            out._backward = backward(out)
+            out._backward = backward
         return out
 
     # -- elementwise arithmetic ---------------------------------------
@@ -165,28 +178,22 @@ class Tensor:
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
 
         def bwd(out):
-            def run():
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-                b._accumulate(_unbroadcast(out.grad, b.data.shape))
-            return run
+            a._accumulate(_unbroadcast(out.grad, a.data.shape))
+            b._accumulate(_unbroadcast(out.grad, b.data.shape))
 
         return Tensor._make(a.data + b.data, (a, b), bwd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
 
         def bwd(out):
-            def run():
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-                b._accumulate(_unbroadcast(-out.grad, b.data.shape))
-            return run
+            a._accumulate(_unbroadcast(out.grad, a.data.shape))
+            b._accumulate(_unbroadcast(-out.grad, b.data.shape))
 
         return Tensor._make(a.data - b.data, (a, b), bwd)
 
@@ -197,37 +204,29 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(-out.grad)
-            return run
+            a._accumulate(-out.grad)
 
         return Tensor._make(-a.data, (a,), bwd)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
 
         def bwd(out):
-            def run():
-                a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-                b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-            return run
+            a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
+            b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
 
         return Tensor._make(a.data * b.data, (a, b), bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
 
         def bwd(out):
-            def run():
-                a._accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
-                b._accumulate(
-                    _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape)
-                )
-            return run
+            a._accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
+            b._accumulate(
+                _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape)
+            )
 
         return Tensor._make(a.data / b.data, (a, b), bwd)
 
@@ -240,30 +239,23 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(out.grad * exponent * a.data ** (exponent - 1))
-            return run
+            a._accumulate(out.grad * exponent * a.data ** (exponent - 1))
 
         return Tensor._make(a.data ** exponent, (a,), bwd)
 
     def sqrt(self):
         a = self
-        root = np.sqrt(a.data)
 
         def bwd(out):
-            def run():
-                a._accumulate(out.grad * 0.5 / out.data)
-            return run
+            a._accumulate(out.grad * 0.5 / out.data)
 
-        return Tensor._make(root, (a,), bwd)
+        return Tensor._make(np.sqrt(a.data), (a,), bwd)
 
     def exp(self):
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(out.grad * out.data)
-            return run
+            a._accumulate(out.grad * out.data)
 
         return Tensor._make(np.exp(a.data), (a,), bwd)
 
@@ -271,49 +263,27 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(out.grad / a.data)
-            return run
+            a._accumulate(out.grad / a.data)
 
         return Tensor._make(np.log(a.data), (a,), bwd)
 
     # -- matrix product ------------------------------------------------
 
     def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        if a.data.ndim == 0 or b.data.ndim == 0:
-            raise DimensionError("matmul requires at least 1-d operands")
-        if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+        a, b = self, self._coerce(other)
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise DimensionError(
+                f"matmul requires 2-d or batched operands: {a.data.shape} vs {b.data.shape}"
+            )
+        if a.data.shape[-1] != b.data.shape[-2]:
             raise DimensionError(
                 f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
             )
 
         def bwd(out):
-            def run():
-                g = out.grad
-                ad, bd = a.data, b.data
-                if ad.ndim == 1 and bd.ndim == 1:
-                    a._accumulate(g * bd)
-                    b._accumulate(g * ad)
-                    return
-                if ad.ndim == 1:
-                    # (k,) @ (..., k, n) -> (..., n)
-                    ga = (np.expand_dims(g, -2) @ np.swapaxes(bd, -1, -2)).squeeze(-2)
-                    a._accumulate(_unbroadcast(ga, ad.shape))
-                    gb = np.expand_dims(ad, -1) @ np.expand_dims(g, -2)
-                    b._accumulate(_unbroadcast(gb, bd.shape))
-                    return
-                if bd.ndim == 1:
-                    # (..., m, k) @ (k,) -> (..., m)
-                    ga = np.expand_dims(g, -1) @ np.expand_dims(bd, -2)
-                    a._accumulate(_unbroadcast(ga, ad.shape))
-                    gb = np.swapaxes(ad, -1, -2) @ np.expand_dims(g, -1)
-                    b._accumulate(_unbroadcast(gb.squeeze(-1), bd.shape))
-                    return
-                a._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-                b._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
-            return run
+            g = out.grad
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor._make(a.data @ b.data, (a, b), bwd)
 
@@ -323,12 +293,10 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.data.shape))
-            return run
+            g = out.grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape))
 
         return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -344,9 +312,7 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(out.grad.reshape(a.data.shape))
-            return run
+            a._accumulate(out.grad.reshape(a.data.shape))
 
         return Tensor._make(a.data.reshape(shape), (a,), bwd)
 
@@ -354,9 +320,7 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(np.swapaxes(out.grad, ax1, ax2))
-            return run
+            a._accumulate(np.swapaxes(out.grad, ax1, ax2))
 
         return Tensor._make(np.swapaxes(a.data, ax1, ax2), (a,), bwd)
 
@@ -364,11 +328,9 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                g = np.zeros_like(a.data)
-                np.add.at(g, key, out.grad)  # an index array may repeat an element
-                a._accumulate(g)
-            return run
+            g = np.zeros_like(a.data)
+            np.add.at(g, key, out.grad)  # an index array may repeat an element
+            a._accumulate(g)
 
         return Tensor._make(a.data[key], (a,), bwd)
 
@@ -376,9 +338,7 @@ class Tensor:
         a = self
 
         def bwd(out):
-            def run():
-                a._accumulate(out.grad.astype(a.data.dtype))
-            return run
+            a._accumulate(out.grad.astype(a.data.dtype))
 
         return Tensor._make(a.data.astype(dtype), (a,), bwd)
 
@@ -390,12 +350,10 @@ def concat(tensors, axis=-1):
     offsets = np.cumsum([0] + sizes)
 
     def bwd(out):
-        def run():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                index = [slice(None)] * out.grad.ndim
-                index[axis if axis >= 0 else out.grad.ndim + axis] = slice(lo, hi)
-                t._accumulate(out.grad[tuple(index)])
-        return run
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            index = [slice(None)] * out.grad.ndim
+            index[axis if axis >= 0 else out.grad.ndim + axis] = slice(lo, hi)
+            t._accumulate(out.grad[tuple(index)])
 
     return Tensor._make(
         np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd
@@ -403,18 +361,6 @@ def concat(tensors, axis=-1):
 
 
 def gather_rows(table, indices):
-    """Row lookup ``table[indices]`` with scatter-add gradient.
-
-    The gradient lands only on looked-up rows; repeated indices
-    accumulate.
-    """
-    indices = np.asarray(indices)
-
-    def bwd(out):
-        def run():
-            g = np.zeros_like(table.data)
-            np.add.at(g, indices.reshape(-1), out.grad.reshape(-1, table.data.shape[1]))
-            table._accumulate(g)
-        return run
-
-    return Tensor._make(table.data[indices], (table,), bwd)
+    """Row lookup ``table[indices]``; repeated indices accumulate their
+    gradients, as in any ``Tensor`` indexing."""
+    return table[np.asarray(indices)]

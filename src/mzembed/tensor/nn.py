@@ -1,7 +1,10 @@
 """Neural-network operations built on the autodiff core.
 
-The memory-heavy composites are single graph nodes with hand-derived
-backwards, each keeping only what its gradient needs: ``softmax`` and
+Every node follows the core's protocol: it hands ``Tensor._make`` one
+backward function of its output node, which holds the parents and the
+arrays the gradient needs but never the node itself. The memory-heavy
+composites are single graph nodes with hand-derived backwards, each
+keeping only what its gradient needs: ``softmax`` and
 the attention probabilities (``attention_probs``: scores, scale, key
 mask and softmax in one node) keep their output, ``layer_norm`` keeps
 the normalized input and the standard deviation, ``dropout`` keeps a
@@ -30,9 +33,7 @@ def relu(x: Tensor) -> Tensor:
     mask = (a.data > 0).astype(a.data.dtype)
 
     def bwd(out):
-        def run():
-            a._accumulate(out.grad * mask)
-        return run
+        a._accumulate(out.grad * mask)
 
     return Tensor._make(a.data * mask, (a,), bwd)
 
@@ -40,28 +41,26 @@ def relu(x: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``W x + b`` applied to the last axis of ``x``.
 
-    ``w`` has shape (out, in); ``x`` may carry any leading batch axes.
-    With batch axes this is one graph node whose backward flattens them,
-    so the weight gradient is a single GEMM.
+    ``w`` has shape (out, in) and ``b`` shape (out,). ``x`` has shape
+    (..., in) of any rank from 1 up: a single vector, a (rows, in)
+    matrix, or a matrix under more leading batch axes. The result has
+    shape (..., out). This is one graph node whose backward flattens the
+    leading axes, so the weight gradient is a single GEMM.
     """
     if x.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"linear: input shape {x.shape} does not match weight shape {w.shape}"
         )
-    if x.ndim == 1:
-        return w @ x + b
 
     def bwd(out):
-        def run():
-            g = out.grad
-            g2 = g.reshape(-1, g.shape[-1])
-            if x.requires_grad:
-                x._accumulate(g @ w.data)
-            if w.requires_grad:
-                w._accumulate(g2.T @ x.data.reshape(-1, x.shape[-1]))
-            if b.requires_grad:
-                b._accumulate(g2.sum(0))
-        return run
+        g = out.grad
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate(g @ w.data)
+        if w.requires_grad:
+            w._accumulate(g2.T @ x.data.reshape(-1, x.shape[-1]))
+        if b.requires_grad:
+            b._accumulate(g2.sum(0))
 
     return Tensor._make(x.data @ w.data.swapaxes(-1, -2) + b.data, (x, w, b), bwd)
 
@@ -96,9 +95,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     case never arises there.
     """
     def bwd(out):
-        def run():
-            x._accumulate(_softmax_grad(out.data, out.grad, axis))
-        return run
+        x._accumulate(_softmax_grad(out.data, out.grad, axis))
 
     return Tensor._make(_softmax(x.data, axis), (x,), bwd)
 
@@ -121,19 +118,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     xhat = centered / sigma
 
     def bwd(out):
-        def run():
-            g = out.grad
-            if gain.requires_grad:
-                gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-            if bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.data.shape))
-            if x.requires_grad:
-                gx = g * gain.data
-                gx -= gx.mean(axis=-1, keepdims=True)
-                gx -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-                gx /= sigma
-                x._accumulate(gx)
-        return run
+        g = out.grad
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            gx = g * gain.data
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            gx /= sigma
+            x._accumulate(gx)
 
     return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
@@ -159,9 +154,7 @@ def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
     dtype = x.data.dtype
 
     def bwd(out):
-        def run():
-            x._accumulate(out.grad * (keep.astype(dtype) * scale))
-        return run
+        x._accumulate(out.grad * (keep.astype(dtype) * scale))
 
     return Tensor._make(x.data * (keep.astype(dtype) * scale), (x,), bwd)
 
@@ -235,14 +228,12 @@ def attention_probs(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) ->
         s += np.where(key_mask, 0.0, -np.inf).astype(s.dtype)[..., None, None, :]
 
     def bwd(out):
-        def run():
-            gs = _softmax_grad(out.data, out.grad, -1)
-            gs *= scale
-            if q.requires_grad:
-                q._accumulate(_unbroadcast(gs @ k.data, q.data.shape))
-            if k.requires_grad:
-                k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.data.shape))
-        return run
+        gs = _softmax_grad(out.data, out.grad, -1)
+        gs *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(gs @ k.data, q.data.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.data.shape))
 
     return Tensor._make(_softmax(s, -1, out=s), (q, k), bwd)
 

@@ -442,6 +442,24 @@ class TestSearchPredictExport:
             "use mode siamese or properties\n"
         )
 
+    def test_siamese_predict_exits_2_before_loading(self, workspace, tmp_path, capsys):
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:1]))
+        target = workspace["out"] / "predictions.tsv"
+        before = target.read_bytes() if target.exists() else None
+        capsys.readouterr()
+        for checkpoint in ("model_siamese.ckpt", "missing.ckpt"):
+            code = main(
+                ["predict", "--mode", "siamese", "--queries", str(queries),
+                 "--checkpoint", str(workspace["out"] / checkpoint), *common_args(workspace)]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: the siamese model predicts no properties; "
+                "use mode properties or properties-baseline\n"
+            )
+        assert (target.read_bytes() if target.exists() else None) == before
+
     def test_embedding_export_grid(self, workspace):
         code = main(
             ["export-embeddings", "--mode", "siamese",

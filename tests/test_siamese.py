@@ -108,6 +108,31 @@ class TestBins:
         with pytest.raises(ConfigError):
             build_similarity_bins(molecules, ["m0"], bin_count=0)
 
+    def test_rejection_sampling_beyond_exact_limit(self, rng):
+        molecules = {f"m{i:02d}": toy_molecule(f"m{i:02d}", rng) for i in range(30)}
+        names = sorted(molecules)
+
+        def build(seed, max_draws=2000):
+            return build_similarity_bins(
+                molecules, names, bin_count=10, exact_limit=10, seed=seed,
+                rejection_target=5, rejection_max_draws=max_draws,
+            )
+
+        bins = build(3)
+        assert bins.reservoirs == build(3).reservoirs
+        assert bins.reservoirs != build(4).reservoirs
+        sizes = [len(r) for r in bins.reservoirs]
+        assert max(sizes) == 5
+        for k, reservoir in enumerate(bins.reservoirs):
+            for a, b, t in reservoir:
+                assert a <= b
+                assert t == tanimoto(molecules[a].fingerprint, molecules[b].fingerprint)
+                assert k / 10 <= t < (k + 1) / 10 or (k == 9 and t == 1.0)
+        # Self-pairs drawn by the sampler land in the last bin.
+        assert any(t == 1.0 for _, _, t in bins.reservoirs[-1])
+
+        assert build(3, max_draws=0).unreachable == list(range(10))
+
     def test_unreachable_property(self):
         bins = build_similarity_bins({}, [], bin_count=3)
         assert bins.unreachable == [0, 1, 2]

@@ -7,7 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import toy_spectrum
+from mzembed.encoder import EncoderConfig, encode_batch, init_weights
 from mzembed.errors import DimensionError, MzembedError, NumericsError
+from mzembed.rng import stream_rng
 from mzembed.tensor import (
     Adam,
     Tensor,
@@ -315,6 +318,19 @@ class TestGradients:
         with pytest.raises(DimensionError):
             dropout(Tensor(x), 0.3, training=True, keep=keep[:, :3])
 
+    def test_matmul_refuses_vectors(self, rng):
+        with pytest.raises(DimensionError):
+            Tensor(rng.normal(size=(3,))) @ Tensor(rng.normal(size=(3, 2)))
+        with pytest.raises(DimensionError):
+            Tensor(rng.normal(size=(2, 3))) @ Tensor(rng.normal(size=(3,)))
+
+    def test_linear_of_a_vector(self, rng):
+        x = rng.normal(size=(6,))
+        w = rng.normal(size=(3, 6))
+        b = rng.normal(size=(3,))
+        check_gradients(lambda xx, ww, bb: linear(xx, ww, bb), x, w, b)
+        assert np.allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data, w @ x + b)
+
     def test_backward_requires_scalar(self, rng):
         t = Tensor(rng.normal(size=(3,)), requires_grad=True)
         with pytest.raises(Exception):
@@ -345,6 +361,50 @@ class TestGraphRelease:
             del hidden, loss
             assert alive() is None
             assert w.grad is not None and b.grad is not None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_unwalked_graph_freed_without_cycle_collector(self, rng):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = Tensor(rng.normal(size=(4, 3)))
+            w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            b = Tensor(np.zeros(5), requires_grad=True)
+            hidden = linear(x, w, b)
+            alive = weakref.ref(hidden.data)
+            loss = relu(hidden).sum()
+            del hidden, loss
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_unwalked_encoder_graph_freed_without_cycle_collector(self, rng):
+        cfg = EncoderConfig(
+            d=8, layers=2, heads=2, inner_dim=8, dropout=0.1, kind="sin", max_fragments=16
+        )
+        weights = init_weights(cfg, seed=0)
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate((4, 7, 4))
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = encode_batch(
+                spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0)
+            )
+            alive, stack, seen = [], [out], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._parents:
+                    seen.add(id(node))
+                    alive.append(weakref.ref(node.data))
+                    stack.extend(node._parents)
+            assert len(alive) > 50
+            del out, node, stack
+            assert [ref for ref in alive if ref() is not None] == []
         finally:
             if enabled:
                 gc.enable()

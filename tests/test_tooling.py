@@ -1,12 +1,15 @@
-"""Benchmark tooling: the tracing wrapper table names functions that exist.
+"""Benchmark tooling: the names perfbench uses from the package exist.
 
 ``perfbench/traced_cli.py`` replaces program functions with span-recording
 wrappers by module and attribute name. A renamed or deleted function would
 only surface when a traced benchmark run crashes, so each entry is resolved
 here, and a siamese ``train`` must reach each ``mzembed.siamese`` entry
-through that module. The table is read from the file, not edited.
+through that module. The table is read from the file, not edited. The
+names the other perfbench scripts import from the package are read from
+their source and resolved the same way.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED_CLI = PERFBENCH / "traced_cli.py"
 
 
 def load_traced_cli():
@@ -33,6 +37,63 @@ def test_wrapped_name_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _catches_import_error(node):
+    return isinstance(node, ast.Try) and any(
+        isinstance(h.type, ast.Name) and h.type.id in ("ImportError", "ModuleNotFoundError")
+        for h in node.handlers
+    )
+
+
+def perfbench_imports():
+    """(module, dotted name) for each name perfbench takes from the package:
+    every ``from mzembed... import name``, and every ``name.attr`` read
+    from such a name. Imports guarded by ``except ImportError`` are
+    optional and left out."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        imported = {}
+
+        def visit(node, optional):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mzembed"):
+                if not optional:
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+            guarded = _catches_import_error(node)
+            for child in ast.iter_child_nodes(node):
+                visit(child, optional or (guarded and child in node.body))
+
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, False)
+        found.update(imported.values())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in imported:
+                module_name, name = imported[node.value.id]
+                found.add((module_name, f"{name}.{node.attr}"))
+    return sorted(found)
+
+
+PERFBENCH_IMPORTS = perfbench_imports()
+
+
+def test_perfbench_imports_are_found():
+    # run.py records the kernel backend on every run; traced runs score
+    # the reference kernel directly.
+    assert ("mzembed.kernels", "BACKEND") in PERFBENCH_IMPORTS
+    assert ("mzembed.kernels", "_reference.score_modified_cosine") in PERFBENCH_IMPORTS
+    assert not [name for _, name in PERFBENCH_IMPORTS if name.startswith("_matching")]
+
+
+@pytest.mark.parametrize("module_name,name", PERFBENCH_IMPORTS)
+def test_perfbench_import_resolves(module_name, name):
+    first, *rest = name.split(".")
+    owner = importlib.import_module(module_name)
+    if not hasattr(owner, first):
+        importlib.import_module(f"{module_name}.{first}")
+    owner = getattr(owner, first)
+    for part in rest:
+        owner = getattr(owner, part)
 
 
 def test_encode_span_arguments():
