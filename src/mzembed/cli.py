@@ -267,38 +267,40 @@ def split_sets(spectra, assignment):
 
 
 def load_model(settings: Settings, mode: str):
-    """Load a checkpoint, refusing on config digest mismatch.
+    """Load the mode's checkpoint, refusing on config digest mismatch.
 
-    Weights come back in their inference layout, binary64 column-major
-    (``ModelWeights.for_inference``, ``BaselineParams.for_inference``);
-    no binary32 copy is kept.
+    Apart from a property model's label scaler, the records must be the
+    mode's parameter table exactly: the encoder's, with the property head
+    in mode properties, or the binned baseline's. ``load_table`` refuses
+    a missing, unknown or wrong-shaped record. The weights come back as
+    the table's inference copy, binary64 column-major
+    (``ModelWeights.for_inference``); no binary32 copy is kept.
     """
     import numpy as np
 
-    from .encoder import weights_from_named
-    from .properties import BaselineParams, LabelScaler
-    from .tensor import Tensor, load_checkpoint
+    from .embed.features import bin_count
+    from .encoder import load_table, parameter_shapes
+    from .properties import N_PROPERTIES, LabelScaler, baseline_shapes
+    from .tensor import load_checkpoint
 
     enc_cfg, _ = build_configs(settings)
     config_text = run_config_text(settings, mode)
     ckpt = checkpoint_path(settings, mode)
     if not os.path.exists(ckpt):
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    params, _ = load_checkpoint(ckpt, config_text)
+    records, _ = load_checkpoint(ckpt, config_text)
 
     scaler = None
-    if "scaler.mean" in params:
+    if "scaler.mean" in records and "scaler.std" in records:
         scaler = LabelScaler(
-            mean=params.pop("scaler.mean").astype(np.float64),
-            std=params.pop("scaler.std").astype(np.float64),
+            mean=records.pop("scaler.mean").astype(np.float64),
+            std=records.pop("scaler.std").astype(np.float64),
         )
     if mode == "properties-baseline":
-        names = ("w1", "b1", "w2", "b2", "w3", "b3")
-        model = BaselineParams(**{n: Tensor(params.pop(f"baseline.{n}")) for n in names})
-        model = model.for_inference()
+        shapes = baseline_shapes(bin_count(*baseline_bins(settings, enc_cfg)), enc_cfg.d)
     else:
-        model = weights_from_named(params, enc_cfg).for_inference()
-    return model, scaler, enc_cfg
+        shapes = parameter_shapes(enc_cfg, N_PROPERTIES if mode == "properties" else None)
+    return load_table(records, shapes).for_inference(), scaler, enc_cfg
 
 
 # ------------------------------------------------------------- commands
@@ -543,7 +545,7 @@ def cmd_export_embeddings(settings: Settings) -> int:
     import numpy as np
 
     from .embed import fractional_mz, sinusoidal_embed, tokenize_mz
-    from .tensor import Tensor, feed_forward, no_grad
+    from .tensor import FeedForwardParams, Tensor, feed_forward, no_grad
 
     mode = _encoder_mode(settings)
     model, _scaler, enc_cfg = load_model(settings, mode)
@@ -554,10 +556,11 @@ def cmd_export_embeddings(settings: Settings) -> int:
     if enc_cfg.kind == "sin":
         with no_grad():
             se = sinusoidal_embed(grid, enc_cfg.sinusoidal, enc_cfg.precision)
-            emb = feed_forward(Tensor(se), model.peak_inner).data
+            inner = FeedForwardParams.of(model.named(), "peak.inner")
+            emb = feed_forward(Tensor(se), inner).data
     else:
         ids = tokenize_mz(grid, enc_cfg.vocab)
-        emb = model.token_table.data[ids]
+        emb = model.named()["peak.table"].data[ids]
 
     lines = [
         "mz\tfrac_mz\tprecision\t"

@@ -92,6 +92,15 @@ def peak_embed_token(
     return feed_forward(joined, outer)
 
 
+def bin_count(bin_width: float, max_mz: float) -> int:
+    """The length of ``bin_spectrum``'s vector."""
+    if bin_width <= 0:
+        raise ConfigError(f"bin width must be positive, got {bin_width}")
+    if max_mz <= bin_width:
+        raise ConfigError(f"bin max m/z must exceed the bin width, got {max_mz}")
+    return int(round(max_mz / bin_width))
+
+
 def bin_spectrum(
     spectrum: Spectrum, bin_width: float = 0.1, max_mz: float = 2000.0
 ) -> np.ndarray:
@@ -101,11 +110,7 @@ def bin_spectrum(
     floor(mz / bin_width); fragments at or beyond max_mz are out of
     range and contribute nothing. The precursor is not binned.
     """
-    if bin_width <= 0:
-        raise ConfigError(f"bin width must be positive, got {bin_width}")
-    if max_mz <= bin_width:
-        raise ConfigError(f"bin max m/z must exceed the bin width, got {max_mz}")
-    n_bins = int(round(max_mz / bin_width))
+    n_bins = bin_count(bin_width, max_mz)
     out = np.zeros(n_bins, dtype=np.float64)
     for peak in spectrum.fragments:
         idx = int(np.floor(peak.mz / bin_width))

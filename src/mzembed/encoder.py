@@ -26,12 +26,21 @@ those of the serial loop. The masks are drawn before dispatch, on the
 calling thread. Outside it, the default, every group runs on the
 calling thread. ``cli.main`` opens it with one BLAS thread per worker.
 
+A model's weights are one ordered name -> Tensor table
+(``ModelWeights``), in checkpoint order. This module serves it for both
+of the package's models, the encoder (``parameter_shapes``) and the
+binned property baseline (``properties.baseline_shapes``): one init
+(``init_table``), one load that checks every checkpoint record against
+the layout (``load_table``), and one inference copy
+(``ModelWeights.for_inference``). The forward reads feed-forward and
+attention views of the table.
+
 Weights are trained and checkpointed as binary32; activations are
-binary64. ``encode_many``, the inference entry point, computes on
-binary64 column-major copies of the weights (``ModelWeights.for_inference``),
-which multiply to the same bits as the binary32 originals without the
-cast numpy would otherwise make on every matmul. ``cli.load_model``
-converts once at load, so the commands that encode never pay for it.
+binary64. ``encode_many``, the inference entry point, computes on the
+inference copy: binary64 column-major arrays, which multiply to the same
+bits as the binary32 originals without the cast numpy would otherwise
+make on every matmul. ``cli.load_model`` converts once at load, so the
+commands that encode never pay for it.
 """
 
 from __future__ import annotations
@@ -93,6 +102,10 @@ class EncoderConfig:
     vocab: TokenVocab | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("d", "heads", "inner_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.layers < 1:
@@ -114,59 +127,26 @@ class EncoderConfig:
         return self.d if self.inner_dim is None else self.inner_dim
 
 
-@dataclass
-class LayerParams:
-    norm1_gain: Tensor
-    norm1_bias: Tensor
-    attn: AttentionParams
-    norm2_gain: Tensor
-    norm2_bias: Tensor
-    ff: FeedForwardParams
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.norm1.gain": self.norm1_gain,
-            f"{prefix}.norm1.bias": self.norm1_bias,
-        }
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out[f"{prefix}.norm2.gain"] = self.norm2_gain
-        out[f"{prefix}.norm2.bias"] = self.norm2_bias
-        out.update(self.ff.named(f"{prefix}.ff"))
-        return out
-
-
-@dataclass
 class ModelWeights:
-    """All trainable parameters, in a named, checkpointable layout."""
+    """One model's parameters: an ordered name -> Tensor table.
 
-    kind: str
-    peak_outer: FeedForwardParams
-    layers: list[LayerParams]
-    peak_inner: FeedForwardParams | None = None  # sin kind only
-    token_table: Tensor | None = None  # token kind only
-    head: FeedForwardParams | None = None  # property regression head
-    extra: dict[str, Tensor] = field(default_factory=dict)  # scaler constants etc.
+    The order is the checkpoint's record order, the init's draw order,
+    and the order ``apply_step`` hands gradients to ``clip_gradients``,
+    whose global norm is summed in it. ``parameter_shapes`` lays out the
+    encoder's table (peak embedding, layers, optional property head);
+    ``properties.baseline_shapes`` the binned baseline's. ``init_table``
+    draws a fresh table, ``load_table`` checks checkpoint records against
+    one, and ``for_inference`` copies one for inference. Forward passes
+    read ``FeedForwardParams``/``AttentionParams`` views of the table,
+    which share its tensors.
+    """
+
+    def __init__(self, table: dict[str, Tensor]):
+        self._table = table
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.kind == "sin":
-            out.update(self.peak_inner.named("peak.inner"))
-        else:
-            out["peak.table"] = self.token_table
-        out.update(self.peak_outer.named("peak.outer"))
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"layer{i}"))
-        if self.head is not None:
-            out.update(self.head.named("head"))
-        out.update(self.extra)
-        return out
-
-    def trainable(self) -> dict[str, Tensor]:
-        named = self.named()
-        return {k: v for k, v in named.items() if k not in self.extra}
-
-    def parameter_count(self) -> int:
-        return sum(int(np.prod(t.data.shape)) for t in self.trainable().values())
+        """The table itself, in its order."""
+        return self._table
 
     def for_inference(self) -> ModelWeights:
         """These weights with binary64 column-major copies of every array
@@ -175,25 +155,28 @@ class ModelWeights:
 
         Activations are binary64. ``linear`` multiplies by ``w.T``, and
         for a binary32 ``w`` numpy casts ``w.T`` into a fresh C-contiguous
-        binary64 array on every call. ``w.T`` of a Fortran-order binary64
-        ``w`` is exactly that operand, so BLAS runs the same kernel and
-        every output keeps its bits, without the per-call copy. The token
-        table is only gathered, never multiplied, and stays as it is.
+        binary64 array on every call (82 MB for the baseline's first
+        weight at the default 20,000 bins). ``w.T`` of a Fortran-order
+        binary64 ``w`` is exactly that operand, so BLAS runs the same
+        kernel and every output keeps its bits, without the per-call copy.
+        The token table is only gathered, never multiplied, and stays as
+        it is.
         """
-        params = self.trainable()
-        dense = [name for name in params if name != "peak.table"]
+        dense = [name for name in self._table if name != "peak.table"]
         if all(
-            params[n].data.dtype == np.float64 and params[n].data.flags.f_contiguous
+            self._table[n].data.dtype == np.float64 and self._table[n].data.flags.f_contiguous
             for n in dense
         ):
             return self
+        table = dict(self._table)
         for name in dense:
-            params[name] = Tensor(np.asfortranarray(params[name].data, dtype=np.float64))
-        return _assemble(self.kind, len(self.layers), params, self.extra)
+            table[name] = Tensor(np.asfortranarray(table[name].data, dtype=np.float64))
+        return ModelWeights(table)
 
 
-def _parameter_shapes(cfg: EncoderConfig, head_out: int | None) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable parameter, in ``named()`` order."""
+def parameter_shapes(cfg: EncoderConfig, head_out: int | None) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder parameter, in table order; the
+    property head, with ``head_out`` outputs, comes last."""
     d = cfg.d
     shapes: dict[str, tuple[int, ...]] = {}
 
@@ -222,92 +205,53 @@ def _parameter_shapes(cfg: EncoderConfig, head_out: int | None) -> dict[str, tup
     return shapes
 
 
-def _assemble(
-    kind: str,
-    n_layers: int,
-    params: dict[str, Tensor],
-    extra: dict[str, Tensor] | None = None,
-) -> ModelWeights:
-    """Structured weights from a name -> tensor mapping in the named layout."""
+def init_table(shapes: dict[str, tuple[int, ...]], seed: int) -> ModelWeights:
+    """Fresh binary32 weights of any model's layout.
 
-    def ff(prefix: str) -> FeedForwardParams:
-        return FeedForwardParams(*(params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
-
-    def layer(i: int) -> LayerParams:
-        p = f"layer{i}"
-        attn = AttentionParams(
-            **{n: params[f"{p}.attn.{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
-        )
-        return LayerParams(
-            norm1_gain=params[f"{p}.norm1.gain"],
-            norm1_bias=params[f"{p}.norm1.bias"],
-            attn=attn,
-            norm2_gain=params[f"{p}.norm2.gain"],
-            norm2_bias=params[f"{p}.norm2.bias"],
-            ff=ff(f"{p}.ff"),
-        )
-
-    return ModelWeights(
-        kind=kind,
-        peak_outer=ff("peak.outer"),
-        layers=[layer(i) for i in range(n_layers)],
-        peak_inner=ff("peak.inner") if kind == "sin" else None,
-        token_table=params.get("peak.table"),
-        head=ff("head") if "head.w1" in params else None,
-        extra=dict(extra or {}),
-    )
-
-
-def init_weights(
-    cfg: EncoderConfig,
-    seed: int,
-    head_out: int | None = None,
-    dtype=np.float32,
-) -> ModelWeights:
-    """Build freshly initialized weights; layout is fixed by the config.
-
-    Linear weights and the token table draw from
+    2-D weights (linear weights and the token table) draw from
     U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in their second axis;
-    biases start at zero, norm gains at one. The draw order follows the
-    named parameter layout, so the same seed and config always produce
-    the same weights.
+    norm gains start at one and biases at zero. Every draw comes from
+    the seed's "init" stream in table order, so the same seed and layout
+    always give the same weights.
     """
     rng = stream_rng(seed, "init")
-    params = {}
-    for name, shape in _parameter_shapes(cfg, head_out).items():
+    table = {}
+    for name, shape in shapes.items():
         if len(shape) == 2:
-            params[name] = uniform_fan_in(shape, shape[1], rng, dtype=dtype)
+            table[name] = uniform_fan_in(shape, shape[1], rng)
         elif name.endswith(".gain"):
-            params[name] = ones(shape, dtype=dtype)
+            table[name] = ones(shape)
         else:
-            params[name] = zeros(shape, dtype=dtype)
-    return _assemble(cfg.kind, cfg.layers, params)
+            table[name] = zeros(shape)
+    return ModelWeights(table)
 
 
-def weights_from_named(named: dict[str, np.ndarray], cfg: EncoderConfig) -> ModelWeights:
-    """Rebuild structured weights from a flat name -> array mapping.
+def init_weights(cfg: EncoderConfig, seed: int, head_out: int | None = None) -> ModelWeights:
+    """Fresh encoder weights (see ``init_table``), with a property head
+    of ``head_out`` outputs if given."""
+    return init_table(parameter_shapes(cfg, head_out), seed)
 
-    The layout comes from the config alone; names outside it become
-    ``extra`` constants.
+
+def load_table(records: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> ModelWeights:
+    """Weights from checkpoint records, which must match the layout
+    ``shapes`` name for name and shape for shape: a record outside the
+    layout, a missing one or one of another shape raises ConfigError
+    naming it. The arrays are used as they are, in table order.
     """
-    head_out = named["head.w2"].shape[0] if "head.w2" in named else None
-    shapes = _parameter_shapes(cfg, head_out)
-    missing = sorted(set(shapes) - set(named))
-    if missing:
-        raise ConfigError(f"weight set is missing parameters: {missing}")
-    params = {}
+    for name in records:
+        if name not in shapes:
+            raise ConfigError(f"checkpoint record {name!r} is not a parameter of this model")
+    table = {}
     for name, want in shapes.items():
-        have = np.asarray(named[name])
+        if name not in records:
+            raise ConfigError(f"checkpoint has no record {name!r}")
+        have = np.asarray(records[name])
         if have.shape != want:
             raise ConfigError(
-                f"parameter {name}: shape {have.shape} does not match config shape {want}"
+                f"checkpoint record {name!r}: shape {have.shape} does not match the model's {want}"
             )
-        params[name] = Tensor(have, requires_grad=True)
-    extra = {
-        name: Tensor(np.asarray(named[name]), requires_grad=False)
-        for name in sorted(set(named) - set(shapes))
-    }
-    return _assemble(cfg.kind, cfg.layers, params, extra)
+        table[name] = Tensor(have, requires_grad=True)
+    return ModelWeights(table)
 
 
 def describe_config(cfg: EncoderConfig) -> str:
@@ -409,24 +353,26 @@ def _encode_group(spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWei
     """One unpadded forward over spectra of one slot count, with dropout
     if ``keeps`` holds each layer's masks for their rows and slots."""
     mz, intensity = _slot_arrays(spectra, cfg)
+    t = weights.named()
+    outer = FeedForwardParams.of(t, "peak.outer")
     if cfg.kind == "sin":
-        x = peak_embed_sin(
-            mz, intensity, cfg.sinusoidal, weights.peak_inner, weights.peak_outer,
-            cfg.precision,
-        )
+        inner = FeedForwardParams.of(t, "peak.inner")
+        x = peak_embed_sin(mz, intensity, cfg.sinusoidal, inner, outer, cfg.precision)
     else:
-        x = peak_embed_token(mz, intensity, cfg.vocab, weights.token_table, weights.peak_outer)
+        x = peak_embed_token(mz, intensity, cfg.vocab, t["peak.table"], outer)
 
-    training, p, last = keeps is not None, cfg.dropout, len(weights.layers) - 1
-    for i, layer in enumerate(weights.layers):
+    training, p, last = keeps is not None, cfg.dropout, cfg.layers - 1
+    for i in range(cfg.layers):
         keep_attn, keep_a, keep_f = keeps[i] if training else (None, None, None)
-        h = layer_norm(x, layer.norm1_gain, layer.norm1_bias)
+        h = layer_norm(x, t[f"layer{i}.norm1.gain"], t[f"layer{i}.norm1.bias"])
         # The last layer queries, and carries on, only the precursor slot.
         query, x = (h[:, 0:1], x[:, 0:1]) if i == last else (h, x)
-        a = multi_head_attention(query, h, h, layer.attn, cfg.heads, attn_dropout=p, keep=keep_attn)
+        attn = AttentionParams.of(t, f"layer{i}.attn")
+        a = multi_head_attention(query, h, h, attn, cfg.heads, attn_dropout=p, keep=keep_attn)
         x = x + dropout(a, p, training, keep=keep_a)
-        h = layer_norm(x, layer.norm2_gain, layer.norm2_bias)
-        x = x + dropout(feed_forward(h, layer.ff), p, training, keep=keep_f)
+        h = layer_norm(x, t[f"layer{i}.norm2.gain"], t[f"layer{i}.norm2.bias"])
+        ff = FeedForwardParams.of(t, f"layer{i}.ff")
+        x = x + dropout(feed_forward(h, ff), p, training, keep=keep_f)
     return x.reshape((len(spectra), cfg.d))
 
 
@@ -466,7 +412,7 @@ def encode_batch(
         b, h, w, d = len(spectra), cfg.heads, max(slots), cfg.d
         keeps = [
             tuple(rng.random(sh) >= cfg.dropout for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
-            for q in [w] * (len(weights.layers) - 1) + [1]
+            for q in [w] * (cfg.layers - 1) + [1]
         ]
     units = list(groups.values())
     if mode == "infer":

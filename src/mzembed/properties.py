@@ -1,9 +1,14 @@
 """Property regression from spectrum embeddings, plus the binned baseline.
 
 The head is one feed-forward block (hidden width d, output 10) on top of
-the encoder. Labels are standardized to zero mean and unit variance on
-the training split; predictions pass through the inverse scaler before
-any reporting, so R-squared is always computed in natural units.
+the encoder: the last entries of the encoder's parameter table, read
+through a ``FeedForwardParams`` view. The baseline is a feed-forward
+network over binned spectra with a table of its own
+(``baseline_shapes``); the encoder module's one init, load and inference
+copy serve it too. Labels are standardized to zero mean and unit
+variance on the training split; predictions pass through the inverse
+scaler before any reporting, so R-squared is always computed in natural
+units.
 """
 
 from __future__ import annotations
@@ -15,7 +20,14 @@ import numpy as np
 from .data.labels import PROPERTY_NAMES
 from .data.types import MoleculeRecord, Spectrum
 from .embed.features import bin_spectrum
-from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, init_weights
+from .encoder import (
+    EncoderConfig,
+    ModelWeights,
+    encode_batch,
+    encode_many,
+    init_table,
+    init_weights,
+)
 from .errors import ConfigError, DataError, NumericsError
 from .rng import stream_rng
 from .tensor import (
@@ -25,8 +37,6 @@ from .tensor import (
     linear,
     no_grad,
     relu,
-    uniform_fan_in,
-    zeros,
 )
 from .training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
@@ -84,56 +94,31 @@ def r2_score(predicted, actual) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-@dataclass
-class BaselineParams:
-    """Feed-forward baseline over binned spectra: two hidden layers of 2d."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    w3: Tensor
-    b3: Tensor
-
-    def named(self, prefix: str = "baseline") -> dict[str, Tensor]:
-        return {
-            f"{prefix}.{n}": getattr(self, n)
-            for n in ("w1", "b1", "w2", "b2", "w3", "b3")
-        }
-
-    def for_inference(self) -> "BaselineParams":
-        """Binary64 column-major copies of the parameters.
-
-        As with ``ModelWeights.for_inference``: ``linear`` multiplies the
-        binary64 input by ``w.T``, and a binary32 ``w`` would be cast to
-        a fresh binary64 array on every call (82 MB for ``w1`` at the
-        default 20,000 bins). The copy gives the same bits.
-        """
-        return BaselineParams(
-            **{
-                n: Tensor(np.asfortranarray(getattr(self, n).data, dtype=np.float64))
-                for n in ("w1", "b1", "w2", "b2", "w3", "b3")
-            }
-        )
-
-
-def init_baseline(n_bins: int, d: int, seed: int, dtype=np.float32) -> BaselineParams:
-    rng = stream_rng(seed, "init")
+def baseline_shapes(n_bins: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every baseline parameter, in table order: a
+    feed-forward network over ``n_bins`` bins with two hidden layers of
+    width 2d."""
     width = 2 * d
-    return BaselineParams(
-        w1=uniform_fan_in((width, n_bins), n_bins, rng, dtype=dtype),
-        b1=zeros((width,), dtype=dtype),
-        w2=uniform_fan_in((width, width), width, rng, dtype=dtype),
-        b2=zeros((width,), dtype=dtype),
-        w3=uniform_fan_in((N_PROPERTIES, width), width, rng, dtype=dtype),
-        b3=zeros((N_PROPERTIES,), dtype=dtype),
-    )
+    return {
+        "baseline.w1": (width, n_bins),
+        "baseline.b1": (width,),
+        "baseline.w2": (width, width),
+        "baseline.b2": (width,),
+        "baseline.w3": (N_PROPERTIES, width),
+        "baseline.b3": (N_PROPERTIES,),
+    }
 
 
-def baseline_forward(x: Tensor, params: BaselineParams) -> Tensor:
-    h = relu(linear(x, params.w1, params.b1))
-    h = relu(linear(h, params.w2, params.b2))
-    return linear(h, params.w3, params.b3)
+def init_baseline(n_bins: int, d: int, seed: int) -> ModelWeights:
+    """Fresh baseline weights (see ``encoder.init_table``)."""
+    return init_table(baseline_shapes(n_bins, d), seed)
+
+
+def baseline_forward(x: Tensor, params: ModelWeights) -> Tensor:
+    t = params.named()
+    h = relu(linear(x, t["baseline.w1"], t["baseline.b1"]))
+    h = relu(linear(h, t["baseline.w2"], t["baseline.b2"]))
+    return linear(h, t["baseline.w3"], t["baseline.b3"])
 
 
 def spectrum_labels(
@@ -157,19 +142,20 @@ def predict_properties_batch(
     """Predicted property values in natural units, one row per spectrum,
     columns ordered as PROPERTY_NAMES. A row does not depend on the
     other spectra in the list."""
-    if weights.head is None:
+    if "head.w1" not in weights.named():
         raise ConfigError("weights carry no property head; train with mode=properties")
     embs = encode_many(spectra, cfg, weights)
     # Each row passes through the head as a (1, d) matrix, as a lone
     # spectrum would; an (n, d) matmul may round differently.
+    head = FeedForwardParams.of(weights.named(), "head")
     with no_grad():
-        scaled = feed_forward(Tensor(embs[:, None, :]), weights.head)
+        scaled = feed_forward(Tensor(embs[:, None, :]), head)
     return scaler.invert(scaled.data[:, 0, :])
 
 
 def predict_baseline(
     spectra: list[Spectrum],
-    params: BaselineParams,
+    params: ModelWeights,
     scaler: LabelScaler,
     bin_width: float = DEFAULT_BIN_WIDTH,
     bin_max_mz: float = 2000.0,
@@ -183,8 +169,9 @@ def predict_baseline(
 
 def property_predictor(model, scaler: LabelScaler, cfg: EncoderConfig, bin_width: float, bin_max_mz: float):
     """The natural-unit prediction callable of a trained or loaded model:
-    the binned baseline's forward pass, or the encoder and its head."""
-    if isinstance(model, BaselineParams):
+    the binned baseline's forward pass if its table is the baseline's,
+    else the encoder and its head."""
+    if "baseline.w1" in model.named():
         return lambda spectra: predict_baseline(spectra, model, scaler, bin_width, bin_max_mz)
     return lambda spectra: predict_properties_batch(spectra, cfg, model, scaler)
 
@@ -274,20 +261,20 @@ def train_properties(
             [bin_spectrum(s, bin_width, bin_max_mz) for s in train_spectra], axis=0
         )
         model = init_baseline(binned.shape[1], enc_cfg.d, trn_cfg.seed)
-        params = model.named()
 
         def forward(indices, rng):
             return baseline_forward(Tensor(binned[indices]), model)
 
     else:
         model = init_weights(enc_cfg, seed=trn_cfg.seed, head_out=N_PROPERTIES)
-        params = model.trainable()
+        head = FeedForwardParams.of(model.named(), "head")
 
         def forward(indices, rng):
             chunk = [train_spectra[i] for i in indices]
             embs = encode_batch(chunk, enc_cfg, model, mode="train", rng=rng)
-            return feed_forward(embs, model.head)
+            return feed_forward(embs, head)
 
+    params = model.named()
     adam = make_optimizer(params, trn_cfg)
     log = TrainLog(
         columns=("epoch", "train_mse", "wall_time_s"),

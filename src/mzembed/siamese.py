@@ -236,7 +236,7 @@ def train_siamese(
 
     if weights is None:
         weights = init_weights(enc_cfg, seed=trn_cfg.seed)
-    params = weights.trainable()
+    params = weights.named()
     adam = make_optimizer(params, trn_cfg)
 
     eval_pairs = {

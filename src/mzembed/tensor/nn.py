@@ -18,7 +18,7 @@ gradients against central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,8 +159,16 @@ def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
     return Tensor._make(x.data * (keep.astype(dtype) * scale), (x,), bwd)
 
 
+class _TableView:
+    @classmethod
+    def of(cls, table: dict[str, Tensor], prefix: str):
+        """A view of a model's name -> Tensor table: each field is the
+        table's ``<prefix>.<field>`` tensor itself."""
+        return cls(*(table[f"{prefix}.{f.name}"] for f in fields(cls)))
+
+
 @dataclass
-class FeedForwardParams:
+class FeedForwardParams(_TableView):
     """Two-layer MLP: W2 relu(W1 x + b1) + b2."""
 
     w1: Tensor
@@ -168,21 +176,13 @@ class FeedForwardParams:
     w2: Tensor
     b2: Tensor
 
-    def named(self, prefix: str):
-        return {
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
-        }
-
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     return linear(relu(linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(_TableView):
     wq: Tensor
     bq: Tensor
     wk: Tensor
@@ -191,12 +191,6 @@ class AttentionParams:
     bv: Tensor
     wo: Tensor
     bo: Tensor
-
-    def named(self, prefix: str):
-        return {
-            f"{prefix}.{name}": getattr(self, name)
-            for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-        }
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:

@@ -88,15 +88,15 @@ class Adam:
             p.zero_grad()
 
 
-def uniform_fan_in(shape, fan_in: int, rng: np.random.Generator, dtype=np.float32) -> Tensor:
-    """Weight init: U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases use zeros()."""
+def uniform_fan_in(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
+    """Weight init: binary32 U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases use zeros()."""
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32), requires_grad=True)
 
 
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
 
-def ones(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def ones(shape) -> Tensor:
+    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)

@@ -92,3 +92,41 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestInitDigests:
+    """Fresh weights of each model, saved, have pinned bytes: a reordered
+    parameter table or a changed init draw order moves a digest."""
+
+    @staticmethod
+    def encoder_named(head_out=None, **kind):
+        from mzembed.encoder import EncoderConfig, init_weights
+
+        cfg = EncoderConfig(d=8, layers=2, heads=2, inner_dim=12, dropout=0.0,
+                            max_fragments=16, **kind)
+        return {k: v.data for k, v in init_weights(cfg, seed=7, head_out=head_out).named().items()}
+
+    @staticmethod
+    def baseline_named():
+        from mzembed.properties import init_baseline
+
+        return {k: v.data for k, v in init_baseline(40, 8, seed=7).named().items()}
+
+    @pytest.mark.parametrize("model,want", [
+        ("sin", "5347c89a8502efe2b363b95acbc293f4c3b6cef61f8559a743b19c4132218537"),
+        ("token", "8d42f9f66a1a55afa6986eb66f462d6e1ce62cd011b5b7a2a6d6d2acf7dd4ddb"),
+        ("sin+head", "4ca0587a37d50af85cc7df1328070f6be36189684c53a45baca8e947071360cc"),
+        ("baseline", "394b8adbba4f7a70615bdb8c46f93e2e36b513ec527f7e898915cdd62b84ec68"),
+    ])
+    def test_fresh_checkpoint_digest(self, tmp_path, model, want):
+        import hashlib
+
+        named = {
+            "sin": lambda: self.encoder_named(),
+            "token": lambda: self.encoder_named(kind="token", resolution=1.0, max_mz=50.0),
+            "sin+head": lambda: self.encoder_named(head_out=10),
+            "baseline": self.baseline_named,
+        }[model]()
+        path = tmp_path / "init.ckpt"
+        save_checkpoint(path, named, "pinned\n")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want

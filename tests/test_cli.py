@@ -397,8 +397,9 @@ class TestSearchPredictExport:
             assert all(np.isfinite(float(v)) for v in values)
 
     def test_baseline_predictions_match_predict_baseline(self, workspace, tmp_path):
-        from mzembed.properties import BaselineParams, LabelScaler, predict_baseline
-        from mzembed.tensor import Tensor, load_checkpoint
+        from mzembed.encoder import load_table
+        from mzembed.properties import LabelScaler, baseline_shapes, predict_baseline
+        from mzembed.tensor import load_checkpoint
 
         queries = tmp_path / "queries.mgf"
         queries.write_text(serialize_mgf(workspace["spectra"][:3]))
@@ -409,13 +410,11 @@ class TestSearchPredictExport:
         assert code == 0
 
         params, _ = load_checkpoint(workspace["out"] / "model_properties-baseline.ckpt")
-        model = BaselineParams(
-            **{n: Tensor(params[f"baseline.{n}"]) for n in ("w1", "b1", "w2", "b2", "w3", "b3")}
-        )
         scaler = LabelScaler(
-            mean=params["scaler.mean"].astype(np.float64),
-            std=params["scaler.std"].astype(np.float64),
+            mean=params.pop("scaler.mean").astype(np.float64),
+            std=params.pop("scaler.std").astype(np.float64),
         )
+        model = load_table(params, baseline_shapes(20_000, 8))  # 2000 / 0.1 bins
         spectra = sorted(
             (normalize_intensities(s) for s in load_mgf(queries)), key=lambda s: s.id
         )
@@ -425,6 +424,39 @@ class TestSearchPredictExport:
         assert lines[1:] == [
             s.id + "\t" + "\t".join(f"{v:.6f}" for v in row) for s, row in zip(spectra, want)
         ]
+
+    @pytest.mark.parametrize("edit,message", [
+        ("missing", "checkpoint has no record 'baseline.b3'"),
+        ("shape", "checkpoint record 'baseline.w1': shape (16, 19999) "
+                  "does not match the model's (16, 20000)"),
+        ("unknown", "checkpoint record 'baseline.w4' is not a parameter of this model"),
+    ], ids=["missing", "shape", "unknown"])
+    def test_baseline_record_outside_the_layout_exits_2(
+        self, workspace, tmp_path, capsys, edit, message
+    ):
+        from mzembed.tensor import load_checkpoint, save_checkpoint
+
+        trained = workspace["out"] / "model_properties-baseline.ckpt"
+        records, _ = load_checkpoint(trained)
+        if edit == "missing":
+            del records["baseline.b3"]
+        elif edit == "shape":
+            records["baseline.w1"] = records["baseline.w1"][:, :-1]
+        else:
+            records["baseline.w4"] = records["baseline.w3"]
+        edited = tmp_path / "edited.ckpt"
+        save_checkpoint(edited, records, Path(f"{trained}.config").read_text())
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+        before = snapshot(workspace["out"])
+        capsys.readouterr()
+        code = main(
+            ["predict", "--mode", "properties-baseline", "--queries", str(queries),
+             "--checkpoint", str(edited), *common_args(workspace)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert snapshot(workspace["out"]) == before
 
     @pytest.mark.parametrize("command", ["export-embeddings", "search"])
     def test_baseline_without_mz_embedding_exits_2(self, workspace, tmp_path, capsys, command):
@@ -488,7 +520,7 @@ class TestSearchPredictExport:
         from mzembed.cli import build_configs, read_config_file
         from mzembed.embed import fractional_mz, sinusoidal_embed, tokenize_mz
         from mzembed.encoder import init_weights
-        from mzembed.tensor import Tensor, feed_forward, no_grad, save_checkpoint
+        from mzembed.tensor import FeedForwardParams, Tensor, feed_forward, no_grad, save_checkpoint
 
         config = tmp_path / "run.cfg"
         config.write_text(
@@ -515,9 +547,10 @@ class TestSearchPredictExport:
         if embedding == "sin":
             with no_grad():
                 se = sinusoidal_embed(grid, cfg.sinusoidal, cfg.precision)
-                emb = feed_forward(Tensor(se), weights.peak_inner).data
+                inner = FeedForwardParams.of(weights.named(), "peak.inner")
+                emb = feed_forward(Tensor(se), inner).data
         else:
-            emb = weights.token_table.data[tokenize_mz(grid, cfg.vocab)]
+            emb = weights.named()["peak.table"].data[tokenize_mz(grid, cfg.vocab)]
         assert np.isnan(emb).any() == (precision == "16:full")
         frac = fractional_mz(grid)
         lines = ["mz\tfrac_mz\tprecision\t" + "\t".join(f"e{i}" for i in range(8))]
@@ -951,6 +984,32 @@ class TestRangeChecks:
         assert main([command, "--mode", "siamese", *flags, *args]) == 2
         key = (flags[0][2:] if flags else line.split("=")[0])
         assert f"setting {key!r}" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command,line,field", [
+        ("prepare", "heads=0", "heads"),
+        ("train", "heads=-8", "heads"),
+        ("train", "inner-dim=0", "inner_dim"),
+        ("eval", "d=0", "d"),
+    ])
+    def test_model_size_below_one_exits_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, command, line, field
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        config = tmp_path / "run.cfg"
+        key = line.split("=")[0]
+        config.write_text(re.sub(rf"^{key}=.*$", line, CONFIG_SMALL, flags=re.M))
+        args = ["--config", str(config), "--out-dir", str(out),
+                "--fingerprints", str(workspace["fingerprints"]),
+                "--properties", str(workspace["properties"])]
+        if command == "prepare":
+            args += ["--spectra", str(workspace["raw"])]
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main([command, "--mode", "siamese", *args]) == 2
+        value = line.split("=")[1]
+        assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
         assert snapshot(out) == before
 
 

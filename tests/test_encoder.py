@@ -14,16 +14,17 @@ from mzembed.data import Peak, Spectrum
 from mzembed.embed import wavelengths
 from mzembed.encoder import (
     EncoderConfig,
-    ModelWeights,
     describe_config,
     encode_batch,
     encode_many,
     encode_spectrum,
     init_weights,
-    weights_from_named,
+    load_table,
+    parameter_shapes,
 )
 from mzembed.errors import ConfigError, DataError
 from mzembed.rng import stream_rng
+from mzembed.tensor import AttentionParams, FeedForwardParams
 
 EPS = 1e-5  # layer norm epsilon
 
@@ -92,21 +93,32 @@ def np_encode(spectrum, cfg, weights):
     se[:, 0::2] = np.sin(angles)
     se[:, 1::2] = np.cos(angles)
 
-    inner = np_ff(se, weights.peak_inner)
-    x = np_ff(np.concatenate([inner, intensity[:, None]], axis=1), weights.peak_outer)
+    t = weights.named()
+    inner = np_ff(se, FeedForwardParams.of(t, "peak.inner"))
+    outer = FeedForwardParams.of(t, "peak.outer")
+    x = np_ff(np.concatenate([inner, intensity[:, None]], axis=1), outer)
 
-    for layer in weights.layers[:-1]:
-        h = np_layer_norm(x, layer.norm1_gain.data, layer.norm1_bias.data)
-        x = x + np_attention(h, h, h, layer.attn, cfg.heads)
-        h = np_layer_norm(x, layer.norm2_gain.data, layer.norm2_bias.data)
-        x = x + np_ff(h, layer.ff)
+    def layer(i):
+        return (
+            t[f"layer{i}.norm1.gain"].data, t[f"layer{i}.norm1.bias"].data,
+            AttentionParams.of(t, f"layer{i}.attn"),
+            t[f"layer{i}.norm2.gain"].data, t[f"layer{i}.norm2.bias"].data,
+            FeedForwardParams.of(t, f"layer{i}.ff"),
+        )
 
-    layer = weights.layers[-1]
-    h = np_layer_norm(x, layer.norm1_gain.data, layer.norm1_bias.data)
-    a = np_attention(h[0:1], h, h, layer.attn, cfg.heads)
+    for i in range(cfg.layers - 1):
+        g1, b1, attn, g2, b2, ff = layer(i)
+        h = np_layer_norm(x, g1, b1)
+        x = x + np_attention(h, h, h, attn, cfg.heads)
+        h = np_layer_norm(x, g2, b2)
+        x = x + np_ff(h, ff)
+
+    g1, b1, attn, g2, b2, ff = layer(cfg.layers - 1)
+    h = np_layer_norm(x, g1, b1)
+    a = np_attention(h[0:1], h, h, attn, cfg.heads)
     x0 = x[0:1] + a
-    h0 = np_layer_norm(x0, layer.norm2_gain.data, layer.norm2_bias.data)
-    return (x0 + np_ff(h0, layer.ff))[0]
+    h0 = np_layer_norm(x0, g2, b2)
+    return (x0 + np_ff(h0, ff))[0]
 
 
 class TestConfig:
@@ -127,6 +139,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(dropout=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", 0), ("d", -8), ("heads", 0), ("heads", -8), ("inner_dim", 0), ("inner_dim", -1),
+    ])
+    def test_size_below_one_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be at least 1, got {value}$"):
+            EncoderConfig(**{field: value})
+
 
 class TestWeights:
     def test_init_is_deterministic(self):
@@ -135,7 +154,8 @@ class TestWeights:
         for (na, ta), (nb, tb) in zip(a.named().items(), b.named().items()):
             assert na == nb and np.array_equal(ta.data, tb.data)
         c = init_weights(small_cfg(), seed=4)
-        assert not np.array_equal(a.layers[0].attn.wq.data, c.layers[0].attn.wq.data)
+        wq = "layer0.attn.wq"
+        assert not np.array_equal(a.named()[wq].data, c.named()[wq].data)
 
     def test_weights_are_float32(self):
         w = init_weights(small_cfg(), seed=0)
@@ -146,43 +166,43 @@ class TestWeights:
         cfg = small_cfg(layers=2)
         w = init_weights(cfg, seed=5, head_out=10)
         named = {k: v.data for k, v in w.named().items()}
-        rebuilt = weights_from_named(named, cfg)
+        rebuilt = load_table(named, parameter_shapes(cfg, 10))
+        assert list(rebuilt.named()) == list(named)
         for name, tensor in rebuilt.named().items():
             assert np.array_equal(tensor.data, named[name]), name
-        assert rebuilt.head is not None
 
     def test_missing_parameter_raises(self):
         cfg = small_cfg()
         named = {k: v.data for k, v in init_weights(cfg, seed=0).named().items()}
         del named["layer0.attn.wq"]
-        with pytest.raises(ConfigError):
-            weights_from_named(named, cfg)
+        with pytest.raises(ConfigError, match="'layer0.attn.wq'"):
+            load_table(named, parameter_shapes(cfg, None))
 
     def test_shape_mismatch_raises(self):
         cfg = small_cfg()
         named = {k: v.data for k, v in init_weights(cfg, seed=0).named().items()}
         named["layer0.attn.wq"] = named["layer0.attn.wq"][:4]
-        with pytest.raises(ConfigError):
-            weights_from_named(named, cfg)
+        with pytest.raises(ConfigError, match="'layer0.attn.wq'"):
+            load_table(named, parameter_shapes(cfg, None))
 
-    def test_unknown_names_become_extra(self):
+    @pytest.mark.parametrize("head_out,name", [(None, "scaler.mean"), (10, "head.w1")])
+    def test_unknown_record_raises(self, head_out, name):
+        # A record outside the layout is refused, not carried along.
         cfg = small_cfg()
-        named = {k: v.data for k, v in init_weights(cfg, seed=0).named().items()}
+        named = {k: v.data for k, v in init_weights(cfg, seed=0, head_out=head_out).named().items()}
         named["scaler.mean"] = np.zeros(10, dtype=np.float32)
-        rebuilt = weights_from_named(named, cfg)
-        assert "scaler.mean" in rebuilt.extra
-        assert rebuilt.extra["scaler.mean"].requires_grad is False
-        assert "scaler.mean" not in rebuilt.trainable()
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            load_table(named, parameter_shapes(cfg, None))
 
     def test_loading_draws_no_random_weights(self, monkeypatch):
         cfg = small_cfg(layers=2)
         named = {k: v.data for k, v in init_weights(cfg, seed=5, head_out=10).named().items()}
 
         def refuse(*args, **kwargs):
-            raise AssertionError("weights_from_named must not initialise weights")
+            raise AssertionError("load_table must not initialise weights")
 
         monkeypatch.setattr(encoder, "uniform_fan_in", refuse)
-        rebuilt = weights_from_named(named, cfg)
+        rebuilt = load_table(named, parameter_shapes(cfg, 10))
         assert list(rebuilt.named()) == list(named)
         for name, tensor in rebuilt.named().items():
             assert tensor.data is named[name], name
@@ -190,14 +210,8 @@ class TestWeights:
     def test_token_model_has_table(self):
         cfg = small_cfg(kind="token", resolution=0.1, max_mz=100.0)
         w = init_weights(cfg, seed=0)
-        assert w.token_table.data.shape == (cfg.vocab.size, 8)
-        assert "peak.table" in w.named()
-        assert w.peak_inner is None
-
-    def test_parameter_count(self):
-        w = init_weights(small_cfg(), seed=0)
-        total = sum(t.data.size for t in w.trainable().values())
-        assert w.parameter_count() == total
+        assert w.named()["peak.table"].data.shape == (cfg.vocab.size, 8)
+        assert not any(name.startswith("peak.inner.") for name in w.named())
 
 
 class TestDescribeConfig:
@@ -401,7 +415,7 @@ class TestTrainingMode:
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
         out = encode_batch(spectra, cfg, weights)
         (out * out).sum().backward()
-        for name, tensor in weights.trainable().items():
+        for name, tensor in weights.named().items():
             assert tensor.grad is not None, name
             assert np.any(tensor.grad != 0.0) or "bias" in name, name
 
@@ -526,7 +540,7 @@ class TestInferenceWeights:
         assert list(converted.named()) == list(weights.named())
         for name, tensor in converted.named().items():
             if name == "peak.table":
-                assert tensor is weights.token_table
+                assert tensor is weights.named()["peak.table"]
                 continue
             assert tensor.data.dtype == np.float64, name
             assert tensor.data.flags.f_contiguous, name
@@ -580,8 +594,9 @@ class TestInferenceWeights:
         weights = init_weights(cfg, seed=3, head_out=10)
         embs = encode_many(self.spectra(rng), cfg, weights)[:, None, :]
         with no_grad():
-            want = feed_forward(Tensor(embs), weights.head).data
-            got = feed_forward(Tensor(embs), weights.for_inference().head).data
+            want = feed_forward(Tensor(embs), FeedForwardParams.of(weights.named(), "head")).data
+            converted = weights.for_inference().named()
+            got = feed_forward(Tensor(embs), FeedForwardParams.of(converted, "head")).data
         assert got.shape == (embs.shape[0], 1, 10)
         assert np.array_equal(got, want)
 
@@ -595,8 +610,9 @@ class TestInferenceWeights:
         grid = np.arange(2_000, dtype=np.float64) * 0.37
         se = Tensor(sinusoidal_embed(grid, cfg.sinusoidal))
         with no_grad():
-            want = feed_forward(se, weights.peak_inner).data
-            got = feed_forward(se, weights.for_inference().peak_inner).data
+            want = feed_forward(se, FeedForwardParams.of(weights.named(), "peak.inner")).data
+            converted = weights.for_inference().named()
+            got = feed_forward(se, FeedForwardParams.of(converted, "peak.inner")).data
         assert got.shape == (grid.shape[0], cfg.d)
         assert np.array_equal(got, want)
 
@@ -662,12 +678,12 @@ class TestWorkerPool:
         spectra = self.spectra(rng)
 
         def train_forward():
-            for t in weights.trainable().values():
+            for t in weights.named().values():
                 t.grad = None
             stream = stream_rng(5, "dropout", 0)
             out = encode_batch(spectra, cfg, weights, mode="train", rng=stream)
             (out * out).sum().backward()
-            grads = {n: t.grad.copy() for n, t in weights.trainable().items()}
+            grads = {n: t.grad.copy() for n, t in weights.named().items()}
             return out.data, grads, stream.random()
 
         serial = train_forward()
@@ -692,8 +708,8 @@ class TestWorkerPool:
             rows = encode_many(spectra, cfg, weights)
             out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
             out.sum().backward()
-            grads = [t.grad.copy() for t in weights.trainable().values()]
-            for t in weights.trainable().values():
+            grads = [t.grad.copy() for t in weights.named().values()]
+            for t in weights.named().values():
                 t.grad = None
             return rows, out.data, grads
 

@@ -19,6 +19,7 @@ from mzembed.embed import (
 )
 from mzembed.encoder import EncoderConfig, init_weights
 from mzembed.errors import ConfigError, DataError
+from mzembed.tensor import FeedForwardParams
 
 
 class TestTokenVocab:
@@ -89,13 +90,19 @@ class TestNormalization:
             normalize_intensities(s)
 
 
+def peak_blocks(weights):
+    """The sin kind's inner and outer peak feed-forward blocks."""
+    t = weights.named()
+    return FeedForwardParams.of(t, "peak.inner"), FeedForwardParams.of(t, "peak.outer")
+
+
 class TestPeakEmbeddings:
     def test_sin_peak_embedding_shape(self, rng):
         cfg = EncoderConfig(d=16, layers=1, heads=2, kind="sin")
         weights = init_weights(cfg, seed=0)
         mz = rng.uniform(100, 900, 7)
         intensity = rng.uniform(0, 1, 7)
-        out = peak_embed_sin(mz, intensity, cfg.sinusoidal, weights.peak_inner, weights.peak_outer)
+        out = peak_embed_sin(mz, intensity, cfg.sinusoidal, *peak_blocks(weights))
         assert out.data.shape == (7, 16)
 
     def test_intensity_enters_after_inner_block(self, rng):
@@ -104,8 +111,8 @@ class TestPeakEmbeddings:
         cfg = EncoderConfig(d=16, layers=1, heads=2, kind="sin")
         weights = init_weights(cfg, seed=0)
         mz = np.array([250.0])
-        a = peak_embed_sin(mz, np.array([0.2]), cfg.sinusoidal, weights.peak_inner, weights.peak_outer)
-        b = peak_embed_sin(mz, np.array([0.9]), cfg.sinusoidal, weights.peak_inner, weights.peak_outer)
+        a = peak_embed_sin(mz, np.array([0.2]), cfg.sinusoidal, *peak_blocks(weights))
+        b = peak_embed_sin(mz, np.array([0.9]), cfg.sinusoidal, *peak_blocks(weights))
         assert not np.array_equal(a.data, b.data)
 
     def test_token_peak_embedding_uses_table_rows(self, rng):
@@ -113,7 +120,8 @@ class TestPeakEmbeddings:
         weights = init_weights(cfg, seed=0)
         mz = np.array([100.0, 100.04])  # both round to token 1000
         out = peak_embed_token(
-            mz, np.array([0.5, 0.5]), cfg.vocab, weights.token_table, weights.peak_outer
+            mz, np.array([0.5, 0.5]), cfg.vocab, weights.named()["peak.table"],
+            FeedForwardParams.of(weights.named(), "peak.outer"),
         )
         assert np.array_equal(out.data[0], out.data[1])
 

@@ -10,10 +10,10 @@ from mzembed.embed import bin_spectrum
 from mzembed.encoder import EncoderConfig, init_weights
 from mzembed.errors import ConfigError, DataError, NumericsError
 from mzembed.properties import (
-    BaselineParams,
     LabelScaler,
     PropertyReport,
     baseline_forward,
+    baseline_shapes,
     evaluate_properties,
     init_baseline,
     predict_baseline,
@@ -112,18 +112,19 @@ class TestBaseline:
         }
 
     def test_shapes(self):
-        params = init_baseline(50, 8, seed=0)
-        assert params.w1.data.shape == (16, 50)
-        assert params.w2.data.shape == (16, 16)
-        assert params.w3.data.shape == (10, 16)
+        t = init_baseline(50, 8, seed=0).named()
+        assert t["baseline.w1"].data.shape == (16, 50)
+        assert t["baseline.w2"].data.shape == (16, 16)
+        assert t["baseline.w3"].data.shape == (10, 16)
 
     def test_forward_matches_hand_numpy(self, rng):
         params = init_baseline(12, 4, seed=1)
         x = rng.normal(size=(5, 12))
         got = baseline_forward(Tensor(x), params).data
-        h = np.maximum(x @ params.w1.data.T + params.b1.data, 0.0)
-        h = np.maximum(h @ params.w2.data.T + params.b2.data, 0.0)
-        want = h @ params.w3.data.T + params.b3.data
+        w1, b1, w2, b2, w3, b3 = (t.data for t in params.named().values())
+        h = np.maximum(x @ w1.T + b1, 0.0)
+        h = np.maximum(h @ w2.T + b2, 0.0)
+        want = h @ w3.T + b3
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_forward_on_binned_spectrum(self, rng):
@@ -182,8 +183,9 @@ class TestPredict:
         from mzembed.encoder import encode_batch
 
         embs = encode_batch(spectra, cfg, weights).data
-        h = np.maximum(embs @ weights.head.w1.data.T + weights.head.b1.data, 0.0)
-        scaled = h @ weights.head.w2.data.T + weights.head.b2.data
+        t = weights.named()
+        h = np.maximum(embs @ t["head.w1"].data.T + t["head.b1"].data, 0.0)
+        scaled = h @ t["head.w2"].data.T + t["head.b2"].data
         want = scaled * scaler.std + scaler.mean
         assert got.shape == (3, 10)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
@@ -284,7 +286,7 @@ class TestTrainLoop:
             spectra, molecules, trn, small_cfg(),
             eval_sets={"known": spectra},
         )
-        assert model.head is not None
+        assert "head.w1" in model.named()
         assert isinstance(scaler, LabelScaler)
         assert log.columns == ("epoch", "train_mse", "wall_time_s")
         assert len(log.rows) == 3
@@ -298,7 +300,8 @@ class TestTrainLoop:
             bin_width=0.5, bin_max_mz=1000.0,
             eval_sets={"known": spectra},
         )
-        assert isinstance(model, BaselineParams)
+        shapes = {name: t.data.shape for name, t in model.named().items()}
+        assert shapes == baseline_shapes(2000, 8)  # 1000 / 0.5 bins, d=8
         assert log.meta["mode"] == "properties-baseline"
         assert log.rows[-1][1] < log.rows[0][1]
 

@@ -16,7 +16,8 @@ from mzembed.encoder import (
     encode_many,
     encode_spectrum,
     init_weights,
-    weights_from_named,
+    load_table,
+    parameter_shapes,
 )
 from mzembed.errors import ConfigError, DataError, NumericsError
 from mzembed.search import (
@@ -227,12 +228,12 @@ class TestIndexKey:
         named = {k: v.data for k, v in small_model()[1].named().items()}
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, named, "cfg\n")
-        loaded = weights_from_named(load_checkpoint(path)[0], cfg)
+        loaded = load_table(load_checkpoint(path)[0], parameter_shapes(cfg, None))
         assert index_key(library, cfg, loaded) == index_key(library, cfg, weights)
         data = bytearray(path.read_bytes())
         data[-5] ^= 1
         path.write_bytes(bytes(data))
-        flipped = weights_from_named(load_checkpoint(path)[0], cfg)
+        flipped = load_table(load_checkpoint(path)[0], parameter_shapes(cfg, None))
         assert index_key(library, cfg, flipped) != index_key(library, cfg, weights)
 
     def test_converted_weights_share_the_key(self, inputs):

@@ -280,7 +280,7 @@ class TestTrainLoop:
             assert np.isfinite(row[1])
             assert np.isfinite(row[2])
             assert np.isnan(row[3])  # no novel set supplied
-        assert weights.peak_inner is not None
+        assert "peak.inner.w1" in weights.named()
 
     def test_rerun_is_bit_identical(self):
         spectra, molecules, enc, trn = self.small_setup()
