@@ -2,13 +2,15 @@
 
 The parser is deliberately unforgiving: malformed input raises ParseError
 with the offending line number instead of being silently skipped. The
-serializer emits one canonical form (sorted fragments, fixed m/z format)
-so that serialize(parse(serialize(parse(text)))) is byte-identical to
+serializer emits one canonical form (fragments in the order of
+``Spectrum.fragment_arrays``, fixed m/z format) so that
+serialize(parse(serialize(parse(text)))) is byte-identical to
 serialize(parse(text)).
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -22,14 +24,17 @@ _NUMBER = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
 
 
 def _parse_number(token: str, line_no: int, what: str) -> tuple[float, int]:
-    """Parse a positional decimal token, returning (value, decimal places)."""
+    """Parse a finite positional decimal token: (value, decimal places)."""
     if not _NUMBER.match(token):
         raise ParseError(f"{what} {token!r} is not a plain decimal number", line_no)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"{what} {token!r} does not fit in binary64", line_no)
     if "." in token:
         decimals = len(token.split(".", 1)[1])
     else:
         decimals = 0
-    return float(token), decimals
+    return value, decimals
 
 
 def parse_mgf(text: str) -> list[Spectrum]:
@@ -176,9 +181,9 @@ def _format_intensity(value: float) -> str:
 def serialize_mgf(spectra: list[Spectrum]) -> str:
     """Write spectra in canonical MGF form.
 
-    m/z values are written with five decimal places, fragments sorted by
-    (m/z, intensity), extra headers sorted by key. Parsing the output and
-    serializing again reproduces it byte for byte.
+    m/z values are written with five decimal places, fragments in
+    ``Spectrum.fragment_arrays`` order, extra headers sorted by key.
+    Parsing the output and serializing again reproduces it byte for byte.
     """
     blocks = []
     for spectrum in spectra:
@@ -189,8 +194,9 @@ def serialize_mgf(spectra: list[Spectrum]) -> str:
             lines.append(f"STRUCTUREID={spectrum.structure_id}")
         for key in sorted(spectrum.metadata):
             lines.append(f"{key}={spectrum.metadata[key]}")
-        for peak in sorted(spectrum.fragments, key=lambda p: (p.mz, p.intensity)):
-            lines.append(f"{peak.mz:.5f} {_format_intensity(peak.intensity)}")
+        mz, intensity = spectrum.fragment_arrays()
+        for m, v in zip(mz.tolist(), intensity.tolist()):
+            lines.append(f"{m:.5f} {_format_intensity(v)}")
         lines.append("END IONS")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

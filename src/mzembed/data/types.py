@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,21 +18,26 @@ class Peak:
     intensity: float
 
     def __post_init__(self):
-        if not self.mz > 0:
-            raise DataError(f"peak m/z must be positive, got {self.mz}")
-        if self.intensity < 0:
-            raise DataError(f"peak intensity must be non-negative, got {self.intensity}")
+        if not (self.mz > 0 and math.isfinite(self.mz)):
+            raise DataError(f"peak m/z must be positive and finite, got {self.mz}")
+        if not (self.intensity >= 0 and math.isfinite(self.intensity)):
+            raise DataError(
+                f"peak intensity must be non-negative and finite, got {self.intensity}"
+            )
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """A precursor peak plus an unordered collection of fragment peaks.
 
-    ``fragments`` is stored as a tuple for hashability but is a set in
-    spirit: nothing downstream may depend on its order. ``mz_decimals``
-    records, per peak in (precursor, *fragments) order, how many decimal
-    places the m/z carried in the source text; parsers fill it in,
-    synthetic constructors may leave it None.
+    ``fragments`` is stored as a tuple for hashability but is a multiset
+    in spirit. Every peak consumer (the encoder, the MGF writer, the
+    modified cosine, the binned baseline and the index key) reads the
+    fragments through ``fragment_arrays``, so nothing downstream depends
+    on their stored order. ``mz_decimals`` records, per peak in
+    (precursor, *fragments) stored order, how many decimal places the
+    m/z carried in the source text; parsers fill it in, synthetic
+    constructors may leave it None.
     """
 
     id: str
@@ -51,10 +57,12 @@ class Spectrum:
         return 1 + len(self.fragments)
 
     def fragment_arrays(self):
-        """Fragment (mz, intensity) as float64 arrays in stored order."""
+        """Fragment (mz, intensity) as float64 arrays in the canonical
+        order, by m/z then intensity: the one place peaks are ordered."""
         mz = np.array([p.mz for p in self.fragments], dtype=np.float64)
         intensity = np.array([p.intensity for p in self.fragments], dtype=np.float64)
-        return mz, intensity
+        order = np.lexsort((intensity, mz))
+        return mz[order], intensity[order]
 
 
 @dataclass(frozen=True)

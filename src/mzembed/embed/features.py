@@ -93,12 +93,17 @@ def peak_embed_token(
 
 
 def bin_count(bin_width: float, max_mz: float) -> int:
-    """The length of ``bin_spectrum``'s vector."""
+    """The length of ``bin_spectrum``'s vector: max_mz / bin_width bins
+    covering [0, max_mz), so a width must divide max_mz (to 1e-9)."""
     if bin_width <= 0:
         raise ConfigError(f"bin width must be positive, got {bin_width}")
     if max_mz <= bin_width:
         raise ConfigError(f"bin max m/z must exceed the bin width, got {max_mz}")
-    return int(round(max_mz / bin_width))
+    ratio = max_mz / bin_width
+    n_bins = round(ratio)
+    if abs(ratio - n_bins) > 1e-9 * ratio:
+        raise ConfigError(f"bin width {bin_width} does not divide bin max m/z {max_mz}")
+    return n_bins
 
 
 def bin_spectrum(
@@ -107,15 +112,17 @@ def bin_spectrum(
     """Fixed-length binned view of the fragments, values capped at 1.
 
     Each fragment adds its (normalized) intensity to bin
-    floor(mz / bin_width); fragments at or beyond max_mz are out of
-    range and contribute nothing. The precursor is not binned.
+    floor(mz / bin_width), in ``fragment_arrays`` order, so the sums do
+    not depend on the stored order. The bins cover [0, max_mz)
+    (``bin_count``); fragments at or beyond max_mz contribute nothing.
+    The precursor is not binned.
     """
     n_bins = bin_count(bin_width, max_mz)
+    mz, intensity = spectrum.fragment_arrays()
+    idx = np.floor(mz / bin_width)
+    inside = idx < n_bins
     out = np.zeros(n_bins, dtype=np.float64)
-    for peak in spectrum.fragments:
-        idx = int(np.floor(peak.mz / bin_width))
-        if idx < n_bins:
-            out[idx] += peak.intensity
+    np.add.at(out, idx[inside].astype(np.intp), intensity[inside])
     np.minimum(out, 1.0, out=out)
     return out
 

@@ -6,10 +6,10 @@ multiset. All layers but the last are standard pre-norm self-attention
 blocks; in the last layer only the precursor-slot query is computed,
 end to end, and its output is the spectrum embedding.
 
-Fragments are brought into a canonical order (by m/z, then intensity)
-before they enter the sequence. Attention itself is permutation
-equivariant, but float reductions are not associative, so canonical
-ordering is what turns mathematical symmetry into bit-identical
+Fragments enter the sequence in the canonical order of
+``Spectrum.fragment_arrays`` (by m/z, then intensity). Attention itself
+is permutation equivariant, but float reductions are not associative,
+so that one order is what turns mathematical symmetry into bit-identical
 outputs under input permutation.
 
 ``encode_batch`` is the one forward, for training and inference alike.
@@ -329,23 +329,20 @@ def _map_in_order(fn, units: list) -> list:
 
 def _slot_arrays(spectra: list[Spectrum], cfg: EncoderConfig) -> np.ndarray:
     """(2, B, n) m/z and intensity of spectra with n slots each: the
-    precursor, then the fragments capped to the most intense and ordered
-    by (mz, intensity)."""
+    precursor, then the fragments in ``fragment_arrays`` order, capped to
+    the most intense."""
     rows = []
     for s in spectra:
-        if not s.fragments:
-            raise DataError(f"spectrum {s.id!r} has no fragments")
         if not is_normalized(s):
             raise DataError(
                 f"spectrum {s.id!r} is not normalized; run normalize_intensities first"
             )
-        mz, intensity = np.array([(p.mz, p.intensity) for p in s.fragments], dtype=np.float64).T
+        mz, intensity = s.fragment_arrays()
         if mz.shape[0] > cfg.max_fragments:
-            keep = np.lexsort((mz, -intensity))[: cfg.max_fragments]
+            keep = np.sort(np.lexsort((mz, -intensity))[: cfg.max_fragments])
             mz, intensity = mz[keep], intensity[keep]
-        order = np.lexsort((intensity, mz))
         precursor = [[s.precursor.mz], [s.precursor.intensity]]
-        rows.append(np.concatenate((precursor, (mz[order], intensity[order])), axis=1))
+        rows.append(np.concatenate((precursor, (mz, intensity)), axis=1))
     return np.stack(rows, axis=1)
 
 

@@ -163,6 +163,22 @@ class TestPrepare:
         assert rejections[1:] == ["zero\tall fragment intensities are zero"]
         assert main(["train", "--mode", "siamese", *common_args(paths)]) == 0
 
+    def test_number_beyond_binary64_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # float() reads it as inf; cleaned.mgf must never hold a value
+        # its own parser refuses.
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        before = snapshot(paths["out"])
+        lines = paths["raw"].read_text().splitlines()
+        line_no = next(i for i, line in enumerate(lines, 1) if line[:1].isdigit())
+        big = "1" + "0" * 400 + ".0000"
+        lines[line_no - 1] = f"{big} 1.0"
+        paths["raw"].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_prepare(paths) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line_no}: peak m/z '{big}'")
+        assert snapshot(paths["out"]) == before
+
 
 class TestTrain:
     def test_siamese_artifacts(self, workspace):
@@ -828,6 +844,15 @@ class TestThreadBudget:
         assert pin_blas(None) == 3
         assert pin_blas(8) == 3
 
+    def test_importing_the_cli_loads_no_numpy(self):
+        # pin_blas only takes effect if numpy loads after it.
+        code = "import mzembed.cli, sys; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), *sys.path]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (0, "False\n")
+
     def test_loaded_numpy_keeps_its_blas_threads_and_encodes_serially(self, env):
         # This test process has loaded numpy, so a pin could not take effect.
         assert pin_blas(2) == 1
@@ -1010,6 +1035,24 @@ class TestRangeChecks:
         assert main([command, "--mode", "siamese", *args]) == 2
         value = line.split("=")[1]
         assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
+        assert snapshot(out) == before
+
+    def test_bin_width_not_dividing_max_mz_exits_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG_SMALL + "bin-width=0.3\n")
+        args = ["--config", str(config), "--out-dir", str(out),
+                "--fingerprints", str(workspace["fingerprints"]),
+                "--properties", str(workspace["properties"])]
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["train", "--mode", "properties-baseline", *args]) == 2
+        assert capsys.readouterr().err == (
+            "error: bin width 0.3 does not divide bin max m/z 2000.0\n"
+        )
         assert snapshot(out) == before
 
 

@@ -36,6 +36,20 @@ def spectrum_with(n_fragments, decimals, intensity=1.0):
     )
 
 
+class TestPeak:
+    @pytest.mark.parametrize("mz,intensity,field", [
+        (float("nan"), 1.0, "m/z"),
+        (float("inf"), 1.0, "m/z"),
+        (0.0, 1.0, "m/z"),
+        (100.0, float("nan"), "intensity"),
+        (100.0, float("inf"), "intensity"),
+        (100.0, -1.0, "intensity"),
+    ])
+    def test_non_finite_or_out_of_range_value_rejected(self, mz, intensity, field):
+        with pytest.raises(DataError, match=f"peak {field} must be"):
+            Peak(mz, intensity)
+
+
 class TestCleaning:
     def test_minimums_are_paper_values(self):
         assert MIN_PEAKS == 5

@@ -1,6 +1,8 @@
 """Token vocabulary, intensity normalization, peak embeddings, binning
 and fractional mass."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mzembed.embed import (
     peak_embed_token,
     tokenize_mz,
 )
+from mzembed.embed.features import bin_count
 from mzembed.encoder import EncoderConfig, init_weights
 from mzembed.errors import ConfigError, DataError
 from mzembed.tensor import FeedForwardParams
@@ -164,6 +167,47 @@ class TestBinning:
         s = Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=(Peak(100.0, 0.4),))
         with pytest.raises(ConfigError):
             bin_spectrum(s, bin_width, max_mz)
+
+    @pytest.mark.parametrize("bin_width,max_mz", [(0.3, 2000.0), (0.7, 2000.0)])
+    def test_width_not_dividing_max_mz_rejected(self, bin_width, max_mz):
+        # 0.3 would bin a peak at 2000.05 into the last bin, 0.7 would
+        # drop one at 1999.95: the bins would not cover [0, max_mz).
+        with pytest.raises(ConfigError, match="does not divide"):
+            bin_count(bin_width, max_mz)
+
+    @pytest.mark.parametrize("bin_width,max_mz,n_bins", [
+        (0.1, 1000.0, 10000), (0.1, 2000.0, 20000), (0.2, 1500.0, 7500), (0.5, 1000.0, 2000),
+    ])
+    def test_dividing_width_covers_max_mz(self, bin_width, max_mz, n_bins):
+        assert bin_count(bin_width, max_mz) == n_bins
+
+    def test_matches_the_per_peak_loop(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            mz = np.round(rng.uniform(99.0, 101.0, n), 3)  # several peaks per bin
+            mz[0] = 1000.0  # at max_mz: out of range
+            s = Spectrum(
+                id="b", precursor=Peak(500.0, 2.0),
+                fragments=tuple(Peak(float(m), float(v)) for m, v in zip(mz, rng.uniform(0, 0.5, n))),
+            )
+            want = np.zeros(10000)
+            for m, v in zip(*s.fragment_arrays()):
+                idx = int(np.floor(m / 0.1))
+                if idx < 10000:
+                    want[idx] += v
+            np.minimum(want, 1.0, out=want)
+            assert bin_spectrum(s, 0.1, 1000.0).tobytes() == want.tobytes()
+
+    def test_fragment_order_leaves_bits(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round differently.
+        peaks = [Peak(100.01, 0.1), Peak(100.02, 0.2), Peak(100.03, 0.3)]
+        vectors = {
+            bin_spectrum(
+                Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=order), 0.1, 1000.0
+            ).tobytes()
+            for order in itertools.permutations(peaks)
+        }
+        assert len(vectors) == 1
 
 
 class TestFractionalMass:

@@ -71,6 +71,18 @@ class TestParseErrors:
             parse_mgf(mutate(SIMPLE))
         assert err.value.line == line_no
 
+    @pytest.mark.parametrize("old,new,line_no", [
+        ("100.1234 0.5", "{big} 0.5", 6),
+        ("100.1234 0.5", "100.1234 {big}", 6),
+        ("PEPMASS=512.23450 1.0", "PEPMASS={big} 1.0", 3),
+    ], ids=["fragment_mz", "fragment_intensity", "precursor_mz"])
+    def test_number_beyond_binary64_rejected(self, old, new, line_no):
+        big = "1" + "0" * 400 + ".0000"
+        with pytest.raises(ParseError) as err:
+            parse_mgf(SIMPLE.replace(old, new.format(big=big)))
+        assert err.value.line == line_no
+        assert repr(big) in str(err.value)
+
     def test_duplicate_title_rejected(self):
         with pytest.raises(ParseError):
             parse_mgf(SIMPLE + "\n" + SIMPLE)
@@ -113,6 +125,21 @@ class TestSerialize:
         text = serialize_mgf([s])
         rows = [l for l in text.splitlines() if l and l[0].isdigit()]
         assert rows == ["100.00000 0.9", "300.00000 0.1", "300.00000 0.2"]
+
+    def test_fragment_order_leaves_bytes(self):
+        rng = np.random.default_rng(0)
+        mz = rng.choice([100.0, 100.00001, 250.5], 12)
+        intensity = rng.choice([0.1, 0.5, 1.0], 12)
+        peaks = [Peak(float(m), float(v)) for m, v in zip(mz, intensity)]
+        s = Spectrum(id="x", precursor=Peak(500.0, 1.0), fragments=tuple(peaks))
+        text = serialize_mgf([s])
+        for _ in range(10):
+            order = rng.permutation(len(peaks))
+            shuffled = Spectrum(
+                id="x", precursor=Peak(500.0, 1.0),
+                fragments=tuple(peaks[i] for i in order),
+            )
+            assert serialize_mgf([shuffled]) == text
 
     def test_blocks_sorted_consistently(self):
         spectra = parse_mgf(SIMPLE + "\n" + SIMPLE.replace("spec_001", "spec_000"))

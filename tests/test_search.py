@@ -191,6 +191,12 @@ def _with_fragment(spectrum, mz_delta=0.0, intensity_scale=1.0):
     return dataclasses.replace(spectrum, fragments=(moved, *spectrum.fragments[1:]))
 
 
+def shuffle_fragments(spectrum, rng):
+    """The spectrum with its fragments stored in a random order."""
+    order = rng.permutation(len(spectrum.fragments))
+    return dataclasses.replace(spectrum, fragments=tuple(spectrum.fragments[i] for i in order))
+
+
 LIBRARY_EDITS = {
     "fragment_mz": lambda s: _with_fragment(s, mz_delta=1e-9),
     "fragment_intensity": lambda s: _with_fragment(s, intensity_scale=0.5),
@@ -240,9 +246,9 @@ class TestIndexKey:
         library, cfg, weights = inputs
         assert index_key(library, cfg, small_model()[1]) == index_key(library, cfg, weights)
 
-    def test_input_order_leaves_key(self, inputs):
+    def test_input_order_leaves_key(self, inputs, rng):
         library, cfg, weights = inputs
-        shuffled = [library[2], library[0], library[3], library[1]]
+        shuffled = [shuffle_fragments(library[i], rng) for i in (2, 0, 3, 1)]
         assert index_key(shuffled, cfg, weights) == index_key(library, cfg, weights)
 
 
@@ -398,6 +404,46 @@ class TestCosineHits:
         spectra, _ = toy_dataset(n_structures=2, spectra_per=2, seed=4)
         with pytest.raises(NumericsError):
             cosine_hits(spectra[:1], spectra, 0.0)
+
+
+def tied_spectrum(spectrum_id, rng):
+    """Ten fragments within 1 Da and two intensities: many candidate
+    pairs within 0.1 Da, and many of equal weight."""
+    mz = np.round(rng.uniform(100.0, 101.0, 10), 2)
+    intensity = rng.choice([0.25, 1.0], 10)
+    return Spectrum(
+        id=spectrum_id,
+        precursor=Peak(500.0, 2.0),
+        fragments=tuple(Peak(float(m), float(v)) for m, v in zip(mz, intensity)),
+    )
+
+
+class TestFragmentOrder:
+    """The cosine baseline scores the peak multiset: storing the
+    fragments in another order leaves every score's bits."""
+
+    def test_modified_cosine(self, rng):
+        greedy = 0
+        for trial in range(200):
+            a, b = tied_spectrum("a", rng), tied_spectrum("b", rng)
+            mz_a, mz_b = a.fragment_arrays()[0], b.fragment_arrays()[0]
+            greedy += np.count_nonzero(np.abs(mz_a[:, None] - mz_b[None, :]) <= 0.1) > 12
+            score = modified_cosine(a, b, 0.1)
+            for _ in range(3):
+                shuffled = modified_cosine(shuffle_fragments(a, rng), shuffle_fragments(b, rng), 0.1)
+                assert shuffled == score, trial
+        assert greedy > 100  # most pairs take the greedy matcher
+
+    def test_cosine_hits(self, rng):
+        library = [tied_spectrum(f"r{i}", rng) for i in range(20)]
+        queries = [tied_spectrum(f"q{i}", rng) for i in range(20)]
+        hits = cosine_hits(queries, library, 0.1)
+        shuffled = cosine_hits(
+            [shuffle_fragments(q, rng) for q in queries],
+            [shuffle_fragments(r, rng) for r in library],
+            0.1,
+        )
+        assert [h[1:] for h in shuffled] == [h[1:] for h in hits]
 
 
 class TestReports:
