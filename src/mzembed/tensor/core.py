@@ -1,17 +1,29 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are numpy arrays in binary32 or binary64. Each operation records
-its parents and one backward function of its output node,
-``backward(node)``, which reads ``node.grad`` and adds to the parents'
-gradients. The function holds the parents and whatever arrays the
-gradient needs, never the node itself, so graphs are acyclic: reference
-counting frees a graph that is dropped without a walk.
+A ``Tensor`` is a value, ``data``, a numpy array in binary32 or binary64,
+and an optional graph ``Node``, the gradient side: parent nodes, one
+backward function and ``grad``. A tensor created with
+``requires_grad=True`` is a leaf and owns a parentless node. An
+operation on tensors that have nodes, with recording on, gives its
+output a node whose parents are theirs; constants, and everything
+computed from constants alone or under ``no_grad``, have none.
+
+Each backward keeps exactly what it reads; nodes hold no values. An
+operation's backward function, ``backward(g)``, takes the gradient of
+its output and adds to its parents' nodes. It holds parent nodes,
+shapes, dtypes and the arrays its formula reads, taken at forward time,
+and never a ``Tensor``: ``x * y`` keeps ``y`` only if ``x`` needs a
+gradient, ``x + y`` keeps no array at all. So an intermediate whose
+value no backward reads is freed as soon as the forward drops it, while
+its node stays in the graph. Graphs are acyclic: reference counting
+frees a graph that is dropped without a walk.
+
 ``Tensor.backward`` calls the functions in reverse topological order and
 consumes the graph as it goes: each node drops its function, its parents
-and its own gradient once the function has run, so activations are
-freed while the walk continues. Only leaf tensors keep a ``.grad``, and
-a graph can be walked once; a second ``backward`` through it raises.
-Tensors created with ``requires_grad=False`` never receive a gradient.
+and its own gradient once the function has run, so the arrays the
+function held are freed while the walk continues. Only leaves keep a
+``.grad``, and a graph can be walked once; a second ``backward`` through
+it raises.
 """
 
 from __future__ import annotations
@@ -54,22 +66,49 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _consumed():
+def _consumed(g):
     """Marks a graph node whose backward ``Tensor.backward`` has run."""
 
 
+class Node:
+    """The gradient side of a tensor: its parents' nodes, the backward
+    function of its gradient (None for a leaf) and ``grad``, the gradient
+    added so far, in ``dtype``."""
+
+    __slots__ = ("parents", "backward", "grad", "dtype")
+
+    def __init__(self, dtype, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+        self.dtype = dtype
+
+    def accumulate(self, grad):
+        if self.grad is None:
+            # A copy, because one array may be handed to several parents
+            # (``__add__`` and ``__sub__`` pass the gradient on as is).
+            self.grad = np.array(grad, dtype=self.dtype)
+        else:
+            self.grad += grad
+
+
+def _nodes(*tensors):
+    """The tensors' nodes, one per tensor (None for a constant); all None
+    while recording is off."""
+    if not _grad_enabled:
+        return (None,) * len(tensors)
+    return tuple(t._node for t in tensors)
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.type not in _ALLOWED_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = Node(arr.dtype) if requires_grad else None
 
     # -- introspection -------------------------------------------------
 
@@ -85,6 +124,21 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise MzembedError("cannot set the gradient of a tensor that requires none")
+
     def item(self):
         return self.data.item()
 
@@ -94,16 +148,6 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------
 
-    def _accumulate(self, grad):
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            # A copy, because one array may be handed to several parents
-            # (``__add__`` and ``__sub__`` pass ``out.grad`` on as is).
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
-
     def zero_grad(self):
         self.grad = None
 
@@ -111,20 +155,27 @@ class Tensor:
         """Add the gradient of this scalar to the ``.grad`` of every
         requires_grad leaf it depends on, and consume the graph.
 
-        Each interior node's ``_backward(node)`` runs once, after every
-        node that uses it. Leaf gradients add up over calls until
+        Each interior node's ``backward(node.grad)`` runs once, after
+        every node that uses it. Leaf gradients add up over calls until
         cleared. Interior nodes give up their backward functions, parents
         and gradients as the walk passes them, so the graph cannot be
         walked again: a second call through a consumed node raises
-        ``MzembedError``.
+        ``MzembedError``, and so does a loss that recorded no graph.
         """
         if self.data.ndim != 0:
             raise MzembedError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
+        root = self._node
+        if root is None:
+            raise MzembedError(
+                "backward on a loss that recorded no graph: it was computed under "
+                "no_grad() or from tensors that require no gradient, so no "
+                "parameter would receive one"
+            )
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, emitted = stack.pop()
             if emitted:
@@ -132,42 +183,42 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._backward is _consumed:
+            if node.backward is _consumed:
                 raise MzembedError(
                     "backward through a graph that an earlier backward() "
                     "already consumed; rebuild the graph to differentiate again"
                 )
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
+        root.accumulate(np.ones_like(self.data))
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
-            node._backward(node)
-            node._backward = _consumed
-            node._parents = ()
+            node.backward(node.grad)
+            node.backward = _consumed
+            node.parents = ()
             node.grad = None
 
     # -- graph construction helper ------------------------------------
 
     @staticmethod
     def _make(data, parents, backward):
-        """A node holding ``data``; records ``parents`` and ``backward``
-        when a parent requires a gradient and recording is on.
+        """A tensor holding ``data``, with a node recording ``backward``
+        if any of ``parents`` (the inputs' ``_nodes``) is a node.
 
-        ``backward(node)`` is called once by ``Tensor.backward`` with
-        ``node.grad`` set. It must reach the node through its argument
-        only, so that the node is not referenced from its own function.
+        ``backward(g)`` is called once by ``Tensor.backward`` with the
+        output's gradient ``g``. It must hold nodes and arrays, never a
+        tensor, so that no value outlives the forward unless the
+        gradient reads it.
         """
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        recorded = tuple(p for p in parents if p is not None)
+        if recorded:
+            out._node = Node(out.data.dtype, recorded, backward)
         return out
 
     # -- elementwise arithmetic ---------------------------------------
@@ -179,56 +230,74 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, self._coerce(other)
+        na, nb = _nodes(a, b)
+        sa, sb = a.data.shape, b.data.shape
 
-        def bwd(out):
-            a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            b._accumulate(_unbroadcast(out.grad, b.data.shape))
+        def bwd(g):
+            if na:
+                na.accumulate(_unbroadcast(g, sa))
+            if nb:
+                nb.accumulate(_unbroadcast(g, sb))
 
-        return Tensor._make(a.data + b.data, (a, b), bwd)
+        return Tensor._make(a.data + b.data, (na, nb), bwd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self, self._coerce(other)
+        na, nb = _nodes(a, b)
+        sa, sb = a.data.shape, b.data.shape
 
-        def bwd(out):
-            a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            b._accumulate(_unbroadcast(-out.grad, b.data.shape))
+        def bwd(g):
+            if na:
+                na.accumulate(_unbroadcast(g, sa))
+            if nb:
+                nb.accumulate(_unbroadcast(-g, sb))
 
-        return Tensor._make(a.data - b.data, (a, b), bwd)
+        return Tensor._make(a.data - b.data, (na, nb), bwd)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        a = self
+        (na,) = _nodes(self)
 
-        def bwd(out):
-            a._accumulate(-out.grad)
+        def bwd(g):
+            na.accumulate(-g)
 
-        return Tensor._make(-a.data, (a,), bwd)
+        return Tensor._make(-self.data, (na,), bwd)
 
     def __mul__(self, other):
         a, b = self, self._coerce(other)
+        na, nb = _nodes(a, b)
+        sa, sb = a.data.shape, b.data.shape
+        ad = a.data if nb else None
+        bd = b.data if na else None
 
-        def bwd(out):
-            a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
+        def bwd(g):
+            if na:
+                na.accumulate(_unbroadcast(g * bd, sa))
+            if nb:
+                nb.accumulate(_unbroadcast(g * ad, sb))
 
-        return Tensor._make(a.data * b.data, (a, b), bwd)
+        return Tensor._make(a.data * b.data, (na, nb), bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, self._coerce(other)
+        na, nb = _nodes(a, b)
+        sa, sb = a.data.shape, b.data.shape
+        ad = a.data if nb else None
+        bd = b.data
 
-        def bwd(out):
-            a._accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
-            b._accumulate(
-                _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape)
-            )
+        def bwd(g):
+            if na:
+                na.accumulate(_unbroadcast(g / bd, sa))
+            if nb:
+                nb.accumulate(_unbroadcast(-g * ad / (bd * bd), sb))
 
-        return Tensor._make(a.data / b.data, (a, b), bwd)
+        return Tensor._make(a.data / b.data, (na, nb), bwd)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -236,36 +305,40 @@ class Tensor:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a = self
+        (na,) = _nodes(self)
+        ad = self.data
 
-        def bwd(out):
-            a._accumulate(out.grad * exponent * a.data ** (exponent - 1))
+        def bwd(g):
+            na.accumulate(g * exponent * ad ** (exponent - 1))
 
-        return Tensor._make(a.data ** exponent, (a,), bwd)
+        return Tensor._make(ad ** exponent, (na,), bwd)
 
     def sqrt(self):
-        a = self
+        (na,) = _nodes(self)
+        y = np.sqrt(self.data)
 
-        def bwd(out):
-            a._accumulate(out.grad * 0.5 / out.data)
+        def bwd(g):
+            na.accumulate(g * 0.5 / y)
 
-        return Tensor._make(np.sqrt(a.data), (a,), bwd)
+        return Tensor._make(y, (na,), bwd)
 
     def exp(self):
-        a = self
+        (na,) = _nodes(self)
+        y = np.exp(self.data)
 
-        def bwd(out):
-            a._accumulate(out.grad * out.data)
+        def bwd(g):
+            na.accumulate(g * y)
 
-        return Tensor._make(np.exp(a.data), (a,), bwd)
+        return Tensor._make(y, (na,), bwd)
 
     def log(self):
-        a = self
+        (na,) = _nodes(self)
+        ad = self.data
 
-        def bwd(out):
-            a._accumulate(out.grad / a.data)
+        def bwd(g):
+            na.accumulate(g / ad)
 
-        return Tensor._make(np.log(a.data), (a,), bwd)
+        return Tensor._make(np.log(ad), (na,), bwd)
 
     # -- matrix product ------------------------------------------------
 
@@ -279,26 +352,31 @@ class Tensor:
             raise DimensionError(
                 f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
             )
+        na, nb = _nodes(a, b)
+        sa, sb = a.data.shape, b.data.shape
+        ad = a.data if nb else None
+        bd = b.data if na else None
 
-        def bwd(out):
-            g = out.grad
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        def bwd(g):
+            if na:
+                na.accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), sa))
+            if nb:
+                nb.accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb))
 
-        return Tensor._make(a.data @ b.data, (a, b), bwd)
+        return Tensor._make(a.data @ b.data, (na, nb), bwd)
 
     # -- reductions ----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
+        (na,) = _nodes(self)
+        sa = self.data.shape
 
-        def bwd(out):
-            g = out.grad
+        def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape))
+            na.accumulate(np.broadcast_to(g, sa))
 
-        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (na,), bwd)
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -309,55 +387,60 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
+        (na,) = _nodes(self)
+        sa = self.data.shape
 
-        def bwd(out):
-            a._accumulate(out.grad.reshape(a.data.shape))
+        def bwd(g):
+            na.accumulate(g.reshape(sa))
 
-        return Tensor._make(a.data.reshape(shape), (a,), bwd)
+        return Tensor._make(self.data.reshape(shape), (na,), bwd)
 
     def swapaxes(self, ax1, ax2):
-        a = self
+        (na,) = _nodes(self)
 
-        def bwd(out):
-            a._accumulate(np.swapaxes(out.grad, ax1, ax2))
+        def bwd(g):
+            na.accumulate(np.swapaxes(g, ax1, ax2))
 
-        return Tensor._make(np.swapaxes(a.data, ax1, ax2), (a,), bwd)
+        return Tensor._make(np.swapaxes(self.data, ax1, ax2), (na,), bwd)
 
     def __getitem__(self, key):
-        a = self
+        (na,) = _nodes(self)
+        sa, dtype = self.data.shape, self.data.dtype
 
-        def bwd(out):
-            g = np.zeros_like(a.data)
-            np.add.at(g, key, out.grad)  # an index array may repeat an element
-            a._accumulate(g)
+        def bwd(g):
+            whole = np.zeros(sa, dtype)
+            np.add.at(whole, key, g)  # an index array may repeat an element
+            na.accumulate(whole)
 
-        return Tensor._make(a.data[key], (a,), bwd)
+        return Tensor._make(self.data[key], (na,), bwd)
 
     def astype(self, dtype):
-        a = self
+        (na,) = _nodes(self)
+        source = self.data.dtype
 
-        def bwd(out):
-            a._accumulate(out.grad.astype(a.data.dtype))
+        def bwd(g):
+            na.accumulate(g.astype(source))
 
-        return Tensor._make(a.data.astype(dtype), (a,), bwd)
+        return Tensor._make(self.data.astype(dtype), (na,), bwd)
 
 
 def concat(tensors, axis=-1):
     """Concatenate tensors along an axis, splitting gradients back."""
     tensors = list(tensors)
+    nodes = _nodes(*tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    axis %= data.ndim
 
-    def bwd(out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.grad.ndim
-            index[axis if axis >= 0 else out.grad.ndim + axis] = slice(lo, hi)
-            t._accumulate(out.grad[tuple(index)])
+    def bwd(g):
+        index = [slice(None)] * g.ndim
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node:
+                index[axis] = slice(lo, hi)
+                node.accumulate(g[tuple(index)])
 
-    return Tensor._make(
-        np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd
-    )
+    return Tensor._make(data, nodes, bwd)
 
 
 def gather_rows(table, indices):

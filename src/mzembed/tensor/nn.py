@@ -1,19 +1,28 @@
 """Neural-network operations built on the autodiff core.
 
-Every node follows the core's protocol: it hands ``Tensor._make`` one
-backward function of its output node, which holds the parents and the
-arrays the gradient needs but never the node itself. The memory-heavy
-composites are single graph nodes with hand-derived backwards, each
-keeping only what its gradient needs: ``softmax`` and
-the attention probabilities (``attention_probs``: scores, scale, key
-mask and softmax in one node) keep their output, ``layer_norm`` keeps
-the normalized input and the standard deviation, ``dropout`` keeps a
-boolean mask, and ``linear`` keeps its operands. Their forwards are the
-same numpy expressions as the primitive-by-primitive composites they
-replace, so inference outputs are unchanged. The feed-forward block,
-the head split and merge and cosine similarity are still assembled
-from primitives. Acceptance criterion 1 checks every one of these
-gradients against central differences.
+Every operation follows the core's protocol: each backward keeps
+exactly what it reads; nodes hold no values. It hands ``Tensor._make``
+one backward function of its output's gradient, which holds parent
+nodes and the arrays its formula reads, never a tensor. The
+memory-heavy composites are single graph nodes with hand-derived
+backwards:
+
+- ``softmax`` and the attention probabilities (``attention_probs``:
+  scores, scale, key mask and softmax in one node) keep their output,
+  and ``q`` and ``k`` each only if the other needs a gradient;
+- ``layer_norm`` keeps the normalized input and the standard deviation,
+  not its input;
+- ``dropout`` keeps a boolean mask;
+- ``relu`` keeps its output, which the ``linear`` after it keeps anyway,
+  and no mask of its own;
+- ``linear`` keeps ``x`` only if ``w`` needs a gradient, and ``w`` only
+  if ``x`` does.
+
+Their forwards are the same numpy expressions as the
+primitive-by-primitive composites they replace, so inference outputs are
+unchanged. The feed-forward block, the head split and merge and cosine
+similarity are still assembled from primitives. Acceptance criterion 1
+checks every one of these gradients against central differences.
 """
 
 from __future__ import annotations
@@ -23,19 +32,22 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from .core import Tensor, _unbroadcast, concat
+from .core import Tensor, _nodes, _unbroadcast
 
 LAYER_NORM_EPS = 1e-5
 
 
 def relu(x: Tensor) -> Tensor:
-    a = x
-    mask = (a.data > 0).astype(a.data.dtype)
+    """``max(x, 0)``; its backward reads only the output: ``y > 0``
+    exactly where ``x > 0``, and a boolean factor multiplies as the
+    0.0/1.0 mask it stands for."""
+    (nx,) = _nodes(x)
+    y = x.data * (x.data > 0)
 
-    def bwd(out):
-        a._accumulate(out.grad * mask)
+    def bwd(g):
+        nx.accumulate(g * (y > 0))
 
-    return Tensor._make(a.data * mask, (a,), bwd)
+    return Tensor._make(y, (nx,), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -52,17 +64,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear: input shape {x.shape} does not match weight shape {w.shape}"
         )
 
-    def bwd(out):
-        g = out.grad
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accumulate(g @ w.data)
-        if w.requires_grad:
-            w._accumulate(g2.T @ x.data.reshape(-1, x.shape[-1]))
-        if b.requires_grad:
-            b._accumulate(g2.sum(0))
+    nx, nw, nb = _nodes(x, w, b)
+    n_in = x.shape[-1]
+    xd = x.data if nw else None
+    wd = w.data if nx else None
 
-    return Tensor._make(x.data @ w.data.swapaxes(-1, -2) + b.data, (x, w, b), bwd)
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if nx:
+            nx.accumulate(g @ wd)
+        if nw:
+            nw.accumulate(g2.T @ xd.reshape(-1, n_in))
+        if nb:
+            nb.accumulate(g2.sum(0))
+
+    return Tensor._make(x.data @ w.data.swapaxes(-1, -2) + b.data, (nx, nw, nb), bwd)
 
 
 def _softmax(s: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -94,17 +110,21 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     zero. Attention always leaves the precursor slot unmasked, so that
     case never arises there.
     """
-    def bwd(out):
-        x._accumulate(_softmax_grad(out.data, out.grad, axis))
+    (nx,) = _nodes(x)
+    y = _softmax(x.data, axis)
 
-    return Tensor._make(_softmax(x.data, axis), (x,), bwd)
+    def bwd(g):
+        nx.accumulate(_softmax_grad(y, g, axis))
+
+    return Tensor._make(y, (nx,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale.
 
     One graph node with parents ``(x, gain, bias)`` that keeps the
-    normalized input and the standard deviation.
+    normalized input and the standard deviation, and the gain if ``x``
+    needs a gradient.
     """
     if gain.shape[-1] != x.shape[-1] or bias.shape[-1] != x.shape[-1]:
         raise DimensionError(
@@ -116,21 +136,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
     sigma = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
     xhat = centered / sigma
+    nx, ng, nb = _nodes(x, gain, bias)
+    sg, sb = gain.data.shape, bias.data.shape
+    gd = gain.data if nx else None
 
-    def bwd(out):
-        g = out.grad
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            gx = g * gain.data
+    def bwd(g):
+        if ng:
+            ng.accumulate(_unbroadcast(g * xhat, sg))
+        if nb:
+            nb.accumulate(_unbroadcast(g, sb))
+        if nx:
+            gx = g * gd
             gx -= gx.mean(axis=-1, keepdims=True)
             gx -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
             gx /= sigma
-            x._accumulate(gx)
+            nx.accumulate(gx)
 
-    return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return Tensor._make(xhat * gain.data + bias.data, (nx, ng, nb), bwd)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
@@ -152,11 +174,12 @@ def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
         raise DimensionError(f"dropout: keep mask {keep.shape} does not match {x.shape}")
     scale = 1.0 / (1.0 - p)
     dtype = x.data.dtype
+    (nx,) = _nodes(x)
 
-    def bwd(out):
-        x._accumulate(out.grad * (keep.astype(dtype) * scale))
+    def bwd(g):
+        nx.accumulate(g * (keep.astype(dtype) * scale))
 
-    return Tensor._make(x.data * (keep.astype(dtype) * scale), (x,), bwd)
+    return Tensor._make(x.data * (keep.astype(dtype) * scale), (nx,), bwd)
 
 
 class _TableView:
@@ -210,7 +233,8 @@ def attention_probs(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) ->
 
     ``q`` and ``k`` are (..., n, dh); ``key_mask`` is a boolean array
     over key slots (True = attend) that broadcasts over the head and
-    query axes. The node keeps only its output ``y``; its backward is
+    query axes. The node keeps its output ``y``, ``k`` if ``q`` needs a
+    gradient and ``q`` if ``k`` does; its backward is
     ``gs = y * (g - sum(g * y)) * scale``, ``dq = gs @ k`` and
     ``dk = gsᵀ @ q``.
     """
@@ -221,15 +245,21 @@ def attention_probs(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) ->
     if key_mask is not None:
         s += np.where(key_mask, 0.0, -np.inf).astype(s.dtype)[..., None, None, :]
 
-    def bwd(out):
-        gs = _softmax_grad(out.data, out.grad, -1)
-        gs *= scale
-        if q.requires_grad:
-            q._accumulate(_unbroadcast(gs @ k.data, q.data.shape))
-        if k.requires_grad:
-            k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.data.shape))
+    nq, nk = _nodes(q, k)
+    sq, sk = q.data.shape, k.data.shape
+    qd = q.data if nk else None
+    kd = k.data if nq else None
+    y = _softmax(s, -1, out=s)
 
-    return Tensor._make(_softmax(s, -1, out=s), (q, k), bwd)
+    def bwd(g):
+        gs = _softmax_grad(y, g, -1)
+        gs *= scale
+        if nq:
+            nq.accumulate(_unbroadcast(gs @ kd, sq))
+        if nk:
+            nk.accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ qd, sk))
+
+    return Tensor._make(y, (nq, nk), bwd)
 
 
 def multi_head_attention(

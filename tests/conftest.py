@@ -1,5 +1,6 @@
 """Shared synthetic-data builders and the acceptance summary hook."""
 
+import gc
 import os
 
 import numpy as np
@@ -65,6 +66,49 @@ def toy_dataset(n_structures=5, spectra_per=4, seed=42, **spectrum_kw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Only reference counting frees objects within the test."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+# ------------------------------------------------------------------
+# Autodiff graph inspection
+# ------------------------------------------------------------------
+
+
+def graph_nodes(root):
+    """Every graph node reachable from tensor ``root``'s node."""
+    seen, stack, nodes = set(), [root._node], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node.parents)
+    return nodes
+
+
+def closure_values(node):
+    """What the node's backward function holds: the contents of its
+    closure cells, with lists and tuples unpacked one level."""
+    values = []
+    for cell in getattr(node.backward, "__closure__", None) or ():
+        value = cell.cell_contents
+        values.extend(value if isinstance(value, (list, tuple)) else [value])
+    return values
+
+
+def saved_arrays(node):
+    """The arrays the node's backward function keeps."""
+    return [v for v in closure_values(node) if isinstance(v, np.ndarray)]
 
 
 # ------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Tensor core: forward values against numpy, gradients against finite
 differences, and the optimizer update rules against hand-stepped math."""
 
-import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import toy_spectrum
+from conftest import closure_values, graph_nodes, saved_arrays, toy_spectrum
 from mzembed.encoder import EncoderConfig, encode_batch, init_weights
 from mzembed.errors import DimensionError, MzembedError, NumericsError
+from mzembed.properties import N_PROPERTIES, baseline_forward, init_baseline
 from mzembed.rng import stream_rng
+from mzembed.siamese import siamese_loss
 from mzembed.tensor import (
     Adam,
     Tensor,
@@ -347,41 +348,29 @@ class TestGraphRelease:
     """backward consumes the graph: interior nodes are freed by
     reference counting, and only leaves keep a gradient."""
 
-    def test_activations_freed_without_cycle_collector(self, rng):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            x = Tensor(rng.normal(size=(4, 3)))
-            w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-            b = Tensor(np.zeros(5), requires_grad=True)
-            hidden = linear(x, w, b)
-            alive = weakref.ref(hidden.data)
-            loss = relu(hidden).sum()
-            loss.backward()
-            del hidden, loss
-            assert alive() is None
-            assert w.grad is not None and b.grad is not None
-        finally:
-            if enabled:
-                gc.enable()
+    def test_activations_freed_without_cycle_collector(self, rng, no_cycle_collector):
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(np.zeros(5), requires_grad=True)
+        hidden = linear(x, w, b)
+        alive = weakref.ref(hidden.data)
+        loss = relu(hidden).sum()
+        loss.backward()
+        del hidden, loss
+        assert alive() is None
+        assert w.grad is not None and b.grad is not None
 
-    def test_unwalked_graph_freed_without_cycle_collector(self, rng):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            x = Tensor(rng.normal(size=(4, 3)))
-            w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-            b = Tensor(np.zeros(5), requires_grad=True)
-            hidden = linear(x, w, b)
-            alive = weakref.ref(hidden.data)
-            loss = relu(hidden).sum()
-            del hidden, loss
-            assert alive() is None
-        finally:
-            if enabled:
-                gc.enable()
+    def test_unwalked_graph_freed_without_cycle_collector(self, rng, no_cycle_collector):
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(np.zeros(5), requires_grad=True)
+        hidden = linear(x, w, b)
+        alive = weakref.ref(hidden.data)
+        loss = relu(hidden).sum()
+        del hidden, loss
+        assert alive() is None
 
-    def test_unwalked_encoder_graph_freed_without_cycle_collector(self, rng):
+    def test_unwalked_encoder_graph_freed_without_cycle_collector(self, rng, no_cycle_collector):
         cfg = EncoderConfig(
             d=8, layers=2, heads=2, inner_dim=8, dropout=0.1, kind="sin", max_fragments=16
         )
@@ -389,25 +378,32 @@ class TestGraphRelease:
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate((4, 7, 4))
         ]
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            out = encode_batch(
-                spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0)
-            )
-            alive, stack, seen = [], [out], set()
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen and node._parents:
-                    seen.add(id(node))
-                    alive.append(weakref.ref(node.data))
-                    stack.extend(node._parents)
-            assert len(alive) > 50
-            del out, node, stack
-            assert [ref for ref in alive if ref() is not None] == []
-        finally:
-            if enabled:
-                gc.enable()
+        out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+        # Every interior node, through its backward function, and every
+        # array a backward keeps, apart from the weights themselves.
+        interior = [node for node in graph_nodes(out) if node.parents]
+        weight_arrays = {id(t.data) for t in weights.named().values()}
+        alive = [weakref.ref(out.data)]
+        alive += [weakref.ref(node.backward) for node in interior]
+        alive += [
+            weakref.ref(a)
+            for node in interior
+            for a in saved_arrays(node)
+            if id(a) not in weight_arrays
+        ]
+        assert len(interior) > 50 and len(alive) > 100
+        del out, interior
+        assert [ref for ref in alive if ref() is not None] == []
+
+    def test_backward_without_graph_raises(self, rng):
+        w = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        with no_grad():
+            under_no_grad = (w * w).sum()
+        from_constants = (Tensor(rng.normal(size=(3,))) * 2.0).sum()
+        for loss in (under_no_grad, from_constants):
+            with pytest.raises(MzembedError, match="recorded no graph"):
+                loss.backward()
+        assert w.grad is None
 
     def test_second_backward_raises(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)
@@ -439,6 +435,114 @@ class TestGraphRelease:
         x = Tensor(np.ones(3), requires_grad=True)
         (x + x).sum().backward()
         assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def interior(rng, shape=(3, 4)):
+    """A value computed from a leaf, as the forward's intermediates are;
+    returns the leaf too."""
+    leaf = Tensor(rng.normal(size=shape), requires_grad=True)
+    return leaf + 0.0, leaf
+
+
+# Ops whose backward reads nothing of their input's value.
+VALUE_FREE = {
+    "+": lambda x: x + Tensor(np.ones(4)),
+    "-": lambda x: x - 1.0,
+    "neg": lambda x: -x,
+    "reshape": lambda x: x.reshape(-1),
+    "swapaxes": lambda x: x.swapaxes(0, 1),
+    "sum": lambda x: x.sum(axis=0),
+    "[] slice": lambda x: x[1:],
+    "[] index array": lambda x: x[np.array([2, 0, 2])],
+    "astype": lambda x: x.astype(np.float32),
+    "concat": lambda x: concat([x, Tensor(np.ones((2, 4)))], axis=0),
+    "dropout": lambda x: dropout(x, 0.5, True, keep=np.arange(12).reshape(3, 4) % 3 > 0),
+    "relu": relu,
+    "layer_norm": lambda x: layer_norm(
+        x, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+    ),
+}
+
+
+# Ops with two operands: their shapes and the op.
+TWO_OPERANDS = {
+    "*": ((3, 4), (3, 4), lambda a, b: a * b),
+    "@": ((3, 4), (4, 2), lambda a, b: a @ b),
+    "linear": ((3, 4), (2, 4), lambda x, w: linear(x, w, Tensor(np.zeros(2)))),
+}
+
+
+class TestWhatTheGraphKeeps:
+    """Each backward keeps exactly what its formula reads, so an input
+    whose value no backward reads is freed when the forward drops it,
+    while the graph that recorded it is still alive."""
+
+    @pytest.mark.parametrize("op", list(VALUE_FREE))
+    def test_input_value_freed_while_graph_lives(self, op, rng, no_cycle_collector):
+        x, leaf = interior(rng)
+        value = weakref.ref(x.data)
+        y = VALUE_FREE[op](x)
+        loss = (y * Tensor(rng.normal(size=y.shape))).sum()
+        del x, y
+        assert value() is None
+        loss.backward()
+        assert leaf.grad.shape == (3, 4) and np.all(np.isfinite(leaf.grad))
+
+    @pytest.mark.parametrize("op", list(TWO_OPERANDS))
+    @pytest.mark.parametrize("needs", [(True, False), (False, True), (True, True)])
+    def test_operand_kept_only_for_the_other_sides_gradient(self, op, needs, rng, no_cycle_collector):
+        *shapes, apply = TWO_OPERANDS[op]
+        operands = [
+            interior(rng, shape) if need else (Tensor(rng.normal(size=shape)), None)
+            for shape, need in zip(shapes, needs)
+        ]
+        leaves = [leaf for _, leaf in operands if leaf is not None]
+        operands = [value for value, _ in operands]
+        values = [weakref.ref(t.data) for t in operands]
+        loss = apply(*operands).sum()
+        del operands
+        # Each operand's value lives exactly when the other side needs a gradient.
+        assert [ref() is not None for ref in values] == [needs[1], needs[0]]
+        loss.backward()
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_no_backward_holds_a_tensor(self, rng):
+        # A tensor is its value and its node; a backward that held one
+        # would keep the value alive for the life of the graph.
+        assert Tensor.__slots__ == ("data", "_node")
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate((4, 7, 4, 9))
+        ]
+
+        def train_forward(kind, head_out=None):
+            cfg = EncoderConfig(
+                d=8, layers=2, heads=2, inner_dim=8, dropout=0.1, kind=kind, max_fragments=16,
+                resolution=1.0,
+            )
+            weights = init_weights(cfg, seed=0, head_out=head_out)
+            embs = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+            return embs, weights
+
+        graphs = {}
+        for kind in ("sin", "token"):
+            embs, _ = train_forward(kind)
+            graphs[kind] = siamese_loss(embs[:2], embs[2:], np.array([0.2, 0.7]))
+        embs, weights = train_forward("sin", head_out=N_PROPERTIES)
+        head = feed_forward(embs, FeedForwardParams.of(weights.named(), "head"))
+        graphs["property head"] = head.sum()
+        baseline = baseline_forward(Tensor(rng.random((4, 30))), init_baseline(30, 8, seed=0))
+        graphs["baseline_forward"] = baseline.sum()
+        for name, loss in graphs.items():
+            nodes = [node for node in graph_nodes(loss) if node.backward is not None]
+            assert len(nodes) > 5, name
+            assert any(saved_arrays(node) for node in nodes), name
+            held = [
+                (node.backward.__qualname__, type(value).__name__)
+                for node in nodes
+                for value in closure_values(node)
+                if isinstance(value, Tensor)
+            ]
+            assert held == [], name
 
 
 class TestSoftmaxStability:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mzembed.errors import ConfigError, NumericsError
-from mzembed.tensor import Tensor
+from mzembed.errors import ConfigError, MzembedError, NumericsError
+from mzembed.tensor import Tensor, no_grad
 from mzembed.rng import stream_rng
 from mzembed.training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
@@ -71,6 +71,19 @@ class TestApplyStep:
         bad = Tensor(np.array(float("inf")))
         with pytest.raises(NumericsError):
             apply_step(bad, params, adam, 0.5, where="epoch 0, step 0")
+
+    def test_loss_without_graph_raises_and_leaves_the_weights(self):
+        # Adam on all-zero gradients would still move the weights through
+        # weight decay, and the step would learn nothing.
+        params = self.make_param([3.0, 4.0])
+        adam = make_optimizer(params, TrainConfig(weight_decay=0.1))
+        with no_grad():
+            loss = (params["w"] * params["w"]).sum()
+        before = params["w"].data.copy()
+        with pytest.raises(MzembedError, match="recorded no graph"):
+            apply_step(loss, params, adam, 0.5, where="epoch 0, step 0")
+        assert np.array_equal(params["w"].data, before)
+        assert adam.t == 0
 
     def test_grads_cleared_after_step(self):
         params = self.make_param([1.0, 2.0])
