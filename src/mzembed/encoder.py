@@ -26,6 +26,16 @@ those of the serial loop. The masks are drawn before dispatch, on the
 calling thread. Outside it, the default, every group runs on the
 calling thread. ``cli.main`` opens it with one BLAS thread per worker.
 
+A training step's memory is its autodiff graph, and that follows the
+largest unit, not the batch. On the pool only the first group's forward
+records its graph; each other group keeps its output rows and dropout
+masks, and the backward recomputes its graph one group ahead on a free
+worker, while it walks the group before. So the graph's peak is about
+the largest group's graph plus the one being recomputed. The recompute
+runs the same forward from the same masks and must give the same bits;
+if it does not, the backward raises. On one worker no recompute could
+overlap the walk, so every group records its graph as before.
+
 A model's weights are one ordered name -> Tensor table
 (``ModelWeights``), in checkpoint order. This module serves it for both
 of the package's models, the encoder (``parameter_shapes``) and the
@@ -55,19 +65,23 @@ from .embed.features import is_normalized, peak_embed_sin, peak_embed_token
 from .embed.precision import BINARY64, PrecisionMode
 from .embed.sinusoidal import LAMBDA_MAX_DEFAULT, LAMBDA_MIN_DEFAULT, SinusoidalConfig
 from .embed.tokens import TokenVocab
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MzembedError
 from .rng import stream_rng
 from .tensor import (
     AttentionParams,
     FeedForwardParams,
+    Node,
     Tensor,
+    backward_walk,
     concat,
     dropout,
     feed_forward,
+    grad_enabled,
     layer_norm,
     multi_head_attention,
     no_grad,
     ones,
+    set_grad_enabled,
     uniform_fan_in,
     zeros,
 )
@@ -311,20 +325,76 @@ def encode_workers(n: int):
         _workers, _pool = previous, None
 
 
+def _submit(fn, *args):
+    """A future of ``fn(*args)`` on the pool, which is created on first
+    use; None with one worker."""
+    global _pool
+    if _workers == 1:
+        return None
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_workers, thread_name_prefix="mzembed-encode")
+    return _pool.submit(fn, *args)
+
+
 def _map_in_order(fn, units: list) -> list:
-    """``fn`` of each unit, in unit order. On the pool every unit finishes
+    """``fn`` of each unit, in unit order, under the calling thread's
+    recording mode (see ``no_grad``). On the pool every unit finishes
     before the first failure in unit order is raised, so no work is left
     running; on the calling thread the first failure stops the rest."""
-    global _pool
     if _workers == 1 or len(units) == 1:
         return [fn(unit) for unit in units]
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import wait
 
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_workers, thread_name_prefix="mzembed-encode")
-    futures = [_pool.submit(fn, unit) for unit in units]
+    enabled = grad_enabled()
+
+    def call(unit):
+        with set_grad_enabled(enabled):
+            return fn(unit)
+
+    futures = [_submit(call, unit) for unit in units]
     wait(futures)
     return [future.result() for future in futures]
+
+
+def _unit_nodes(outs: list[Tensor], rebuild) -> list[Tensor]:
+    """Each unit's forward output as one graph node whose backward walks
+    the unit's own graph with the node's gradient.
+
+    A unit whose forward recorded holds that graph; any other gets it
+    from ``rebuild(k)``, which recomputes unit ``k`` with recording on
+    and returns the root node. Unit ``k``'s backward first submits
+    ``rebuild(k + 1)`` to the pool, so the next recompute overlaps this
+    walk; with one worker the recompute runs inline. ``concat``'s walk
+    reaches the nodes in unit order, and every unit's graph is walked
+    whole in its turn, so each weight's gradient adds up the same
+    contributions in the same order as one graph of the whole batch.
+    """
+    graphs = [out._node for out in outs]
+
+    def walk(k, g):
+        if k + 1 < len(graphs) and graphs[k + 1] is None:
+            graphs[k + 1] = _submit(rebuild, k + 1)
+        try:
+            if graphs[k] is None:
+                root = rebuild(k)
+            elif isinstance(graphs[k], Node):
+                root = graphs[k]
+            else:
+                root = graphs[k].result()
+        finally:
+            # Dropped before a failure propagates: the future holds the
+            # failure, whose traceback holds this frame.
+            graphs[k] = None
+        backward_walk(root, g)
+
+    units = []
+    for k, out in enumerate(outs):
+        unit = Tensor(out.data)
+        unit._node = Node(out.data.dtype, (), lambda g, k=k: walk(k, g))
+        units.append(unit)
+    return units
 
 
 def _slot_arrays(spectra: list[Spectrum], cfg: EncoderConfig) -> np.ndarray:
@@ -390,6 +460,12 @@ def encode_batch(
     inference a group larger than one worker's share of the spectra is
     split between workers. A failing group raises DataError naming its
     spectra, the first such group in group order.
+
+    A recording training forward returns each group as one graph node
+    (``_unit_nodes``); on the pool only the first group holds its graph
+    and the backward recomputes the others'. The backward raises
+    MzembedError naming a group whose recompute differs from its
+    forward, for example because a weight changed in place in between.
     """
     if mode not in ("infer", "train"):
         raise ConfigError(f"mode must be infer or train, got {mode!r}")
@@ -401,36 +477,65 @@ def encode_batch(
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(slots):
         groups.setdefault(n, []).append(i)
-    keeps = None
-    if mode == "train" and cfg.dropout > 0.0:
-        # Each layer's masks (attention probabilities, attention output,
-        # feed-forward output), drawn in layer order at the shapes of the
-        # batch padded to its longest spectrum: one stream for any grouping.
-        b, h, w, d = len(spectra), cfg.heads, max(slots), cfg.d
-        keeps = [
-            tuple(rng.random(sh) >= cfg.dropout for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
-            for q in [w] * (cfg.layers - 1) + [1]
-        ]
     units = list(groups.values())
     if mode == "infer":
         # Weight-gradient sums run over a whole group, so only inference
         # may split one; its rows come out the same either way.
         share = -(-len(spectra) // _workers)
         units = [rows[i:i + share] for rows in units for i in range(0, len(rows), share)]
-
-    def run(rows: list[int]) -> Tensor:
-        n = slots[rows[0]]
-        unit_keeps = None if keeps is None else [
-            (attn[rows, :, :n, :n], a[rows, :n], f[rows, :n]) for attn, a, f in keeps
+    masks = [None] * len(units)
+    if mode == "train" and cfg.dropout > 0.0:
+        # Each layer's masks (attention probabilities, attention output,
+        # feed-forward output), drawn in layer order at the shapes of the
+        # batch padded to its longest spectrum: one stream for any
+        # grouping. Each unit keeps its rows and slots of them.
+        b, h, w, d = len(spectra), cfg.heads, max(slots), cfg.d
+        keeps = [
+            tuple(rng.random(sh) >= cfg.dropout for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
+            for q in [w] * (cfg.layers - 1) + [1]
         ]
+        masks = [
+            [(attn[rows, :, :n, :n], a[rows, :n], f[rows, :n]) for attn, a, f in keeps]
+            for rows, n in ((rows, slots[rows[0]]) for rows in units)
+        ]
+        del keeps
+
+    def run(k: int) -> Tensor:
+        rows = units[k]
         try:
-            return _encode_group([spectra[i] for i in rows], cfg, weights, unit_keeps)
+            return _encode_group([spectra[i] for i in rows], cfg, weights, masks[k])
         except Exception as exc:
-            noun = "spectrum" if len(groups[n]) == 1 else "spectra"
-            names = ", ".join(repr(spectra[i].id) for i in groups[n])
+            group = groups[slots[rows[0]]]
+            noun = "spectrum" if len(group) == 1 else "spectra"
+            names = ", ".join(repr(spectra[i].id) for i in group)
             raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
 
-    outs = _map_in_order(run, units)
+    # A training forward on the pool records only the first unit the
+    # backward reaches; the backward recomputes each other unit's graph
+    # while a worker is free to overlap it (``_unit_nodes``).
+    recorded = 1 if mode == "train" and _workers > 1 else len(units)
+
+    def forward(k: int) -> Tensor:
+        with set_grad_enabled(grad_enabled() and k < recorded):
+            return run(k)
+
+    outs = _map_in_order(forward, list(range(len(units))))
+    if mode == "train" and outs[0].requires_grad:
+        forward_rows = [out.data for out in outs]
+
+        def rebuild(k: int) -> Node:
+            with set_grad_enabled(True):
+                out = run(k)
+            masks[k] = None
+            if out.data.tobytes() != forward_rows[k].tobytes():
+                names = ", ".join(repr(spectra[i].id) for i in units[k])
+                raise MzembedError(
+                    f"the backward's recomputed forward of {names} differs from its "
+                    "training forward: weights or inputs changed in between"
+                )
+            return out._node
+
+        outs = _unit_nodes(outs, rebuild)
     return concat(outs, axis=0)[np.argsort(np.concatenate(units))]
 
 

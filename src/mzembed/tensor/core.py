@@ -18,15 +18,23 @@ value no backward reads is freed as soon as the forward drops it, while
 its node stays in the graph. Graphs are acyclic: reference counting
 frees a graph that is dropped without a walk.
 
-``Tensor.backward`` calls the functions in reverse topological order and
+``backward_walk`` calls the functions in reverse topological order and
 consumes the graph as it goes: each node drops its function, its parents
 and its own gradient once the function has run, so the arrays the
-function held are freed while the walk continues. Only leaves keep a
-``.grad``, and a graph can be walked once; a second ``backward`` through
-it raises.
+function held are freed while the walk continues. A graph is therefore
+largest when its forward ends, unless a backward function builds part of
+it anew: the encoder's training forward keeps one slot-count group's
+graph and recomputes the others' one at a time in the backward (see
+``encoder.encode_batch``). Only leaves keep a ``.grad``, and a graph can
+be walked once; a second ``backward`` through it raises.
+
+Recording is a per-thread mode: ``no_grad`` and ``set_grad_enabled``
+change it for the calling thread only.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -34,23 +42,42 @@ from ..errors import DimensionError, MzembedError
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
-# Toggled by no_grad(); when False, no graph is recorded.
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    # Each thread starts out recording; set_grad_enabled changes its own copy.
+    enabled = True
 
 
-class no_grad:
-    """Context manager that disables graph recording for inference."""
+_mode = _GradMode()
+
+
+def grad_enabled() -> bool:
+    """Whether operations on the calling thread record a graph."""
+    return _mode.enabled
+
+
+class set_grad_enabled:
+    """Context manager that turns graph recording on the calling thread
+    on or off, and restores the previous mode on exit."""
+
+    def __init__(self, enabled: bool):
+        self._enabled = enabled
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev, _mode.enabled = _mode.enabled, self._enabled
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _mode.enabled = self._prev
         return False
+
+
+class no_grad(set_grad_enabled):
+    """Context manager that disables graph recording on the calling
+    thread, for inference."""
+
+    def __init__(self):
+        super().__init__(False)
 
 
 def _unbroadcast(grad, shape):
@@ -67,7 +94,7 @@ def _unbroadcast(grad, shape):
 
 
 def _consumed(g):
-    """Marks a graph node whose backward ``Tensor.backward`` has run."""
+    """Marks a graph node whose backward ``backward_walk`` has run."""
 
 
 class Node:
@@ -94,8 +121,8 @@ class Node:
 
 def _nodes(*tensors):
     """The tensors' nodes, one per tensor (None for a constant); all None
-    while recording is off."""
-    if not _grad_enabled:
+    while recording is off on the calling thread."""
+    if not _mode.enabled:
         return (None,) * len(tensors)
     return tuple(t._node for t in tensors)
 
@@ -153,55 +180,22 @@ class Tensor:
 
     def backward(self):
         """Add the gradient of this scalar to the ``.grad`` of every
-        requires_grad leaf it depends on, and consume the graph.
+        requires_grad leaf it depends on, and consume the graph (see
+        ``backward_walk``).
 
-        Each interior node's ``backward(node.grad)`` runs once, after
-        every node that uses it. Leaf gradients add up over calls until
-        cleared. Interior nodes give up their backward functions, parents
-        and gradients as the walk passes them, so the graph cannot be
-        walked again: a second call through a consumed node raises
-        ``MzembedError``, and so does a loss that recorded no graph.
+        Raises ``MzembedError`` for a loss that recorded no graph.
         """
         if self.data.ndim != 0:
             raise MzembedError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        root = self._node
-        if root is None:
+        if self._node is None:
             raise MzembedError(
                 "backward on a loss that recorded no graph: it was computed under "
                 "no_grad() or from tensors that require no gradient, so no "
                 "parameter would receive one"
             )
-        topo = []
-        visited = set()
-        stack = [(root, False)]
-        while stack:
-            node, emitted = stack.pop()
-            if emitted:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            if node.backward is _consumed:
-                raise MzembedError(
-                    "backward through a graph that an earlier backward() "
-                    "already consumed; rebuild the graph to differentiate again"
-                )
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node.parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        root.accumulate(np.ones_like(self.data))
-        while topo:
-            node = topo.pop()
-            if node.backward is None:
-                continue
-            node.backward(node.grad)
-            node.backward = _consumed
-            node.parents = ()
-            node.grad = None
+        backward_walk(self._node, np.ones_like(self.data))
 
     # -- graph construction helper ------------------------------------
 
@@ -210,7 +204,7 @@ class Tensor:
         """A tensor holding ``data``, with a node recording ``backward``
         if any of ``parents`` (the inputs' ``_nodes``) is a node.
 
-        ``backward(g)`` is called once by ``Tensor.backward`` with the
+        ``backward(g)`` is called once by ``backward_walk`` with the
         output's gradient ``g``. It must hold nodes and arrays, never a
         tensor, so that no value outlives the forward unless the
         gradient reads it.
@@ -422,6 +416,47 @@ class Tensor:
             na.accumulate(g.astype(source))
 
         return Tensor._make(self.data.astype(dtype), (na,), bwd)
+
+
+def backward_walk(root: Node, grad) -> None:
+    """Add ``grad`` to ``root``'s gradient and carry it back through the
+    graph under ``root``.
+
+    Each interior node's ``backward(node.grad)`` runs once, after every
+    node that uses it. Leaf gradients add up over calls until cleared.
+    Interior nodes give up their backward functions, parents and
+    gradients as the walk passes them, so the graph cannot be walked
+    again: a second walk through a consumed node raises ``MzembedError``.
+    """
+    topo = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, emitted = stack.pop()
+        if emitted:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        if node.backward is _consumed:
+            raise MzembedError(
+                "backward through a graph that an earlier backward() "
+                "already consumed; rebuild the graph to differentiate again"
+            )
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    root.accumulate(grad)
+    while topo:
+        node = topo.pop()
+        if node.backward is None:
+            continue
+        node.backward(node.grad)
+        node.backward = _consumed
+        node.parents = ()
+        node.grad = None
 
 
 def concat(tensors, axis=-1):

@@ -40,7 +40,9 @@ class Adam:
 
     ``step`` applies the gradients it is given, one per parameter name
     (``apply_step`` passes them clipped, via ``clip_gradients``). The
-    step counter increases by exactly 1 per call.
+    step counter increases by exactly 1 per call. The update allocates
+    nothing: it writes its intermediates into two scratch buffers per
+    parameter dtype, each the size of the largest such parameter.
     """
 
     def __init__(
@@ -61,9 +63,19 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        largest: dict[np.dtype, int] = {}
+        for p in params.values():
+            largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.data.size)
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in largest.items()}
 
     def step(self, grads: dict[str, np.ndarray]):
-        """Apply one update with ``grads[name]`` for every parameter."""
+        """Apply one update with ``grads[name]`` for every parameter.
+
+        Per parameter, in this order and rounding at each operation:
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g²``,
+        ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, then, with weight
+        decay, ``p -= (lr wd) p``.
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
@@ -73,15 +85,16 @@ class Adam:
             g = np.asarray(grads[name], dtype=p.data.dtype)
             m = self.m[name]
             v = self.v[name]
+            a, b = (s[: p.data.size].reshape(p.data.shape) for s in self._scratch[p.data.dtype])
             m *= dt(b1)
-            m += dt(1.0 - b1) * g
+            m += np.multiply(dt(1.0 - b1), g, out=a)
             v *= dt(b2)
-            v += dt(1.0 - b2) * (g * g)
-            m_hat = m / dt(bc1)
-            v_hat = v / dt(bc2)
-            p.data -= dt(self.lr) * m_hat / (np.sqrt(v_hat) + dt(self.eps))
+            v += np.multiply(dt(1.0 - b2), np.multiply(g, g, out=a), out=a)
+            step = np.multiply(dt(self.lr), np.divide(m, dt(bc1), out=a), out=a)
+            denom = np.add(np.sqrt(np.divide(v, dt(bc2), out=b), out=b), dt(self.eps), out=b)
+            p.data -= np.divide(step, denom, out=a)
             if self.weight_decay:
-                p.data -= dt(self.lr * self.weight_decay) * p.data
+                p.data -= np.multiply(dt(self.lr * self.weight_decay), p.data, out=a)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import types
 
 import numpy as np
 import pytest
@@ -84,8 +85,8 @@ def no_cycle_collector():
 
 
 def graph_nodes(root):
-    """Every graph node reachable from tensor ``root``'s node."""
-    seen, stack, nodes = set(), [root._node], []
+    """Every graph node reachable from ``root``, a tensor or a node."""
+    seen, stack, nodes = set(), [getattr(root, "_node", root)], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -109,6 +110,33 @@ def closure_values(node):
 def saved_arrays(node):
     """The arrays the node's backward function keeps."""
     return [v for v in closure_values(node) if isinstance(v, np.ndarray)]
+
+
+def held_arrays(root, stop=None):
+    """Every array a graph holds: those reachable from tensor ``root``'s
+    node through node parents and backward functions, following closures
+    into nested functions, lists, tuples and dicts. The walk does not
+    enter the node ``stop``."""
+    from mzembed.tensor import Node
+
+    seen, stack, arrays = {id(stop)}, [root._node], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, Node):
+            stack.extend(obj.parents)
+            stack.append(obj.backward)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return arrays
 
 
 # ------------------------------------------------------------------

@@ -8,12 +8,13 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import graph_nodes, saved_arrays, toy_spectrum
+from conftest import graph_nodes, held_arrays, saved_arrays, toy_spectrum
 from mzembed import encoder
 from mzembed.data import Peak, Spectrum
 from mzembed.embed import wavelengths
 from mzembed.encoder import (
     EncoderConfig,
+    ModelWeights,
     describe_config,
     encode_batch,
     encode_many,
@@ -22,9 +23,16 @@ from mzembed.encoder import (
     load_table,
     parameter_shapes,
 )
-from mzembed.errors import ConfigError, DataError
+from mzembed.errors import ConfigError, DataError, MzembedError
 from mzembed.rng import stream_rng
-from mzembed.tensor import AttentionParams, FeedForwardParams
+from mzembed.tensor import (
+    AttentionParams,
+    FeedForwardParams,
+    Node,
+    Tensor,
+    grad_enabled,
+    no_grad,
+)
 
 EPS = 1e-5  # layer norm epsilon
 
@@ -427,43 +435,61 @@ def base_buffer(array):
 
 
 class TestTrainingGraphSize:
-    def test_attention_maps_held_once_per_layer(self, rng):
+    def test_attention_maps_held_once_per_layer(self, rng, monkeypatch):
         # Mixed peak counts: three slot-count groups, two of two spectra.
+        # On the pool only the first group's forward records its graph;
+        # the others keep their output rows and masks for the backward.
         cfg = small_cfg(d=16, layers=3, heads=2, dropout=0.2)
         weights = init_weights(cfg, seed=0)
         peaks = (5, 12, 5, 10, 12)
         spectra = [
             toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate(peaks)
         ]
-        out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
         groups = {n + 1: peaks.count(n) for n in peaks}
         assert cfg.d // cfg.heads not in groups
-        nodes = graph_nodes(out)
+        real, recorded = encoder._encode_group, []
+
+        def spy(*args):
+            unit = real(*args)
+            if unit.requires_grad:
+                recorded.append(unit._node)
+            return unit
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+        with encoder.encode_workers(2):
+            out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+        (root,) = recorded
+        n_slots, rows = next(iter(groups.items()))
+
+        nodes = graph_nodes(root)
         floats = [
             a
             for node in nodes
             for a in saved_arrays(node)
             if a.ndim == 4 and np.issubdtype(a.dtype, np.floating)
         ]
-        # No map of the padded batch.
-        assert not [a for a in floats if a.shape[0] == len(spectra)]
-        for n_slots, rows in groups.items():
-            map_shape = (rows, cfg.heads, n_slots, n_slots)
-            maps = {id(base_buffer(a)) for a in floats if a.shape == map_shape}
-            # Per full layer: the probabilities, which their own backward
-            # reads, and their dropout, which ``probs @ v`` reads.
-            assert len(maps) == 2 * (cfg.layers - 1), n_slots
-
+        assert {a.shape[0] for a in floats} == {rows}
+        map_shape = (rows, cfg.heads, n_slots, n_slots)
+        maps = {id(base_buffer(a)) for a in floats if a.shape == map_shape}
+        # Per full layer: the probabilities, which their own backward
+        # reads, and their dropout, which ``probs @ v`` reads.
+        assert len(maps) == 2 * (cfg.layers - 1)
         drops = [
             node for node in nodes
             if getattr(node.backward, "__qualname__", "").startswith("dropout.")
         ]
         # Attention probabilities, attention output and feed-forward
-        # output in every layer of every group.
-        assert len(drops) == 3 * cfg.layers * len(groups)
+        # output in every layer of the recorded group.
+        assert len(drops) == 3 * cfg.layers
         for node in drops:
-            masks = saved_arrays(node)
-            assert [a.dtype for a in masks] == [np.dtype(bool)]
+            assert [a.dtype for a in saved_arrays(node)] == [np.dtype(bool)]
+
+        # Outside the recorded group: no attention map and no float
+        # activation, only each group's output rows (and boolean masks).
+        outside = held_arrays(out, stop=root)
+        assert [a for a in outside if a.dtype == bool and a.shape[-2:] == (n_slots, n_slots)]
+        kept = [a for a in outside if np.issubdtype(a.dtype, np.floating)]
+        assert sorted(a.shape for a in kept) == sorted((k, cfg.d) for k in groups.values())
 
 
 class TestTokenKind:
@@ -672,8 +698,107 @@ class TestWorkerPool:
         assert pooled[2] == serial[2]  # the dropout generator's next draw
         for name, grad in serial[1].items():
             assert np.array_equal(pooled[1][name], grad), name
-        capped = [ids for _, ids in calls if ids[0].startswith("c")]
-        assert capped == [[f"c{i}" for i in range(6)]]
+        # Each group stays whole in its forward and in the backward's
+        # recompute, which every group but the first gets.
+        groups = {}
+        for s in spectra:
+            groups.setdefault(min(len(s.fragments), cfg.max_fragments), []).append(s.id)
+        units = list(groups.values())
+        assert len(units) > 1 and units[-1] == [f"c{i}" for i in range(6)]
+        assert sorted(ids for _, ids in calls) == sorted(units + units[1:])
+
+    @staticmethod
+    def mixed(rng):
+        """Four slot-count groups: [s0, s2], [s1, s5], [s3], [s4]."""
+        return [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1))
+            for i, n in enumerate((4, 9, 4, 6, 12, 9))
+        ]
+
+    def test_backward_recomputes_each_unrecorded_group_once_on_the_pool(self, rng, monkeypatch):
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        real, calls = encoder._encode_group, []
+
+        def spy(spectra, *args):
+            record = (threading.current_thread().name, [s.id for s in spectra], grad_enabled())
+            calls.append(record)
+            return real(spectra, *args)
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+        units = [["s0", "s2"], ["s1", "s5"], ["s3"], ["s4"]]
+        with encoder.encode_workers(2):
+            out = encode_batch(self.mixed(rng), cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+            forward = list(calls)
+            (out * out).sum().backward()
+        backward = calls[len(forward):]
+        # The forward records only the first group's graph.
+        assert sorted((ids, record) for _, ids, record in forward) == sorted(
+            (ids, ids == units[0]) for ids in units
+        )
+        # Each other group is recomputed once, with recording on, by a
+        # prefetch on the pool: none inline on the calling thread.
+        assert [ids for _, ids, _ in backward] == units[1:]
+        assert all(name.startswith("mzembed-encode") and record for name, _, record in backward)
+
+    def test_backward_refuses_a_recompute_that_drifted(self, rng):
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        with encoder.encode_workers(2):
+            out = encode_batch(self.mixed(rng), cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+            loss = (out * out).sum()
+            weights.named()["layer1.ff.b2"].data += 0.5  # changed after the forward
+            with pytest.raises(MzembedError, match=r"recomputed forward of 's1', 's5' differs"):
+                loss.backward()
+
+    @pytest.mark.parametrize("pooled", [True, False], ids=["prefetched", "inline"])
+    def test_backward_under_no_grad_recomputes_with_a_graph(self, rng, pooled):
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        spectra = self.mixed(rng)
+
+        def gradients():
+            grads = [t.grad.copy() for t in weights.named().values()]
+            for t in weights.named().values():
+                t.grad = None
+            return grads
+
+        stream = stream_rng(5, "dropout", 0)
+        (encode_batch(spectra, cfg, weights, mode="train", rng=stream).sum()).backward()
+        serial = gradients()
+        with encoder.encode_workers(2):
+            loss = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0)).sum()
+            if pooled:
+                with no_grad():
+                    loss.backward()
+        if not pooled:  # one worker now: every recompute runs on this thread
+            with no_grad():
+                loss.backward()
+        assert all(np.array_equal(a, b) for a, b in zip(gradients(), serial))
+
+    def test_pooled_inference_records_nothing(self, rng, monkeypatch):
+        cfg = small_cfg(layers=2, heads=2)
+        # Weights that need no inference copy and require gradients: only
+        # the recording mode keeps the workers from building a graph.
+        weights = ModelWeights({
+            name: Tensor(np.asfortranarray(t.data, dtype=np.float64), requires_grad=True)
+            for name, t in init_weights(cfg, seed=0).named().items()
+        })
+        assert weights.for_inference() is weights
+        real, created = Node.__init__, []
+
+        def counting(node, *args):
+            created.append(threading.current_thread().name)
+            real(node, *args)
+
+        monkeypatch.setattr(Node, "__init__", counting)
+        calls = self.spy_units(monkeypatch)
+        with encoder.encode_workers(2):
+            encode_many(self.spectra(rng), cfg, weights)
+            assert created == []
+            encode_batch(self.spectra(rng), cfg, weights)
+        assert calls and all(name.startswith("mzembed-encode") for name, _ in calls)
+        assert created  # a recording encode on the same pool builds a graph
 
     def test_eight_workers_with_fast_thread_switching(self, rng):
         # More workers than cores, switching threads every few bytecodes:

@@ -1,12 +1,14 @@
 """Tensor core: forward values against numpy, gradients against finite
 differences, and the optimizer update rules against hand-stepped math."""
 
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import closure_values, graph_nodes, saved_arrays, toy_spectrum
+from mzembed import encoder
 from mzembed.encoder import EncoderConfig, encode_batch, init_weights
 from mzembed.errors import DimensionError, MzembedError, NumericsError
 from mzembed.properties import N_PROPERTIES, baseline_forward, init_baseline
@@ -22,11 +24,13 @@ from mzembed.tensor import (
     feed_forward,
     gather_rows,
     global_grad_norm,
+    grad_enabled,
     layer_norm,
     linear,
     multi_head_attention,
     no_grad,
     relu,
+    set_grad_enabled,
     softmax,
     uniform_fan_in,
 )
@@ -344,6 +348,39 @@ class TestGradients:
         assert np.isclose(x.grad, 2 * 2.0 + 3.0)
 
 
+class TestRecordingMode:
+    """Recording is a per-thread mode."""
+
+    @pytest.mark.parametrize("off_on", ["other", "this"], ids=["other-thread", "this-thread"])
+    def test_no_grad_leaves_other_threads_recording(self, off_on):
+        w = Tensor(np.ones(3), requires_grad=True)
+        entered, release, seen = threading.Event(), threading.Event(), {}
+
+        def other():
+            with no_grad() if off_on == "other" else set_grad_enabled(True):
+                entered.set()
+                release.wait(timeout=10)
+                seen["other"] = (w * 2.0).requires_grad
+
+        thread = threading.Thread(target=other)
+        with no_grad() if off_on == "this" else set_grad_enabled(True):
+            thread.start()
+            assert entered.wait(timeout=10)
+            seen["this"] = (w * 2.0).requires_grad
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == {"other": off_on != "other", "this": off_on != "this"}
+        assert grad_enabled()
+
+    def test_set_grad_enabled_restores_the_mode(self):
+        with no_grad():
+            with set_grad_enabled(True):
+                assert grad_enabled()
+            assert not grad_enabled()
+        assert grad_enabled()
+
+
 class TestGraphRelease:
     """backward consumes the graph: interior nodes are freed by
     reference counting, and only leaves keep a gradient."""
@@ -370,29 +407,57 @@ class TestGraphRelease:
         del hidden, loss
         assert alive() is None
 
-    def test_unwalked_encoder_graph_freed_without_cycle_collector(self, rng, no_cycle_collector):
+    def test_unwalked_encoder_graph_freed_without_cycle_collector(
+        self, rng, no_cycle_collector, monkeypatch
+    ):
         cfg = EncoderConfig(
             d=8, layers=2, heads=2, inner_dim=8, dropout=0.1, kind="sin", max_fragments=16
         )
         weights = init_weights(cfg, seed=0)
         spectra = [
-            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate((4, 7, 4))
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate((4, 7, 4, 9))
         ]
-        out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
-        # Every interior node, through its backward function, and every
+        # Every group's output, and of each graph a group's forward
+        # records, every interior node's backward function and every
         # array a backward keeps, apart from the weights themselves.
-        interior = [node for node in graph_nodes(out) if node.parents]
         weight_arrays = {id(t.data) for t in weights.named().values()}
-        alive = [weakref.ref(out.data)]
-        alive += [weakref.ref(node.backward) for node in interior]
-        alive += [
-            weakref.ref(a)
-            for node in interior
-            for a in saved_arrays(node)
-            if id(a) not in weight_arrays
-        ]
-        assert len(interior) > 50 and len(alive) > 100
-        del out, interior
+        real, alive = encoder._encode_group, []
+
+        def spy(*args):
+            out = real(*args)
+            nodes = graph_nodes(out) if out.requires_grad else []
+            interior = [node for node in nodes if node.parents]
+            alive.append(weakref.ref(out.data))
+            alive.extend(weakref.ref(node.backward) for node in interior)
+            alive.extend(
+                weakref.ref(a)
+                for node in interior
+                for a in saved_arrays(node)
+                if id(a) not in weight_arrays
+            )
+            return out
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+
+        def train_forward():
+            return encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+
+        # Unwalked: on one worker every group keeps its graph.
+        out = train_forward()
+        assert len(alive) > 100
+        del out
+        assert [ref for ref in alive if ref() is not None] == []
+
+        # Walked until the second group's recompute failed, with the
+        # third group's recompute already submitted to the pool.
+        alive.clear()
+        with encoder.encode_workers(2):
+            loss = train_forward().sum()
+            weights.named()["layer1.ff.b2"].data += 0.5
+            with pytest.raises(MzembedError, match="recomputed forward of 's1' differs"):
+                loss.backward()
+        assert len(alive) > 100
+        del loss
         assert [ref for ref in alive if ref() is not None] == []
 
     def test_backward_without_graph_raises(self, rng):
@@ -768,6 +833,38 @@ class TestOptimizer:
         opt.step({"w": np.zeros(3, dtype=np.float32)})
         # Zero gradient: the only movement is -lr * wd * w.
         assert np.allclose(w.data, 2.0 - 0.5 * 0.1 * 2.0)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_keeps_the_bits_of_the_allocating_formula(self, rng, dtype, weight_decay):
+        # The update as written before it reused scratch buffers: one
+        # temporary per operation, in the same order.
+        def reference_step(p, m, v, g, t, lr, b1, b2, eps):
+            dt = p.dtype.type
+            m *= dt(b1)
+            m += dt(1.0 - b1) * g
+            v *= dt(b2)
+            v += dt(1.0 - b2) * (g * g)
+            m_hat = m / dt(1.0 - b1 ** t)
+            v_hat = v / dt(1.0 - b2 ** t)
+            p -= dt(lr) * m_hat / (np.sqrt(v_hat) + dt(eps))
+            if weight_decay:
+                p -= dt(lr * weight_decay) * p
+
+        shapes = {"w": (5, 7), "b": (5,), "table": (11, 3)}
+        start = {n: rng.normal(size=sh).astype(dtype) for n, sh in shapes.items()}
+        params = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+        opt = Adam(params, lr=3e-2, weight_decay=weight_decay)
+        ref = {n: [a.copy(), np.zeros_like(a), np.zeros_like(a)] for n, a in start.items()}
+        for t in range(1, 8):
+            grads = {n: rng.normal(size=sh).astype(dtype) for n, sh in shapes.items()}
+            opt.step({n: g.copy() for n, g in grads.items()})
+            for n, (p, m, v) in ref.items():
+                reference_step(p, m, v, grads[n], t, 3e-2, 0.9, 0.999, 1e-8)
+        for n, (p, m, v) in ref.items():
+            assert params[n].data.tobytes() == p.tobytes(), n
+            assert opt.m[n].tobytes() == m.tobytes(), n
+            assert opt.v[n].tobytes() == v.tobytes(), n
 
     def test_uniform_fan_in_bounds(self):
         rng = np.random.default_rng(0)

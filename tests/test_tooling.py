@@ -156,19 +156,23 @@ def test_siamese_train_calls_the_wrapped_siamese_names(tmp_path, monkeypatch):
 def test_train_encode_calls_the_wrapped_encoder_names(monkeypatch):
     # The encoder.* spans wrap the forward's building blocks on the
     # encoder module; a forward that reached them another way would leave
-    # those spans empty without failing.
+    # those spans empty without failing. On the pool, the backward's
+    # recompute of a slot-count group must reach them too.
+    import threading
+
     import numpy as np
 
     import mzembed.encoder
     from conftest import toy_spectrum
-    from mzembed.encoder import EncoderConfig, encode_batch, init_weights
+    from mzembed.encoder import EncoderConfig, encode_batch, encode_workers, init_weights
     from mzembed.rng import stream_rng
 
-    calls = {}
+    calls, lock = {}, threading.Lock()
 
     def counting(name, real):
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            with lock:
+                calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
 
         return counted
@@ -179,10 +183,21 @@ def test_train_encode_calls_the_wrapped_encoder_names(monkeypatch):
     cfg = EncoderConfig(d=8, layers=2, heads=2, inner_dim=8, dropout=0.2, max_fragments=16)
     rng = np.random.default_rng(0)
     spectra = [toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate((4, 7, 4))]
-    encode_batch(spectra, cfg, init_weights(cfg, seed=0), mode="train", rng=stream_rng(0, "dropout", 0))
-    layer_groups = cfg.layers * 2  # slot counts 5, 8, 5: two groups
-    assert calls == {
-        "layer_norm": 2 * layer_groups,
-        "multi_head_attention": layer_groups,
-        "feed_forward": layer_groups,
-    }
+    weights = init_weights(cfg, seed=0)
+
+    def per_group(groups):
+        layer_groups = cfg.layers * groups
+        return {
+            "layer_norm": 2 * layer_groups,
+            "multi_head_attention": layer_groups,
+            "feed_forward": layer_groups,
+        }
+
+    encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+    assert calls == per_group(2)  # slot counts 5, 8, 5: two groups
+    calls.clear()
+    with encode_workers(2):
+        out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+        assert calls == per_group(2)
+        out.sum().backward()
+    assert calls == per_group(2 + 1)  # the second group, recomputed
