@@ -16,8 +16,11 @@ outputs under input permutation.
 It runs spectra of one slot count (the precursor plus at most
 ``max_fragments`` fragments) through one forward each, so nothing is
 padded or masked and a row never depends on the rest of the batch.
-Training draws its dropout masks as if the batch were padded to its
-longest spectrum, so the dropout stream does not depend on the grouping.
+Training draws its dropout masks spectrum by spectrum, each at its share
+of the batch padded to its longest spectrum, and cuts each to the
+spectrum's slots at once. That is the stream of one draw at the padded
+batch's shapes, so it does not depend on the grouping, but no
+batch-shaped array is built.
 
 Inside ``encode_workers(n)`` the groups run on a process-wide pool of
 ``n`` threads, in inference with groups larger than one worker's share
@@ -27,14 +30,17 @@ calling thread. Outside it, the default, every group runs on the
 calling thread. ``cli.main`` opens it with one BLAS thread per worker.
 
 A training step's memory is its autodiff graph, and that follows the
-largest unit, not the batch. On the pool only the first group's forward
-records its graph; each other group keeps its output rows and dropout
-masks, and the backward recomputes its graph one group ahead on a free
-worker, while it walks the group before. So the graph's peak is about
-the largest group's graph plus the one being recomputed. The recompute
-runs the same forward from the same masks and must give the same bits;
-if it does not, the backward raises. On one worker no recompute could
-overlap the walk, so every group records its graph as before.
+largest unit, not the batch. Within a graph, each layer's attention
+keeps its q, k, v and boolean dropout mask, not its n × n probabilities,
+which its backward recomputes (``tensor.nn.attention``). On the pool
+only the first group's forward records its graph; each other group keeps
+its output rows and dropout masks, and the backward recomputes its graph
+one group ahead on a free worker, while it walks the group before. So
+the graph's peak is about the largest group's graph plus the one being
+recomputed. The recompute runs the same forward from the same masks and
+must give the same bits; if it does not, the backward raises. On one
+worker no recompute could overlap the walk, so every group records its
+graph as before.
 
 A model's weights are one ordered name -> Tensor table
 (``ModelWeights``), in checkpoint order. This module serves it for both
@@ -456,10 +462,12 @@ def encode_batch(
     Spectra share a forward only with spectra of the same slot count, so
     no row is padded and none depends on the rest of the batch. Inference
     mode is deterministic; training mode applies dropout and requires an
-    rng. The forwards run on the worker pool (``encode_workers``); in
-    inference a group larger than one worker's share of the spectra is
-    split between workers. A failing group raises DataError naming its
-    spectra, the first such group in group order.
+    rng. It draws each layer's three masks one spectrum at a time, in
+    (layer, mask kind, spectrum) order, at the shapes of one spectrum of
+    the batch padded to its longest. The forwards run on the worker pool
+    (``encode_workers``); in inference a group larger than one worker's
+    share of the spectra is split between workers. A failing group raises
+    DataError naming its spectra, the first such group in group order.
 
     A recording training forward returns each group as one graph node
     (``_unit_nodes``); on the pool only the first group holds its graph
@@ -486,17 +494,22 @@ def encode_batch(
     masks = [None] * len(units)
     if mode == "train" and cfg.dropout > 0.0:
         # Each layer's masks (attention probabilities, attention output,
-        # feed-forward output), drawn in layer order at the shapes of the
-        # batch padded to its longest spectrum: one stream for any
-        # grouping. Each unit keeps its rows and slots of them.
-        b, h, w, d = len(spectra), cfg.heads, max(slots), cfg.d
+        # feed-forward output) in (layer, kind, spectrum) order, each at
+        # one spectrum's share of the padded batch: the stream of one draw
+        # at the padded batch's shapes, for any grouping. Each draw is cut
+        # to its spectrum's slots at once; each unit stacks its rows.
+        p, h, w, d = cfg.dropout, cfg.heads, max(slots), cfg.d
         keeps = [
-            tuple(rng.random(sh) >= cfg.dropout for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
+            (
+                [rng.random((h, q, w))[:, :n, :n] >= p for n in slots],
+                [rng.random((q, d))[:n] >= p for n in slots],
+                [rng.random((q, d))[:n] >= p for n in slots],
+            )
             for q in [w] * (cfg.layers - 1) + [1]
         ]
         masks = [
-            [(attn[rows, :, :n, :n], a[rows, :n], f[rows, :n]) for attn, a, f in keeps]
-            for rows, n in ((rows, slots[rows[0]]) for rows in units)
+            [tuple(np.stack([kind[i] for i in rows]) for kind in layer) for layer in keeps]
+            for rows in units
         ]
         del keeps
 

@@ -7,6 +7,9 @@ nodes and the arrays its formula reads, never a tensor. The
 memory-heavy composites are single graph nodes with hand-derived
 backwards:
 
+- ``attention``, ``dropout(softmax(q kᵀ · scale + mask bias)) @ v`` in
+  one node, keeps ``q``, ``k``, ``v``, the key mask and the boolean
+  dropout mask, and no probabilities: its backward recomputes them;
 - ``softmax`` and the attention probabilities (``attention_probs``:
   scores, scale, key mask and softmax in one node) keep their output,
   and ``q`` and ``k`` each only if the other needs a gradient;
@@ -94,8 +97,11 @@ def _softmax(s: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax backward from the output ``y`` alone: ``y * (g - sum(g * y))``."""
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+    """Softmax backward from the output ``y`` alone: ``y * (g - sum(g * y))``.
+    It overwrites ``g``: a backward owns the gradient it is handed."""
+    g -= (g * y).sum(axis=axis, keepdims=True)
+    g *= y
+    return g
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -155,6 +161,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return Tensor._make(xhat * gain.data + bias.data, (nx, ng, nb), bwd)
 
 
+def _keep_factor(keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """Dropout's multiplier: ``1 / (1 - p)`` where ``keep``, else 0."""
+    factor = keep.astype(dtype)
+    factor *= 1.0 / (1.0 - p)
+    return factor
+
+
 def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
     """Zero elements with probability ``p`` and rescale survivors.
 
@@ -172,14 +185,13 @@ def dropout(x: Tensor, p: float, training: bool, rng=None, keep=None) -> Tensor:
         keep = rng.random(x.shape) >= p
     elif keep.shape != x.shape:
         raise DimensionError(f"dropout: keep mask {keep.shape} does not match {x.shape}")
-    scale = 1.0 / (1.0 - p)
     dtype = x.data.dtype
     (nx,) = _nodes(x)
 
     def bwd(g):
-        nx.accumulate(g * (keep.astype(dtype) * scale))
+        nx.accumulate(g * _keep_factor(keep, p, dtype))
 
-    return Tensor._make(x.data * (keep.astype(dtype) * scale), (nx,), bwd)
+    return Tensor._make(x.data * _keep_factor(keep, p, dtype), (nx,), bwd)
 
 
 class _TableView:
@@ -228,38 +240,102 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(-2, -3).reshape(*lead, n, h * dh)
 
 
+def _attention_weights(qd: np.ndarray, kd: np.ndarray, key_mask=None):
+    """``softmax(q kᵀ / sqrt(dh) + mask bias)`` over the key axis, and the
+    scale, as arrays: the one computation of attention probabilities, for
+    both attention nodes' forwards and ``attention``'s recompute."""
+    s = qd @ np.swapaxes(kd, -1, -2)
+    # Cast the scale, so float32 scores stay float32.
+    scale = np.asarray(1.0 / np.sqrt(qd.shape[-1]), dtype=s.dtype)
+    s *= scale
+    if key_mask is not None:
+        s += np.where(key_mask, 0.0, -np.inf).astype(s.dtype)[..., None, None, :]
+    return _softmax(s, -1, out=s), scale
+
+
+def _attention_probs_grad(y, g, scale, qd, kd, nq, nk, sq, sk):
+    """Add the gradients of ``q`` and ``k`` from ``g``, the gradient of
+    the probabilities ``y``: ``gs = y * (g - sum(g * y)) * scale``,
+    ``dq = gs @ k`` and ``dk = gsᵀ @ q``."""
+    gs = _softmax_grad(y, g, -1)
+    gs *= scale
+    if nq:
+        nq.accumulate(_unbroadcast(gs @ kd, sq))
+    if nk:
+        nk.accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ qd, sk))
+
+
 def attention_probs(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
     """``softmax(q kᵀ / sqrt(dh) + mask bias)`` over the key axis, one node.
 
     ``q`` and ``k`` are (..., n, dh); ``key_mask`` is a boolean array
     over key slots (True = attend) that broadcasts over the head and
     query axes. The node keeps its output ``y``, ``k`` if ``q`` needs a
-    gradient and ``q`` if ``k`` does; its backward is
-    ``gs = y * (g - sum(g * y)) * scale``, ``dq = gs @ k`` and
-    ``dk = gsᵀ @ q``.
+    gradient and ``q`` if ``k`` does. Attention itself is the one node
+    ``attention``; this node is its reference composite's first step.
     """
-    s = q.data @ np.swapaxes(k.data, -1, -2)
-    # Cast the scale, so float32 scores stay float32.
-    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=s.dtype)
-    s *= scale
-    if key_mask is not None:
-        s += np.where(key_mask, 0.0, -np.inf).astype(s.dtype)[..., None, None, :]
-
     nq, nk = _nodes(q, k)
     sq, sk = q.data.shape, k.data.shape
     qd = q.data if nk else None
     kd = k.data if nq else None
-    y = _softmax(s, -1, out=s)
+    y, scale = _attention_weights(q.data, k.data, key_mask)
 
     def bwd(g):
-        gs = _softmax_grad(y, g, -1)
-        gs *= scale
-        if nq:
-            nq.accumulate(_unbroadcast(gs @ kd, sq))
-        if nk:
-            nk.accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ qd, sk))
+        _attention_probs_grad(y, g, scale, qd, kd, nq, nk, sq, sk)
 
     return Tensor._make(y, (nq, nk), bwd)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, p: float = 0.0, keep=None, key_mask=None
+) -> Tensor:
+    """``dropout(softmax(q kᵀ / sqrt(dh) + mask bias)) @ v`` as one graph
+    node that keeps no probabilities.
+
+    ``q`` is (..., n_query, dh), ``k`` and ``v`` (..., n, dh); ``key_mask``
+    is as in ``attention_probs``. With ``keep``, a boolean mask of the
+    probabilities' shape (True = keep), they go through dropout at rate
+    ``p``, as in ``dropout``.
+
+    The node keeps ``q``, ``k``, ``key_mask``, ``keep`` and, if ``q`` or
+    ``k`` needs a gradient, ``v``; not the n_query × n probabilities. Its
+    backward recomputes the probabilities with the forward's own
+    expressions, which give the forward's bits, then applies the
+    backwards of ``probs @ v``, dropout and ``attention_probs`` in that
+    order. This is FlashAttention's recompute (Dao et al. 2022,
+    arXiv:2205.14135) without its tiling.
+    """
+    if keep is not None:
+        if not 0.0 <= p < 1.0:
+            raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+        if p == 0.0:
+            keep = None
+    nq, nk, nv = _nodes(q, k, v)
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    qd, kd = q.data, k.data
+    vd = v.data if nq or nk else None
+    y, _ = _attention_weights(qd, kd, key_mask)
+    if keep is not None:
+        if keep.shape != y.shape:
+            raise DimensionError(f"dropout: keep mask {keep.shape} does not match {y.shape}")
+        y *= _keep_factor(keep, p, y.dtype)
+
+    def bwd(g):
+        y, scale = _attention_weights(qd, kd, key_mask)
+        factor = None if keep is None else _keep_factor(keep, p, y.dtype)
+        if nv:
+            dropped = y if factor is None else y * factor
+            nv.accumulate(_unbroadcast(np.swapaxes(dropped, -1, -2) @ g, sv))
+            del dropped
+        if nq or nk:
+            gp = g @ np.swapaxes(vd, -1, -2)
+            if factor is not None:
+                gp *= factor
+            # Freed before the softmax backward's temporaries are made.
+            del factor
+            _attention_probs_grad(y, gp, scale, qd, kd, nq, nk, sq, sk)
+
+    return Tensor._make(y @ v.data, (nq, nk, nv), bwd)
 
 
 def multi_head_attention(
@@ -279,6 +355,7 @@ def multi_head_attention(
     Inputs are (..., n, d); query may have a different slot count than
     key/value. With ``keep``, a boolean (..., heads, n_query, n_key) mask,
     the probabilities go through dropout at rate ``attn_dropout``.
+    The attention is one ``attention`` node.
     """
     d = query.shape[-1]
     if d % heads != 0:
@@ -288,10 +365,8 @@ def multi_head_attention(
     k = _split_heads(linear(key, params.wk, params.bk), heads)
     v = _split_heads(linear(value, params.wv, params.bv), heads)
 
-    probs = attention_probs(q, k, key_mask)
-    if keep is not None:
-        probs = dropout(probs, attn_dropout, True, keep=keep)
-    return linear(_merge_heads(probs @ v), params.wo, params.bo)
+    out = attention(q, k, v, attn_dropout, keep, key_mask)
+    return linear(_merge_heads(out), params.wo, params.bo)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, min_norm: float = 1e-30):

@@ -428,14 +428,8 @@ class TestTrainingMode:
             assert np.any(tensor.grad != 0.0) or "bias" in name, name
 
 
-def base_buffer(array):
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
-
-
 class TestTrainingGraphSize:
-    def test_attention_maps_held_once_per_layer(self, rng, monkeypatch):
+    def test_attention_keeps_masks_not_maps(self, rng, monkeypatch):
         # Mixed peak counts: three slot-count groups, two of two spectra.
         # On the pool only the first group's forward records its graph;
         # the others keep their output rows and masks for the backward.
@@ -462,25 +456,28 @@ class TestTrainingGraphSize:
         n_slots, rows = next(iter(groups.items()))
 
         nodes = graph_nodes(root)
-        floats = [
-            a
-            for node in nodes
-            for a in saved_arrays(node)
-            if a.ndim == 4 and np.issubdtype(a.dtype, np.floating)
-        ]
-        assert {a.shape[0] for a in floats} == {rows}
-        map_shape = (rows, cfg.heads, n_slots, n_slots)
-        maps = {id(base_buffer(a)) for a in floats if a.shape == map_shape}
-        # Per full layer: the probabilities, which their own backward
-        # reads, and their dropout, which ``probs @ v`` reads.
-        assert len(maps) == 2 * (cfg.layers - 1)
-        drops = [
-            node for node in nodes
-            if getattr(node.backward, "__qualname__", "").startswith("dropout.")
-        ]
-        # Attention probabilities, attention output and feed-forward
-        # output in every layer of the recorded group.
-        assert len(drops) == 3 * cfg.layers
+        held = [a for node in nodes for a in saved_arrays(node)]
+        floats = [a for a in held if np.issubdtype(a.dtype, np.floating)]
+        assert {a.shape[0] for a in floats if a.ndim == 4} == {rows}
+        # No attention map, not even the last layer's precursor row: each
+        # attention node recomputes its probabilities in the backward.
+        assert not [a for a in floats if a.shape[-2:] in ((n_slots, n_slots), (1, n_slots))]
+
+        def made_by(name):
+            return [
+                node for node in nodes
+                if getattr(node.backward, "__qualname__", "").startswith(name + ".")
+            ]
+
+        # Each layer's attention node keeps its probabilities' boolean
+        # dropout mask, and two dropout nodes keep the other two masks.
+        attends = made_by("attention")
+        assert len(attends) == cfg.layers
+        maps = sorted(a.shape for node in attends for a in saved_arrays(node) if a.dtype == bool)
+        full, last = (rows, cfg.heads, n_slots, n_slots), (rows, cfg.heads, 1, n_slots)
+        assert maps == sorted([full] * (cfg.layers - 1) + [last])
+        drops = made_by("dropout")
+        assert len(drops) == 2 * cfg.layers
         for node in drops:
             assert [a.dtype for a in saved_arrays(node)] == [np.dtype(bool)]
 
@@ -490,6 +487,81 @@ class TestTrainingGraphSize:
         assert [a for a in outside if a.dtype == bool and a.shape[-2:] == (n_slots, n_slots)]
         kept = [a for a in outside if np.issubdtype(a.dtype, np.floating)]
         assert sorted(a.shape for a in kept) == sorted((k, cfg.d) for k in groups.values())
+
+
+class TestDropoutMasks:
+    """Training draws each layer's masks spectrum by spectrum, in the
+    stream that drawing them at the padded batch's shapes would give."""
+
+    # Slot counts 6, 13, 6, 11, 13: three groups; five spectra, so no
+    # draw's leading axis (2 heads, 13 or 1 query rows) is the batch size.
+    PEAKS = (5, 12, 5, 10, 12)
+
+    def inputs(self, rng):
+        cfg = small_cfg(d=16, layers=3, heads=2, dropout=0.3)
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate(self.PEAKS)
+        ]
+        return cfg, init_weights(cfg, seed=0), spectra
+
+    def test_masks_equal_the_batch_shaped_draw(self, rng, monkeypatch):
+        cfg, weights, spectra = self.inputs(rng)
+        real, seen = encoder._encode_group, {}
+
+        def spy(group, cfg, weights, keeps):
+            seen[tuple(s.id for s in group)] = keeps
+            return real(group, cfg, weights, keeps)
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+        stream = stream_rng(3, "dropout", 0)
+        encode_batch(spectra, cfg, weights, mode="train", rng=stream)
+
+        # The batch-shaped formula: every layer's masks drawn at once at
+        # the shapes of the batch padded to its longest spectrum, the
+        # last layer's with its single query row, then cut to each
+        # group's rows and slots.
+        ref = stream_rng(3, "dropout", 0)
+        slots = [n + 1 for n in self.PEAKS]
+        b, h, w, d, p = len(spectra), cfg.heads, max(slots), cfg.d, cfg.dropout
+        keeps = [
+            tuple(ref.random(sh) >= p for sh in ((b, h, q, w), (b, q, d), (b, q, d)))
+            for q in [w] * (cfg.layers - 1) + [1]
+        ]
+        groups = {}
+        for i, n in enumerate(slots):
+            groups.setdefault(n, []).append(i)
+        assert len(groups) == 3 and len(seen) == 3
+        for n, rows in groups.items():
+            got = seen[tuple(spectra[i].id for i in rows)]
+            want = [(attn[rows, :, :n, :n], a[rows, :n], f[rows, :n]) for attn, a, f in keeps]
+            assert len(got) == cfg.layers
+            for got_layer, want_layer in zip(got, want):
+                for mask, expected in zip(got_layer, want_layer, strict=True):
+                    assert mask.dtype == bool and mask.shape == expected.shape
+                    assert np.array_equal(mask, expected)
+            assert [m.shape for m in got[-1]] == [
+                (len(rows), h, 1, n), (len(rows), 1, d), (len(rows), 1, d)
+            ]
+        # The same draws, so the generator continues where it did.
+        assert stream.random() == ref.random()
+
+    def test_no_draw_has_the_batch_as_leading_axis(self, rng):
+        cfg, weights, spectra = self.inputs(rng)
+
+        class Spy:
+            """A generator that records the shape of every draw."""
+
+            def __init__(self, stream):
+                self.stream, self.shapes = stream, []
+
+            def random(self, shape):
+                self.shapes.append(shape)
+                return self.stream.random(shape)
+
+        spy = Spy(stream_rng(3, "dropout", 0))
+        encode_batch(spectra, cfg, weights, mode="train", rng=spy)
+        assert len(spy.shapes) == 3 * cfg.layers * len(spectra)
+        assert [shape for shape in spy.shapes if shape[0] == len(spectra)] == []
 
 
 class TestTokenKind:

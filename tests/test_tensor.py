@@ -10,7 +10,7 @@ import pytest
 from conftest import closure_values, graph_nodes, saved_arrays, toy_spectrum
 from mzembed import encoder
 from mzembed.encoder import EncoderConfig, encode_batch, init_weights
-from mzembed.errors import DimensionError, MzembedError, NumericsError
+from mzembed.errors import ConfigError, DimensionError, MzembedError, NumericsError
 from mzembed.properties import N_PROPERTIES, baseline_forward, init_baseline
 from mzembed.rng import stream_rng
 from mzembed.siamese import siamese_loss
@@ -34,7 +34,14 @@ from mzembed.tensor import (
     softmax,
     uniform_fan_in,
 )
-from mzembed.tensor.nn import AttentionParams, FeedForwardParams, attention_probs
+from mzembed.tensor.nn import (
+    AttentionParams,
+    FeedForwardParams,
+    _merge_heads,
+    _split_heads,
+    attention,
+    attention_probs,
+)
 
 
 def numerical_gradient(f, x, h=1e-5):
@@ -298,6 +305,16 @@ class TestGradients:
             return multi_head_attention(xx, xx, xx, frozen, heads)
 
         check_gradients(rebuild, x)
+
+    def test_attention_node_with_dropout(self, rng):
+        keep = rng.random((2, 2, 3, 5)) >= 0.3
+        mix = Tensor(rng.normal(size=(2, 2, 3, 4)))
+        check_gradients(
+            lambda q, k, v: attention(q, k, v, 0.3, keep) * mix,
+            rng.normal(size=(2, 2, 3, 4)),
+            rng.normal(size=(2, 2, 5, 4)),
+            rng.normal(size=(2, 2, 5, 4)),
+        )
 
     def test_dropout_grad_is_scaled_mask(self, rng):
         x = Tensor(np.ones((200, 10)), requires_grad=True)
@@ -650,7 +667,8 @@ def split_heads(x, heads):
 class TestFusedForwardBits:
     """The one-node softmax, layer norm, dropout and attention
     probabilities compute the same bits as the primitive chains they
-    replace, so inference outputs do not move."""
+    replace, so inference outputs do not move; the softmax backward, which
+    works in place, those of its allocating formula."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_softmax(self, rng, dtype):
@@ -664,6 +682,17 @@ class TestFusedForwardBits:
         assert np.array_equal(
             softmax(Tensor(x), axis=1).data, composite_softmax(x, axis=1)
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softmax_backward(self, rng, dtype):
+        # The gradient is written into the incoming one; the bits are
+        # those of the allocating formula.
+        x = Tensor((rng.normal(size=(4, 3, 7)) * 5.0).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(4, 3, 7)).astype(dtype)
+        y = softmax(x, axis=-1)
+        (y * Tensor(g)).sum().backward()
+        want = y.data * (g - (g * y.data).sum(axis=-1, keepdims=True))
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
 
     def test_layer_norm(self, rng):
         x = rng.normal(size=(3, 5, 16)) * 3.0 + 1.0
@@ -700,6 +729,146 @@ class TestFusedForwardBits:
         assert np.array_equal(out.data, composite_softmax(masked))
         unmasked = attention_probs(Tensor(q), Tensor(k))
         assert np.array_equal(unmasked.data, composite_softmax(scores))
+
+
+def unfused_attention(q, k, v, p=0.0, keep=None, key_mask=None):
+    """The attention node as the separate nodes it stands for."""
+    probs = attention_probs(q, k, key_mask)
+    if keep is not None:
+        probs = dropout(probs, p, True, keep=keep)
+    return probs @ v
+
+
+def unfused_multi_head_attention(
+    query, key, value, params, heads, key_mask=None, attn_dropout=0.0, keep=None
+):
+    q = _split_heads(linear(query, params.wq, params.bq), heads)
+    k = _split_heads(linear(key, params.wk, params.bk), heads)
+    v = _split_heads(linear(value, params.wv, params.bv), heads)
+    out = unfused_attention(q, k, v, attn_dropout, keep, key_mask)
+    return linear(_merge_heads(out), params.wo, params.bo)
+
+
+class TestAttentionNodeBits:
+    """``attention`` recomputes its probabilities in its backward, and its
+    output and gradients have the bits of the separate nodes it stands
+    for, with and without dropout, for all queries and the precursor's."""
+
+    # README model heads; 181 slots is above 176 and not a multiple of 8,
+    # where the score matmul's rounding can depend on the BLAS threads.
+    D, HEADS = 256, 8
+    pytestmark = [
+        pytest.mark.parametrize("n", [5, 81, 181]),
+        pytest.mark.parametrize("p", [0.1, 0.0]),
+        pytest.mark.parametrize("last", [False, True], ids=["all-queries", "precursor-query"]),
+    ]
+
+    def keep(self, rng, n, p, last):
+        shape = (2, self.HEADS, 1 if last else n, n)
+        return rng.random(shape) >= p if p else None
+
+    def test_qkv_gradients_have_the_unfused_bits(self, rng, n, p, last):
+        # Strided head views of projections, as the encoder hands them over.
+        shapes = [(2, 1 if last else n, self.D), (2, n, self.D), (2, n, self.D)]
+        arrays = [split_heads(rng.normal(size=shape), self.HEADS) for shape in shapes]
+        keep = self.keep(rng, n, p, last)
+        mix = Tensor(rng.normal(size=shapes[0]))
+
+        def run(attend):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out = attend(q, k, v, p, keep)
+            (_merge_heads(out) * mix).sum().backward()
+            return [out.data, q.grad, k.grad, v.grad]
+
+        for name, a, b in zip(["out", "q", "k", "v"], run(attention), run(unfused_attention)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_weight_gradients_have_the_unfused_bits(self, rng, n, p, last):
+        # Binary64 activations and binary32 weights, as in training.
+        x = rng.normal(size=(2, n, self.D))
+        keep = self.keep(rng, n, p, last)
+        mix = Tensor(rng.normal(size=(2, 1 if last else n, self.D)))
+        params = AttentionParams(**{
+            f"{kind}{name}": Tensor(
+                (rng.normal(size=(self.D, self.D) if kind == "w" else self.D) * 0.06)
+                .astype(np.float32),
+                requires_grad=True,
+            )
+            for name in "qkvo" for kind in "wb"
+        })
+
+        def run(attend):
+            xt = Tensor(x, requires_grad=True)
+            for t in vars(params).values():
+                t.grad = None
+            query = xt[:, 0:1] if last else xt
+            out = attend(query, xt, xt, params, self.HEADS, attn_dropout=p, keep=keep)
+            (out * mix).sum().backward()
+            return [out.data, xt.grad] + [t.grad for t in vars(params).values()]
+
+        fused, unfused = run(multi_head_attention), run(unfused_multi_head_attention)
+        for name, a, b in zip(["out", "x", *vars(params)], fused, unfused):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestAttentionNode:
+    @pytest.mark.parametrize("p", [0.1, 0.0])
+    @pytest.mark.parametrize("last", [False, True], ids=["all-queries", "precursor-query"])
+    def test_key_mask_has_the_unfused_bits(self, rng, p, last):
+        d, heads = 16, 4
+        x = rng.normal(size=(2, 7, d))
+        key_mask = np.array([[True] * 7, [True] * 4 + [False] * 3])
+        keep = rng.random((2, heads, 1 if last else 7, 7)) >= p if p else None
+        mix = Tensor(rng.normal(size=(2, 1 if last else 7, d)))
+        params = AttentionParams(**{
+            f"{kind}{name}": Tensor(rng.normal(size=(d, d) if kind == "w" else d) * 0.3,
+                                    requires_grad=True)
+            for name in "qkvo" for kind in "wb"
+        })
+
+        def run(attend):
+            xt = Tensor(x, requires_grad=True)
+            for t in vars(params).values():
+                t.grad = None
+            query = xt[:, 0:1] if last else xt
+            out = attend(query, xt, xt, params, heads, key_mask, attn_dropout=p, keep=keep)
+            (out * mix).sum().backward()
+            return [out.data, xt.grad] + [t.grad for t in vars(params).values()]
+
+        fused, unfused = run(multi_head_attention), run(unfused_multi_head_attention)
+        for name, a, b in zip(["out", "x", *vars(params)], fused, unfused):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        if last:
+            # Only the first slot queries; masked keys get no weight, so
+            # their slots get no gradient.
+            assert not fused[1][1, 4:].any() and fused[1][0, 4:].all()
+
+    def test_keeps_inputs_and_mask_only(self, rng):
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True) for _ in "qkv")
+        keep = rng.random((2, 3, 4, 4)) >= 0.5
+        kept = [q.data, k.data, v.data, keep]
+        out = attention(q, k, v, 0.5, keep)
+        assert {id(a) for a in saved_arrays(out._node)} == {id(a) for a in kept}
+        # ``v`` is read only for the gradients of ``q`` and ``k``.
+        out = attention(Tensor(q.data), Tensor(k.data), v, 0.5, keep)
+        assert {id(a) for a in saved_arrays(out._node)} == {id(a) for a in kept} - {id(v.data)}
+        key_mask = np.array([[True] * 4, [True, True, False, False]])
+        out = attention(q, k, v, 0.5, keep, key_mask)
+        assert {id(a) for a in saved_arrays(out._node)} == {id(a) for a in kept + [key_mask]}
+
+    def test_keep_mask_is_checked_as_in_dropout(self, rng):
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True) for _ in "qkv")
+        keep = rng.random((2, 3, 4, 4)) >= 0.5
+        with pytest.raises(DimensionError, match="keep mask"):
+            attention(q, k, v, 0.5, keep[..., :3])
+        with pytest.raises(DimensionError, match="keep mask"):
+            attention(q, k, v, 0.5, keep[:1])
+        with pytest.raises(ConfigError):
+            attention(q, k, v, 1.0, keep)
+        params = constant_attention(rng, 6)
+        x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        with pytest.raises(DimensionError, match="keep mask"):
+            multi_head_attention(x, x, x, params, 3, attn_dropout=0.5, keep=keep[..., :3])
 
 
 def constant_attention(rng, d):
