@@ -32,15 +32,16 @@ calling thread. ``cli.main`` opens it with one BLAS thread per worker.
 A training step's memory is its autodiff graph, and that follows the
 largest unit, not the batch. Within a graph, each layer's attention
 keeps its q, k, v and boolean dropout mask, not its n × n probabilities,
-which its backward recomputes (``tensor.nn.attention``). On the pool
-only the first group's forward records its graph; each other group keeps
-its output rows and dropout masks, and the backward recomputes its graph
-one group ahead on a free worker, while it walks the group before. So
-the graph's peak is about the largest group's graph plus the one being
-recomputed. The recompute runs the same forward from the same masks and
-must give the same bits; if it does not, the backward raises. On one
-worker no recompute could overlap the walk, so every group records its
-graph as before.
+which its backward recomputes (``tensor.nn.attention``). The batch's
+output is one parentless graph node, whose backward walks the groups'
+graphs in group order. On the pool only the first group's forward
+records its graph; each other group keeps its dropout masks, and the
+backward recomputes its graph one group ahead on a free worker, while it
+walks the group before. So the graph's peak is about the largest group's
+graph plus the one being recomputed. The recompute runs the same forward
+from the same masks and must give the same output rows; if it does not,
+the backward raises. On one worker no recompute could overlap the walk,
+so every group records its graph.
 
 A model's weights are one ordered name -> Tensor table
 (``ModelWeights``), in checkpoint order. This module serves it for both
@@ -79,7 +80,6 @@ from .tensor import (
     Node,
     Tensor,
     backward_walk,
-    concat,
     dropout,
     feed_forward,
     grad_enabled,
@@ -345,62 +345,18 @@ def _submit(fn, *args):
 
 
 def _map_in_order(fn, units: list) -> list:
-    """``fn`` of each unit, in unit order, under the calling thread's
-    recording mode (see ``no_grad``). On the pool every unit finishes
-    before the first failure in unit order is raised, so no work is left
-    running; on the calling thread the first failure stops the rest."""
+    """``fn`` of each unit, in unit order. On the pool every unit
+    finishes before the first failure in unit order is raised, so no
+    work is left running; on the calling thread the first failure stops
+    the rest. A worker thread records as threads start out (see
+    ``no_grad``), so ``fn`` sets the mode it needs."""
     if _workers == 1 or len(units) == 1:
         return [fn(unit) for unit in units]
     from concurrent.futures import wait
 
-    enabled = grad_enabled()
-
-    def call(unit):
-        with set_grad_enabled(enabled):
-            return fn(unit)
-
-    futures = [_submit(call, unit) for unit in units]
+    futures = [_submit(fn, unit) for unit in units]
     wait(futures)
     return [future.result() for future in futures]
-
-
-def _unit_nodes(outs: list[Tensor], rebuild) -> list[Tensor]:
-    """Each unit's forward output as one graph node whose backward walks
-    the unit's own graph with the node's gradient.
-
-    A unit whose forward recorded holds that graph; any other gets it
-    from ``rebuild(k)``, which recomputes unit ``k`` with recording on
-    and returns the root node. Unit ``k``'s backward first submits
-    ``rebuild(k + 1)`` to the pool, so the next recompute overlaps this
-    walk; with one worker the recompute runs inline. ``concat``'s walk
-    reaches the nodes in unit order, and every unit's graph is walked
-    whole in its turn, so each weight's gradient adds up the same
-    contributions in the same order as one graph of the whole batch.
-    """
-    graphs = [out._node for out in outs]
-
-    def walk(k, g):
-        if k + 1 < len(graphs) and graphs[k + 1] is None:
-            graphs[k + 1] = _submit(rebuild, k + 1)
-        try:
-            if graphs[k] is None:
-                root = rebuild(k)
-            elif isinstance(graphs[k], Node):
-                root = graphs[k]
-            else:
-                root = graphs[k].result()
-        finally:
-            # Dropped before a failure propagates: the future holds the
-            # failure, whose traceback holds this frame.
-            graphs[k] = None
-        backward_walk(root, g)
-
-    units = []
-    for k, out in enumerate(outs):
-        unit = Tensor(out.data)
-        unit._node = Node(out.data.dtype, (), lambda g, k=k: walk(k, g))
-        units.append(unit)
-    return units
 
 
 def _slot_arrays(spectra: list[Spectrum], cfg: EncoderConfig) -> np.ndarray:
@@ -469,9 +425,12 @@ def encode_batch(
     share of the spectra is split between workers. A failing group raises
     DataError naming its spectra, the first such group in group order.
 
-    A recording training forward returns each group as one graph node
-    (``_unit_nodes``); on the pool only the first group holds its graph
-    and the backward recomputes the others'. The backward raises
+    A recording forward returns a tensor with one parentless node. Its
+    backward walks each unit's graph whole, in unit order, with that
+    unit's rows of the gradient, so every weight's gradient adds up in
+    the order one graph of the whole batch would give. In training on
+    the pool only the first unit records its graph, and the backward
+    recomputes each other one while it walks the unit before. It raises
     MzembedError naming a group whose recompute differs from its
     forward, for example because a weight changed in place in between.
     """
@@ -513,43 +472,63 @@ def encode_batch(
         ]
         del keeps
 
-    def run(k: int) -> Tensor:
+    def run(k: int, record: bool) -> Tensor:
         rows = units[k]
         try:
-            return _encode_group([spectra[i] for i in rows], cfg, weights, masks[k])
+            with set_grad_enabled(record):
+                return _encode_group([spectra[i] for i in rows], cfg, weights, masks[k])
         except Exception as exc:
             group = groups[slots[rows[0]]]
             noun = "spectrum" if len(group) == 1 else "spectra"
             names = ", ".join(repr(spectra[i].id) for i in group)
             raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
 
-    # A training forward on the pool records only the first unit the
-    # backward reaches; the backward recomputes each other unit's graph
-    # while a worker is free to overlap it (``_unit_nodes``).
+    # A training forward on the pool records only the first unit; the
+    # backward recomputes each other unit's graph.
     recorded = 1 if mode == "train" and _workers > 1 else len(units)
+    recording = grad_enabled()
+    outs = _map_in_order(lambda k: run(k, recording and k < recorded), list(range(len(units))))
+    data = np.concatenate([out.data for out in outs])[np.argsort(np.concatenate(units))]
+    if not outs[0].requires_grad:
+        return Tensor(data)
+    graphs = [out._node for out in outs]
 
-    def forward(k: int) -> Tensor:
-        with set_grad_enabled(grad_enabled() and k < recorded):
-            return run(k)
+    def rebuild(k: int) -> Node:
+        out = run(k, True)
+        masks[k] = None
+        if out.data.tobytes() != data[units[k]].tobytes():
+            names = ", ".join(repr(spectra[i].id) for i in units[k])
+            raise MzembedError(
+                f"the backward's recomputed forward of {names} differs from its "
+                "training forward: weights or inputs changed in between"
+            )
+        return out._node
 
-    outs = _map_in_order(forward, list(range(len(units))))
-    if mode == "train" and outs[0].requires_grad:
-        forward_rows = [out.data for out in outs]
+    def backward(g):
+        # Each unit's graph is walked whole, in unit order, so every
+        # weight's gradient adds up the same contributions in the same
+        # order as one graph of the whole batch. The next unit's
+        # recompute runs on a free worker while this one is walked.
+        for k, rows in enumerate(units):
+            if k + 1 < len(units) and graphs[k + 1] is None:
+                graphs[k + 1] = _submit(rebuild, k + 1)
+            try:
+                if graphs[k] is None:
+                    root = rebuild(k)
+                elif isinstance(graphs[k], Node):
+                    root = graphs[k]
+                else:
+                    root = graphs[k].result()
+            finally:
+                # Dropped before a failure propagates: the future holds the
+                # failure, whose traceback holds this frame.
+                graphs[k] = None
+            backward_walk(root, g[rows])
 
-        def rebuild(k: int) -> Node:
-            with set_grad_enabled(True):
-                out = run(k)
-            masks[k] = None
-            if out.data.tobytes() != forward_rows[k].tobytes():
-                names = ", ".join(repr(spectra[i].id) for i in units[k])
-                raise MzembedError(
-                    f"the backward's recomputed forward of {names} differs from its "
-                    "training forward: weights or inputs changed in between"
-                )
-            return out._node
-
-        outs = _unit_nodes(outs, rebuild)
-    return concat(outs, axis=0)[np.argsort(np.concatenate(units))]
+    # The node holds no tensor: the output's own node would be a cycle.
+    out = Tensor(data)
+    out._node = Node(data.dtype, (), backward)
+    return out
 
 
 def encode_spectrum(

@@ -85,7 +85,13 @@ def no_cycle_collector():
 
 
 def graph_nodes(root):
-    """Every graph node reachable from ``root``, a tensor or a node."""
+    """Every graph node reachable from ``root``, a tensor or a node:
+    through node parents, and through the nodes a backward function
+    holds, directly or in a list or tuple (the encoder's units' graphs).
+    Anything else a backward holds, a pending recompute included, is not
+    entered."""
+    from mzembed.tensor import Node
+
     seen, stack, nodes = set(), [getattr(root, "_node", root)], []
     while stack:
         node = stack.pop()
@@ -94,6 +100,7 @@ def graph_nodes(root):
         seen.add(id(node))
         nodes.append(node)
         stack.extend(node.parents)
+        stack.extend(v for v in closure_values(node) if isinstance(v, Node))
     return nodes
 
 

@@ -30,6 +30,7 @@ from mzembed.tensor import (
     FeedForwardParams,
     Node,
     Tensor,
+    concat,
     grad_enabled,
     no_grad,
 )
@@ -482,11 +483,87 @@ class TestTrainingGraphSize:
             assert [a.dtype for a in saved_arrays(node)] == [np.dtype(bool)]
 
         # Outside the recorded group: no attention map and no float
-        # activation, only each group's output rows (and boolean masks).
+        # activation, only the batch's output rows (and boolean masks).
         outside = held_arrays(out, stop=root)
         assert [a for a in outside if a.dtype == bool and a.shape[-2:] == (n_slots, n_slots)]
         kept = [a for a in outside if np.issubdtype(a.dtype, np.floating)]
-        assert sorted(a.shape for a in kept) == sorted((k, cfg.d) for k in groups.values())
+        assert len(kept) == 1 and kept[0] is out.data
+        assert out.shape == (len(spectra), cfg.d)
+
+
+class TestTrainingNode:
+    """A recording encode is one parentless node whose backward walks the
+    units' graphs in unit order."""
+
+    # Slot counts 5, 10, 5, 7, 17, 10, 17: four groups, the last capped.
+    PEAKS = (4, 9, 4, 6, 20, 9, 25)
+
+    def inputs(self, rng, kind="sin"):
+        cfg = small_cfg(d=16, layers=2, heads=2, dropout=0.3, kind=kind, resolution=1.0)
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(n, n + 1)) for i, n in enumerate(self.PEAKS)
+        ]
+        return cfg, init_weights(cfg, seed=0), spectra
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_parentless_node_walks_every_group(self, rng, monkeypatch, workers):
+        cfg, weights, spectra = self.inputs(rng)
+        real_group, real_walk, roots, walked = encoder._encode_group, encoder.backward_walk, {}, []
+
+        def group(group, *args):
+            out = real_group(group, *args)
+            if out.requires_grad:  # the node is kept, so its id stays unique
+                roots[id(out._node)] = ([s.id for s in group], out._node)
+            return out
+
+        def walk(root, g):
+            walked.append(roots[id(root)][0])
+            real_walk(root, g)
+
+        monkeypatch.setattr(encoder, "_encode_group", group)
+        monkeypatch.setattr(encoder, "backward_walk", walk)
+        with encoder.encode_workers(workers):
+            out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+            assert out._node.parents == ()
+            (out * out).sum().backward()
+        units = [["s0", "s2"], ["s1", "s5"], ["s3"], ["s4", "s6"]]
+        assert walked == units
+        # Every group's graph is recorded once, in the forward or in the
+        # backward's recompute, and walked.
+        assert sorted(ids for ids, _ in roots.values()) == sorted(units)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["sin", "token"])
+    def test_gradients_equal_the_concat_composition(self, rng, monkeypatch, kind, workers):
+        # The composition the node replaces: each group's graph, joined by
+        # concat and put back in input order by an index, walked as one.
+        cfg, weights, spectra = self.inputs(rng, kind)
+        loss_weight = Tensor(rng.normal(size=(len(spectra), cfg.d)))
+        real, seen = encoder._encode_group, []
+
+        def spy(group, cfg, weights, keeps):
+            seen.append(([spectra.index(s) for s in group], keeps))
+            return real(group, cfg, weights, keeps)
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+        with no_grad():
+            encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+        monkeypatch.undo()
+        units = [rows for rows, _ in seen]
+        assert len(units) == 4
+        outs = [real([spectra[i] for i in rows], cfg, weights, keeps) for rows, keeps in seen]
+        joined = concat(outs, axis=0)[np.argsort(np.concatenate(units))]
+        (joined * loss_weight).sum().backward()
+        want = {name: t.grad for name, t in weights.named().items()}
+
+        for t in weights.named().values():
+            t.grad = None
+        with encoder.encode_workers(workers):
+            out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+            (out * loss_weight).sum().backward()
+        assert out.data.tobytes() == joined.data.tobytes()
+        for name, t in weights.named().items():
+            assert t.grad.tobytes() == want[name].tobytes(), name
 
 
 class TestDropoutMasks:

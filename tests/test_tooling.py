@@ -7,6 +7,8 @@ here, and a siamese ``train`` must reach each ``mzembed.siamese`` entry
 through that module. The table is read from the file, not edited. The
 names the other perfbench scripts import from the package are read from
 their source and resolved the same way.
+
+Also: no package module imports a name it never reads.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mzembed"
 TRACED_CLI = PERFBENCH / "traced_cli.py"
 
 
@@ -201,3 +204,48 @@ def test_train_encode_calls_the_wrapped_encoder_names(monkeypatch):
         assert calls == per_group(2)
         out.sum().backward()
     assert calls == per_group(2 + 1)  # the second group, recomputed
+
+
+def unused_imports(source, package_init=False):
+    """(line, name) of each name a module's source imports and never
+    reads. A name a package ``__init__`` lists in ``__all__`` is a
+    re-export, not unused."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if package_init:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_no_unused_import(path):
+    source = path.read_text(encoding="utf-8")
+    assert unused_imports(source, package_init=path.name == "__init__.py") == []
+
+
+def test_unused_import_check_sees_one():
+    source = """
+from __future__ import annotations
+import numpy as np
+from .tensor import Node, concat, dropout as drop
+__all__ = ["concat"]
+
+def f(x: Node):
+    return np.asarray(x)
+"""
+    assert unused_imports(source) == [(4, "concat"), (4, "drop")]
+    assert unused_imports(source, package_init=True) == [(4, "drop")]
