@@ -4,9 +4,10 @@ from .cleaning import MIN_MZ_DECIMALS, MIN_PEAKS, clean_spectra, rejection_reaso
 from .labels import PROPERTY_NAMES, load_molecules, parse_fingerprints, parse_properties, validate_coverage
 from .mgf import load_mgf, parse_mgf, save_mgf, serialize_mgf
 from .splits import make_split, read_manifest, write_manifest
-from .types import MoleculeRecord, Peak, SplitAssignment, Spectrum
+from .types import Fragments, MoleculeRecord, Peak, SplitAssignment, Spectrum
 
 __all__ = [
+    "Fragments",
     "MIN_MZ_DECIMALS",
     "MIN_PEAKS",
     "MoleculeRecord",

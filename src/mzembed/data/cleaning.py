@@ -52,7 +52,7 @@ def rejection_reason(spectrum: Spectrum) -> str | None:
             f"m/z recorded with {worst} decimal places, "
             f"need at least {MIN_MZ_DECIMALS}"
         )
-    if max(p.intensity for p in spectrum.fragments) <= 0:
+    if spectrum.fragments.intensity.max() <= 0:
         return "all fragment intensities are zero"
     return None
 

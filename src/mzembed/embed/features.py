@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.types import Peak, Spectrum
+from ..data.types import Fragments, Peak, Spectrum
 from ..errors import ConfigError, DataError
 from ..tensor import FeedForwardParams, Tensor, concat, feed_forward, gather_rows
 from .precision import BINARY64, PrecisionMode
@@ -21,19 +21,19 @@ def normalize_intensities(spectrum: Spectrum) -> Spectrum:
     operation is idempotent. All-zero fragment intensities leave nothing
     to scale by and raise DataError.
     """
-    peak_max = max(p.intensity for p in spectrum.fragments)
+    mz, intensity = spectrum.fragments.mz, spectrum.fragments.intensity
+    peak_max = intensity.max()
     if peak_max <= 0:
         raise DataError(
             f"spectrum {spectrum.id!r}: all fragment intensities are zero"
         )
-    fragments = tuple(
-        Peak(mz=p.mz, intensity=p.intensity / peak_max) for p in spectrum.fragments
-    )
+    scaled = intensity / peak_max
+    scaled.flags.writeable = False  # Fragments shares it, and mz
     precursor = Peak(mz=spectrum.precursor.mz, intensity=PRECURSOR_INTENSITY)
     return Spectrum(
         id=spectrum.id,
         precursor=precursor,
-        fragments=fragments,
+        fragments=Fragments(mz, scaled),
         structure_id=spectrum.structure_id,
         metadata=spectrum.metadata,
         mz_decimals=spectrum.mz_decimals,
@@ -43,7 +43,7 @@ def normalize_intensities(spectrum: Spectrum) -> Spectrum:
 def is_normalized(spectrum: Spectrum) -> bool:
     if spectrum.precursor.intensity != PRECURSOR_INTENSITY:
         return False
-    peak_max = max(p.intensity for p in spectrum.fragments)
+    peak_max = spectrum.fragments.intensity.max()
     return 0 < peak_max <= 1.0
 
 

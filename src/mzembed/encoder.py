@@ -433,6 +433,7 @@ def encode_batch(
     recomputes each other one while it walks the unit before. It raises
     MzembedError naming a group whose recompute differs from its
     forward, for example because a weight changed in place in between.
+    A backward that fails returns only once no recompute runs.
     """
     if mode not in ("infer", "train"):
         raise ConfigError(f"mode must be infer or train, got {mode!r}")
@@ -509,21 +510,28 @@ def encode_batch(
         # weight's gradient adds up the same contributions in the same
         # order as one graph of the whole batch. The next unit's
         # recompute runs on a free worker while this one is walked.
-        for k, rows in enumerate(units):
-            if k + 1 < len(units) and graphs[k + 1] is None:
-                graphs[k + 1] = _submit(rebuild, k + 1)
-            try:
+        try:
+            for k, rows in enumerate(units):
+                if k + 1 < len(units) and graphs[k + 1] is None:
+                    graphs[k + 1] = _submit(rebuild, k + 1)
                 if graphs[k] is None:
                     root = rebuild(k)
                 elif isinstance(graphs[k], Node):
                     root = graphs[k]
                 else:
                     root = graphs[k].result()
-            finally:
-                # Dropped before a failure propagates: the future holds the
-                # failure, whose traceback holds this frame.
                 graphs[k] = None
-            backward_walk(root, g[rows])
+                backward_walk(root, g[rows])
+        except BaseException:
+            # The next unit's recompute may still run: wait for it, so no
+            # work outlives the failure. Then drop every graph and future
+            # before the failure propagates: a future holds its failure,
+            # whose traceback holds this frame.
+            from concurrent.futures import wait
+
+            wait([x for x in graphs if x is not None and not isinstance(x, Node)])
+            graphs[:] = [None] * len(graphs)
+            raise
 
     # The node holds no tensor: the output's own node would be a cycle.
     out = Tensor(data)

@@ -75,22 +75,14 @@ def cosine_hits(
     """Each query's best ``modified_cosine`` match in library, as the
     (query, hit id, hit structure, score) rows ``summarize_hits`` reads.
 
-    Scores equal ``modified_cosine``'s; each spectrum's fragment arrays
-    are built once rather than once per pair. Equal scores go to the
-    smaller id (``top_k``).
+    Equal scores go to the smaller id (``top_k``).
     """
     _check_tolerance(tol)
     refs = sorted(library, key=lambda s: s.id)
     ref_ids = [r.id for r in refs]
-    ref_peaks = [(r.precursor.mz, *r.fragment_arrays()) for r in refs]
     hits = []
     for query in queries:
-        mz_q, int_q = query.fragment_arrays()
-        prec_q = query.precursor.mz
-        scores = [
-            float(score_modified_cosine(mz_q, int_q, mz_r, int_r, prec_q - prec_r, tol))
-            for prec_r, mz_r, int_r in ref_peaks
-        ]
+        scores = [modified_cosine(query, r, tol) for r in refs]
         best = top_k(scores, ref_ids, 1)[0]
         hits.append((query, ref_ids[best], refs[best].structure_id, scores[best]))
     return hits

@@ -1,4 +1,8 @@
-"""Cleaning rules, label files, coverage checks and split construction."""
+"""Spectrum records, cleaning rules, label files, coverage checks and split
+construction."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from conftest import toy_dataset, toy_spectrum
 from mzembed.data import (
     MIN_MZ_DECIMALS,
     MIN_PEAKS,
+    Fragments,
     MoleculeRecord,
     Peak,
     Spectrum,
@@ -14,6 +19,7 @@ from mzembed.data import (
     load_molecules,
     make_split,
     parse_fingerprints,
+    parse_mgf,
     parse_properties,
     read_manifest,
     rejection_reason,
@@ -22,6 +28,7 @@ from mzembed.data import (
     write_rejection_log,
 )
 from mzembed.data.labels import PROPERTY_NAMES
+from mzembed.embed.features import normalize_intensities
 from mzembed.errors import DataError, ParseError
 
 
@@ -48,6 +55,86 @@ class TestPeak:
     def test_non_finite_or_out_of_range_value_rejected(self, mz, intensity, field):
         with pytest.raises(DataError, match=f"peak {field} must be"):
             Peak(mz, intensity)
+
+    @pytest.mark.parametrize("mz,intensity", [
+        (float("nan"), 1.0), (0.0, 1.0), (-2.0, float("inf")), (100.0, -1.0), (100.0, float("nan")),
+    ])
+    def test_fragment_arrays_refuse_what_a_peak_refuses(self, mz, intensity):
+        with pytest.raises(DataError) as expected:
+            Peak(mz, intensity)
+        with pytest.raises(DataError, match=f"^{re.escape(str(expected.value))}$"):
+            Fragments([100.0, mz, 300.0], [1.0, intensity, -1.0])
+
+
+class TestFragments:
+    PEAKS = (Peak(300.0, 0.2), Peak(100.0, 0.9), Peak(300.0, 0.1))
+
+    def test_reads_as_the_tuple_of_peaks(self):
+        f = Fragments.of(self.PEAKS)
+        assert len(f) == 3
+        assert f[0] == self.PEAKS[0] and f[-1] == self.PEAKS[-1]
+        assert f[1:] == self.PEAKS[1:] and isinstance(f[1:], tuple)
+        assert tuple(f) == self.PEAKS and list(f) == list(self.PEAKS)
+        assert Peak(100.0, 0.9) in f
+        assert type(f[0].mz) is float
+        with pytest.raises(IndexError):
+            f[3]
+
+    @pytest.mark.parametrize("other", [
+        PEAKS,
+        (Peak(300.0, 0.2), Peak(100.0, 0.9), Peak(300.0, -0.0)),
+        (Peak(300.0, 0.2), Peak(100.0, 0.9)),
+        (Peak(100.0, 0.9), Peak(300.0, 0.2), Peak(300.0, 0.1)),
+    ], ids=["same", "minus-zero", "shorter", "reordered"])
+    def test_equality_and_hash_follow_the_tuples(self, other):
+        zero = (Peak(300.0, 0.2), Peak(100.0, 0.9), Peak(300.0, 0.0))
+        for mine in (self.PEAKS, zero):
+            a, b = Fragments.of(mine), Fragments.of(other)
+            assert (a == b) == (mine == other)
+            assert (a == other) == (mine == other)
+            assert hash(a) == hash(mine)
+
+    def test_spectrum_converts_peaks_and_compares_by_value(self):
+        s = Spectrum(id="x", precursor=Peak(500.0, 1.0), fragments=self.PEAKS)
+        assert isinstance(s.fragments, Fragments)
+        same = Spectrum(id="x", precursor=Peak(500.0, 1.0), fragments=Fragments.of(self.PEAKS))
+        assert s == same and hash(s) == hash(same)
+        moved = dataclasses.replace(s, fragments=self.PEAKS[::-1])
+        assert isinstance(moved.fragments, Fragments) and moved != s
+        assert tuple(moved.fragments) == self.PEAKS[::-1]
+
+    def test_canonical_arrays_are_computed_once_and_read_only(self):
+        mz, intensity = np.array([300.0, 100.0, 300.0]), np.array([0.2, 0.9, 0.1])
+        s = Spectrum(id="x", precursor=Peak(500.0, 1.0), fragments=Fragments(mz, intensity))
+        mz[0] = 1.0  # the spectrum holds its own copy
+        first = s.fragment_arrays()
+        assert all(a is b for a, b in zip(s.fragment_arrays(), first))
+        assert first[0].tolist() == [100.0, 300.0, 300.0]
+        assert first[1].tolist() == [0.9, 0.1, 0.2]
+        assert s.fragments.mz.tolist() == [300.0, 100.0, 300.0]
+        for array in (*first, s.fragments.mz, s.fragments.intensity):
+            assert not array.flags.writeable
+        ordered = Fragments([100.0, 200.0], [1.0, 0.5])
+        assert ordered.canonical[0] is ordered.mz and ordered.canonical[1] is ordered.intensity
+
+    def test_read_only_arrays_are_shared_and_others_copied(self):
+        owned = np.array([100.0, 200.0])
+        owned.flags.writeable = False
+        base = np.array([1.0, 0.5])
+        view = base[:]
+        view.flags.writeable = False  # base can still change it
+        f = Fragments(owned, view)
+        assert f.mz is owned
+        assert f.intensity is not view and not np.shares_memory(f.intensity, base)
+        base[0] = 7.0
+        assert f.intensity.tolist() == [1.0, 0.5]
+
+    def test_normalizing_shares_the_parsed_mz(self):
+        (s,) = parse_mgf("BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n200.1234 2\n100.1234 4\nEND IONS\n")
+        normalized = normalize_intensities(s)
+        assert normalized.fragments.mz is s.fragments.mz
+        assert normalized.fragments.intensity.tolist() == [0.5, 1.0]
+        assert not normalized.fragments.intensity.flags.writeable
 
 
 class TestCleaning:

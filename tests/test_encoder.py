@@ -900,6 +900,39 @@ class TestWorkerPool:
             with pytest.raises(MzembedError, match=r"recomputed forward of 's1', 's5' differs"):
                 loss.backward()
 
+    def test_failed_backward_leaves_no_forward_running(self, rng, monkeypatch):
+        # The drift above fails unit [s1, s5]'s recompute after unit [s3]'s
+        # was submitted. [s3]'s is slowed in the backward, so it is still
+        # running when [s1, s5]'s fails, unless the backward waits for it.
+        import time
+
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        real, started, returned, slow = encoder._encode_group, [], [], []
+
+        def spy(spectra, *args):
+            ids = [s.id for s in spectra]
+            started.append(ids)
+            try:
+                if slow and ids == ["s3"]:
+                    time.sleep(0.3)
+                return real(spectra, *args)
+            finally:
+                returned.append(ids)
+
+        monkeypatch.setattr(encoder, "_encode_group", spy)
+        with encoder.encode_workers(2):
+            out = encode_batch(self.mixed(rng), cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+            loss = (out * out).sum()
+            weights.named()["layer1.ff.b2"].data += 0.5
+            slow.append(True)
+            with pytest.raises(MzembedError, match=r"recomputed forward of 's1', 's5' differs"):
+                loss.backward()
+            at_failure = (sorted(started), sorted(returned))
+        assert at_failure[0] == at_failure[1]
+        assert sorted(started) == at_failure[0]  # and none started later
+        assert ["s3"] in started[4:]
+
     @pytest.mark.parametrize("pooled", [True, False], ids=["prefetched", "inline"])
     def test_backward_under_no_grad_recomputes_with_a_graph(self, rng, pooled):
         cfg = small_cfg(layers=2, heads=2, dropout=0.3)

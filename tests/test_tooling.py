@@ -8,7 +8,8 @@ through that module. The table is read from the file, not edited. The
 names the other perfbench scripts import from the package are read from
 their source and resolved the same way.
 
-Also: no package module imports a name it never reads.
+Also: no package module imports a name it never reads, and none but
+``data/types.py`` reads ``Spectrum.fragments`` peak by peak.
 """
 
 import ast
@@ -249,3 +250,49 @@ def f(x: Node):
 """
     assert unused_imports(source) == [(4, "concat"), (4, "drop")]
     assert unused_imports(source, package_init=True) == [(4, "drop")]
+
+
+def fragment_peak_reads(source):
+    """(line, code) of each read of a ``.fragments`` attribute other than
+    ``len(...fragments)`` and ``...fragments.mz``/``.intensity``: indexing
+    it, iterating it (for loops, comprehensions, ``max``/``sum``/``zip``
+    over it) or handing it on, each of which builds a Peak per fragment."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "fragments"):
+            continue
+        parent = parents[node]
+        if isinstance(parent, ast.Attribute) and parent.attr in ("mz", "intensity"):
+            continue
+        if isinstance(parent, ast.Call) and getattr(parent.func, "id", None) == "len":
+            continue
+        found.append((node.lineno, ast.unparse(parent)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "data" / "types.py"),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_fragments_are_read_as_arrays(path):
+    # Spectrum.fragments is two arrays; only data/types.py builds Peaks of it.
+    assert fragment_peak_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_fragment_peak_check_sees_each_kind():
+    source = """
+def f(spectrum, other, cfg):
+    n = len(spectrum.fragments) + cfg.max_fragments
+    top = spectrum.fragments.intensity.max() + other.fragments.mz[0]
+    first = spectrum.fragments[0]
+    for peak in other.fragments:
+        pass
+    heights = [p.intensity for p in spectrum.fragments]
+    biggest = max(p.intensity for p in other.fragments)
+    pairs = list(zip(spectrum.fragments, other.fragments))
+    kept = spectrum.fragments
+"""
+    assert [line for line, _ in fragment_peak_reads(source)] == [5, 6, 8, 9, 10, 10, 11]
