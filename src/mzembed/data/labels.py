@@ -130,9 +130,9 @@ def load_molecules(fingerprint_path, property_path) -> dict[str, MoleculeRecord]
 
     The two files must cover exactly the same structures.
     """
-    with open(fingerprint_path, "r", encoding="utf-8") as handle:
+    with open(fingerprint_path, "r", encoding="utf-8", newline="") as handle:
         fingerprints = parse_fingerprints(handle.read())
-    with open(property_path, "r", encoding="utf-8") as handle:
+    with open(property_path, "r", encoding="utf-8", newline="") as handle:
         properties = parse_properties(handle.read())
 
     only_fp = sorted(set(fingerprints) - set(properties))

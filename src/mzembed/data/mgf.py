@@ -242,7 +242,9 @@ def serialize_mgf(spectra: list[Spectrum]) -> str:
 
 
 def load_mgf(path) -> list[Spectrum]:
-    with open(path, "r", encoding="utf-8") as handle:
+    """``parse_mgf`` of the file's text, line ends untranslated: a lone
+    "\r" stays inside its line, as it does in text."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         return parse_mgf(handle.read())
 
 

@@ -110,7 +110,7 @@ def write_manifest(path, spectra: list[Spectrum], assignment: SplitAssignment) -
 
 def read_manifest(path, spectra: list[Spectrum]) -> SplitAssignment:
     """Rebuild a SplitAssignment from a manifest, checking it matches spectra."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.read().split("\n")
     if not lines or lines[0] != "spectrum_id\tstructure_id\tsplit":
         raise DataError(f"{path}: not a split manifest (bad header)")

@@ -34,14 +34,14 @@ largest unit, not the batch. Within a graph, each layer's attention
 keeps its q, k, v and boolean dropout mask, not its n × n probabilities,
 which its backward recomputes (``tensor.nn.attention``). The batch's
 output is one parentless graph node, whose backward walks the groups'
-graphs in group order. On the pool only the first group's forward
-records its graph; each other group keeps its dropout masks, and the
-backward recomputes its graph one group ahead on a free worker, while it
-walks the group before. So the graph's peak is about the largest group's
-graph plus the one being recomputed. The recompute runs the same forward
-from the same masks and must give the same output rows; if it does not,
-the backward raises. On one worker no recompute could overlap the walk,
-so every group records its graph.
+graphs in group order. Only the first group's forward records its graph;
+each other group keeps its dropout masks, and the backward rebuilds its
+graph from them just before walking it: on the pool one group ahead, on
+a free worker while it walks the group before, and on one worker when
+its turn comes. So the graph's peak is about the largest group's graph,
+plus on the pool the one being rebuilt. The rebuild runs the same
+forward from the same masks and must give the same output rows; if it
+does not, the backward raises.
 
 A model's weights are one ordered name -> Tensor table
 (``ModelWeights``), in checkpoint order. This module serves it for both
@@ -62,7 +62,7 @@ commands that encode never pay for it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,7 +301,7 @@ def describe_config(cfg: EncoderConfig) -> str:
 
 
 # The encode worker pool, one per process: ``encode_workers`` sizes it and
-# ``_map_in_order`` creates it on first use. With one worker, the default,
+# ``_in_order`` creates it on first use. With one worker, the default,
 # every forward runs on the calling thread.
 _workers = 1
 _pool = None
@@ -331,32 +331,40 @@ def encode_workers(n: int):
         _workers, _pool = previous, None
 
 
-def _submit(fn, *args):
-    """A future of ``fn(*args)`` on the pool, which is created on first
-    use; None with one worker."""
+def _in_order(fn, n: int, ahead: int):
+    """Yield ``fn(k)`` for k = 0, 1, ..., n - 1.
+
+    On the pool (created on first use) the calls for up to ``ahead``
+    units past the one yielded run meanwhile; with one worker, or one
+    unit, each call runs on the calling thread when it is asked for. A
+    failing call, or the consumer's ``close`` (its own failures reach
+    the generator no other way), first waits for every call still
+    running and drops it, so no work outlives the error. A worker thread
+    starts out recording (see ``no_grad``), so ``fn`` sets its mode.
+    """
     global _pool
-    if _workers == 1:
-        return None
+    if _workers == 1 or n == 1:
+        for k in range(n):
+            yield fn(k)
+        return
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(_workers, thread_name_prefix="mzembed-encode")
-    return _pool.submit(fn, *args)
-
-
-def _map_in_order(fn, units: list) -> list:
-    """``fn`` of each unit, in unit order. On the pool every unit
-    finishes before the first failure in unit order is raised, so no
-    work is left running; on the calling thread the first failure stops
-    the rest. A worker thread records as threads start out (see
-    ``no_grad``), so ``fn`` sets the mode it needs."""
-    if _workers == 1 or len(units) == 1:
-        return [fn(unit) for unit in units]
     from concurrent.futures import wait
 
-    futures = [_submit(fn, unit) for unit in units]
-    wait(futures)
-    return [future.result() for future in futures]
+    pending = []
+    try:
+        for k in range(n):
+            pending.append(_pool.submit(fn, k))
+            if len(pending) > ahead:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        # The error's traceback holds this frame: keep no result alive.
+        wait(pending)
+        pending.clear()
 
 
 def _slot_arrays(spectra: list[Spectrum], cfg: EncoderConfig) -> np.ndarray:
@@ -425,15 +433,15 @@ def encode_batch(
     share of the spectra is split between workers. A failing group raises
     DataError naming its spectra, the first such group in group order.
 
-    A recording forward returns a tensor with one parentless node. Its
-    backward walks each unit's graph whole, in unit order, with that
-    unit's rows of the gradient, so every weight's gradient adds up in
-    the order one graph of the whole batch would give. In training on
-    the pool only the first unit records its graph, and the backward
-    recomputes each other one while it walks the unit before. It raises
-    MzembedError naming a group whose recompute differs from its
-    forward, for example because a weight changed in place in between.
-    A backward that fails returns only once no recompute runs.
+    A recording forward records only the first unit's graph and returns
+    a tensor with one parentless node. Its backward walks each unit's
+    graph whole, in unit order, with that unit's rows of the gradient,
+    so every weight's gradient adds up in the order one graph of the
+    whole batch would give; it rebuilds each other unit's graph from its
+    masks first, on the pool while it walks the unit before. It raises
+    MzembedError naming a unit whose rebuild differs from its forward,
+    for example because a weight changed in place in between. A backward
+    that fails returns only once no rebuild runs.
     """
     if mode not in ("infer", "train"):
         raise ConfigError(f"mode must be infer or train, got {mode!r}")
@@ -484,15 +492,12 @@ def encode_batch(
             names = ", ".join(repr(spectra[i].id) for i in group)
             raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
 
-    # A training forward on the pool records only the first unit; the
-    # backward recomputes each other unit's graph.
-    recorded = 1 if mode == "train" and _workers > 1 else len(units)
     recording = grad_enabled()
-    outs = _map_in_order(lambda k: run(k, recording and k < recorded), list(range(len(units))))
+    outs = list(_in_order(lambda k: run(k, recording and k == 0), len(units), len(units)))
     data = np.concatenate([out.data for out in outs])[np.argsort(np.concatenate(units))]
     if not outs[0].requires_grad:
         return Tensor(data)
-    graphs = [out._node for out in outs]
+    first = [outs[0]._node]
 
     def rebuild(k: int) -> Node:
         out = run(k, True)
@@ -508,30 +513,12 @@ def encode_batch(
     def backward(g):
         # Each unit's graph is walked whole, in unit order, so every
         # weight's gradient adds up the same contributions in the same
-        # order as one graph of the whole batch. The next unit's
-        # recompute runs on a free worker while this one is walked.
-        try:
-            for k, rows in enumerate(units):
-                if k + 1 < len(units) and graphs[k + 1] is None:
-                    graphs[k + 1] = _submit(rebuild, k + 1)
-                if graphs[k] is None:
-                    root = rebuild(k)
-                elif isinstance(graphs[k], Node):
-                    root = graphs[k]
-                else:
-                    root = graphs[k].result()
-                graphs[k] = None
-                backward_walk(root, g[rows])
-        except BaseException:
-            # The next unit's recompute may still run: wait for it, so no
-            # work outlives the failure. Then drop every graph and future
-            # before the failure propagates: a future holds its failure,
-            # whose traceback holds this frame.
-            from concurrent.futures import wait
-
-            wait([x for x in graphs if x is not None and not isinstance(x, Node)])
-            graphs[:] = [None] * len(graphs)
-            raise
+        # order as one graph of the whole batch. On the pool the next
+        # unit's graph is rebuilt while this one is walked.
+        graphs = _in_order(lambda k: first.pop() if k == 0 else rebuild(k), len(units), 1)
+        with closing(graphs):
+            for k, root in enumerate(graphs):
+                backward_walk(root, g[units[k]])
 
     # The node holds no tensor: the output's own node would be a cycle.
     out = Tensor(data)

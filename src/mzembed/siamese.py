@@ -94,11 +94,21 @@ def build_similarity_bins(
     reservoirs: list[list[tuple[str, str, float]]] = [[] for _ in range(bin_count)]
 
     if len(names) <= exact_limit:
+        # Row by row, each row's pairs at once: integer counts divide to
+        # the binary64 that ``tanimoto``'s int / int gives, and the bin is
+        # ``bin_of``'s, so the reservoirs are the per-pair loop's.
+        fingerprints = [np.asarray(molecules[s].fingerprint, dtype=np.uint8) for s in names]
+        widths = sorted({f.shape for f in fingerprints})
+        if len(widths) > 1:
+            raise DimensionError(f"fingerprint widths differ: {widths}")
+        bits = np.array(fingerprints)
         for i, sa in enumerate(names):
-            fa = molecules[sa].fingerprint
-            for sb in names[i:]:
-                t = tanimoto(fa, molecules[sb].fingerprint)
-                reservoirs[bin_of(t, bin_count)].append((sa, sb, t))
+            inter = np.sum(bits[i] & bits[i:], axis=1)
+            union = np.sum(bits[i] | bits[i:], axis=1)
+            t = np.divide(inter, union, out=np.zeros(len(union)), where=union > 0)
+            k = np.minimum((t * bin_count).astype(np.int64), bin_count - 1)
+            for sb, tj, kj in zip(names[i:], t.tolist(), k.tolist()):
+                reservoirs[kj].append((sa, sb, tj))
         return SimilarityBins(bin_count=bin_count, reservoirs=reservoirs)
 
     rng = stream_rng(seed, "pairs", 0xB1)

@@ -23,7 +23,7 @@ consumes the graph as it goes: each node drops its function, its parents
 and its own gradient once the function has run, so the arrays the
 function held are freed while the walk continues. A graph is therefore
 largest when its forward ends, unless a backward function builds part of
-it anew: the encoder's training forward keeps one slot-count group's
+it anew: the encoder's recording forward keeps one slot-count group's
 graph and recomputes the others' one at a time in the backward (see
 ``encoder.encode_batch``). Only leaves keep a ``.grad``, and a graph can
 be walked once; a second ``backward`` through it raises.

@@ -343,3 +343,60 @@ class TestSplits:
         write_manifest(path, spectra, assignment)
         with pytest.raises(DataError):
             read_manifest(path, spectra[:-1])
+
+
+class TestFileLineEnds:
+    """Label files and manifests are read as their text is, whatever
+    their line ends: a lone "\r" is not a line break in either."""
+
+    @staticmethod
+    def outcome(read):
+        """Each structure's fingerprint and property bits, or the
+        ParseError's message and line."""
+        try:
+            fingerprints, properties = read()
+        except ParseError as err:
+            return str(err), err.line
+        return sorted((k, v.tobytes(), properties[k].tobytes()) for k, v in fingerprints.items())
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_load_molecules_parses_the_file_text(self, tmp_path, end):
+        header = "structure_id\t" + "\t".join(PROPERTY_NAMES)
+        values = "\t".join(str(0.25 * i) for i in range(10))
+        properties = f"{header}\nm1\t{values}\nm2\t{values}\n"
+        cases = [
+            ("m1\tf0\nm2\t0a\n", properties),
+            ("m1\tf\r0\nm2\t0a\n", properties),  # "\r" inside a hex token
+            ("m1\tf0\nm2\t0a\n", properties.replace("\nm2", "\rm2")),
+            ("m1\tf0\nm2\t0a\n", properties.replace("\t0.5", "\r0.5")),
+        ]
+        fp, pr = tmp_path / "fp.tsv", tmp_path / "props.tsv"
+        for fp_text, pr_text in cases:
+            fp_text, pr_text = fp_text.replace("\n", end), pr_text.replace("\n", end)
+            fp.write_bytes(fp_text.encode("utf-8"))
+            pr.write_bytes(pr_text.encode("utf-8"))
+
+            def from_files():
+                records = load_molecules(fp, pr)
+                return (
+                    {k: r.fingerprint for k, r in records.items()},
+                    {k: r.properties for k, r in records.items()},
+                )
+
+            want = self.outcome(lambda: (parse_fingerprints(fp_text), parse_properties(pr_text)))
+            assert self.outcome(from_files) == want, (fp_text, pr_text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_manifest_reads_the_file_text(self, tmp_path, end):
+        spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
+        assignment = make_split(spectra, n_novel=1, n_known=2, seed=5)
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, spectra, assignment)
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        if end == "\n":
+            assert read_manifest(path, spectra).train_ids == assignment.train_ids
+        else:
+            # Its first line is not the header: it ends in "\r" (CRLF) or
+            # runs on into the rows (lone "\r").
+            with pytest.raises(DataError, match="bad header"):
+                read_manifest(path, spectra)

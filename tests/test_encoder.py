@@ -4,6 +4,7 @@ permutation invariance, slot-count batching and dropout determinism."""
 import argparse
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -432,8 +433,8 @@ class TestTrainingMode:
 class TestTrainingGraphSize:
     def test_attention_keeps_masks_not_maps(self, rng, monkeypatch):
         # Mixed peak counts: three slot-count groups, two of two spectra.
-        # On the pool only the first group's forward records its graph;
-        # the others keep their output rows and masks for the backward.
+        # Only the first group's forward records its graph; the others
+        # keep their output rows and masks for the backward.
         cfg = small_cfg(d=16, layers=3, heads=2, dropout=0.2)
         weights = init_weights(cfg, seed=0)
         peaks = (5, 12, 5, 10, 12)
@@ -864,7 +865,10 @@ class TestWorkerPool:
             for i, n in enumerate((4, 9, 4, 6, 12, 9))
         ]
 
-    def test_backward_recomputes_each_unrecorded_group_once_on_the_pool(self, rng, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backward_recomputes_each_unrecorded_group_once_on_the_pool(
+        self, rng, monkeypatch, workers
+    ):
         cfg = small_cfg(layers=2, heads=2, dropout=0.3)
         weights = init_weights(cfg, seed=0)
         real, calls = encoder._encode_group, []
@@ -876,7 +880,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(encoder, "_encode_group", spy)
         units = [["s0", "s2"], ["s1", "s5"], ["s3"], ["s4"]]
-        with encoder.encode_workers(2):
+        with encoder.encode_workers(workers):
             out = encode_batch(self.mixed(rng), cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
             forward = list(calls)
             (out * out).sum().backward()
@@ -885,10 +889,49 @@ class TestWorkerPool:
         assert sorted((ids, record) for _, ids, record in forward) == sorted(
             (ids, ids == units[0]) for ids in units
         )
-        # Each other group is recomputed once, with recording on, by a
-        # prefetch on the pool: none inline on the calling thread.
+        # Each other group is recomputed once, with recording on: on the
+        # pool by a prefetch, none inline on the calling thread; on one
+        # worker inline.
         assert [ids for _, ids, _ in backward] == units[1:]
-        assert all(name.startswith("mzembed-encode") and record for name, _, record in backward)
+        assert all(record for _, _, record in backward)
+        pooled = {name.startswith("mzembed-encode") for name, _, _ in backward}
+        assert pooled == {workers > 1}
+
+    def test_one_worker_holds_one_group_graph_at_a_time(self, rng, monkeypatch):
+        # Every float array a group's graph keeps, apart from the weights,
+        # by weak reference: while a group is walked no other group's
+        # graph is alive.
+        cfg = small_cfg(layers=2, heads=2, dropout=0.3)
+        weights = init_weights(cfg, seed=0)
+        weight_arrays = {id(t.data) for t in weights.named().values()}
+        real_group, real_walk = encoder._encode_group, encoder.backward_walk
+        graphs, alive_at_walks = {}, []
+
+        def group(spectra, *args):
+            out = real_group(spectra, *args)
+            if out.requires_grad:
+                graphs[tuple(s.id for s in spectra)] = [
+                    weakref.ref(a)
+                    for node in graph_nodes(out)
+                    for a in saved_arrays(node)
+                    if np.issubdtype(a.dtype, np.floating) and id(a) not in weight_arrays
+                ]
+            return out
+
+        def walk(root, g):
+            alive_at_walks.append(
+                sorted(ids for ids, refs in graphs.items() if any(ref() is not None for ref in refs))
+            )
+            real_walk(root, g)
+
+        monkeypatch.setattr(encoder, "_encode_group", group)
+        monkeypatch.setattr(encoder, "backward_walk", walk)
+        out = encode_batch(self.mixed(rng), cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+        (out * out).sum().backward()
+        units = [("s0", "s2"), ("s1", "s5"), ("s3",), ("s4",)]
+        assert all(graphs[ids] for ids in units)
+        assert alive_at_walks == [[ids] for ids in units]
+        assert not [ref for refs in graphs.values() for ref in refs if ref() is not None]
 
     def test_backward_refuses_a_recompute_that_drifted(self, rng):
         cfg = small_cfg(layers=2, heads=2, dropout=0.3)
@@ -900,38 +943,54 @@ class TestWorkerPool:
             with pytest.raises(MzembedError, match=r"recomputed forward of 's1', 's5' differs"):
                 loss.backward()
 
-    def test_failed_backward_leaves_no_forward_running(self, rng, monkeypatch):
-        # The drift above fails unit [s1, s5]'s recompute after unit [s3]'s
-        # was submitted. [s3]'s is slowed in the backward, so it is still
-        # running when [s1, s5]'s fails, unless the backward waits for it.
+    @pytest.mark.parametrize("fails", ["rebuild", "walk"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_backward_leaves_no_forward_running(self, rng, monkeypatch, workers, fails):
+        # Unit [s1, s5]'s recompute fails (a weight drifted) or its walk
+        # does. On the pool, unit [s3]'s recompute was submitted before;
+        # it is slowed in the backward, so it is still running when
+        # [s1, s5] fails, unless the backward waits for it.
         import time
 
         cfg = small_cfg(layers=2, heads=2, dropout=0.3)
         weights = init_weights(cfg, seed=0)
-        real, started, returned, slow = encoder._encode_group, [], [], []
+        real_group, real_walk = encoder._encode_group, encoder.backward_walk
+        started, returned, walks, slow = [], [], [], []
 
-        def spy(spectra, *args):
+        def group(spectra, *args):
             ids = [s.id for s in spectra]
             started.append(ids)
             try:
                 if slow and ids == ["s3"]:
                     time.sleep(0.3)
-                return real(spectra, *args)
+                return real_group(spectra, *args)
             finally:
                 returned.append(ids)
 
-        monkeypatch.setattr(encoder, "_encode_group", spy)
-        with encoder.encode_workers(2):
+        def walk(root, g):
+            walks.append(id(root))
+            if fails == "walk" and len(walks) == 2:
+                raise MzembedError("the walk of unit [s1, s5] failed")
+            real_walk(root, g)
+
+        monkeypatch.setattr(encoder, "_encode_group", group)
+        monkeypatch.setattr(encoder, "backward_walk", walk)
+        message = r"recomputed forward of 's1', 's5' differs" if fails == "rebuild" else "the walk"
+        with encoder.encode_workers(workers):
             out = encode_batch(self.mixed(rng), cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
             loss = (out * out).sum()
-            weights.named()["layer1.ff.b2"].data += 0.5
+            if fails == "rebuild":
+                weights.named()["layer1.ff.b2"].data += 0.5
             slow.append(True)
-            with pytest.raises(MzembedError, match=r"recomputed forward of 's1', 's5' differs"):
+            # The error is held, and with it the backward's frame, as a
+            # caller handling it would hold it.
+            with pytest.raises(MzembedError, match=message) as failure:
                 loss.backward()
             at_failure = (sorted(started), sorted(returned))
+            del failure
         assert at_failure[0] == at_failure[1]
         assert sorted(started) == at_failure[0]  # and none started later
-        assert ["s3"] in started[4:]
+        assert sorted(started[4:]) == ([["s1", "s5"], ["s3"]] if workers > 1 else [["s1", "s5"]])
 
     @pytest.mark.parametrize("pooled", [True, False], ids=["prefetched", "inline"])
     def test_backward_under_no_grad_recomputes_with_a_graph(self, rng, pooled):

@@ -374,6 +374,29 @@ class TestAgainstReference:
             assert serialize_mgf(batch) == mgf_reference.serialize_mgf(batch)
 
 
+class TestFileLineEnds:
+    """A file parses as its text does, whatever its line ends."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_load_mgf_parses_the_file_text(self, tmp_path, end):
+        rng = np.random.default_rng(11)
+        texts = [
+            "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1234\r0.5\n200.1234 1\nEND IONS\n",
+            benchmark_like_mgf(rng, 3),
+        ]
+        texts += [generated_mgf(rng) for _ in range(20)]
+        texts += [mutated(text, rng) for text in texts[2:]]
+        path = tmp_path / "in.mgf"
+        for i, text in enumerate(texts):
+            text = text.replace("\n", end)
+            path.write_bytes(text.encode("utf-8"))
+            assert parse_outcome(load_mgf, path) == parse_outcome(parse_mgf, text), text
+            if i == 0 and end == "\n":
+                # The lone "\r" separates the peak's two numbers.
+                (spectrum,) = load_mgf(path)
+                assert spectrum.fragments.mz.tolist() == [100.1234, 200.1234]
+
+
 class TestNoFragmentPeaks:
     def test_parse_normalize_encode_write_build_only_precursors(self, monkeypatch):
         from mzembed.encoder import EncoderConfig, encode_many, init_weights

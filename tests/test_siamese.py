@@ -68,6 +68,17 @@ class TestTanimoto:
             tanimoto(np.zeros(8, dtype=np.uint8), np.zeros(9, dtype=np.uint8))
 
 
+def per_pair_bins(molecules, names, bin_count):
+    """The exact enumeration as one ``tanimoto`` call per structure pair:
+    the reference for ``build_similarity_bins``."""
+    reservoirs = [[] for _ in range(bin_count)]
+    for i, sa in enumerate(names):
+        for sb in names[i:]:
+            t = tanimoto(molecules[sa].fingerprint, molecules[sb].fingerprint)
+            reservoirs[bin_of(t, bin_count)].append((sa, sb, t))
+    return reservoirs
+
+
 class TestBins:
     def test_bin_of_boundaries(self):
         assert bin_of(0.0, 10) == 0
@@ -91,6 +102,29 @@ class TestBins:
             assert bin_of(t, 10) == next(
                 k for k, r in enumerate(bins.reservoirs) if (a, b, t) in r
             )
+
+    @pytest.mark.parametrize("bin_count", [1, 7, 10])
+    def test_exact_enumeration_equals_the_per_pair_loop(self, rng, bin_count):
+        # Densities from 0 to 1, so all-zero and all-one fingerprints, and
+        # uint8 values other than 0 and 1, which count as values, not bits.
+        molecules = {
+            f"m{i:02d}": toy_molecule(f"m{i:02d}", rng, density=density)
+            for i, density in enumerate(np.linspace(0.0, 1.0, 40))
+        }
+        molecules["zero"] = MoleculeRecord("zero", np.zeros(64, dtype=np.uint8), np.zeros(10))
+        for i in range(5):
+            values = rng.integers(0, 256, 64).astype(np.uint8)
+            molecules[f"u{i}"] = MoleculeRecord(f"u{i}", values, np.zeros(10))
+        names = sorted(molecules)
+        bins = build_similarity_bins(molecules, names, bin_count=bin_count)
+
+        def bits(reservoirs):
+            return [[(a, b, t.hex()) for a, b, t in r] for r in reservoirs]
+
+        assert bits(bins.reservoirs) == bits(per_pair_bins(molecules, names, bin_count))
+        molecules["wide"] = MoleculeRecord("wide", np.zeros(65, dtype=np.uint8), np.zeros(10))
+        with pytest.raises(DimensionError, match="widths differ"):
+            build_similarity_bins(molecules, sorted(molecules))
 
     def test_self_pairs_make_top_bin_reachable(self, rng):
         molecules = {f"m{i}": toy_molecule(f"m{i}", rng) for i in range(4)}

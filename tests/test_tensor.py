@@ -459,9 +459,10 @@ class TestGraphRelease:
         def train_forward():
             return encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
 
-        # Unwalked: on one worker every group keeps its graph.
+        # Unwalked: only the first group's forward records a graph, the
+        # others keep their output rows.
         out = train_forward()
-        assert len(alive) > 100
+        assert len(alive) > 90
         del out
         assert [ref for ref in alive if ref() is not None] == []
 
