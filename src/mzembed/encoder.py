@@ -12,10 +12,11 @@ is permutation equivariant, but float reductions are not associative,
 so that one order is what turns mathematical symmetry into bit-identical
 outputs under input permutation.
 
-``encode_batch`` is the one forward, for training and inference alike.
-It runs spectra of one slot count (the precursor plus at most
-``max_fragments`` fragments) through one forward each, so nothing is
-padded or masked and a row never depends on the rest of the batch.
+``encode_batch`` is the one forward, for training and inference alike,
+and only a training forward records a graph. It runs spectra of one
+slot count (the precursor plus at most ``max_fragments`` fragments)
+through one forward each, so nothing is padded or masked and a row
+never depends on the rest of the batch.
 Training draws its dropout masks spectrum by spectrum, each at its share
 of the batch padded to its longest spectrum, and cuts each to the
 spectrum's slots at once. That is the stream of one draw at the padded
@@ -53,11 +54,11 @@ the layout (``load_table``), and one inference copy
 attention views of the table.
 
 Weights are trained and checkpointed as binary32; activations are
-binary64. ``encode_many``, the inference entry point, computes on the
-inference copy: binary64 column-major arrays, which multiply to the same
-bits as the binary32 originals without the cast numpy would otherwise
-make on every matmul. ``cli.load_model`` converts once at load, so the
-commands that encode never pay for it.
+binary64. An inference forward (``encode_many``, ``encode_spectrum``)
+computes on the inference copy: binary64 column-major arrays, which
+multiply to the same bits as the binary32 originals without the cast
+numpy would otherwise make on every matmul. ``cli.load_model`` converts
+once at load, so the commands that encode never pay for it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from .tensor import (
     grad_enabled,
     layer_norm,
     multi_head_attention,
-    no_grad,
     ones,
     set_grad_enabled,
     uniform_fan_in,
@@ -425,23 +425,25 @@ def encode_batch(
 
     Spectra share a forward only with spectra of the same slot count, so
     no row is padded and none depends on the rest of the batch. Inference
-    mode is deterministic; training mode applies dropout and requires an
-    rng. It draws each layer's three masks one spectrum at a time, in
-    (layer, mask kind, spectrum) order, at the shapes of one spectrum of
-    the batch padded to its longest. The forwards run on the worker pool
+    mode is deterministic, records no graph and computes on
+    ``weights.for_inference()``, with the same bits. Training mode applies
+    dropout, requires an rng, and records unless under ``no_grad``. It
+    draws each layer's three masks one spectrum at a time, in (layer,
+    mask kind, spectrum) order, at the shapes of one spectrum of the
+    batch padded to its longest. The forwards run on the worker pool
     (``encode_workers``); in inference a group larger than one worker's
     share of the spectra is split between workers. A failing group raises
     DataError naming its spectra, the first such group in group order.
 
-    A recording forward records only the first unit's graph and returns
-    a tensor with one parentless node. Its backward walks each unit's
-    graph whole, in unit order, with that unit's rows of the gradient,
-    so every weight's gradient adds up in the order one graph of the
-    whole batch would give; it rebuilds each other unit's graph from its
-    masks first, on the pool while it walks the unit before. It raises
-    MzembedError naming a unit whose rebuild differs from its forward,
-    for example because a weight changed in place in between. A backward
-    that fails returns only once no rebuild runs.
+    A recording (so training) forward records only the first unit's
+    graph and returns a tensor with one parentless node. Its backward
+    walks each unit's graph whole, in unit order, with that unit's rows
+    of the gradient, so every weight's gradient adds up in the order one
+    graph of the whole batch would give; it rebuilds each other unit's
+    graph from its masks first, on the pool while it walks the unit
+    before. It raises MzembedError naming a unit whose rebuild differs
+    from its forward, for example because a weight changed in place in
+    between. A backward that fails returns only once no rebuild runs.
     """
     if mode not in ("infer", "train"):
         raise ConfigError(f"mode must be infer or train, got {mode!r}")
@@ -455,8 +457,9 @@ def encode_batch(
         groups.setdefault(n, []).append(i)
     units = list(groups.values())
     if mode == "infer":
-        # Weight-gradient sums run over a whole group, so only inference
-        # may split one; its rows come out the same either way.
+        # Inference records no graph, so it may split a group; its rows
+        # come out the same either way.
+        weights = weights.for_inference()
         share = -(-len(spectra) // _workers)
         units = [rows[i:i + share] for rows in units for i in range(0, len(rows), share)]
     masks = [None] * len(units)
@@ -492,7 +495,7 @@ def encode_batch(
             names = ", ".join(repr(spectra[i].id) for i in group)
             raise DataError(f"failed to encode {noun} {names}: {exc}") from exc
 
-    recording = grad_enabled()
+    recording = mode == "train" and grad_enabled()
     outs = list(_in_order(lambda k: run(k, recording and k == 0), len(units), len(units)))
     data = np.concatenate([out.data for out in outs])[np.argsort(np.concatenate(units))]
     if not outs[0].requires_grad:
@@ -526,17 +529,11 @@ def encode_batch(
     return out
 
 
-def encode_spectrum(
-    spectrum: Spectrum,
-    cfg: EncoderConfig,
-    weights: ModelWeights,
-    *,
-    mode: str = "infer",
-    rng=None,
-) -> Tensor:
-    """Encode one spectrum to a (d,) embedding tensor."""
-    batch = encode_batch([spectrum], cfg, weights, mode=mode, rng=rng)
-    return batch.reshape((cfg.d,))
+def encode_spectrum(spectrum: Spectrum, cfg: EncoderConfig, weights: ModelWeights) -> Tensor:
+    """Encode one spectrum in inference mode to a (d,) embedding tensor:
+    its ``encode_many`` row. A one-spectrum training encode is
+    ``encode_batch([spectrum], ..., mode="train", rng=...)``."""
+    return encode_batch([spectrum], cfg, weights).reshape((cfg.d,))
 
 
 def encode_many(
@@ -546,10 +543,9 @@ def encode_many(
 
     Each row equals encode_spectrum of that spectrum alone, whatever else
     is in the list and however many workers run it (see ``encode_batch``
-    and ``encode_workers``). Binary32 weights are converted once per call
-    (see ``ModelWeights.for_inference``); the output bits are the same.
+    and ``encode_workers``). Like every inference encode it records no
+    graph: a recording forward is a training forward.
     """
     if not spectra:
         return np.empty((0, cfg.d), dtype=np.float64)
-    with no_grad():
-        return encode_batch(spectra, cfg, weights.for_inference()).data
+    return encode_batch(spectra, cfg, weights).data

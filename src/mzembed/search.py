@@ -40,11 +40,10 @@ from .encoder import (
     encode_many,
     encode_spectrum,
 )
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError, DimensionError, NumericsError
 from .kernels import score_modified_cosine
 from .outputs import publish
 from .siamese import tanimoto
-from .tensor import no_grad
 
 DEFAULT_TOLERANCE = 0.1
 DEFAULT_TANIMOTO_THRESHOLD = 0.6
@@ -78,6 +77,8 @@ def cosine_hits(
     Equal scores go to the smaller id (``top_k``).
     """
     _check_tolerance(tol)
+    if not library:
+        raise DataError("cannot search an empty library")
     refs = sorted(library, key=lambda s: s.id)
     ref_ids = [r.id for r in refs]
     hits = []
@@ -258,6 +259,9 @@ def search_embedding(query: np.ndarray, index: EmbeddingIndex, k: int, query_id:
     if len(index) == 0:
         raise DataError("cannot search an empty index")
     q = np.asarray(query, dtype=np.float64).reshape(-1)
+    if q.shape[0] != index.matrix.shape[1]:
+        d = index.matrix.shape[1]
+        raise DimensionError(f"query embedding {query_id!r} has width {q.shape[0]}, the index {d}")
     norm = float(np.sqrt(np.sum(q * q)))
     if norm < 1e-30:
         raise NumericsError(f"zero-norm query embedding for {query_id!r}")
@@ -277,8 +281,7 @@ def search(
     weights: ModelWeights,
 ) -> SearchResult:
     """Encode a query spectrum and rank the index against it."""
-    with no_grad():
-        emb = encode_spectrum(query, cfg, weights, mode="infer")
+    emb = encode_spectrum(query, cfg, weights)
     return search_embedding(emb.data, index, k, query_id=query.id)
 
 

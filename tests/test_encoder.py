@@ -243,7 +243,7 @@ class TestForwardOracle:
         cfg = small_cfg(layers=layers, heads=heads)
         weights = init_weights(cfg, seed=7)
         s = toy_spectrum("s", "m", rng)
-        ours = encode_spectrum(s, cfg, weights, mode="infer")
+        ours = encode_spectrum(s, cfg, weights)
         reference = np_encode(s, cfg, weights)
         assert np.allclose(ours.data, reference, rtol=1e-10, atol=1e-10)
 
@@ -377,16 +377,16 @@ class TestTrainingMode:
         cfg = small_cfg(dropout=0.1)
         s = toy_spectrum("s", "m", rng)
         with pytest.raises(ConfigError):
-            encode_spectrum(s, cfg, init_weights(cfg, seed=0), mode="train")
+            encode_batch([s], cfg, init_weights(cfg, seed=0), mode="train")
 
     def test_dropout_reproducible_under_stream(self, rng):
         cfg = small_cfg(layers=2, heads=2, dropout=0.3)
         weights = init_weights(cfg, seed=0)
         s = toy_spectrum("s", "m", rng)
-        a = encode_spectrum(s, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
-        b = encode_spectrum(s, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
-        c = encode_spectrum(s, cfg, weights, mode="train", rng=stream_rng(5, "dropout", 1))
-        infer = encode_spectrum(s, cfg, weights)
+        a = encode_batch([s], cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+        b = encode_batch([s], cfg, weights, mode="train", rng=stream_rng(5, "dropout", 0))
+        c = encode_batch([s], cfg, weights, mode="train", rng=stream_rng(5, "dropout", 1))
+        infer = encode_batch([s], cfg, weights)
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
         assert not np.array_equal(a.data, infer.data)
@@ -423,7 +423,7 @@ class TestTrainingMode:
         cfg = small_cfg(layers=2, heads=2)
         weights = init_weights(cfg, seed=0, head_out=None)
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
-        out = encode_batch(spectra, cfg, weights)
+        out = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
         (out * out).sum().backward()
         for name, tensor in weights.named().items():
             assert tensor.grad is not None, name
@@ -704,6 +704,7 @@ class TestInferenceWeights:
 
     @pytest.mark.parametrize("source", ["init", "cli"])
     def test_linear_operands_share_a_dtype(self, rng, monkeypatch, tmp_path, source):
+        from mzembed.search import build_index, search
         from mzembed.tensor import nn
 
         values = {"d": "8", "layers": "2", "heads": "2", "inner-dim": "8", "max-fragments": "16"}
@@ -714,13 +715,22 @@ class TestInferenceWeights:
         real_linear = nn.linear
 
         def recording_linear(x, w, b):
-            seen.append((x.data.dtype, w.data.dtype, b.data.dtype))
+            seen.append((x.data.dtype, w.data.dtype, b.data.dtype, w.data.flags.f_contiguous))
             return real_linear(x, w, b)
 
+        spectra = self.spectra(rng)
+        index = build_index(spectra, cfg, weights)
         monkeypatch.setattr(nn, "linear", recording_linear)
-        encode_many(self.spectra(rng), cfg, weights)
-        assert seen
-        assert all(x == w == b == np.float64 for x, w, b in seen), set(seen)
+        # Every inference caller computes on the binary64 column-major copy.
+        for encode in (
+            lambda: encode_many(spectra, cfg, weights),
+            lambda: encode_spectrum(spectra[0], cfg, weights),
+            lambda: search(spectra[0], index, 1, cfg, weights),
+        ):
+            seen.clear()
+            encode()
+            assert seen
+            assert all(x == w == b == np.float64 and f for x, w, b, f in seen), set(seen)
 
     @pytest.mark.parametrize("kind", ["sin", "token"])
     @pytest.mark.parametrize("shape", [{}, README_SHAPE], ids=["small", "readme"])
@@ -730,12 +740,13 @@ class TestInferenceWeights:
         cfg = small_cfg(kind=kind, **{"layers": 2, "heads": 2, **shape})
         weights = init_weights(cfg, seed=3)
         spectra = self.spectra(rng)
-        # A padded batch on binary32 weights against the same batch on
-        # the converted copy: the two layouts must give the same bits.
+        # A training forward without dropout computes on the binary32
+        # weights as given, an inference forward on the converted copy:
+        # the two layouts must give the same bits.
+        assert cfg.dropout == 0.0
         with no_grad():
-            want = encode_batch(spectra, cfg, weights).data
-            got = encode_batch(spectra, cfg, weights.for_inference()).data
-        assert np.array_equal(got, want)
+            want = encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+        assert np.array_equal(encode_batch(spectra, cfg, weights).data, want.data)
         many = encode_many(spectra, cfg, weights)
         for row, s in zip(many, spectra):
             assert np.array_equal(row, encode_spectrum(s, cfg, weights).data)
@@ -1020,12 +1031,14 @@ class TestWorkerPool:
     def test_pooled_inference_records_nothing(self, rng, monkeypatch):
         cfg = small_cfg(layers=2, heads=2)
         # Weights that need no inference copy and require gradients: only
-        # the recording mode keeps the workers from building a graph.
+        # the inference mode keeps the forwards from building a graph.
         weights = ModelWeights({
             name: Tensor(np.asfortranarray(t.data, dtype=np.float64), requires_grad=True)
             for name, t in init_weights(cfg, seed=0).named().items()
         })
         assert weights.for_inference() is weights
+        spectra = self.spectra(rng)
+        want = encode_many(spectra, cfg, weights)
         real, created = Node.__init__, []
 
         def counting(node, *args):
@@ -1034,12 +1047,17 @@ class TestWorkerPool:
 
         monkeypatch.setattr(Node, "__init__", counting)
         calls = self.spy_units(monkeypatch)
+        assert grad_enabled()
+        for workers in (1, 2):
+            with encoder.encode_workers(workers):
+                out = encode_batch(spectra, cfg, weights)
+            assert created == [], workers
+            assert not out.requires_grad
+            assert np.array_equal(out.data, want)
+        assert any(name.startswith("mzembed-encode") for name, _ in calls)
         with encoder.encode_workers(2):
-            encode_many(self.spectra(rng), cfg, weights)
-            assert created == []
-            encode_batch(self.spectra(rng), cfg, weights)
-        assert calls and all(name.startswith("mzembed-encode") for name, _ in calls)
-        assert created  # a recording encode on the same pool builds a graph
+            encode_batch(spectra, cfg, weights, mode="train", rng=stream_rng(0, "dropout", 0))
+        assert created  # a training encode on the same weights builds a graph
 
     def test_eight_workers_with_fast_thread_switching(self, rng):
         # More workers than cores, switching threads every few bytecodes:

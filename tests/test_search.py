@@ -19,7 +19,7 @@ from mzembed.encoder import (
     load_table,
     parameter_shapes,
 )
-from mzembed.errors import ConfigError, DataError, NumericsError
+from mzembed.errors import ConfigError, DataError, DimensionError, NumericsError
 from mzembed.search import (
     AccuracyReport,
     INDEX_MAGIC,
@@ -173,6 +173,11 @@ class TestRanking:
         index = self.make_index(rng.normal(size=(4, 8)))
         with pytest.raises(NumericsError):
             search_embedding(np.zeros(8), index, 1, query_id="bad")
+
+    def test_query_of_another_width_rejected(self, rng):
+        index = self.make_index(rng.normal(size=(4, 8)))
+        with pytest.raises(DimensionError, match="'q' has width 6, the index 8"):
+            search_embedding(rng.normal(size=6), index, 1, query_id="q")
 
     def test_spectrum_search_finds_itself(self, rng):
         cfg, weights = small_model(seed=3)
@@ -377,6 +382,14 @@ class TestEvaluate:
                 embeddings=encode_many(spectra[:3], cfg, weights),
             )
 
+    def test_embeddings_of_another_width_rejected(self, rng):
+        spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
+        cfg, weights = small_model(seed=2)
+        index = build_index(spectra, cfg, weights)
+        embeddings = encode_many(spectra[:2], cfg, weights)[:, :-1]
+        with pytest.raises(DimensionError, match=f"width {cfg.d - 1}, the index {cfg.d}"):
+            evaluate_search(spectra[:2], index, molecules, cfg, weights, embeddings=embeddings)
+
     def test_empty_queries_rejected(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
         cfg, weights = small_model(seed=2)
@@ -404,6 +417,11 @@ class TestCosineHits:
         spectra, _ = toy_dataset(n_structures=2, spectra_per=2, seed=4)
         with pytest.raises(NumericsError):
             cosine_hits(spectra[:1], spectra, 0.0)
+
+    def test_empty_library_rejected(self, rng):
+        spectra, _ = toy_dataset(n_structures=2, spectra_per=2, seed=4)
+        with pytest.raises(DataError, match="cannot search an empty library"):
+            cosine_hits(spectra[:1], [], 0.1)
 
 
 def tied_spectrum(spectrum_id, rng):

@@ -8,8 +8,9 @@ through that module. The table is read from the file, not edited. The
 names the other perfbench scripts import from the package are read from
 their source and resolved the same way.
 
-Also: no package module imports a name it never reads, and none but
-``data/types.py`` reads ``Spectrum.fragments`` peak by peak.
+Also: no package module imports a name it never reads, none but
+``data/types.py`` reads ``Spectrum.fragments`` peak by peak, and none but
+``encoder.py`` calls ``encode_batch`` other than for training.
 """
 
 import ast
@@ -296,3 +297,42 @@ def f(spectrum, other, cfg):
     kept = spectrum.fragments
 """
     assert [line for line, _ in fragment_peak_reads(source)] == [5, 6, 8, 9, 10, 10, 11]
+
+
+def inference_encode_batch_calls(source):
+    """(line, code) of each ``encode_batch`` call that does not pass
+    ``mode="train"``: an inference encode outside ``encode_many`` and
+    ``encode_spectrum``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "encode_batch":
+            continue
+        modes = [k.value for k in node.keywords if k.arg == "mode"]
+        if not (len(modes) == 1 and isinstance(modes[0], ast.Constant) and modes[0].value == "train"):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "encoder.py"),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_encode_batch_is_called_only_to_train(path):
+    # Inference goes through encode_many or encode_spectrum, the one
+    # inference path; only encoder.py calls encode_batch to infer.
+    assert inference_encode_batch_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_inference_encode_check_sees_each_kind():
+    source = """
+def f(spectra, cfg, weights, rng, mode):
+    a = encode_batch(spectra, cfg, weights, mode="train", rng=rng)
+    b = encoder.encode_batch(spectra, cfg, weights, mode="train", rng=rng)
+    c = encode_batch(spectra, cfg, weights)
+    d = encoder.encode_batch(spectra, cfg, weights, mode="infer")
+    e = encode_batch(spectra, cfg, weights, mode=mode, rng=rng)
+"""
+    assert [line for line, _ in inference_encode_batch_calls(source)] == [5, 6, 7]
