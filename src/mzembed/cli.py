@@ -544,8 +544,8 @@ def cmd_predict(settings: Settings) -> int:
 def cmd_export_embeddings(settings: Settings) -> int:
     import numpy as np
 
-    from .embed import fractional_mz, sinusoidal_embed, tokenize_mz
-    from .tensor import FeedForwardParams, Tensor, feed_forward, no_grad
+    from .embed import fractional_mz, mz_embedding
+    from .tensor import no_grad
 
     mode = _encoder_mode(settings)
     model, _scaler, enc_cfg = load_model(settings, mode)
@@ -553,14 +553,8 @@ def cmd_export_embeddings(settings: Settings) -> int:
     count = settings.get("grid-count")
     grid = settings.get("grid-start") + np.arange(count, dtype=np.float64) * settings.get("grid-step")
 
-    if enc_cfg.kind == "sin":
-        with no_grad():
-            se = sinusoidal_embed(grid, enc_cfg.sinusoidal, enc_cfg.precision)
-            inner = FeedForwardParams.of(model.named(), "peak.inner")
-            emb = feed_forward(Tensor(se), inner).data
-    else:
-        ids = tokenize_mz(grid, enc_cfg.vocab)
-        emb = model.named()["peak.table"].data[ids]
+    with no_grad():
+        emb = mz_embedding(grid, enc_cfg, model.named()).data
 
     lines = [
         "mz\tfrac_mz\tprecision\t"

@@ -5,9 +5,9 @@ from .features import (
     bin_spectrum,
     fractional_mz,
     is_normalized,
+    mz_embedding,
     normalize_intensities,
-    peak_embed_sin,
-    peak_embed_token,
+    peak_embed,
 )
 from .precision import BINARY16, BINARY32, BINARY64, PrecisionMode, cast_mz
 from .sinusoidal import (
@@ -33,9 +33,9 @@ __all__ = [
     "cast_mz",
     "fractional_mz",
     "is_normalized",
+    "mz_embedding",
     "normalize_intensities",
-    "peak_embed_sin",
-    "peak_embed_token",
+    "peak_embed",
     "sinusoidal_embed",
     "tokenize_mz",
     "wavelengths",

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..data.types import Fragments, Peak, Spectrum
 from ..errors import ConfigError, DataError
 from ..tensor import FeedForwardParams, Tensor, concat, feed_forward, gather_rows
-from .precision import BINARY64, PrecisionMode
-from .sinusoidal import SinusoidalConfig, sinusoidal_embed
-from .tokens import TokenVocab, tokenize_mz
+from .sinusoidal import sinusoidal_embed
+from .tokens import tokenize_mz
+
+if TYPE_CHECKING:
+    from ..encoder import EncoderConfig
 
 PRECURSOR_INTENSITY = 2.0
 
@@ -47,49 +51,36 @@ def is_normalized(spectrum: Spectrum) -> bool:
     return 0 < peak_max <= 1.0
 
 
-def peak_embed_sin(
-    mz: np.ndarray,
-    intensity: Tensor | np.ndarray,
-    cfg: SinusoidalConfig,
-    inner: FeedForwardParams,
-    outer: FeedForwardParams,
-    mode: PrecisionMode = BINARY64,
-) -> Tensor:
-    """FF(FF(SE(mz)) || I) over a batch of peaks.
+def mz_embedding(mz, cfg: EncoderConfig, table: dict[str, Tensor]) -> Tensor:
+    """The m/z half of a peak embedding: FF(SE(mz)) through ``peak.inner``
+    for the sin kind, the ``peak.table`` rows of TE(mz) for the token kind.
 
-    mz has any leading shape (...,); the result is (..., d). The
-    sinusoidal features are constants of the graph; gradients flow into
-    both feed-forward blocks.
+    mz has any leading shape (...,); the result is (..., d). ``table`` is
+    the model's name -> Tensor table (``ModelWeights.named``). The
+    sinusoidal features are constants of the graph.
     """
     mz = np.asarray(mz, dtype=np.float64)
     flat = mz.reshape(-1)
-    se = sinusoidal_embed(flat, cfg, mode).reshape(mz.shape + (cfg.d,))
-    if not isinstance(intensity, Tensor):
-        intensity = Tensor(np.asarray(intensity, dtype=np.float64))
-    hidden = feed_forward(Tensor(se), inner)
-    joined = concat([hidden, intensity.reshape(mz.shape + (1,))], axis=-1)
-    return feed_forward(joined, outer)
-
-
-def peak_embed_token(
-    mz: np.ndarray,
-    intensity: Tensor | np.ndarray,
-    vocab: TokenVocab,
-    table: Tensor,
-    outer: FeedForwardParams,
-) -> Tensor:
-    """FF(TE(mz) || I): embedding-table lookup joined with intensity."""
-    mz = np.asarray(mz, dtype=np.float64)
-    ids = np.atleast_1d(tokenize_mz(mz.reshape(-1), vocab))
-    if table.data.shape[0] != vocab.size:
+    if cfg.kind == "sin":
+        se = sinusoidal_embed(flat, cfg.sinusoidal, cfg.precision).reshape(mz.shape + (cfg.d,))
+        return feed_forward(Tensor(se), FeedForwardParams.of(table, "peak.inner"))
+    ids = np.atleast_1d(tokenize_mz(flat, cfg.vocab))
+    rows = table["peak.table"]
+    if rows.data.shape[0] != cfg.vocab.size:
         raise ConfigError(
-            f"embedding table has {table.data.shape[0]} rows, vocabulary needs {vocab.size}"
+            f"embedding table has {rows.data.shape[0]} rows, vocabulary needs {cfg.vocab.size}"
         )
-    looked_up = gather_rows(table, ids).reshape(mz.shape + (table.data.shape[1],))
-    if not isinstance(intensity, Tensor):
-        intensity = Tensor(np.asarray(intensity, dtype=np.float64))
-    joined = concat([looked_up, intensity.reshape(mz.shape + (1,))], axis=-1)
-    return feed_forward(joined, outer)
+    return gather_rows(rows, ids).reshape(mz.shape + (rows.data.shape[1],))
+
+
+def peak_embed(mz, intensity, cfg: EncoderConfig, table: dict[str, Tensor]) -> Tensor:
+    """FF(``mz_embedding`` || I) through ``peak.outer``, over a batch of
+    peaks of any leading shape; gradients flow into every block."""
+    mz = np.asarray(mz, dtype=np.float64)
+    hidden = mz_embedding(mz, cfg, table)
+    intensity = Tensor(np.asarray(intensity, dtype=np.float64))
+    joined = concat([hidden, intensity.reshape(mz.shape + (1,))], axis=-1)
+    return feed_forward(joined, FeedForwardParams.of(table, "peak.outer"))
 
 
 def bin_count(bin_width: float, max_mz: float) -> int:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data.types import Spectrum
-from .embed.features import is_normalized, peak_embed_sin, peak_embed_token
+from .embed.features import is_normalized, peak_embed
 from .embed.precision import BINARY64, PrecisionMode
 from .embed.sinusoidal import LAMBDA_MAX_DEFAULT, LAMBDA_MIN_DEFAULT, SinusoidalConfig
 from .embed.tokens import TokenVocab
@@ -391,12 +391,7 @@ def _encode_group(spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWei
     if ``keeps`` holds each layer's masks for their rows and slots."""
     mz, intensity = _slot_arrays(spectra, cfg)
     t = weights.named()
-    outer = FeedForwardParams.of(t, "peak.outer")
-    if cfg.kind == "sin":
-        inner = FeedForwardParams.of(t, "peak.inner")
-        x = peak_embed_sin(mz, intensity, cfg.sinusoidal, inner, outer, cfg.precision)
-    else:
-        x = peak_embed_token(mz, intensity, cfg.vocab, t["peak.table"], outer)
+    x = peak_embed(mz, intensity, cfg, t)
 
     training, p, last = keeps is not None, cfg.dropout, cfg.layers - 1
     for i in range(cfg.layers):

@@ -14,12 +14,12 @@ fragment values the encoder reads. The matrix holds the raw
 bits ``build_index`` returns, and keeps the raw rows for callers that
 need the encoder output itself (the pair MSE of ``eval``). Ids and
 structure ids always come from the library passed in. A file that is
-missing, truncated, foreign, of the older normalized ``/1`` layout or
-written under another key is rebuilt and replaced, never read as an
-index. So is one whose first row differs from a fresh encode of the first
-library spectrum: the key names the inputs, not the code that encoded
-them, and that one encode catches an index written by an encoder that
-computes differently.
+missing, truncated, foreign, of the older normalized ``/1`` layout,
+written under another key or holding a non-finite value is rebuilt and
+replaced, never read as an index. So is one whose first row differs from
+a fresh encode of the first library spectrum: the key names the inputs,
+not the code that encoded them, and that one encode catches an index
+written by an encoder that computes differently.
 """
 
 from __future__ import annotations
@@ -120,11 +120,17 @@ class SearchResult:
     k: int
 
 
-def _normalize_rows(matrix: np.ndarray, ids: list[str]) -> np.ndarray:
+def _normalize_rows(matrix: np.ndarray, ids: list[str], what: str = "spectrum") -> np.ndarray:
+    """Rows scaled to unit norm. A row whose norm is not finite or is
+    below 1e-30 has no direction to rank by: NumericsError names its
+    ``what`` ("spectrum" or "query") and id."""
     norms = np.sqrt(np.sum(matrix * matrix, axis=1))
-    bad = np.nonzero(norms < 1e-30)[0]
+    bad = np.nonzero(~(np.isfinite(norms) & (norms >= 1e-30)))[0]
     if bad.size:
-        raise NumericsError(f"zero-norm embedding for spectrum {ids[int(bad[0])]!r}")
+        row = int(bad[0])
+        raise NumericsError(
+            f"embedding of {what} {ids[row]!r} has norm {norms[row]}; it cannot be ranked"
+        )
     return matrix / norms[:, None]
 
 
@@ -191,7 +197,7 @@ def index_key(spectra: list[Spectrum], cfg: EncoderConfig, weights: ModelWeights
 
 def _read_index_matrix(path, key: bytes, n: int, d: int) -> np.ndarray | None:
     """The stored matrix when the file at path is exactly an (n, d) index
-    under key; None for anything else."""
+    under key of finite values; None for anything else."""
     header = INDEX_MAGIC + key
     matrix = np.empty((n, d), dtype="<f8")
     try:
@@ -204,7 +210,7 @@ def _read_index_matrix(path, key: bytes, n: int, d: int) -> np.ndarray | None:
                 return None
     except FileNotFoundError:
         return None
-    return matrix
+    return matrix if np.isfinite(matrix).all() else None
 
 
 def _first_row_matches(
@@ -262,10 +268,7 @@ def search_embedding(query: np.ndarray, index: EmbeddingIndex, k: int, query_id:
     if q.shape[0] != index.matrix.shape[1]:
         d = index.matrix.shape[1]
         raise DimensionError(f"query embedding {query_id!r} has width {q.shape[0]}, the index {d}")
-    norm = float(np.sqrt(np.sum(q * q)))
-    if norm < 1e-30:
-        raise NumericsError(f"zero-norm query embedding for {query_id!r}")
-    scores = index.matrix @ (q / norm)
+    scores = index.matrix @ _normalize_rows(q[None, :], [query_id], "query")[0]
     order = top_k(scores, index.spectrum_ids, k)
     hits = [
         (index.spectrum_ids[r], index.structure_ids[r], float(scores[r])) for r in order
@@ -344,8 +347,10 @@ def summarize_hits(
     Exact: the hit shares the query's structure. Approximate: the hit
     structure's Tanimoto to the query structure is at least threshold.
     Per-query outcomes are averaged within each query structure first,
-    then across structures.
+    then across structures; no hits leave nothing to average.
     """
+    if not hits:
+        raise DataError("no query hits to summarize")
     exact_hits: dict[str, list[float]] = {}
     approx_hits: dict[str, list[float]] = {}
     audit = []

@@ -359,6 +359,30 @@ class TestSearchPredictExport:
         assert code == 2
         assert "spectrum 'zero_q0000'" in capsys.readouterr().err
 
+    def test_non_finite_query_embedding_exits_1(self, workspace, tmp_path, capsys, monkeypatch):
+        # The query rows come from the command's own encode; the index's
+        # come through the search module and stay finite.
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+        encode = encoder.encode_many
+
+        def spoiled(spectra, *args):
+            rows = encode(spectra, *args)
+            rows[1, 0] = np.nan
+            return rows
+
+        monkeypatch.setattr(encoder, "encode_many", spoiled)
+        target = workspace["out"] / "search_results.tsv"
+        before = target.read_bytes() if target.exists() else None
+        code = main(
+            ["search", "--mode", "siamese", "--queries", str(queries),
+             *common_args(workspace)]
+        )
+        assert code == 1
+        name = workspace["spectra"][1].id
+        assert f"query {name!r} has norm nan" in capsys.readouterr().err
+        assert (target.read_bytes() if target.exists() else None) == before
+
     def test_unencodable_query_exits_2(self, tmp_path, capsys):
         # binary16 tops out at 65504, so this fragment m/z cannot be cast.
         paths = write_inputs(tmp_path)
@@ -530,11 +554,13 @@ class TestSearchPredictExport:
         ("sin", "16:full"), ("sin", "32"), ("sin", "64"), ("token", "64"),
     ])
     def test_embedding_export_bytes(self, tmp_path, embedding, precision):
-        # The file equals the per-value formatter over the checkpoint's own
-        # binary32 weights: full binary16 emulation puts NaNs in the grid,
-        # and the token table exports binary32 values.
+        # The file equals the per-value formatter over mz_embedding of the
+        # grid under the checkpoint's own binary32 weights: full binary16
+        # emulation puts NaNs in the grid, and the token table exports
+        # binary32 values. The per-kind expressions below are the reference
+        # mz_embedding must match bit for bit.
         from mzembed.cli import build_configs, read_config_file
-        from mzembed.embed import fractional_mz, sinusoidal_embed, tokenize_mz
+        from mzembed.embed import fractional_mz, mz_embedding, sinusoidal_embed, tokenize_mz
         from mzembed.encoder import init_weights
         from mzembed.tensor import FeedForwardParams, Tensor, feed_forward, no_grad, save_checkpoint
 
@@ -560,13 +586,15 @@ class TestSearchPredictExport:
         ) == 0
 
         grid = 10.0 + np.arange(25, dtype=np.float64) * 3.7
-        if embedding == "sin":
-            with no_grad():
+        with no_grad():
+            emb = mz_embedding(grid, cfg, weights.named()).data
+            if embedding == "sin":
                 se = sinusoidal_embed(grid, cfg.sinusoidal, cfg.precision)
                 inner = FeedForwardParams.of(weights.named(), "peak.inner")
-                emb = feed_forward(Tensor(se), inner).data
-        else:
-            emb = weights.named()["peak.table"].data[tokenize_mz(grid, cfg.vocab)]
+                old = feed_forward(Tensor(se), inner).data
+            else:
+                old = weights.named()["peak.table"].data[tokenize_mz(grid, cfg.vocab)]
+        assert emb.dtype == old.dtype and emb.tobytes() == old.tobytes()
         assert np.isnan(emb).any() == (precision == "16:full")
         frac = fractional_mz(grid)
         lines = ["mz\tfrac_mz\tprecision\t" + "\t".join(f"e{i}" for i in range(8))]

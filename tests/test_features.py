@@ -14,15 +14,14 @@ from mzembed.embed import (
     bin_spectrum,
     fractional_mz,
     is_normalized,
+    mz_embedding,
     normalize_intensities,
-    peak_embed_sin,
-    peak_embed_token,
+    peak_embed,
     tokenize_mz,
 )
 from mzembed.embed.features import bin_count
 from mzembed.encoder import EncoderConfig, init_weights
 from mzembed.errors import ConfigError, DataError
-from mzembed.tensor import FeedForwardParams
 
 
 class TestTokenVocab:
@@ -93,20 +92,15 @@ class TestNormalization:
             normalize_intensities(s)
 
 
-def peak_blocks(weights):
-    """The sin kind's inner and outer peak feed-forward blocks."""
-    t = weights.named()
-    return FeedForwardParams.of(t, "peak.inner"), FeedForwardParams.of(t, "peak.outer")
-
-
 class TestPeakEmbeddings:
     def test_sin_peak_embedding_shape(self, rng):
         cfg = EncoderConfig(d=16, layers=1, heads=2, kind="sin")
         weights = init_weights(cfg, seed=0)
         mz = rng.uniform(100, 900, 7)
         intensity = rng.uniform(0, 1, 7)
-        out = peak_embed_sin(mz, intensity, cfg.sinusoidal, *peak_blocks(weights))
+        out = peak_embed(mz, intensity, cfg, weights.named())
         assert out.data.shape == (7, 16)
+        assert mz_embedding(mz.reshape(7, 1), cfg, weights.named()).data.shape == (7, 1, 16)
 
     def test_intensity_enters_after_inner_block(self, rng):
         # Same m/z, different intensity: inner feed-forward output is
@@ -114,19 +108,26 @@ class TestPeakEmbeddings:
         cfg = EncoderConfig(d=16, layers=1, heads=2, kind="sin")
         weights = init_weights(cfg, seed=0)
         mz = np.array([250.0])
-        a = peak_embed_sin(mz, np.array([0.2]), cfg.sinusoidal, *peak_blocks(weights))
-        b = peak_embed_sin(mz, np.array([0.9]), cfg.sinusoidal, *peak_blocks(weights))
+        a = peak_embed(mz, np.array([0.2]), cfg, weights.named())
+        b = peak_embed(mz, np.array([0.9]), cfg, weights.named())
         assert not np.array_equal(a.data, b.data)
 
     def test_token_peak_embedding_uses_table_rows(self, rng):
         cfg = EncoderConfig(d=8, layers=1, heads=2, kind="token", resolution=0.1, max_mz=500.0)
         weights = init_weights(cfg, seed=0)
         mz = np.array([100.0, 100.04])  # both round to token 1000
-        out = peak_embed_token(
-            mz, np.array([0.5, 0.5]), cfg.vocab, weights.named()["peak.table"],
-            FeedForwardParams.of(weights.named(), "peak.outer"),
-        )
+        table = weights.named()
+        half = mz_embedding(mz, cfg, table)
+        assert np.array_equal(half.data, table["peak.table"].data[[1000, 1000]])
+        out = peak_embed(mz, np.array([0.5, 0.5]), cfg, table)
         assert np.array_equal(out.data[0], out.data[1])
+
+    def test_token_table_of_another_vocabulary_rejected(self):
+        cfg = EncoderConfig(d=8, layers=1, heads=2, kind="token", resolution=0.1, max_mz=500.0)
+        other = EncoderConfig(d=8, layers=1, heads=2, kind="token", resolution=0.1, max_mz=400.0)
+        table = init_weights(other, seed=0).named()
+        with pytest.raises(ConfigError, match="vocabulary needs"):
+            mz_embedding(np.array([100.0]), cfg, table)
 
 
 class TestBinning:

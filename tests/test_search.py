@@ -32,10 +32,12 @@ from mzembed.search import (
     modified_cosine,
     search,
     search_embedding,
+    summarize_hits,
     top_k,
     write_accuracy_report,
     write_search_audit,
 )
+from mzembed import search as search_module
 from mzembed.tensor import load_checkpoint, save_checkpoint
 
 def small_model(seed=0):
@@ -86,6 +88,22 @@ class TestIndex:
         assert str(info.value) == (
             "failed to encode spectrum 'huge': m/z overflows binary16: max |value| 70000.0"
         )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_named(self, rng, monkeypatch, value):
+        # An inf row used to normalize to NaN and a NaN row to stay NaN.
+        cfg, weights = small_model()
+        spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(4)]
+        encode = search_module.encode_many
+
+        def spoiled(ordered, *args):
+            raw = encode(ordered, *args)
+            raw[2, 5] = value
+            return raw
+
+        monkeypatch.setattr(search_module, "encode_many", spoiled)
+        with pytest.raises(NumericsError, match=f"spectrum 's2' has norm {value}"):
+            build_index(spectra, cfg, weights)
 
     def test_misaligned_ids_rejected(self):
         with pytest.raises(DataError):
@@ -171,8 +189,17 @@ class TestRanking:
 
     def test_zero_norm_query_rejected(self, rng):
         index = self.make_index(rng.normal(size=(4, 8)))
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="query 'bad' has norm 0.0"):
             search_embedding(np.zeros(8), index, 1, query_id="bad")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, rng, value):
+        # A NaN query used to score every row nan and return them in id order.
+        index = self.make_index(rng.normal(size=(4, 8)))
+        query = rng.normal(size=8)
+        query[3] = value
+        with pytest.raises(NumericsError, match="query 'bad' has norm"):
+            search_embedding(query, index, 1, query_id="bad")
 
     def test_query_of_another_width_rejected(self, rng):
         index = self.make_index(rng.normal(size=(4, 8)))
@@ -278,6 +305,20 @@ class TestCachedIndex:
         assert path.read_bytes() == (
             INDEX_MAGIC + index_key(library, cfg, weights) + built.raw.astype("<f8").tobytes()
         )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_file_is_rebuilt(self, inputs, value):
+        # The first row checks out and the key matches, but a stored row
+        # no encoder row can be is a foreign file, not an index.
+        path, library, cfg, weights = inputs
+        built = cached_index(path, library, cfg, weights)
+        good = path.read_bytes()
+        spoiled = bytearray(good)
+        spoiled[-8:] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(spoiled))
+        index = cached_index(path, library, cfg, weights)
+        assert index.matrix.tobytes() == built.matrix.tobytes()
+        assert path.read_bytes() == good
 
     def test_failed_write_leaves_no_temporary_file(self, inputs, monkeypatch):
         path, library, cfg, weights = inputs
@@ -396,6 +437,23 @@ class TestEvaluate:
         index = build_index(spectra, cfg, weights)
         with pytest.raises(DataError):
             evaluate_search([], index, molecules, cfg, weights)
+
+    def test_non_finite_given_embedding_named(self, rng):
+        spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
+        cfg, weights = small_model(seed=2)
+        index = build_index(spectra, cfg, weights)
+        embeddings = encode_many(spectra[:2], cfg, weights)
+        embeddings[1, 0] = np.nan
+        with pytest.raises(NumericsError, match=f"query {spectra[1].id!r} has norm nan"):
+            evaluate_search(spectra[:2], index, molecules, cfg, weights, embeddings=embeddings)
+
+    def test_no_hits_rejected(self):
+        # Averaging no hits used to give nan accuracies after numpy warnings.
+        spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=4)
+        with pytest.raises(DataError, match="no query hits to summarize"):
+            summarize_hits([], molecules)
+        with pytest.raises(DataError, match="no query hits to summarize"):
+            summarize_hits(cosine_hits([], spectra), molecules)
 
 
 class TestCosineHits:

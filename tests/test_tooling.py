@@ -9,8 +9,9 @@ names the other perfbench scripts import from the package are read from
 their source and resolved the same way.
 
 Also: no package module imports a name it never reads, none but
-``data/types.py`` reads ``Spectrum.fragments`` peak by peak, and none but
-``encoder.py`` calls ``encode_batch`` other than for training.
+``data/types.py`` reads ``Spectrum.fragments`` peak by peak, none but
+``encoder.py`` calls ``encode_batch`` other than for training, and none
+but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``.
 """
 
 import ast
@@ -336,3 +337,42 @@ def f(spectra, cfg, weights, rng, mode):
     e = encode_batch(spectra, cfg, weights, mode=mode, rng=rng)
 """
     assert [line for line, _ in inference_encode_batch_calls(source)] == [5, 6, 7]
+
+
+def kind_comparisons(source):
+    """(line, code) of each comparison with a ``.kind`` attribute on
+    either side: a branch on the peak embedding kind."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr == "kind"
+            for side in (node.left, *node.comparators)
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+KIND_OWNERS = (PACKAGE / "embed" / "features.py", PACKAGE / "encoder.py")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p not in KIND_OWNERS),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_kind_is_compared_only_by_its_owners(path):
+    # features.py embeds m/z for each kind and encoder.py lays out each
+    # kind's weights; every other module calls them.
+    assert kind_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_kind_check_sees_each_compare():
+    source = """
+def f(cfg, kind):
+    a = cfg.kind == "sin"
+    b = "token" != cfg.encoder.kind
+    c = kind == "sin"
+    d = cfg.kind in ("sin", "token")
+    e = cfg.kind
+"""
+    assert [line for line, _ in kind_comparisons(source)] == [3, 4, 6]
