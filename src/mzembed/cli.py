@@ -118,7 +118,7 @@ def parse_setting(key: str, text: str):
 
 
 def read_config_file(path) -> dict[str, str]:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -168,7 +168,7 @@ class Settings:
 
     def require_path(self, key: str) -> str:
         path = self.require(key)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise FileNotFoundError(f"{key}: no such file: {path}")
         return path
 
@@ -236,7 +236,7 @@ def load_dataset(settings: Settings):
     cleaned = os.path.join(out_dir, "cleaned.mgf")
     manifest = os.path.join(out_dir, "split_manifest.tsv")
     for path in (cleaned, manifest):
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise FileNotFoundError(f"prepared dataset incomplete, missing {path}; run prepare")
     spectra = [normalize_intensities(s) for s in load_mgf(cleaned)]
     molecules = load_molecules(
@@ -286,7 +286,7 @@ def load_model(settings: Settings, mode: str):
     enc_cfg, _ = build_configs(settings)
     config_text = run_config_text(settings, mode)
     ckpt = checkpoint_path(settings, mode)
-    if not os.path.exists(ckpt):
+    if not os.path.isfile(ckpt):
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     records, _ = load_checkpoint(ckpt, config_text)
 
@@ -507,13 +507,11 @@ def cmd_search(settings: Settings) -> int:
     k = settings.get("k")
     index = cached_index(out_path(settings, f"index_{mode}.bin"), train, enc_cfg, model)
     embeddings = encode_many(queries, enc_cfg, model)
-    lines = ["query_id\trank\thit_id\thit_structure\tscore"]
-    for query, emb in zip(queries, embeddings):
-        result = search_embedding(emb, index, k, query_id=query.id)
-        for rank, (hit_id, hit_structure, score) in enumerate(result.hits, start=1):
-            lines.append(
-                f"{query.id}\t{rank}\t{hit_id}\t{hit_structure or ''}\t{score:.6f}"
-            )
+    lines = ["query_id\trank\thit_id\thit_structure\tscore"] + [
+        f"{result.query_id}\t{rank}\t{hit_id}\t{hit_structure or ''}\t{score:.6f}"
+        for result in search_embedding(embeddings, index, k, [q.id for q in queries])
+        for rank, (hit_id, hit_structure, score) in enumerate(result.hits, start=1)
+    ]
     path = out_path(settings, "search_results.tsv")
     publish(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -624,7 +622,7 @@ def thread_budget(threads: int | None) -> int:
         return threads
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         text = os.environ.get(var, "").strip()
-        if text.isdigit() and int(text) > 0:
+        if text.isdecimal() and int(text) > 0:
             return int(text)
     return usable_cpus()
 

@@ -79,14 +79,12 @@ def cosine_hits(
     _check_tolerance(tol)
     if not library:
         raise DataError("cannot search an empty library")
-    refs = sorted(library, key=lambda s: s.id)
-    ref_ids = [r.id for r in refs]
-    hits = []
-    for query in queries:
-        scores = [modified_cosine(query, r, tol) for r in refs]
-        best = top_k(scores, ref_ids, 1)[0]
-        hits.append((query, ref_ids[best], refs[best].structure_id, scores[best]))
-    return hits
+    scores = [[modified_cosine(q, r, tol) for r in library] for q in queries]
+    best = top_k(np.reshape(scores, (len(queries), len(library))), [r.id for r in library], 1)
+    return [
+        (query, library[b].id, library[b].structure_id, row[b])
+        for query, row, (b,) in zip(queries, scores, best)
+    ]
 
 
 @dataclass
@@ -252,28 +250,40 @@ def cached_index(
     return index
 
 
-def top_k(scores, ids: list[str], k: int) -> list[int]:
-    """Positions of the k highest scores, best first; equal scores go to
+def top_k(scores, ids: list[str], k: int) -> np.ndarray:
+    """Per row of an (m, n) score block, the positions of its k highest
+    scores, best first, as an (m, min(k, n)) array; equal scores go to
     the smaller id. ``k`` must be at least 1."""
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
-    return sorted(range(len(ids)), key=lambda r: (-scores[r], ids[r]))[:k]
+    scores = np.asarray(scores)
+    # Each id's place in a stable sort, so equal ids keep their row order.
+    id_rank = np.argsort(np.argsort(np.array(ids, dtype=object), kind="stable"))
+    return np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores))[:, :k]
 
 
-def search_embedding(query: np.ndarray, index: EmbeddingIndex, k: int, query_id: str = "") -> SearchResult:
-    """Rank index rows by cosine against one query embedding."""
+def search_embedding(
+    queries: np.ndarray, index: EmbeddingIndex, k: int, query_ids: list[str]
+) -> list[SearchResult]:
+    """Rank index rows by cosine against each row of an (m, d) block of
+    query embeddings: one ``SearchResult`` per row, in block order. Each
+    row is scored by a matrix-vector product of its own, so its scores
+    and hits do not depend on the rest of the block."""
     if len(index) == 0:
         raise DataError("cannot search an empty index")
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    if q.shape[0] != index.matrix.shape[1]:
-        d = index.matrix.shape[1]
-        raise DimensionError(f"query embedding {query_id!r} has width {q.shape[0]}, the index {d}")
-    scores = index.matrix @ _normalize_rows(q[None, :], [query_id], "query")[0]
-    order = top_k(scores, index.spectrum_ids, k)
-    hits = [
-        (index.spectrum_ids[r], index.structure_ids[r], float(scores[r])) for r in order
+    q = np.ascontiguousarray(queries, dtype=np.float64)
+    if len(query_ids) != q.shape[0]:
+        raise DataError(f"{q.shape[0]} query embeddings given for {len(query_ids)} queries")
+    d = index.matrix.shape[1]
+    if q.shape[1] != d:
+        raise DimensionError(f"query embedding {query_ids[0]!r} has width {q.shape[1]}, the index {d}")
+    q = _normalize_rows(q, query_ids, "query")
+    scores = (index.matrix @ q[:, :, None])[:, :, 0]
+    ids, structures = index.spectrum_ids, index.structure_ids
+    return [
+        SearchResult(query_id, [(ids[r], structures[r], float(row[r])) for r in order], k)
+        for query_id, row, order in zip(query_ids, scores, top_k(scores, ids, k))
     ]
-    return SearchResult(query_id=query_id, hits=hits, k=k)
 
 
 def search(
@@ -284,8 +294,8 @@ def search(
     weights: ModelWeights,
 ) -> SearchResult:
     """Encode a query spectrum and rank the index against it."""
-    emb = encode_spectrum(query, cfg, weights)
-    return search_embedding(emb.data, index, k, query_id=query.id)
+    emb = encode_spectrum(query, cfg, weights).data
+    return search_embedding(emb[None, :], index, k, [query.id])[0]
 
 
 @dataclass
@@ -321,16 +331,8 @@ def evaluate_search(
         raise DataError("no query spectra to evaluate")
     if embeddings is None:
         embeddings = encode_many(queries, cfg, weights)
-    elif len(embeddings) != len(queries):
-        raise DataError(
-            f"{len(embeddings)} query embeddings given for {len(queries)} queries"
-        )
-    hits = []
-    for query, emb in zip(queries, embeddings):
-        hit_id, hit_structure, score = search_embedding(
-            emb, index, 1, query_id=query.id
-        ).hits[0]
-        hits.append((query, hit_id, hit_structure, score))
+    results = search_embedding(embeddings, index, 1, [q.id for q in queries])
+    hits = [(query, *result.hits[0]) for query, result in zip(queries, results)]
     return summarize_hits(hits, molecules, threshold, query_set, include_exact)
 
 

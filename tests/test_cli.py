@@ -780,6 +780,17 @@ class TestConfigHandling:
         paths["config"].write_text("schema_version=1\nnot a pair\n")
         assert run_prepare(paths) == 2
 
+    @pytest.mark.parametrize("key,message", [
+        ("config", "config file not found"), ("raw", "spectra: no such file"),
+    ])
+    def test_directory_as_input_file_exits_2(self, tmp_path, capsys, key, message):
+        # A directory used to pass the existence check and end in an
+        # IsADirectoryError traceback when opened.
+        paths = write_inputs(tmp_path)
+        paths[key] = tmp_path
+        assert run_prepare(paths) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}: {tmp_path}")
+
     def test_cli_overrides_config_file(self, tmp_path):
         paths = write_inputs(tmp_path)
         assert run_prepare(paths) == 0
@@ -852,7 +863,8 @@ class TestThreadBudget:
         assert thread_budget(None) == 4
         assert thread_budget(3) == 3
 
-    @pytest.mark.parametrize("text", ["abc", "0", "-2", "1.5", ""])
+    # "²" passes str.isdigit() but not int(); it used to crash every command.
+    @pytest.mark.parametrize("text", ["abc", "0", "-2", "1.5", "", "²"])
     def test_malformed_variable_counts_as_unset(self, env, text):
         env.setenv("OPENBLAS_NUM_THREADS", text)
         assert thread_budget(None) == 2

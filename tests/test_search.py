@@ -74,7 +74,7 @@ class TestIndex:
         index = build_index([], cfg, weights)
         assert len(index) == 0
         with pytest.raises(DataError):
-            search_embedding(np.ones(8), index, 1)
+            search_embedding(np.ones((1, 8)), index, 1, ["q"])
 
     def test_unencodable_spectrum_named(self, rng):
         # binary16 tops out at 65504, so this fragment m/z cannot be cast.
@@ -132,9 +132,10 @@ class TestRanking:
     def test_matches_brute_force_cosine(self, rng):
         matrix = rng.normal(size=(20, 8))
         index = self.make_index(matrix)
-        for trial in range(20):
-            q = rng.normal(size=8)
-            result = search_embedding(q, index, 5, query_id="q")
+        queries = rng.normal(size=(20, 8))
+        results = search_embedding(queries, index, 5, [f"q{i}" for i in range(20)])
+        assert [r.query_id for r in results] == [f"q{i}" for i in range(20)]
+        for q, result in zip(queries, results):
             scores = index.matrix @ (q / np.linalg.norm(q))
             want = sorted(range(20), key=lambda r: (-scores[r], index.spectrum_ids[r]))[:5]
             got_ids = [h[0] for h in result.hits]
@@ -145,7 +146,7 @@ class TestRanking:
     def test_scores_descend(self, rng):
         matrix = rng.normal(size=(15, 8))
         index = self.make_index(matrix)
-        result = search_embedding(rng.normal(size=8), index, 15)
+        (result,) = search_embedding(rng.normal(size=(1, 8)), index, 15, ["q"])
         scores = [h[2] for h in result.hits]
         assert scores == sorted(scores, reverse=True)
 
@@ -158,23 +159,57 @@ class TestRanking:
             structure_ids=["m", "m", "m"],
             raw=matrix,
         )
-        result = search_embedding(row, index, 3)
+        (result,) = search_embedding(row[None, :], index, 3, ["q"])
         assert [h[0] for h in result.hits] == ["s0", "s1", "s2"]
 
     def test_top_k_ties_go_to_smaller_id_in_any_row_order(self):
         ids = ["s2", "s0", "s3", "s1", "s4"]
         scores = [0.5, 0.9, 0.9, 0.9, -1.0]
         for perm in itertools.permutations(range(len(ids))):
-            got = top_k([scores[i] for i in perm], [ids[i] for i in perm], 3)
+            (got,) = top_k([[scores[i] for i in perm]], [ids[i] for i in perm], 3)
             assert [ids[perm[r]] for r in got] == ["s0", "s1", "s3"]
 
+    def test_block_rows_rank_as_alone(self, rng):
+        # Each row of a block is scored by a matrix-vector product of its
+        # own: its hits and score bits do not depend on the rest of the
+        # block, and equal those of index.matrix @ q, the score of one
+        # query. A numpy or BLAS build whose stacked product computes
+        # otherwise fails here.
+        index = self.make_index(rng.normal(size=(300, 256)))
+        queries = rng.normal(size=(12, 256))
+        ids = [f"q{i}" for i in range(12)]
+        alone = [search_embedding(queries[i : i + 1], index, 7, ids[i : i + 1])[0] for i in range(12)]
+        for query, result in zip(queries, alone):
+            scores = index.matrix @ (query / np.sqrt(np.sum(query * query)))
+            want = sorted(range(300), key=lambda r: (-scores[r], index.spectrum_ids[r]))[:7]
+            assert result.hits == [(f"s{r}", f"m{r}", float(scores[r])) for r in want]
+        for m in range(2, 13):
+            start = int(rng.integers(0, 13 - m))
+            block = search_embedding(queries[start : start + m], index, 7, ids[start : start + m])
+            assert block == alone[start : start + m]
+
+    def test_top_k_matches_the_key_sort(self, rng):
+        # Duplicate ids, signed zeros, few distinct scores and k past n.
+        def key_sort(row, ids, k):
+            return sorted(range(len(ids)), key=lambda r: (-row[r], ids[r]))[:k]
+
+        for trial in range(300):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            ids = [f"s{i}" for i in rng.integers(0, n // 2 + 1, n)]
+            scores = rng.choice([-0.5, -0.0, 0.0, 0.25, 1.0], size=(m, n))
+            k = int(rng.integers(1, n + 5))
+            got = top_k(scores, ids, k)
+            assert got.shape == (m, min(k, n)), trial
+            assert got.tolist() == [key_sort(row, ids, k) for row in scores], trial
+
     def test_top_k_past_row_count_returns_every_row(self):
-        assert top_k(np.array([0.1, 0.3, 0.2]), ["a", "b", "c"], 10) == [1, 2, 0]
+        got = top_k(np.array([[0.1, 0.3, 0.2], [0.2, 0.2, 0.1]]), ["a", "b", "c"], 10)
+        assert got.tolist() == [[1, 2, 0], [0, 1, 2]]
 
     def test_k_truncates_to_index_size(self, rng):
         matrix = rng.normal(size=(4, 8))
         index = self.make_index(matrix)
-        result = search_embedding(rng.normal(size=8), index, 10)
+        (result,) = search_embedding(rng.normal(size=(1, 8)), index, 10, ["q"])
         assert len(result.hits) == 4
         assert result.k == 10
 
@@ -183,28 +218,34 @@ class TestRanking:
         # k=0 used to return no hits and k=-1 every hit but the last.
         index = self.make_index(rng.normal(size=(4, 8)))
         with pytest.raises(ConfigError, match="k must be at least 1"):
-            search_embedding(rng.normal(size=8), index, k)
+            search_embedding(rng.normal(size=(1, 8)), index, k, ["q"])
         with pytest.raises(ConfigError):
-            top_k(np.array([0.1, 0.3, 0.2]), ["a", "b", "c"], k)
+            top_k(np.array([[0.1, 0.3, 0.2]]), ["a", "b", "c"], k)
 
     def test_zero_norm_query_rejected(self, rng):
         index = self.make_index(rng.normal(size=(4, 8)))
         with pytest.raises(NumericsError, match="query 'bad' has norm 0.0"):
-            search_embedding(np.zeros(8), index, 1, query_id="bad")
+            search_embedding(np.zeros((1, 8)), index, 1, ["bad"])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, rng, value):
         # A NaN query used to score every row nan and return them in id order.
         index = self.make_index(rng.normal(size=(4, 8)))
-        query = rng.normal(size=8)
-        query[3] = value
+        queries = rng.normal(size=(2, 8))
+        queries[1, 3] = value
         with pytest.raises(NumericsError, match="query 'bad' has norm"):
-            search_embedding(query, index, 1, query_id="bad")
+            search_embedding(queries, index, 1, ["ok", "bad"])
 
     def test_query_of_another_width_rejected(self, rng):
         index = self.make_index(rng.normal(size=(4, 8)))
         with pytest.raises(DimensionError, match="'q' has width 6, the index 8"):
-            search_embedding(rng.normal(size=6), index, 1, query_id="q")
+            search_embedding(rng.normal(size=(2, 6)), index, 1, ["q", "r"])
+
+    def test_query_ids_of_another_length_rejected(self, rng):
+        index = self.make_index(rng.normal(size=(4, 8)))
+        with pytest.raises(DataError, match="3 query embeddings given for 2 queries"):
+            search_embedding(rng.normal(size=(3, 8)), index, 1, ["q", "r"])
+        assert search_embedding(np.empty((0, 8)), index, 1, []) == []
 
     def test_spectrum_search_finds_itself(self, rng):
         cfg, weights = small_model(seed=3)
@@ -466,7 +507,7 @@ class TestCosineHits:
         assert [h[0] for h in hits] == queries
         for query, (_, hit_id, hit_structure, score) in zip(queries, hits):
             scores = [modified_cosine(query, r, 0.1) for r in refs]
-            best = top_k(scores, ids, 1)[0]
+            best = min(range(len(ids)), key=lambda r: (-scores[r], ids[r]))
             assert (hit_id, hit_structure, score) == (
                 ids[best], refs[best].structure_id, scores[best],
             )

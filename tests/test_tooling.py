@@ -10,8 +10,9 @@ their source and resolved the same way.
 
 Also: no package module imports a name it never reads, none but
 ``data/types.py`` reads ``Spectrum.fragments`` peak by peak, none but
-``encoder.py`` calls ``encode_batch`` other than for training, and none
-but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``.
+``encoder.py`` calls ``encode_batch`` other than for training, none
+but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``, and
+none calls ``search_embedding`` or ``top_k`` once per loop iteration.
 """
 
 import ast
@@ -376,3 +377,67 @@ def f(cfg, kind):
     e = cfg.kind
 """
     assert [line for line, _ in kind_comparisons(source)] == [3, 4, 6]
+
+
+RANKERS = ("search_embedding", "top_k")
+
+
+def _repeated_parts(node):
+    """The parts of a loop or comprehension that run once per iteration.
+    A ``for`` loop's iterable and a comprehension's first iterable run
+    once, so they are left out."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [*node.body, *node.orelse]
+    if isinstance(node, ast.While):
+        return [node.test, *node.body, *node.orelse]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        parts = [node.elt]
+    elif isinstance(node, ast.DictComp):
+        parts = [node.key, node.value]
+    else:
+        return []
+    first, *rest = node.generators
+    return parts + first.ifs + [part for g in rest for part in (g.iter, *g.ifs)]
+
+
+def ranking_calls_in_loops(source):
+    """(line, code) of each ``search_embedding`` or ``top_k`` call that
+    runs once per iteration of a loop or comprehension: a caller ranking
+    one query at a time."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        for part in _repeated_parts(loop):
+            for node in ast.walk(part):
+                if not isinstance(node, ast.Call):
+                    continue
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) in RANKERS:
+                    found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_ranking_is_one_call_per_block(path):
+    # search_embedding and top_k rank a block of queries in one call;
+    # no caller loops over its queries to rank them.
+    assert ranking_calls_in_loops(path.read_text(encoding="utf-8")) == []
+
+
+def test_ranking_loop_check_sees_each_kind():
+    source = """
+def f(queries, index, scores, ids):
+    a = search_embedding(queries, index, 1, ids)
+    for q in queries:
+        b = search_embedding(q[None], index, 1, ["q"])
+    c = [top_k(s[None], ids, 1) for s in scores]
+    d = [r.hits for r in search_embedding(queries, index, 1, ids)]
+    e = {i: search.top_k(s[None], ids, 1) for i, s in enumerate(scores)}
+    for r in search_embedding(queries, index, 1, ids):
+        pass
+    while queries:
+        queries = top_k(scores, ids, 1)
+    g = [x for s in scores for x in top_k(s[None], ids, 1)]
+    h = [s for s in scores if search_embedding(s[None], index, 1, ids)]
+"""
+    assert [line for line, _ in ranking_calls_in_loops(source)] == [5, 6, 8, 12, 13, 14]
