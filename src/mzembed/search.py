@@ -43,7 +43,7 @@ from .encoder import (
 from .errors import ConfigError, DataError, DimensionError, NumericsError
 from .kernels import score_modified_cosine
 from .outputs import publish
-from .siamese import tanimoto
+from .siamese import fingerprint_block, tanimoto_many
 
 DEFAULT_TOLERANCE = 0.1
 DEFAULT_TANIMOTO_THRESHOLD = 0.6
@@ -349,23 +349,23 @@ def summarize_hits(
     Exact: the hit shares the query's structure. Approximate: the hit
     structure's Tanimoto to the query structure is at least threshold.
     Per-query outcomes are averaged within each query structure first,
-    then across structures; no hits leave nothing to average.
+    then across structures. Every query's and hit's structure must have
+    a molecule record, and no hits at all raise DataError.
     """
     if not hits:
         raise DataError("no query hits to summarize")
-    exact_hits: dict[str, list[float]] = {}
-    approx_hits: dict[str, list[float]] = {}
-    audit = []
-    for query, hit_id, hit_structure, score in hits:
+    for query, hit_id, hit_structure, _ in hits:
         if query.structure_id is None or query.structure_id not in molecules:
             raise DataError(f"query {query.id!r} has no resolvable structure")
         if hit_structure is None or hit_structure not in molecules:
             raise DataError(f"hit {hit_id!r} has no resolvable structure")
+    bits = fingerprint_block(molecules, [q.structure_id for q, *_ in hits] + [h[2] for h in hits])
+    sims = tanimoto_many(bits[: len(hits)], bits[len(hits) :]).tolist()
+    exact_hits: dict[str, list[float]] = {}
+    approx_hits: dict[str, list[float]] = {}
+    audit = []
+    for (query, hit_id, hit_structure, score), sim in zip(hits, sims):
         is_exact = hit_structure == query.structure_id
-        sim = tanimoto(
-            molecules[query.structure_id].fingerprint,
-            molecules[hit_structure].fingerprint,
-        )
         approx = sim >= threshold
         exact_hits.setdefault(query.structure_id, []).append(float(is_exact))
         approx_hits.setdefault(query.structure_id, []).append(float(approx))

@@ -17,20 +17,40 @@ from .training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
 DEFAULT_BIN_COUNT = 10
 EXACT_ENUMERATION_LIMIT = 2000
+REJECTION_TARGET = 1000
+REJECTION_MAX_DRAWS = 500_000
+# Drawn pairs scored per gathered block: bounds the fingerprint copies.
+SCORE_BLOCK = 1024
+
+
+def tanimoto_many(a, b) -> np.ndarray:
+    """|a AND b| / |a OR b| along the last axis of broadcasting uint8
+    fingerprints; two empty sets give 0. Counts divide as ``int / int``."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.shape[-1:] != b.shape[-1:]:
+        raise DimensionError(f"fingerprint widths differ: {a.shape[-1:]} vs {b.shape[-1:]}")
+    inter = np.sum(a & b, axis=-1)
+    union = np.sum(a | b, axis=-1)
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
 
 
 def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
-    """|a AND b| / |a OR b| over bit arrays; two empty sets give 0."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"fingerprint widths differ: {a.shape} vs {b.shape}"
-        )
-    union = int(np.sum(a | b))
-    if union == 0:
-        return 0.0
-    return int(np.sum(a & b)) / union
+    """|a AND b| / |a OR b| of one fingerprint pair, by ``tanimoto_many``."""
+    return float(tanimoto_many(a, b))
+
+
+def fingerprint_block(molecules: dict[str, MoleculeRecord], names: list[str]) -> np.ndarray:
+    """The (len(names), width) uint8 fingerprints of ``names``: DataError
+    for a name without a record, DimensionError for mixed widths."""
+    missing = [s for s in names if s not in molecules]
+    if missing:
+        raise DataError(f"no molecule records for structures: {missing}")
+    rows = [np.asarray(molecules[s].fingerprint, dtype=np.uint8) for s in names]
+    widths = sorted({r.shape for r in rows})
+    if len(widths) > 1:
+        raise DimensionError(f"fingerprint widths differ: {widths}")
+    return np.array(rows, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -51,82 +71,65 @@ class SimilarityBins:
     """Equal-width Tanimoto bins over structure pairs.
 
     Bin k covers [k/B, (k+1)/B), except the last bin which also owns
-    the boundary value 1.0. Reservoirs hold (structure_a, structure_b,
-    tanimoto) triples; self-pairs (s, s) are included so the top bin is
-    always reachable for structures with at least one spectrum.
+    the boundary value 1.0. Bin k holds its pairs, in candidate order,
+    as indices ``a[k] <= b[k]`` into the sorted structure ``names`` and
+    their Tanimoto values ``t[k]``. Self-pairs (s, s) are included so the
+    top bin is always reachable for structures with at least one spectrum.
     """
 
-    bin_count: int
-    reservoirs: list[list[tuple[str, str, float]]]
+    names: list[str]
+    a: list[np.ndarray]
+    b: list[np.ndarray]
+    t: list[np.ndarray]
+
+    @property
+    def bin_count(self) -> int:
+        return len(self.t)
 
     @property
     def unreachable(self) -> list[int]:
-        return [k for k, r in enumerate(self.reservoirs) if not r]
+        return [k for k, t in enumerate(self.t) if not len(t)]
 
 
-def bin_of(label: float, bin_count: int) -> int:
-    return min(int(label * bin_count), bin_count - 1)
+def bin_of(label, bin_count: int):
+    """The bin of a Tanimoto label, or the bins of an array of labels."""
+    return np.minimum((np.asarray(label) * bin_count).astype(np.int64), bin_count - 1)
 
 
 def build_similarity_bins(
     molecules: dict[str, MoleculeRecord],
     structures: list[str],
     bin_count: int = DEFAULT_BIN_COUNT,
-    exact_limit: int = EXACT_ENUMERATION_LIMIT,
     seed: int = 0,
-    rejection_target: int = 1000,
-    rejection_max_draws: int = 500_000,
 ) -> SimilarityBins:
-    """Precompute per-bin reservoirs of structure pairs.
+    """Bin structure pairs by Tanimoto.
 
-    Up to ``exact_limit`` structures all unordered pairs (self-pairs
-    included) are enumerated; beyond that, pairs are rejection-sampled
-    until every bin reaches ``rejection_target`` entries or the draw
-    budget runs out. Bins still empty afterwards are unreachable and
-    reported by the sampler.
+    Up to ``EXACT_ENUMERATION_LIMIT`` structures every pair i <= j is a
+    candidate, in row-major order, and each bin keeps all of its own.
+    Beyond that, the candidates are ``REJECTION_MAX_DRAWS`` seeded draws
+    (i, j), ordered so i <= j, and each bin keeps the first
+    ``REJECTION_TARGET`` of its own. Bins left empty are unreachable.
     """
     if bin_count < 1:
         raise ConfigError(f"bin count must be positive, got {bin_count}")
     names = sorted(set(structures))
-    missing = [s for s in names if s not in molecules]
-    if missing:
-        raise DataError(f"no molecule records for structures: {missing}")
-    reservoirs: list[list[tuple[str, str, float]]] = [[] for _ in range(bin_count)]
-
-    if len(names) <= exact_limit:
-        # Row by row, each row's pairs at once: integer counts divide to
-        # the binary64 that ``tanimoto``'s int / int gives, and the bin is
-        # ``bin_of``'s, so the reservoirs are the per-pair loop's.
-        fingerprints = [np.asarray(molecules[s].fingerprint, dtype=np.uint8) for s in names]
-        widths = sorted({f.shape for f in fingerprints})
-        if len(widths) > 1:
-            raise DimensionError(f"fingerprint widths differ: {widths}")
-        bits = np.array(fingerprints)
-        for i, sa in enumerate(names):
-            inter = np.sum(bits[i] & bits[i:], axis=1)
-            union = np.sum(bits[i] | bits[i:], axis=1)
-            t = np.divide(inter, union, out=np.zeros(len(union)), where=union > 0)
-            k = np.minimum((t * bin_count).astype(np.int64), bin_count - 1)
-            for sb, tj, kj in zip(names[i:], t.tolist(), k.tolist()):
-                reservoirs[kj].append((sa, sb, tj))
-        return SimilarityBins(bin_count=bin_count, reservoirs=reservoirs)
-
-    rng = stream_rng(seed, "pairs", 0xB1)
-    draws = 0
-    while draws < rejection_max_draws and any(
-        len(r) < rejection_target for r in reservoirs
-    ):
-        i = int(rng.integers(len(names)))
-        j = int(rng.integers(len(names)))
-        if j < i:
-            i, j = j, i
-        sa, sb = names[i], names[j]
-        t = tanimoto(molecules[sa].fingerprint, molecules[sb].fingerprint)
-        k = bin_of(t, bin_count)
-        if len(reservoirs[k]) < rejection_target:
-            reservoirs[k].append((sa, sb, t))
-        draws += 1
-    return SimilarityBins(bin_count=bin_count, reservoirs=reservoirs)
+    bits = fingerprint_block(molecules, names)
+    n = len(names)
+    if n <= EXACT_ENUMERATION_LIMIT:
+        a, b = np.triu_indices(n)
+        cap = None
+        blocks = ((bits[i], bits[i:]) for i in range(n))
+    else:
+        draws = stream_rng(seed, "pairs", 0xB1).integers(n, size=(REJECTION_MAX_DRAWS, 2))
+        draws.sort(axis=-1)
+        a, b = draws.T
+        cap = REJECTION_TARGET
+        spans = (slice(i, i + SCORE_BLOCK) for i in range(0, len(a), SCORE_BLOCK))
+        blocks = ((bits[a[s]], bits[b[s]]) for s in spans)
+    t = np.concatenate([np.empty(0), *(tanimoto_many(x, y) for x, y in blocks)])
+    k = bin_of(t, bin_count)
+    kept = [np.flatnonzero(k == bin_)[:cap] for bin_ in range(bin_count)]
+    return SimilarityBins(names, [a[p] for p in kept], [b[p] for p in kept], [t[p] for p in kept])
 
 
 def sample_uniform_pairs(
@@ -138,9 +141,9 @@ def sample_uniform_pairs(
 ) -> list[PairSample]:
     """Sample spectrum pairs whose labels are uniform over reachable bins.
 
-    Each draw picks a reachable bin uniformly, a structure pair from
-    that bin's reservoir uniformly, then one spectrum per structure
-    uniformly. ``seed`` may be an integer or a prepared Generator.
+    Each draw picks a reachable bin uniformly, then one of its pairs
+    whose structures both have spectra, then one spectrum per structure,
+    each uniformly. ``seed`` may be an integer or a prepared Generator.
     """
     if count < 0:
         raise ConfigError(f"pair count must be non-negative, got {count}")
@@ -151,12 +154,9 @@ def sample_uniform_pairs(
         if s.structure_id is not None:
             spectra_of.setdefault(s.structure_id, []).append(s.id)
 
-    usable: list[list[tuple[str, str, float]]] = []
-    for reservoir in bins.reservoirs:
-        usable.append(
-            [e for e in reservoir if e[0] in spectra_of and e[1] in spectra_of]
-        )
-    reachable = [k for k, r in enumerate(usable) if r]
+    has_spectra = np.array([s in spectra_of for s in bins.names], dtype=bool)
+    usable = [np.flatnonzero(has_spectra[a] & has_spectra[b]) for a, b in zip(bins.a, bins.b)]
+    reachable = [k for k, u in enumerate(usable) if len(u)]
     if count > 0 and not reachable:
         raise DataError(
             "no similarity bin is reachable with the given spectra "
@@ -166,12 +166,12 @@ def sample_uniform_pairs(
     out: list[PairSample] = []
     for _ in range(count):
         k = reachable[int(rng.integers(len(reachable)))]
-        sa, sb, label = usable[k][int(rng.integers(len(usable[k])))]
-        ids_a = spectra_of[sa]
-        ids_b = spectra_of[sb]
+        r = usable[k][int(rng.integers(len(usable[k])))]
+        ids_a = spectra_of[bins.names[bins.a[k][r]]]
+        ids_b = spectra_of[bins.names[bins.b[k][r]]]
         a = ids_a[int(rng.integers(len(ids_a)))]
         b = ids_b[int(rng.integers(len(ids_b)))]
-        out.append(PairSample(a=a, b=b, label=label))
+        out.append(PairSample(a=a, b=b, label=float(bins.t[k][r])))
     return out
 
 

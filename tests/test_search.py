@@ -38,6 +38,7 @@ from mzembed.search import (
     write_search_audit,
 )
 from mzembed import search as search_module
+from mzembed.siamese import tanimoto
 from mzembed.tensor import load_checkpoint, save_checkpoint
 
 def small_model(seed=0):
@@ -487,6 +488,20 @@ class TestEvaluate:
         embeddings[1, 0] = np.nan
         with pytest.raises(NumericsError, match=f"query {spectra[1].id!r} has norm nan"):
             evaluate_search(spectra[:2], index, molecules, cfg, weights, embeddings=embeddings)
+
+    def test_audit_scores_each_hit_pair(self):
+        spectra, molecules = toy_dataset(n_structures=4, spectra_per=2, seed=6)
+        hits = [(q, h.id, h.structure_id, 0.5) for q in spectra for h in spectra[::3]]
+        report = summarize_hits(hits, molecules)
+        want = [
+            tanimoto(molecules[q.structure_id].fingerprint, molecules[s].fingerprint)
+            for q, _, s, _ in hits
+        ]
+        assert [type(row[4]) for row in report.audit] == [float] * len(hits)
+        assert [row[4].hex() for row in report.audit] == [t.hex() for t in want]
+        # Every hit is resolved before any is scored.
+        with pytest.raises(DataError, match="hit 'x' has no resolvable structure"):
+            summarize_hits(hits + [(spectra[0], "x", "nope", 0.1)], molecules)
 
     def test_no_hits_rejected(self):
         # Averaging no hits used to give nan accuracies after numpy warnings.

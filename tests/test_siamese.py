@@ -18,6 +18,7 @@ from mzembed.siamese import (
     sample_uniform_pairs,
     siamese_loss,
     tanimoto,
+    tanimoto_many,
     train_siamese,
 )
 from mzembed.tensor import Tensor
@@ -67,16 +68,122 @@ class TestTanimoto:
         with pytest.raises(DimensionError):
             tanimoto(np.zeros(8, dtype=np.uint8), np.zeros(9, dtype=np.uint8))
 
+    def test_block_scores_each_pair(self, rng):
+        # One fingerprint against a block, and a block against a block,
+        # give each pair's bits; uint8 values other than 0 and 1 count as
+        # values, not bits.
+        block = (rng.random((30, 24)) < 0.3).astype(np.uint8)
+        block[0] = 0
+        block[1] = rng.integers(0, 256, 24)
+        one = tanimoto_many(block[1], block)
+        pairs = tanimoto_many(block, block[::-1])
+        assert [t.hex() for t in one.tolist()] == [pair_tanimoto(block[1], f).hex() for f in block]
+        assert [t.hex() for t in pairs.tolist()] == [
+            pair_tanimoto(f, g).hex() for f, g in zip(block, block[::-1])
+        ]
+        with pytest.raises(DimensionError, match="widths differ"):
+            tanimoto_many(block[0], block[:, :-1])
+
+
+def pair_tanimoto(fp_a, fp_b):
+    """One pair's Tanimoto as Python integer division of its counts."""
+    a = np.asarray(fp_a, dtype=np.uint8)
+    b = np.asarray(fp_b, dtype=np.uint8)
+    if a.shape != b.shape:
+        raise DimensionError(f"fingerprint widths differ: {a.shape} vs {b.shape}")
+    union = int(np.sum(a | b))
+    return int(np.sum(a & b)) / union if union else 0.0
+
 
 def per_pair_bins(molecules, names, bin_count):
-    """The exact enumeration as one ``tanimoto`` call per structure pair:
-    the reference for ``build_similarity_bins``."""
+    """The exact enumeration as one scored pair at a time, kept as
+    (structure_a, structure_b, tanimoto) tuples: the reference for
+    ``build_similarity_bins`` up to ``EXACT_ENUMERATION_LIMIT``."""
     reservoirs = [[] for _ in range(bin_count)]
     for i, sa in enumerate(names):
         for sb in names[i:]:
-            t = tanimoto(molecules[sa].fingerprint, molecules[sb].fingerprint)
-            reservoirs[bin_of(t, bin_count)].append((sa, sb, t))
+            t = pair_tanimoto(molecules[sa].fingerprint, molecules[sb].fingerprint)
+            reservoirs[min(int(t * bin_count), bin_count - 1)].append((sa, sb, t))
     return reservoirs
+
+
+def per_pair_sampler(molecules, names, bin_count, seed, target, max_draws):
+    """The rejection sampler as one drawn and scored pair per loop turn,
+    stopping when every bin is full: the reference for
+    ``build_similarity_bins`` past ``EXACT_ENUMERATION_LIMIT``."""
+    reservoirs = [[] for _ in range(bin_count)]
+    rng = stream_rng(seed, "pairs", 0xB1)
+    draws = 0
+    while draws < max_draws and any(len(r) < target for r in reservoirs):
+        i = int(rng.integers(len(names)))
+        j = int(rng.integers(len(names)))
+        if j < i:
+            i, j = j, i
+        sa, sb = names[i], names[j]
+        t = pair_tanimoto(molecules[sa].fingerprint, molecules[sb].fingerprint)
+        k = min(int(t * bin_count), bin_count - 1)
+        if len(reservoirs[k]) < target:
+            reservoirs[k].append((sa, sb, t))
+        draws += 1
+    return reservoirs
+
+
+def per_pair_sample(spectra, reservoirs, count, seed):
+    """``sample_uniform_pairs`` over tuple reservoirs, filtering every
+    pair in Python: its reference."""
+    rng = stream_rng(seed, "pairs")
+    spectra_of = {}
+    for s in sorted(spectra, key=lambda x: x.id):
+        if s.structure_id is not None:
+            spectra_of.setdefault(s.structure_id, []).append(s.id)
+    usable = [[e for e in r if e[0] in spectra_of and e[1] in spectra_of] for r in reservoirs]
+    reachable = [k for k, r in enumerate(usable) if r]
+    out = []
+    for _ in range(count):
+        k = reachable[int(rng.integers(len(reachable)))]
+        sa, sb, label = usable[k][int(rng.integers(len(usable[k])))]
+        ids_a = spectra_of[sa]
+        ids_b = spectra_of[sb]
+        a = ids_a[int(rng.integers(len(ids_a)))]
+        b = ids_b[int(rng.integers(len(ids_b)))]
+        out.append(PairSample(a=a, b=b, label=label))
+    return out
+
+
+def table(bins):
+    """Each bin's pairs as (structure_a, structure_b, tanimoto bits)."""
+    return [
+        [(bins.names[i], bins.names[j], t.hex()) for i, j, t in zip(a.tolist(), b.tolist(), t.tolist())]
+        for a, b, t in zip(bins.a, bins.b, bins.t)
+    ]
+
+
+def reference_table(reservoirs):
+    return [[(a, b, t.hex()) for a, b, t in r] for r in reservoirs]
+
+
+def past_the_limit(monkeypatch, limit=10, target=5, max_draws=2000, block=4096):
+    import mzembed.siamese
+
+    monkeypatch.setattr(mzembed.siamese, "EXACT_ENUMERATION_LIMIT", limit)
+    monkeypatch.setattr(mzembed.siamese, "REJECTION_TARGET", target)
+    monkeypatch.setattr(mzembed.siamese, "REJECTION_MAX_DRAWS", max_draws)
+    monkeypatch.setattr(mzembed.siamese, "SCORE_BLOCK", block)
+
+
+def mixed_molecules(rng):
+    """Fingerprints at densities from 0 to 1, so all-zero and all-one
+    ones, an all-zero record, and uint8 values other than 0 and 1, which
+    count as values, not bits."""
+    molecules = {
+        f"m{i:02d}": toy_molecule(f"m{i:02d}", rng, density=density)
+        for i, density in enumerate(np.linspace(0.0, 1.0, 40))
+    }
+    molecules["zero"] = MoleculeRecord("zero", np.zeros(64, dtype=np.uint8), np.zeros(10))
+    for i in range(5):
+        values = rng.integers(0, 256, 64).astype(np.uint8)
+        molecules[f"u{i}"] = MoleculeRecord(f"u{i}", values, np.zeros(10))
+    return molecules
 
 
 class TestBins:
@@ -86,42 +193,30 @@ class TestBins:
         assert bin_of(0.1, 10) == 1
         assert bin_of(0.95, 10) == 9
         assert bin_of(1.0, 10) == 9  # top bin owns the boundary
+        labels = np.array([0.0, 0.0999, 0.1, 0.95, 1.0])
+        assert bin_of(labels, 10).tolist() == [0, 0, 1, 9, 9]
 
     def test_exact_enumeration_covers_all_pairs(self, rng):
         molecules = {f"m{i}": toy_molecule(f"m{i}", rng) for i in range(6)}
         names = sorted(molecules)
         bins = build_similarity_bins(molecules, names, bin_count=10)
-        entries = [e for r in bins.reservoirs for e in r]
+        assert bins.names == names
         # 6 choose 2 unordered pairs plus 6 self-pairs.
+        entries = [(a, b, float.fromhex(t)) for r in table(bins) for a, b, t in r]
         assert len(entries) == 15 + 6
-        seen = {(a, b) for a, b, _ in entries}
-        assert len(seen) == 21
-        for a, b, t in entries:
-            assert a <= b
-            assert t == tanimoto(molecules[a].fingerprint, molecules[b].fingerprint)
-            assert bin_of(t, 10) == next(
-                k for k, r in enumerate(bins.reservoirs) if (a, b, t) in r
-            )
+        assert len({(a, b) for a, b, _ in entries}) == 21
+        for k, reservoir in enumerate(table(bins)):
+            for a, b, t in reservoir:
+                assert a <= b
+                assert float.fromhex(t) == tanimoto(molecules[a].fingerprint, molecules[b].fingerprint)
+                assert bin_of(float.fromhex(t), 10) == k
 
     @pytest.mark.parametrize("bin_count", [1, 7, 10])
     def test_exact_enumeration_equals_the_per_pair_loop(self, rng, bin_count):
-        # Densities from 0 to 1, so all-zero and all-one fingerprints, and
-        # uint8 values other than 0 and 1, which count as values, not bits.
-        molecules = {
-            f"m{i:02d}": toy_molecule(f"m{i:02d}", rng, density=density)
-            for i, density in enumerate(np.linspace(0.0, 1.0, 40))
-        }
-        molecules["zero"] = MoleculeRecord("zero", np.zeros(64, dtype=np.uint8), np.zeros(10))
-        for i in range(5):
-            values = rng.integers(0, 256, 64).astype(np.uint8)
-            molecules[f"u{i}"] = MoleculeRecord(f"u{i}", values, np.zeros(10))
+        molecules = mixed_molecules(rng)
         names = sorted(molecules)
         bins = build_similarity_bins(molecules, names, bin_count=bin_count)
-
-        def bits(reservoirs):
-            return [[(a, b, t.hex()) for a, b, t in r] for r in reservoirs]
-
-        assert bits(bins.reservoirs) == bits(per_pair_bins(molecules, names, bin_count))
+        assert table(bins) == reference_table(per_pair_bins(molecules, names, bin_count))
         molecules["wide"] = MoleculeRecord("wide", np.zeros(65, dtype=np.uint8), np.zeros(10))
         with pytest.raises(DimensionError, match="widths differ"):
             build_similarity_bins(molecules, sorted(molecules))
@@ -129,7 +224,7 @@ class TestBins:
     def test_self_pairs_make_top_bin_reachable(self, rng):
         molecules = {f"m{i}": toy_molecule(f"m{i}", rng) for i in range(4)}
         bins = build_similarity_bins(molecules, sorted(molecules), bin_count=10)
-        top = bins.reservoirs[-1]
+        top = table(bins)[-1]
         assert {(a, b) for a, b, _ in top} >= {(m, m) for m in molecules}
 
     def test_missing_molecule_rejected(self, rng):
@@ -142,33 +237,62 @@ class TestBins:
         with pytest.raises(ConfigError):
             build_similarity_bins(molecules, ["m0"], bin_count=0)
 
-    def test_rejection_sampling_beyond_exact_limit(self, rng):
+    def test_rejection_sampling_beyond_exact_limit(self, rng, monkeypatch):
+        past_the_limit(monkeypatch, target=5, max_draws=2000)
         molecules = {f"m{i:02d}": toy_molecule(f"m{i:02d}", rng) for i in range(30)}
         names = sorted(molecules)
-
-        def build(seed, max_draws=2000):
-            return build_similarity_bins(
-                molecules, names, bin_count=10, exact_limit=10, seed=seed,
-                rejection_target=5, rejection_max_draws=max_draws,
-            )
-
-        bins = build(3)
-        assert bins.reservoirs == build(3).reservoirs
-        assert bins.reservoirs != build(4).reservoirs
-        sizes = [len(r) for r in bins.reservoirs]
-        assert max(sizes) == 5
-        for k, reservoir in enumerate(bins.reservoirs):
+        bins = build_similarity_bins(molecules, names, bin_count=10, seed=3)
+        assert table(bins) == reference_table(per_pair_sampler(molecules, names, 10, 3, 5, 2000))
+        assert table(bins) != table(build_similarity_bins(molecules, names, seed=4))
+        assert max(len(t) for t in bins.t) == 5
+        for k, reservoir in enumerate(table(bins)):
             for a, b, t in reservoir:
                 assert a <= b
-                assert t == tanimoto(molecules[a].fingerprint, molecules[b].fingerprint)
+                t = float.fromhex(t)
                 assert k / 10 <= t < (k + 1) / 10 or (k == 9 and t == 1.0)
         # Self-pairs drawn by the sampler land in the last bin.
-        assert any(t == 1.0 for _, _, t in bins.reservoirs[-1])
+        assert 1.0 in bins.t[-1]
 
-        assert build(3, max_draws=0).unreachable == list(range(10))
+        past_the_limit(monkeypatch, max_draws=0)
+        assert build_similarity_bins(molecules, names, seed=3).unreachable == list(range(10))
+
+    @pytest.mark.parametrize(
+        "bin_count, target, max_draws, block",
+        [
+            (1, 40, 3000, 100),
+            (7, 40, 3000, 100),
+            (10, 40, 3000, 100),
+            (10, 5, 2000, 7),
+            (10, 1000, 2000, 4096),
+            (10, 5, 0, 4096),
+        ],
+    )
+    def test_sampled_bins_equal_the_per_pair_sampler(
+        self, rng, monkeypatch, bin_count, target, max_draws, block
+    ):
+        # All-zero and non-binary fingerprints, bins that fill and bins
+        # that do not, blocks that split the draws unevenly, no draws.
+        past_the_limit(monkeypatch, target=target, max_draws=max_draws, block=block)
+        molecules = mixed_molecules(rng)
+        names = sorted(molecules)
+        bins = build_similarity_bins(molecules, names, bin_count=bin_count, seed=5)
+        assert table(bins) == reference_table(
+            per_pair_sampler(molecules, names, bin_count, 5, target, max_draws)
+        )
+
+    @pytest.mark.parametrize("target, max_draws", [(1, 2000), (5, 0)])
+    def test_widths_are_checked_before_drawing(self, rng, monkeypatch, target, max_draws):
+        # One-pair bins fill long before a draw reaches "wide", and a zero
+        # budget draws nothing: the widths are still checked.
+        past_the_limit(monkeypatch, target=target, max_draws=max_draws)
+        molecules = {f"m{i:02d}": toy_molecule(f"m{i:02d}", rng) for i in range(30)}
+        molecules["wide"] = MoleculeRecord("wide", np.zeros(65, dtype=np.uint8), np.zeros(10))
+        with pytest.raises(DimensionError, match="widths differ"):
+            build_similarity_bins(molecules, sorted(molecules))
 
     def test_unreachable_property(self):
         bins = build_similarity_bins({}, [], bin_count=3)
+        assert bins.bin_count == 3
         assert bins.unreachable == [0, 1, 2]
 
 
@@ -190,13 +314,14 @@ class TestPairSampling:
             sa = by_id[p.a].structure_id
             sb = by_id[p.b].structure_id
             want = tanimoto(molecules[sa].fingerprint, molecules[sb].fingerprint)
+            assert type(p.label) is float
             assert p.label in (want, tanimoto(molecules[sb].fingerprint, molecules[sa].fingerprint))
 
     def test_bin_draws_are_uniform_over_reachable(self, rng):
         spectra, molecules = toy_dataset(n_structures=8, spectra_per=2, seed=3)
         bins = build_similarity_bins(molecules, sorted(molecules))
         pairs = sample_uniform_pairs(molecules, spectra, bins, 5000, seed=1)
-        reachable = [k for k, r in enumerate(bins.reservoirs) if r]
+        reachable = [k for k in range(bins.bin_count) if k not in bins.unreachable]
         counts = np.zeros(len(reachable))
         index_of = {k: i for i, k in enumerate(reachable)}
         for p in pairs:
@@ -219,12 +344,34 @@ class TestPairSampling:
         # Drop every spectrum of one structure; its pairs must not appear.
         gone = spectra[0].structure_id
         kept = [s for s in spectra if s.structure_id != gone]
-        bins = build_similarity_bins(molecules, sorted(molecules))
+        names = sorted(molecules)
+        bins = build_similarity_bins(molecules, names)
         pairs = sample_uniform_pairs(molecules, kept, bins, 100, seed=2)
         by_id = {s.id: s for s in kept}
         for p in pairs:
             assert by_id[p.a].structure_id != gone
             assert by_id[p.b].structure_id != gone
+        assert pairs == per_pair_sample(kept, per_pair_bins(molecules, names, 10), 100, 2)
+
+    @pytest.mark.parametrize("past_limit", [False, True])
+    def test_pair_stream_equals_the_per_pair_filter(self, monkeypatch, past_limit):
+        spectra, molecules = toy_dataset(n_structures=30, spectra_per=2, seed=8)
+        # The first four structures keep no spectrum, the next three one.
+        names = sorted(molecules)
+        kept = [
+            s for s in spectra
+            if s.structure_id not in names[:4]
+            and not (s.structure_id in names[4:7] and s.id.endswith("_1"))
+        ]
+        if past_limit:
+            past_the_limit(monkeypatch, target=20, max_draws=1000, block=50)
+            reservoirs = per_pair_sampler(molecules, names, 10, 6, 20, 1000)
+        else:
+            reservoirs = per_pair_bins(molecules, names, 10)
+        bins = build_similarity_bins(molecules, names, seed=6)
+        assert sample_uniform_pairs(molecules, kept, bins, 300, seed=4) == per_pair_sample(
+            kept, reservoirs, 300, 4
+        )
 
     def test_zero_count_allowed(self, rng):
         spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=5)

@@ -379,7 +379,7 @@ def f(cfg, kind):
     assert [line for line, _ in kind_comparisons(source)] == [3, 4, 6]
 
 
-RANKERS = ("search_embedding", "top_k")
+RANKERS = {"search_embedding", "top_k"}
 
 
 def _repeated_parts(node):
@@ -400,17 +400,17 @@ def _repeated_parts(node):
     return parts + first.ifs + [part for g in rest for part in (g.iter, *g.ifs)]
 
 
-def ranking_calls_in_loops(source):
-    """(line, code) of each ``search_embedding`` or ``top_k`` call that
-    runs once per iteration of a loop or comprehension: a caller ranking
-    one query at a time."""
+def calls_in_loops(source, names):
+    """(line, code) of each call of a function in ``names`` that runs
+    once per iteration of a loop or comprehension: a caller doing one
+    item at a time what the function does for a block."""
     found = set()
     for loop in ast.walk(ast.parse(source)):
         for part in _repeated_parts(loop):
             for node in ast.walk(part):
                 if not isinstance(node, ast.Call):
                     continue
-                if getattr(node.func, "id", getattr(node.func, "attr", None)) in RANKERS:
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) in names:
                     found.add((node.lineno, ast.unparse(node)))
     return sorted(found)
 
@@ -421,7 +421,7 @@ def ranking_calls_in_loops(source):
 def test_ranking_is_one_call_per_block(path):
     # search_embedding and top_k rank a block of queries in one call;
     # no caller loops over its queries to rank them.
-    assert ranking_calls_in_loops(path.read_text(encoding="utf-8")) == []
+    assert calls_in_loops(path.read_text(encoding="utf-8"), RANKERS) == []
 
 
 def test_ranking_loop_check_sees_each_kind():
@@ -440,4 +440,31 @@ def f(queries, index, scores, ids):
     g = [x for s in scores for x in top_k(s[None], ids, 1)]
     h = [s for s in scores if search_embedding(s[None], index, 1, ids)]
 """
-    assert [line for line, _ in ranking_calls_in_loops(source)] == [5, 6, 8, 12, 13, 14]
+    assert [line for line, _ in calls_in_loops(source, RANKERS)] == [5, 6, 8, 12, 13, 14]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_tanimoto_is_scored_per_block(path):
+    # tanimoto_many scores a block of fingerprint pairs in one call; no
+    # caller loops over its pairs to score them with tanimoto.
+    assert calls_in_loops(path.read_text(encoding="utf-8"), {"tanimoto"}) == []
+
+
+def test_tanimoto_loop_check_sees_each_kind():
+    source = """
+def f(molecules, pairs, bits):
+    a = tanimoto_many(bits[0], bits)
+    for x, y in pairs:
+        b = tanimoto(molecules[x], molecules[y])
+    c = [siamese.tanimoto(x, y) for x, y in pairs]
+    d = [tanimoto_many(bits[i], bits[i:]) for i in range(len(bits))]
+    e = {x: tanimoto(x, y) for x, y in pairs}
+    for t in tanimoto_many(bits, bits):
+        pass
+    while pairs:
+        pairs = tanimoto(bits[0], bits[1])
+    g = [p for p in pairs if tanimoto(*p)]
+"""
+    assert [line for line, _ in calls_in_loops(source, {"tanimoto"})] == [5, 6, 8, 12, 13]
