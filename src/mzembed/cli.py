@@ -12,6 +12,7 @@ thread budget (``pin_blas``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -45,7 +46,8 @@ class Key:
     default: object = None
 
 
-POSITIVE = (lambda v: v > 0, "must be positive")
+POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be non-negative and finite")
 AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
 FRACTION = (lambda v: 0 <= v <= 1, "must be in [0, 1]")
 MODES = ("siamese", "properties", "properties-baseline")
@@ -68,7 +70,7 @@ SETTINGS: dict[str, Key] = {
     "threshold": Key("Tanimoto threshold of an approximate match", float, FRACTION),
     "tolerance": Key("modified-cosine m/z tolerance", float, POSITIVE),
     "bin-width": Key("properties-baseline m/z bin width", float, POSITIVE),
-    "grid-start": Key("first grid m/z", float, default=0.0),
+    "grid-start": Key("first grid m/z", float, NON_NEGATIVE, default=0.0),
     "grid-step": Key("grid step in Daltons", float, POSITIVE, default=0.02),
     "grid-count": Key("grid row count", int, AT_LEAST_ONE, default=50_000),
     # The model: EncoderConfig.
@@ -83,8 +85,8 @@ SETTINGS: dict[str, Key] = {
     "lambda-max": Key("longest sinusoid wavelength", float, field="encoder.lambda_max"),
     "resolution": Key("token m/z resolution", float, field="encoder.resolution"),
     "max-mz": Key("top m/z of the token vocabulary and baseline bins", float, field="encoder.max_mz"),
-    "precision": Key("m/z input precision: 16, 32 or 64 (:full emulates every op)",
-                     field="encoder.precision"),
+    "precision": Key("m/z input precision in bits; only the sin kind reads it",
+                     choices=("16", "32", "64"), field="encoder.precision"),
     # The optimization: TrainConfig.
     "seed": Key("random seed", int, field="train.seed"),
     "epochs": Key("training epochs", int, field="train.epochs"),
@@ -204,7 +206,7 @@ def build_configs(settings: Settings):
 
     encoder = settings.fields("encoder")
     if "precision" in encoder:
-        encoder["precision"] = PrecisionMode.from_string(encoder["precision"])
+        encoder["precision"] = PrecisionMode(int(encoder["precision"]))
     return EncoderConfig(**encoder), TrainConfig(**settings.fields("train"))
 
 

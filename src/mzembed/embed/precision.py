@@ -1,12 +1,10 @@
-"""Floating-point precision handling for m/z inputs.
+"""Floating-point precision of the m/z inputs.
 
-Two emulation flavors share one type. Input-only mode quantizes the m/z
-value through the target format (IEEE 754 round-to-nearest-even, which
-is what numpy's astype does) and runs all arithmetic at binary64; this
-is the default because the input quantization dominates downstream
-error. Full emulation additionally rounds every primitive operation of
-the embedding arithmetic to the target format by carrying numpy arrays
-of that dtype through the computation.
+A precision is one IEEE 754 format, binary16, binary32 or binary64. The
+m/z value is quantized through it (round-to-nearest-even, which is what
+numpy's astype does), and all arithmetic after the cast runs at
+binary64: the input quantization is the lever the precision ablation
+varies.
 """
 
 from __future__ import annotations
@@ -22,10 +20,9 @@ _DTYPES = {16: np.float16, 32: np.float32, 64: np.float64}
 
 @dataclass(frozen=True)
 class PrecisionMode:
-    """Target format (16/32/64 bits) and emulation sub-mode."""
+    """The target format of the m/z cast: 16, 32 or 64 bits."""
 
     bits: int = 64
-    full_emulation: bool = False
 
     def __post_init__(self):
         if self.bits not in _DTYPES:
@@ -35,20 +32,8 @@ class PrecisionMode:
     def dtype(self):
         return _DTYPES[self.bits]
 
-    @classmethod
-    def from_string(cls, text: str) -> "PrecisionMode":
-        """Parse '16', '32', '64', optionally suffixed ':full' for full emulation."""
-        body, _, sub = text.partition(":")
-        try:
-            bits = int(body)
-        except ValueError:
-            raise ConfigError(f"bad precision {text!r}") from None
-        if sub not in ("", "full", "input"):
-            raise ConfigError(f"bad precision sub-mode {sub!r} in {text!r}")
-        return cls(bits=bits, full_emulation=(sub == "full"))
-
     def __str__(self):
-        return f"binary{self.bits}" + ("-full" if self.full_emulation else "")
+        return f"binary{self.bits}"
 
 
 BINARY16 = PrecisionMode(16)

@@ -54,11 +54,8 @@ def sinusoidal_embed(mz, cfg: SinusoidalConfig, mode: PrecisionMode = BINARY64):
     """Embed m/z values as interleaved sin/cos over the wavelength grid.
 
     Accepts a scalar (returns shape (d,)) or a 1-D array (returns
-    (n, d)). Output is always binary64; the mode controls how much of
-    the arithmetic ran at reduced precision. In full binary16 emulation
-    the fine channels overflow the half-precision range (2*pi*mz ~ 6283
-    divided by 10^-2.5 exceeds 65504) and come back NaN; that saturation
-    is the honest behavior of the format, not an error.
+    (n, d)). The m/z values are cast through ``mode`` (``cast_mz``);
+    the arithmetic after the cast and the output are binary64.
     """
     arr = np.asarray(mz, dtype=np.float64)
     scalar = arr.shape == ()
@@ -68,22 +65,8 @@ def sinusoidal_embed(mz, cfg: SinusoidalConfig, mode: PrecisionMode = BINARY64):
     if np.any(arr < 0):
         raise DataError(f"m/z must be non-negative, got min {arr.min()}")
 
-    grid = wavelengths(cfg)
-    quantized = np.atleast_1d(np.asarray(cast_mz(arr, mode)))
-    if mode.full_emulation:
-        dt = mode.dtype
-        with np.errstate(over="ignore", invalid="ignore"):
-            mzq = quantized.astype(dt)
-            lam = grid.astype(dt)
-            angle = (dt(2.0 * np.pi) * mzq[:, None]) / lam[None, :]
-            sin = np.sin(angle)
-            cos = np.cos(angle)
-    else:
-        angle = (2.0 * np.pi * quantized[:, None]) / grid[None, :]
-        sin = np.sin(angle)
-        cos = np.cos(angle)
-
+    angle = (2.0 * np.pi * cast_mz(arr, mode)[:, None]) / wavelengths(cfg)[None, :]
     out = np.empty((arr.shape[0], cfg.d), dtype=np.float64)
-    out[:, 0::2] = sin
-    out[:, 1::2] = cos
+    out[:, 0::2] = np.sin(angle)
+    out[:, 1::2] = np.cos(angle)
     return out[0] if scalar else out

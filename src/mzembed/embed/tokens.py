@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, NumericsError
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,15 @@ def tokenize_mz(mz, vocab: TokenVocab):
     """Round m/z half-even to the vocabulary resolution and return token ids.
 
     Accepts a scalar (returns int) or array (returns int64 array).
-    Values above max_mz give the unknown token.
+    Finite values rounding above max_mz give the unknown token: they are
+    clipped to its m/z before the integer cast, so no id wraps around.
     """
     arr = np.asarray(mz, dtype=np.float64)
     scalar = arr.shape == ()
     if np.any(arr < 0):
         raise DataError(f"m/z must be non-negative, got min {np.atleast_1d(arr).min()}")
-    ids = np.round(arr / vocab.resolution).astype(np.int64)
-    ids = np.where(ids >= vocab.n_mz_tokens, vocab.unknown_id, ids)
+    if not np.all(np.isfinite(arr)):
+        raise NumericsError("m/z values must be finite")
+    top = vocab.unknown_id * vocab.resolution
+    ids = np.round(np.minimum(arr, top) / vocab.resolution).astype(np.int64)
     return int(ids) if scalar else np.atleast_1d(ids)

@@ -103,7 +103,8 @@ class EncoderConfig:
     Construction builds the embedding config the kind uses, once:
     ``sinusoidal`` for the sin kind (from lambda_min, lambda_max and d),
     ``vocab`` for the token kind (from resolution and max_mz). The other
-    is None, and the other kind's settings are not read.
+    is None, and the other kind's settings are not read. Only the sin
+    kind reads ``precision``; the token kind takes binary64 alone.
     """
 
     d: int = 512
@@ -140,6 +141,11 @@ class EncoderConfig:
             sinusoidal = SinusoidalConfig(self.lambda_min, self.lambda_max, self.d)
             object.__setattr__(self, "sinusoidal", sinusoidal)
         else:
+            if self.precision != BINARY64:
+                raise ConfigError(
+                    "peak embedding kind token reads no m/z precision; "
+                    f"it needs binary64, got {self.precision}"
+                )
             object.__setattr__(self, "vocab", TokenVocab(self.resolution, self.max_mz))
 
     @property

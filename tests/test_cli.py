@@ -29,6 +29,7 @@ from mzembed.cli import (
 from mzembed.data import PROPERTY_NAMES, Peak, Spectrum, load_mgf, serialize_mgf
 from mzembed.embed import PrecisionMode, normalize_intensities
 from mzembed.encoder import EncoderConfig, describe_config
+from mzembed.errors import ConfigError
 from mzembed.search import INDEX_MAGIC
 from mzembed.training import TrainConfig
 
@@ -551,34 +552,19 @@ class TestSearchPredictExport:
 
 
     @pytest.mark.parametrize("embedding,precision", [
-        ("sin", "16:full"), ("sin", "32"), ("sin", "64"), ("token", "64"),
+        ("sin", "16"), ("sin", "32"), ("sin", "64"), ("token", "64"),
     ])
     def test_embedding_export_bytes(self, tmp_path, embedding, precision):
         # The file equals the per-value formatter over mz_embedding of the
-        # grid under the checkpoint's own binary32 weights: full binary16
-        # emulation puts NaNs in the grid, and the token table exports
-        # binary32 values. The per-kind expressions below are the reference
-        # mz_embedding must match bit for bit.
-        from mzembed.cli import build_configs, read_config_file
+        # grid under the checkpoint's own binary32 weights; the token table
+        # exports binary32 values. The per-kind expressions below are the
+        # reference mz_embedding must match bit for bit.
         from mzembed.embed import fractional_mz, mz_embedding, sinusoidal_embed, tokenize_mz
-        from mzembed.encoder import init_weights
-        from mzembed.tensor import FeedForwardParams, Tensor, feed_forward, no_grad, save_checkpoint
+        from mzembed.tensor import FeedForwardParams, Tensor, feed_forward, no_grad
 
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            "schema_version=1\nd=8\nlayers=1\nheads=1\ninner-dim=8\n"
-            f"embedding={embedding}\nprecision={precision}\nmax-mz=100\n"
+        config, out, cfg, weights = saved_export_model(
+            tmp_path, f"embedding={embedding}\nprecision={precision}\n"
             "grid-start=10\ngrid-step=3.7\ngrid-count=25\n"
-        )
-        out = tmp_path / "out"
-        settings = Settings(read_config_file(str(config)), argparse.Namespace())
-        cfg = build_configs(settings)[0]
-        weights = init_weights(cfg, seed=9)
-        out.mkdir()
-        save_checkpoint(
-            out / "model_siamese.ckpt",
-            {k: v.data for k, v in weights.named().items()},
-            run_config_text(settings, "siamese"),
         )
         assert main(
             ["export-embeddings", "--mode", "siamese",
@@ -595,7 +581,7 @@ class TestSearchPredictExport:
             else:
                 old = weights.named()["peak.table"].data[tokenize_mz(grid, cfg.vocab)]
         assert emb.dtype == old.dtype and emb.tobytes() == old.tobytes()
-        assert np.isnan(emb).any() == (precision == "16:full")
+        assert np.all(np.isfinite(emb))
         frac = fractional_mz(grid)
         lines = ["mz\tfrac_mz\tprecision\t" + "\t".join(f"e{i}" for i in range(8))]
         for i in range(grid.shape[0]):
@@ -603,6 +589,76 @@ class TestSearchPredictExport:
             lines.append(f"{grid[i]:.5f}\t{frac[i]:.5f}\t{cfg.precision}\t{comps}")
         want = "\n".join(lines) + "\n"
         assert (out / "embedding_export.tsv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("embedding", ["sin", "token"])
+    @pytest.mark.parametrize("line", [
+        "grid-start=nan", "grid-start=inf", "grid-start=-inf", "grid-start=-0.5",
+        "grid-step=inf", "grid-step=nan", "grid-step=-inf",
+    ])
+    def test_bad_grid_exits_2_before_loading(self, tmp_path, capsys, embedding, line):
+        config, out, _, _ = saved_export_model(tmp_path, f"embedding={embedding}\n{line}\n")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 2
+        key, value = line.split("=")
+        err = capsys.readouterr().err
+        assert f"setting {key!r}" in err and err.endswith(f"got {value!r}\n")
+        assert snapshot(out) == before
+
+    def test_token_grid_beyond_max_mz_exports_the_unknown_row(self, tmp_path):
+        config, out, cfg, weights = saved_export_model(
+            tmp_path, "embedding=token\ngrid-start=1e300\ngrid-step=1e300\ngrid-count=3\n"
+        )
+        assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 0
+        rows = (out / "embedding_export.tsv").read_text().splitlines()[1:]
+        unknown = weights.named()["peak.table"].data[cfg.vocab.unknown_id]
+        want = "\t".join(f"{v:.8g}" for v in unknown)
+        assert len(rows) == 3 and all(row.endswith("\tbinary64\t" + want) for row in rows)
+
+    @pytest.mark.parametrize("precision", ["16", "64"])
+    def test_checkpoint_of_the_removed_full_mode_exits_2(self, tmp_path, capsys, precision):
+        # A checkpoint saved when the precision setting still took "16:full"
+        # carries the digest of "precision=binary16-full"; no spelling
+        # accepted now describes that config.
+        from mzembed.tensor import load_checkpoint, save_checkpoint
+
+        config, out, _, _ = saved_export_model(tmp_path, f"precision={precision}\n")
+        settings = Settings(read_config_file(str(config)), argparse.Namespace())
+        text = run_config_text(settings, "siamese")
+        full = re.sub(r"^precision=binary\d+$", "precision=binary16-full", text, flags=re.M)
+        assert full != text
+        ckpt = out / "model_siamese.ckpt"
+        records, _ = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, records, full)
+        capsys.readouterr()
+        assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "config digest does not match" in capsys.readouterr().err
+        assert not (out / "embedding_export.tsv").exists()
+
+
+def saved_export_model(tmp_path, lines):
+    """A d=8 config with ``lines`` added, and a seed-9 siamese checkpoint
+    saved under it in tmp_path/out: (config, out, EncoderConfig, weights)."""
+    from mzembed.encoder import init_weights
+    from mzembed.tensor import save_checkpoint
+
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "schema_version=1\nd=8\nlayers=1\nheads=1\ninner-dim=8\nmax-mz=100\n" + lines
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    # Settings without the grid keys, so a bad grid value still saves.
+    values = {k: v for k, v in read_config_file(str(config)).items() if not k.startswith("grid-")}
+    settings = Settings(values, argparse.Namespace())
+    cfg = build_configs(settings)[0]
+    weights = init_weights(cfg, seed=9)
+    save_checkpoint(
+        out / "model_siamese.ckpt",
+        {k: v.data for k, v in weights.named().items()},
+        run_config_text(settings, "siamese"),
+    )
+    return config, out, cfg, weights
 
 
 EVAL_OUTPUTS = (
@@ -968,9 +1024,7 @@ DESCRIBE_TOKEN = (
     "layers=1\nmax_fragments=512\nmax_mz=2000.0\nprecision={}\n"
     "resolution=0.1\nschema_version=1\n"
 )
-PRECISIONS = {
-    "16": "binary16", "32": "binary32", "64": "binary64", "64:full": "binary64-full",
-}
+PRECISIONS = {"16": "binary16", "32": "binary32", "64": "binary64"}
 
 
 def settings_of(**values):
@@ -979,16 +1033,51 @@ def settings_of(**values):
 
 
 class TestConfigText:
-    @pytest.mark.parametrize("precision", sorted(PRECISIONS))
-    @pytest.mark.parametrize("kind,golden", [("sin", DESCRIBE_SIN), ("token", DESCRIBE_TOKEN)])
+    @pytest.mark.parametrize("kind,golden,precision", [
+        *(("sin", DESCRIBE_SIN, p) for p in sorted(PRECISIONS)), ("token", DESCRIBE_TOKEN, "64"),
+    ])
     def test_describe_config_and_run_config_text(self, kind, golden, precision):
         want = golden.format(PRECISIONS[precision])
         cfg = EncoderConfig(
-            d=8, layers=1, heads=2, kind=kind, precision=PrecisionMode.from_string(precision)
+            d=8, layers=1, heads=2, kind=kind, precision=PrecisionMode(int(precision))
         )
         assert describe_config(cfg) == want
         text = run_config_text(settings_of(embedding=kind, precision=precision), "siamese")
         assert text == want + "mode=siamese\n"
+
+    @pytest.mark.parametrize("precision", ["16", "32"])
+    def test_token_kind_refuses_a_reduced_precision(self, tmp_path, capsys, precision):
+        # The token kind never casts m/z, so a reduced precision would
+        # name another config for the same model.
+        message = (
+            "peak embedding kind token reads no m/z precision; "
+            f"it needs binary64, got binary{precision}"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            EncoderConfig(d=8, layers=1, heads=2, kind="token",
+                          precision=PrecisionMode(int(precision)))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_config_text(settings_of(embedding="token", precision=precision), "siamese")
+        capsys.readouterr()
+        assert main(["export-embeddings", "--embedding", "token", "--precision", precision,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["16:full", "64:full", "32:input", "1_6", "+64", "064", "３２"])
+    def test_precision_spellings_other_than_the_widths_exit_2(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-embeddings", "--precision", value, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"invalid choice: {value!r}" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"schema_version=1\nprecision={value}\n", encoding="utf-8")
+        assert main(["export-embeddings", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: setting 'precision' must be one of 16/32/64, got {value!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_embedding_settings_reach_the_text(self):
         sin = settings_of(**{"lambda-min": "0.01", "lambda-max": "1000"})

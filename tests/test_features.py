@@ -21,7 +21,7 @@ from mzembed.embed import (
 )
 from mzembed.embed.features import bin_count
 from mzembed.encoder import EncoderConfig, init_weights
-from mzembed.errors import ConfigError, DataError
+from mzembed.errors import ConfigError, DataError, NumericsError
 
 
 class TestTokenVocab:
@@ -55,6 +55,31 @@ class TestTokenVocab:
     def test_rounding_down_to_max_is_known(self):
         vocab = TokenVocab()
         assert tokenize_mz(np.array([2000.04]), vocab)[0] == 20000
+
+    @pytest.mark.parametrize("mz", [1e300, np.finfo(np.float64).max, 2.0 ** 63, 9.3e17])
+    def test_huge_finite_mz_is_unknown(self, mz):
+        vocab = TokenVocab()
+        assert tokenize_mz(mz, vocab) == vocab.unknown_id
+        assert np.array_equal(tokenize_mz(np.array([mz, 1.0]), vocab), [vocab.unknown_id, 10])
+
+    @pytest.mark.parametrize("mz", [np.nan, np.inf])
+    def test_non_finite_mz_raises(self, mz):
+        with pytest.raises(NumericsError, match="^m/z values must be finite$"):
+            tokenize_mz(np.array([1.0, mz]), TokenVocab())
+        with pytest.raises(NumericsError):
+            tokenize_mz(mz, TokenVocab())
+
+    @pytest.mark.parametrize(
+        "resolution,max_mz", [(0.01, 2000.0), (0.1, 2000.0), (0.3, 1000.1), (1.0, 50.0)]
+    )
+    def test_ids_are_the_rounded_quotients(self, rng, resolution, max_mz):
+        vocab = TokenVocab(resolution, max_mz)
+        top = vocab.unknown_id * resolution
+        edges = [0.0, resolution / 2, max_mz, top, np.nextafter(top, 0), np.nextafter(top, np.inf)]
+        mz = np.concatenate([rng.uniform(0.0, 1.5 * max_mz, 20000), edges])
+        want = np.round(mz / vocab.resolution).astype(np.int64)
+        want[want >= vocab.n_mz_tokens] = vocab.unknown_id
+        assert np.array_equal(tokenize_mz(mz, vocab), want)
 
 
 class TestNormalization:

@@ -62,33 +62,18 @@ class TestOracleSelfChecks:
 
 class TestPrecisionMode:
     def test_defaults(self):
-        mode = PrecisionMode()
-        assert mode.bits == 64 and mode.full_emulation is False
+        assert PrecisionMode() == BINARY64
         assert BINARY64.bits == 64 and BINARY16.bits == 16 and BINARY32.bits == 32
 
-    @pytest.mark.parametrize(
-        "text, bits, full",
-        [
-            ("16", 16, False),
-            ("32", 32, False),
-            ("64", 64, False),
-            ("16:full", 16, True),
-            ("32:input", 32, False),
-            ("64:full", 64, True),
-        ],
-    )
-    def test_from_string(self, text, bits, full):
-        mode = PrecisionMode.from_string(text)
-        assert (mode.bits, mode.full_emulation) == (bits, full)
+    @pytest.mark.parametrize("bits", [0, 8, 63, 128])
+    def test_rejects_other_widths(self, bits):
+        with pytest.raises(ConfigError, match=f"got {bits}$"):
+            PrecisionMode(bits)
 
-    def test_from_string_rejects_garbage(self):
-        for bad in ("8", "sixteen", "16:quick", ""):
-            with pytest.raises(ConfigError):
-                PrecisionMode.from_string(bad)
-
-    def test_str_round_trips(self):
-        assert str(PrecisionMode(16, True)) == "binary16-full"
-        assert str(BINARY64) == "binary64"
+    def test_str_names_the_format(self):
+        assert [str(m) for m in (BINARY16, BINARY32, BINARY64)] == [
+            "binary16", "binary32", "binary64"
+        ]
 
     def test_dtype_property(self):
         assert PrecisionMode(16).dtype == np.float16

@@ -13,7 +13,6 @@ from mzembed.embed import (
     BINARY64,
     LAMBDA_MAX_DEFAULT,
     LAMBDA_MIN_DEFAULT,
-    PrecisionMode,
     SinusoidalConfig,
     sinusoidal_embed,
     wavelengths,
@@ -87,7 +86,7 @@ class TestEmbedding:
 
 
 class TestInputPrecision:
-    """Input-only casting: quantize m/z, then binary64 arithmetic."""
+    """The cast: quantize m/z, then binary64 arithmetic."""
 
     def test_binary16_equals_embedding_of_rounded_mz(self, rng):
         cfg = SinusoidalConfig(d=32)
@@ -125,34 +124,11 @@ class TestInputPrecision:
         assert np.max(np.abs(full[:, :2] - half[:, :2])) > 0.1
         assert np.max(np.abs(full[:, -2:] - half[:, -2:])) < 1e-5
 
-
-class TestFullEmulation:
-    def test_binary64_full_equals_input_only(self, rng):
-        cfg = SinusoidalConfig(d=16)
-        mz = rng.uniform(0.0, 2000.0, 50)
-        assert np.array_equal(
-            sinusoidal_embed(mz, cfg, PrecisionMode(64, True)),
-            sinusoidal_embed(mz, cfg, BINARY64),
-        )
-
-    def test_binary32_full_carries_float32_rounding(self, rng):
-        cfg = SinusoidalConfig(d=16)
-        mz = rng.uniform(100.0, 1000.0, 50)
-        full = sinusoidal_embed(mz, cfg, PrecisionMode(32, True))
-        inp = sinusoidal_embed(mz, cfg, BINARY32)
-        assert full.dtype == np.float64
-        # Same quantized inputs, but the binary32 angle has an ulp of
-        # about 0.125 rad in the finest channel near 1000 Da, so fine
-        # channels drift while coarse ones stay put.
-        assert not np.array_equal(full, inp)
-        assert np.all(np.abs(full) <= 1.0 + 1e-6)
-        assert np.allclose(full[:, -4:], inp[:, -4:], atol=1e-3)
-
-    def test_binary16_full_saturates_fine_channels(self):
-        # 2*pi*mz/lambda overflows binary16 above roughly 33 Da in the
-        # finest channel; the documented behavior is NaN there.
-        cfg = SinusoidalConfig(d=512)
-        out = sinusoidal_embed(np.array([500.0]), cfg, PrecisionMode(16, True))
-        assert np.isnan(out[0, 0])
-        # Coarse channels stay finite.
-        assert np.all(np.isfinite(out[0, -64:]))
+    @pytest.mark.parametrize("mode", [BINARY16, BINARY32, BINARY64], ids=str)
+    def test_finite_over_the_mass_range(self, mode):
+        # The README wavelengths at d=256 over m/z 0-2000: the cast is the
+        # only reduced-precision step, so no channel overflows or goes NaN.
+        cfg = SinusoidalConfig(d=256)
+        out = sinusoidal_embed(np.linspace(0.0, 2000.0, 8001), cfg, mode)
+        assert out.shape == (8001, 256)
+        assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0)
