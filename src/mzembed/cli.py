@@ -271,18 +271,17 @@ def split_sets(spectra, assignment):
 def load_model(settings: Settings, mode: str):
     """Load the mode's checkpoint, refusing on config digest mismatch.
 
-    Apart from a property model's label scaler, the records must be the
-    mode's parameter table exactly: the encoder's, with the property head
-    in mode properties, or the binned baseline's. ``load_table`` refuses
-    a missing, unknown or wrong-shaped record. The weights come back as
-    the table's inference copy, binary64 column-major
-    (``ModelWeights.for_inference``); no binary32 copy is kept.
+    The records must be the mode's layout exactly: the encoder's table,
+    with the property head in mode properties, or the binned baseline's;
+    a property mode's layout ends with the label scaler's records
+    (``properties.SCALER_SHAPES``). ``load_table`` refuses a missing,
+    unknown or wrong-shaped record. The weights come back as the table's
+    inference copy, binary64 column-major (``ModelWeights.for_inference``);
+    no binary32 copy is kept. The scaler is None in mode siamese.
     """
-    import numpy as np
-
     from .embed.features import bin_count
     from .encoder import load_table, parameter_shapes
-    from .properties import N_PROPERTIES, LabelScaler, baseline_shapes
+    from .properties import N_PROPERTIES, SCALER_SHAPES, LabelScaler, baseline_shapes
     from .tensor import load_checkpoint
 
     enc_cfg, _ = build_configs(settings)
@@ -292,17 +291,15 @@ def load_model(settings: Settings, mode: str):
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     records, _ = load_checkpoint(ckpt, config_text)
 
-    scaler = None
-    if "scaler.mean" in records and "scaler.std" in records:
-        scaler = LabelScaler(
-            mean=records.pop("scaler.mean").astype(np.float64),
-            std=records.pop("scaler.std").astype(np.float64),
-        )
+    if mode == "siamese":
+        weights = load_table(records, parameter_shapes(enc_cfg, None))
+        return weights.for_inference(), None, enc_cfg
     if mode == "properties-baseline":
         shapes = baseline_shapes(bin_count(*baseline_bins(settings, enc_cfg)), enc_cfg.d)
     else:
-        shapes = parameter_shapes(enc_cfg, N_PROPERTIES if mode == "properties" else None)
-    return load_table(records, shapes).for_inference(), scaler, enc_cfg
+        shapes = parameter_shapes(enc_cfg, N_PROPERTIES)
+    weights, scaler = LabelScaler.split(load_table(records, shapes | SCALER_SHAPES))
+    return weights.for_inference(), scaler, enc_cfg
 
 
 # ------------------------------------------------------------- commands
@@ -364,8 +361,6 @@ def _encoder_mode(settings: Settings) -> str:
 
 
 def cmd_train(settings: Settings) -> int:
-    import numpy as np
-
     from .properties import train_properties
     from .siamese import train_siamese
     from .tensor import save_checkpoint
@@ -388,9 +383,7 @@ def cmd_train(settings: Settings) -> int:
             baseline=(mode == "properties-baseline"),
             bin_width=bin_width, bin_max_mz=bin_max_mz,
         )
-        named = {k: v.data for k, v in model.named().items()}
-        named["scaler.mean"] = scaler.mean.astype(np.float32)
-        named["scaler.std"] = scaler.std.astype(np.float32)
+        named = {k: v.data for k, v in model.named().items()} | scaler.records()
 
     ckpt = checkpoint_path(settings, mode)
     publish(ckpt, lambda tmp: save_checkpoint(tmp, named, config_text))
@@ -402,6 +395,8 @@ def cmd_train(settings: Settings) -> int:
 
 
 def cmd_eval(settings: Settings) -> int:
+    from .properties import evaluate_properties, property_predictor
+
     mode = settings.get("mode")
     spectra, molecules, assignment = load_dataset(settings)
     train, known, novel = split_sets(spectra, assignment)
@@ -409,7 +404,12 @@ def cmd_eval(settings: Settings) -> int:
 
     if mode == "siamese":
         return _eval_siamese(settings, train, known, novel, molecules, model, enc_cfg)
-    return _eval_properties(settings, mode, known, novel, molecules, model, scaler, enc_cfg)
+    predict_fn = property_predictor(model, scaler, enc_cfg, *baseline_bins(settings, enc_cfg))
+    report = evaluate_properties({"known": known, "novel": novel}, molecules, predict_fn)
+    path = out_path(settings, f"property_report_{mode}.tsv")
+    publish(path, report.serialize())
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) -> int:
@@ -475,27 +475,6 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
     return EXIT_OK
 
 
-def _property_predictor(settings, model, scaler, enc_cfg):
-    """Natural-unit property predictions from a loaded checkpoint."""
-    from .properties import property_predictor
-
-    if scaler is None:
-        raise CheckpointError("checkpoint carries no label scaler; retrain")
-    return property_predictor(model, scaler, enc_cfg, *baseline_bins(settings, enc_cfg))
-
-
-def _eval_properties(settings, mode, known, novel, molecules, model, scaler, enc_cfg) -> int:
-    from .properties import evaluate_properties
-
-    predict_fn = _property_predictor(settings, model, scaler, enc_cfg)
-    eval_sets = {name: part for name, part in (("known", known), ("novel", novel)) if part}
-    report = evaluate_properties(eval_sets, molecules, predict_fn)
-    path = out_path(settings, f"property_report_{mode}.tsv")
-    publish(path, report.serialize())
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def cmd_search(settings: Settings) -> int:
     from .encoder import encode_many
     from .search import cached_index, search_embedding
@@ -522,6 +501,7 @@ def cmd_search(settings: Settings) -> int:
 
 def cmd_predict(settings: Settings) -> int:
     from .data import PROPERTY_NAMES
+    from .properties import property_predictor
 
     mode = settings.get("mode", "properties")
     if mode == "siamese":
@@ -529,7 +509,8 @@ def cmd_predict(settings: Settings) -> int:
             "the siamese model predicts no properties; "
             "use mode properties or properties-baseline"
         )
-    predict_fn = _property_predictor(settings, *load_model(settings, mode))
+    model, scaler, enc_cfg = load_model(settings, mode)
+    predict_fn = property_predictor(model, scaler, enc_cfg, *baseline_bins(settings, enc_cfg))
     queries = load_queries(settings)
     preds = predict_fn(queries)
     lines = ["spectrum_id\t" + "\t".join(PROPERTY_NAMES)]

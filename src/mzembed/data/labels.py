@@ -22,17 +22,19 @@ PROPERTY_NAMES = (
     "qed",
 )
 
-_HEX_BITS = {f"{v:x}": [(v >> (3 - b)) & 1 for b in range(4)] for v in range(16)}
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _hex_to_bits(token: str, line_no: int) -> np.ndarray:
-    bits: list[int] = []
-    for ch in token.lower():
-        try:
-            bits.extend(_HEX_BITS[ch])
-        except KeyError:
-            raise ParseError(f"invalid hex digit {ch!r} in fingerprint", line_no) from None
-    return np.array(bits, dtype=np.uint8)
+    """Four bits per hex digit, most significant first. The digits are
+    checked first: ``bytes.fromhex`` would skip inner whitespace."""
+    token = token.lower()
+    if not _HEX_DIGITS.issuperset(token):
+        bad = next(ch for ch in token if ch not in _HEX_DIGITS)
+        raise ParseError(f"invalid hex digit {bad!r} in fingerprint", line_no)
+    pad = len(token) % 2
+    packed = np.frombuffer(bytes.fromhex("0" * pad + token), dtype=np.uint8)
+    return np.unpackbits(packed)[4 * pad:]
 
 
 def parse_fingerprints(text: str) -> dict[str, np.ndarray]:

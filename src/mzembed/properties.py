@@ -8,7 +8,8 @@ network over binned spectra with a table of its own
 copy serve it too. Labels are standardized to zero mean and unit
 variance on the training split; predictions pass through the inverse
 scaler before any reporting, so R-squared is always computed in natural
-units.
+units. A property checkpoint stores the scaler as the last two records
+of its layout (``SCALER_SHAPES``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
 N_PROPERTIES = len(PROPERTY_NAMES)
 DEFAULT_BIN_WIDTH = 0.1  # m/z bin width of the baseline's binned spectra
+# The label scaler's checkpoint records, which end a property model's layout.
+SCALER_SHAPES = {"scaler.mean": (N_PROPERTIES,), "scaler.std": (N_PROPERTIES,)}
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,18 @@ class LabelScaler:
     def invert(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) * self.std + self.mean
 
+    def records(self) -> dict[str, np.ndarray]:
+        """This scaler's checkpoint records, binary32."""
+        return {n: v.astype(np.float32) for n, v in zip(SCALER_SHAPES, (self.mean, self.std))}
+
+    @classmethod
+    def split(cls, weights: ModelWeights) -> tuple[ModelWeights, LabelScaler]:
+        """A loaded property model's table without its scaler records, and
+        the scaler they hold, in binary64."""
+        table = dict(weights.named())
+        mean, std = (table.pop(name).data.astype(np.float64) for name in SCALER_SHAPES)
+        return ModelWeights(table), cls(mean=mean, std=std)
+
 
 def r2_score(predicted, actual) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot."""
@@ -109,15 +124,9 @@ def baseline_shapes(n_bins: int, d: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_baseline(n_bins: int, d: int, seed: int) -> ModelWeights:
-    """Fresh baseline weights (see ``encoder.init_table``)."""
-    return init_table(baseline_shapes(n_bins, d), seed)
-
-
 def baseline_forward(x: Tensor, params: ModelWeights) -> Tensor:
     t = params.named()
-    h = relu(linear(x, t["baseline.w1"], t["baseline.b1"]))
-    h = relu(linear(h, t["baseline.w2"], t["baseline.b2"]))
+    h = relu(feed_forward(x, FeedForwardParams.of(t, "baseline")))
     return linear(h, t["baseline.w3"], t["baseline.b3"])
 
 
@@ -201,36 +210,19 @@ class PropertyReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_r2(
-    predictions: np.ndarray | None, labels: np.ndarray | None
-) -> list[float]:
-    if predictions is None:
-        return [float("nan")] * N_PROPERTIES
-    return [
-        r2_score(predictions[:, j], labels[:, j]) for j in range(N_PROPERTIES)
-    ]
-
-
 def evaluate_properties(
     eval_sets: dict[str, list[Spectrum]],
     molecules: dict[str, MoleculeRecord],
     predict_fn,
 ) -> PropertyReport:
     """Build the known/novel R-squared table from a prediction callable."""
-    per_split: dict[str, list[float]] = {}
-    for name in ("known", "novel"):
-        spectra = eval_sets.get(name)
-        if spectra:
-            labels = spectrum_labels(spectra, molecules)
-            preds = predict_fn(spectra)
-            per_split[name] = _split_r2(preds, labels)
-        else:
-            per_split[name] = _split_r2(None, None)
-    rows = [
-        (PROPERTY_NAMES[j], per_split["known"][j], per_split["novel"][j])
-        for j in range(N_PROPERTIES)
-    ]
-    return PropertyReport(rows=rows)
+    per_split = dict.fromkeys(("known", "novel"), [float("nan")] * N_PROPERTIES)
+    for name in per_split:
+        if eval_sets.get(name):
+            labels = spectrum_labels(eval_sets[name], molecules)
+            preds = predict_fn(eval_sets[name])
+            per_split[name] = [r2_score(preds[:, j], labels[:, j]) for j in range(N_PROPERTIES)]
+    return PropertyReport(rows=list(zip(PROPERTY_NAMES, per_split["known"], per_split["novel"])))
 
 
 def train_properties(
@@ -260,7 +252,7 @@ def train_properties(
         binned = np.stack(
             [bin_spectrum(s, bin_width, bin_max_mz) for s in train_spectra], axis=0
         )
-        model = init_baseline(binned.shape[1], enc_cfg.d, trn_cfg.seed)
+        model = init_table(baseline_shapes(binned.shape[1], enc_cfg.d), trn_cfg.seed)
 
         def forward(indices, rng):
             return baseline_forward(Tensor(binned[indices]), model)

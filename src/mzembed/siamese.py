@@ -224,7 +224,6 @@ def train_siamese(
     trn_cfg: TrainConfig,
     enc_cfg: EncoderConfig,
     eval_sets: dict[str, list[Spectrum]] | None = None,
-    weights: ModelWeights | None = None,
 ) -> tuple[ModelWeights, TrainLog]:
     """Train twin encoders with shared weights on uniform-similarity pairs.
 
@@ -244,8 +243,7 @@ def train_siamese(
         raise DataError("no labeled structures in the training spectra")
     bins = build_similarity_bins(molecules, train_structures, seed=trn_cfg.seed)
 
-    if weights is None:
-        weights = init_weights(enc_cfg, seed=trn_cfg.seed)
+    weights = init_weights(enc_cfg, seed=trn_cfg.seed)
     params = weights.named()
     adam = make_optimizer(params, trn_cfg)
 

@@ -47,6 +47,29 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str) -> No
             fh.write(data.tobytes())
 
 
+def _config_changes(path, digest: bytes, config_text: str) -> str:
+    """Each key whose value differs between ``config_text`` and the
+    config text saved beside the checkpoint in ``<path>.config``, as
+    ``train`` writes it, with both values; "" if that file is absent or
+    holds another config."""
+    try:
+        with open(f"{path}.config", encoding="utf-8", errors="replace", newline="") as fh:
+            saved = fh.read()
+    except OSError:
+        return ""
+    if config_digest(saved) != digest:
+        return ""
+    have, want = (
+        dict(line.partition("=")[::2] for line in text.splitlines())
+        for text in (saved, config_text)
+    )
+    return "; ".join(
+        f"{k} is {have.get(k, 'unset')} in the checkpoint, {want.get(k, 'unset')} requested"
+        for k in sorted(have.keys() | want.keys())
+        if have.get(k) != want.get(k)
+    )
+
+
 def _read_exact(fh, n, what):
     buf = fh.read(n)
     if len(buf) != n:
@@ -56,7 +79,8 @@ def _read_exact(fh, n, what):
 
 def load_checkpoint(path, config_text: str | None = None):
     """Return (params, digest). With ``config_text`` given, a digest
-    mismatch raises instead of returning."""
+    mismatch raises instead of returning, naming the differing keys when
+    the checkpoint's config text is saved beside it."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise CheckpointError(f"{path}: not a weight checkpoint (bad magic)")
@@ -65,8 +89,10 @@ def load_checkpoint(path, config_text: str | None = None):
             raise CheckpointError(f"{path}: unsupported format version {version}")
         digest = _read_exact(fh, 32, "config digest")
         if config_text is not None and digest != config_digest(config_text):
+            changes = _config_changes(path, digest, config_text)
             raise CheckpointError(
                 f"{path}: checkpoint config digest does not match the requested config"
+                + (f": {changes}" if changes else "")
             )
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
         params: dict[str, np.ndarray] = {}

@@ -108,9 +108,11 @@ class TestInitDigests:
 
     @staticmethod
     def baseline_named():
-        from mzembed.properties import init_baseline
+        from mzembed.encoder import init_table
+        from mzembed.properties import baseline_shapes
 
-        return {k: v.data for k, v in init_baseline(40, 8, seed=7).named().items()}
+        weights = init_table(baseline_shapes(40, 8), seed=7)
+        return {k: v.data for k, v in weights.named().items()}
 
     @pytest.mark.parametrize("model,want", [
         ("sin", "5347c89a8502efe2b363b95acbc293f4c3b6cef61f8559a743b19c4132218537"),

@@ -310,10 +310,13 @@ class TestEval:
         assert main(["eval", "--mode", "properties-baseline", *common_args(workspace)]) == 0
         assert (workspace["out"] / "property_report_properties-baseline.tsv").exists()
 
-    def test_config_digest_mismatch_exits_2(self, workspace, tmp_path):
-        # Same checkpoint, different architecture settings.
+    def test_config_digest_mismatch_exits_2(self, workspace, tmp_path, capsys):
+        # Same checkpoint, different architecture settings. The config text
+        # train saved beside the checkpoint names the differing key.
         other = tmp_path / "other.cfg"
         other.write_text(CONFIG_SMALL.replace("heads=1", "heads=2"))
+        before = snapshot(workspace["out"])
+        capsys.readouterr()
         code = main(
             ["eval", "--mode", "siamese",
              "--config", str(other),
@@ -322,6 +325,11 @@ class TestEval:
              "--properties", str(workspace["properties"])]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace['out'] / 'model_siamese.ckpt'}: checkpoint config digest "
+            "does not match the requested config: heads is 1 in the checkpoint, 2 requested\n"
+        )
+        assert snapshot(workspace["out"]) == before
 
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         code = main(
@@ -439,7 +447,8 @@ class TestSearchPredictExport:
 
     def test_baseline_predictions_match_predict_baseline(self, workspace, tmp_path):
         from mzembed.encoder import load_table
-        from mzembed.properties import LabelScaler, baseline_shapes, predict_baseline
+        from mzembed.properties import SCALER_SHAPES, LabelScaler, baseline_shapes
+        from mzembed.properties import predict_baseline
         from mzembed.tensor import load_checkpoint
 
         queries = tmp_path / "queries.mgf"
@@ -451,11 +460,8 @@ class TestSearchPredictExport:
         assert code == 0
 
         params, _ = load_checkpoint(workspace["out"] / "model_properties-baseline.ckpt")
-        scaler = LabelScaler(
-            mean=params.pop("scaler.mean").astype(np.float64),
-            std=params.pop("scaler.std").astype(np.float64),
-        )
-        model = load_table(params, baseline_shapes(20_000, 8))  # 2000 / 0.1 bins
+        shapes = baseline_shapes(20_000, 8) | SCALER_SHAPES  # 2000 / 0.1 bins
+        model, scaler = LabelScaler.split(load_table(params, shapes))
         spectra = sorted(
             (normalize_intensities(s) for s in load_mgf(queries)), key=lambda s: s.id
         )
@@ -497,6 +503,61 @@ class TestSearchPredictExport:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert snapshot(workspace["out"]) == before
+
+    @pytest.mark.parametrize("edit,message", [
+        ("missing", "checkpoint has no record 'scaler.std'"),
+        ("short", "checkpoint record 'scaler.mean': shape (1,) does not match the model's (10,)"),
+        ("long", "checkpoint record 'scaler.mean': shape (3,) does not match the model's (10,)"),
+    ], ids=["missing", "short", "long"])
+    @pytest.mark.parametrize("mode", ["properties", "properties-baseline"])
+    def test_malformed_scaler_exits_2(self, workspace, tmp_path, capsys, mode, edit, message):
+        # The scaler's records end the property layout and load_table
+        # checks them: unchecked, a (1,) mean would rescale every property
+        # by the first one's, and a (3,) mean would fail inside numpy.
+        from mzembed.tensor import load_checkpoint, save_checkpoint
+
+        trained = workspace["out"] / f"model_{mode}.ckpt"
+        records, _ = load_checkpoint(trained)
+        if edit == "missing":
+            del records["scaler.std"]
+        else:
+            records["scaler.mean"] = records["scaler.mean"][: 1 if edit == "short" else 3]
+        edited = tmp_path / "edited.ckpt"
+        save_checkpoint(edited, records, Path(f"{trained}.config").read_text())
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+        before = snapshot(workspace["out"])
+        capsys.readouterr()
+        code = main(
+            ["predict", "--mode", mode, "--queries", str(queries),
+             "--checkpoint", str(edited), *common_args(workspace)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert snapshot(workspace["out"]) == before
+
+    def test_siamese_checkpoint_with_a_scaler_exits_2(self, workspace, tmp_path, capsys):
+        from mzembed.tensor import load_checkpoint, save_checkpoint
+
+        trained = workspace["out"] / "model_siamese.ckpt"
+        records, _ = load_checkpoint(trained)
+        property_records, _ = load_checkpoint(workspace["out"] / "model_properties.ckpt")
+        records.update((name, property_records[name]) for name in ("scaler.mean", "scaler.std"))
+        edited = tmp_path / "edited.ckpt"
+        save_checkpoint(edited, records, Path(f"{trained}.config").read_text())
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+        before = snapshot(workspace["out"])
+        capsys.readouterr()
+        code = main(
+            ["search", "--mode", "siamese", "--queries", str(queries),
+             "--checkpoint", str(edited), *common_args(workspace)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint record 'scaler.mean' is not a parameter of this model\n"
+        )
         assert snapshot(workspace["out"]) == before
 
     @pytest.mark.parametrize("command", ["export-embeddings", "search"])
@@ -630,9 +691,22 @@ class TestSearchPredictExport:
         ckpt = out / "model_siamese.ckpt"
         records, _ = load_checkpoint(ckpt)
         save_checkpoint(ckpt, records, full)
+        refused = f"error: {ckpt}: checkpoint config digest does not match the requested config"
+        # Without the checkpoint's own config text beside it, or with a
+        # stale one, the differing keys are unknown.
+        for saved in (None, text):
+            if saved is not None:
+                (out / "model_siamese.ckpt.config").write_text(saved)
+            capsys.readouterr()
+            assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err == refused + "\n"
+        (out / "model_siamese.ckpt.config").write_text(full)
         capsys.readouterr()
         assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 2
-        assert "config digest does not match" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"{refused}: precision is binary16-full in the checkpoint, "
+            f"binary{precision} requested\n"
+        )
         assert not (out / "embedding_export.tsv").exists()
 
 

@@ -27,6 +27,7 @@ from mzembed.data import (
     write_manifest,
     write_rejection_log,
 )
+from mzembed.data import labels
 from mzembed.data.labels import PROPERTY_NAMES
 from mzembed.embed.features import normalize_intensities
 from mzembed.errors import DataError, ParseError
@@ -231,6 +232,50 @@ class TestLabels:
     def test_fingerprint_bad_hex_rejected(self):
         with pytest.raises(ParseError):
             parse_fingerprints("m1\txyzw\n")
+
+
+def per_digit_hex_to_bits(token, line_no):
+    """The former decoder, one table lookup per hex digit: the reference
+    for ``labels._hex_to_bits``."""
+    table = {f"{v:x}": [(v >> (3 - b)) & 1 for b in range(4)] for v in range(16)}
+    bits = []
+    for ch in token.lower():
+        try:
+            bits.extend(table[ch])
+        except KeyError:
+            raise ParseError(f"invalid hex digit {ch!r} in fingerprint", line_no) from None
+    return np.array(bits, dtype=np.uint8)
+
+
+class TestHexDecoding:
+    @staticmethod
+    def outcome(decode, token):
+        try:
+            bits = decode(token, 7)
+        except ParseError as err:
+            return str(err), err.line
+        return bits.dtype, bits.shape, bits.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 8, 255, 256])
+    def test_bits_match_the_per_digit_decoder(self, rng, length):
+        for _ in range(20):
+            token = "".join(rng.choice(list("0123456789abcdefABCDEF"), size=length))
+            want = self.outcome(per_digit_hex_to_bits, token)
+            assert self.outcome(labels._hex_to_bits, token) == want, token
+            assert want[1] == (4 * length,)
+
+    @pytest.mark.parametrize("bad", [
+        " ", "\t", "\r", "\x0b", "\x0c", "g", "x", "G", "-", "+", ".", "\x00",
+        "٣", "０", "é", "İ",
+    ])
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_refusals_match_the_per_digit_decoder(self, bad, where):
+        # bytes.fromhex would skip the ASCII whitespace, and "İ"
+        # lowercases to two characters, the first an ASCII "i".
+        token = {"start": bad + "a0f", "middle": "a0" + bad + "f", "end": "a0f" + bad}[where]
+        want = self.outcome(per_digit_hex_to_bits, token)
+        assert want[0].startswith("line 7: invalid hex digit")
+        assert self.outcome(labels._hex_to_bits, token) == want
 
     def test_properties_header_is_strict(self):
         header = "structure_id\t" + "\t".join(PROPERTY_NAMES)

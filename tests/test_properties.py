@@ -7,7 +7,7 @@ import pytest
 from conftest import toy_dataset, toy_spectrum
 from mzembed.data import PROPERTY_NAMES
 from mzembed.embed import bin_spectrum
-from mzembed.encoder import EncoderConfig, init_weights
+from mzembed.encoder import EncoderConfig, init_table, init_weights
 from mzembed.errors import ConfigError, DataError, NumericsError
 from mzembed.properties import (
     LabelScaler,
@@ -15,7 +15,6 @@ from mzembed.properties import (
     baseline_forward,
     baseline_shapes,
     evaluate_properties,
-    init_baseline,
     predict_baseline,
     predict_properties_batch,
     r2_score,
@@ -101,8 +100,8 @@ class TestR2:
 
 class TestBaseline:
     def test_init_deterministic_and_named(self):
-        a = init_baseline(50, 8, seed=3)
-        b = init_baseline(50, 8, seed=3)
+        a = init_table(baseline_shapes(50, 8), seed=3)
+        b = init_table(baseline_shapes(50, 8), seed=3)
         for name, tensor in a.named().items():
             assert name.startswith("baseline.")
             assert np.array_equal(tensor.data, b.named()[name].data)
@@ -112,13 +111,13 @@ class TestBaseline:
         }
 
     def test_shapes(self):
-        t = init_baseline(50, 8, seed=0).named()
+        t = init_table(baseline_shapes(50, 8), seed=0).named()
         assert t["baseline.w1"].data.shape == (16, 50)
         assert t["baseline.w2"].data.shape == (16, 16)
         assert t["baseline.w3"].data.shape == (10, 16)
 
     def test_forward_matches_hand_numpy(self, rng):
-        params = init_baseline(12, 4, seed=1)
+        params = init_table(baseline_shapes(12, 4), seed=1)
         x = rng.normal(size=(5, 12))
         got = baseline_forward(Tensor(x), params).data
         w1, b1, w2, b2, w3, b3 = (t.data for t in params.named().values())
@@ -130,7 +129,7 @@ class TestBaseline:
     def test_forward_on_binned_spectrum(self, rng):
         s = toy_spectrum("s", "m", rng)
         x = bin_spectrum(s, 0.1, 2000.0)
-        params = init_baseline(x.shape[0], 8, seed=0)
+        params = init_table(baseline_shapes(x.shape[0], 8), seed=0)
         out = baseline_forward(Tensor(x[None, :]), params)
         assert out.data.shape == (1, 10)
         assert np.all(np.isfinite(out.data))
@@ -138,7 +137,7 @@ class TestBaseline:
     def test_predict_baseline_inverts_the_scaler(self, rng):
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
         x = np.stack([bin_spectrum(s, 0.5, 1000.0) for s in spectra])
-        params = init_baseline(x.shape[1], 8, seed=0)
+        params = init_table(baseline_shapes(x.shape[1], 8), seed=0)
         scaler = LabelScaler.fit(rng.normal(2.0, 3.0, size=(30, 10)))
         got = predict_baseline(spectra, params, scaler, 0.5, 1000.0)
         want = baseline_forward(Tensor(x), params).data * scaler.std + scaler.mean
@@ -147,7 +146,7 @@ class TestBaseline:
 
     def test_converted_params_predict_the_same_bits(self, rng):
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(5)]
-        params = init_baseline(10_000, 16, seed=2)
+        params = init_table(baseline_shapes(10_000, 16), seed=2)
         converted = params.for_inference()
         for tensor in converted.named().values():
             assert tensor.data.dtype == np.float64 and tensor.data.flags.f_contiguous

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import closure_values, graph_nodes, saved_arrays, toy_spectrum
 from mzembed import encoder
-from mzembed.encoder import EncoderConfig, encode_batch, init_weights
+from mzembed.encoder import EncoderConfig, encode_batch, init_table, init_weights
 from mzembed.errors import ConfigError, DimensionError, MzembedError, NumericsError
-from mzembed.properties import N_PROPERTIES, baseline_forward, init_baseline
+from mzembed.properties import N_PROPERTIES, baseline_forward, baseline_shapes
 from mzembed.rng import stream_rng
 from mzembed.siamese import siamese_loss
 from mzembed.tensor import (
@@ -613,7 +613,8 @@ class TestWhatTheGraphKeeps:
         embs, weights = train_forward("sin", head_out=N_PROPERTIES)
         head = feed_forward(embs, FeedForwardParams.of(weights.named(), "head"))
         graphs["property head"] = head.sum()
-        baseline = baseline_forward(Tensor(rng.random((4, 30))), init_baseline(30, 8, seed=0))
+        baseline_params = init_table(baseline_shapes(30, 8), seed=0)
+        baseline = baseline_forward(Tensor(rng.random((4, 30))), baseline_params)
         graphs["baseline_forward"] = baseline.sum()
         for name, loss in graphs.items():
             nodes = [node for node in graph_nodes(loss) if node.backward is not None]

@@ -11,8 +11,9 @@ their source and resolved the same way.
 Also: no package module imports a name it never reads, none but
 ``data/types.py`` reads ``Spectrum.fragments`` peak by peak, none but
 ``encoder.py`` calls ``encode_batch`` other than for training, none
-but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``, and
-none calls ``search_embedding`` or ``top_k`` once per loop iteration.
+but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``,
+none but ``properties.py`` names a label-scaler record, and none calls
+``search_embedding`` or ``top_k`` once per loop iteration.
 """
 
 import ast
@@ -377,6 +378,46 @@ def f(cfg, kind):
     e = cfg.kind
 """
     assert [line for line, _ in kind_comparisons(source)] == [3, 4, 6]
+
+
+def scaler_literals(source):
+    """(line, text) of each string literal naming a label-scaler record."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("scaler.")
+    )
+
+
+SCALER_OWNER = PACKAGE / "properties.py"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p != SCALER_OWNER),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_scaler_records_are_named_only_by_their_owner(path):
+    # properties.py lays out the scaler's checkpoint records
+    # (SCALER_SHAPES) and writes and reads them; every other module
+    # goes through it.
+    assert scaler_literals(path.read_text(encoding="utf-8")) == []
+
+
+def test_scaler_check_sees_each_literal():
+    source = """
+def f(records, name):
+    a = records.pop("scaler.mean")
+    b = {"scaler.std": 1}
+    c = "scaler" + ".mean"
+    d = f"scaler.{name}"
+    e = name.startswith("scaler.")
+"""
+    assert scaler_literals(source) == [
+        (3, "scaler.mean"), (4, "scaler.std"), (6, "scaler."), (7, "scaler."),
+    ]
 
 
 RANKERS = {"search_embedding", "top_k"}
