@@ -184,14 +184,20 @@ class Settings:
 
 
 def out_path(settings: Settings, name: str) -> str:
+    """The path of a file the command writes into the out-dir, which is
+    created if absent."""
     out_dir = settings.require("out-dir")
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
 
 def checkpoint_path(settings: Settings, mode: str) -> str:
-    """The --checkpoint setting, else the mode's checkpoint in the out-dir."""
-    return settings.get("checkpoint") or out_path(settings, f"model_{mode}.ckpt")
+    """The --checkpoint setting, else the mode's checkpoint in the out-dir;
+    no directory is created, so a command that cannot find it writes
+    nothing."""
+    return settings.get("checkpoint") or os.path.join(
+        settings.require("out-dir"), f"model_{mode}.ckpt"
+    )
 
 
 # ------------------------------------------------------ model assembly
@@ -222,16 +228,20 @@ def run_config_text(settings: Settings, mode: str) -> str:
     from .encoder import describe_config
 
     enc_cfg = build_configs(settings)[0]
-    text = describe_config(enc_cfg) + f"mode={mode}\n"
     if mode == "properties-baseline":
+        # The binned baseline reads only the width and the bins.
         bin_width, bin_max_mz = baseline_bins(settings, enc_cfg)
-        text += f"bin_width={bin_width!r}\nbin_max_mz={bin_max_mz!r}\n"
-    return text
+        return (
+            f"d={enc_cfg.d}\nschema_version=1\nmode={mode}\n"
+            f"bin_width={bin_width!r}\nbin_max_mz={bin_max_mz!r}\n"
+        )
+    return describe_config(enc_cfg) + f"mode={mode}\n"
 
 
 def load_dataset(settings: Settings):
-    """Cleaned spectra (normalized), molecules, split assignment."""
-    from .data import load_mgf, load_molecules, read_manifest
+    """The prepared train, known and novel spectra, intensity-normalized,
+    each list in id order."""
+    from .data import load_mgf, read_manifest
     from .embed import normalize_intensities
 
     out_dir = settings.require("out-dir")
@@ -241,11 +251,21 @@ def load_dataset(settings: Settings):
         if not os.path.isfile(path):
             raise FileNotFoundError(f"prepared dataset incomplete, missing {path}; run prepare")
     spectra = [normalize_intensities(s) for s in load_mgf(cleaned)]
-    molecules = load_molecules(
+    assignment = read_manifest(manifest, spectra)
+    by_id = {s.id: s for s in spectra}
+    return tuple(
+        [by_id[i] for i in sorted(ids)]
+        for ids in (assignment.train_ids, assignment.known_ids, assignment.novel_ids)
+    )
+
+
+def load_labels(settings: Settings):
+    """The molecules of the fingerprint and property files, by structure id."""
+    from .data import load_molecules
+
+    return load_molecules(
         settings.require_path("fingerprints"), settings.require_path("properties")
     )
-    assignment = read_manifest(manifest, spectra)
-    return spectra, molecules, assignment
 
 
 def load_queries(settings: Settings):
@@ -258,14 +278,6 @@ def load_queries(settings: Settings):
     if not queries:
         raise DataError(f"query file {path} holds no spectra")
     return queries
-
-
-def split_sets(spectra, assignment):
-    by_id = {s.id: s for s in spectra}
-    train = [by_id[i] for i in sorted(assignment.train_ids)]
-    known = [by_id[i] for i in sorted(assignment.known_ids)]
-    novel = [by_id[i] for i in sorted(assignment.novel_ids)]
-    return train, known, novel
 
 
 def load_model(settings: Settings, mode: str):
@@ -367,8 +379,8 @@ def cmd_train(settings: Settings) -> int:
 
     mode = settings.get("mode")
     enc_cfg, trn_cfg = build_configs(settings)
-    spectra, molecules, assignment = load_dataset(settings)
-    train, known, novel = split_sets(spectra, assignment)
+    train, known, novel = load_dataset(settings)
+    molecules = load_labels(settings)
 
     config_text = run_config_text(settings, mode)
     if mode == "siamese":
@@ -398,8 +410,8 @@ def cmd_eval(settings: Settings) -> int:
     from .properties import evaluate_properties, property_predictor
 
     mode = settings.get("mode")
-    spectra, molecules, assignment = load_dataset(settings)
-    train, known, novel = split_sets(spectra, assignment)
+    train, known, novel = load_dataset(settings)
+    molecules = load_labels(settings)
     model, scaler, enc_cfg = load_model(settings, mode)
 
     if mode == "siamese":
@@ -481,8 +493,7 @@ def cmd_search(settings: Settings) -> int:
 
     mode = _encoder_mode(settings)
     model, _scaler, enc_cfg = load_model(settings, mode)
-    spectra, _molecules, assignment = load_dataset(settings)
-    train, _, _ = split_sets(spectra, assignment)
+    train, _, _ = load_dataset(settings)
 
     queries = load_queries(settings)
     k = settings.get("k")

@@ -67,23 +67,28 @@ def make_split(
     train_ids = {s.id for s in pool} - known_ids
     if not train_ids:
         raise DataError("split leaves no training spectra")
+    return _checked_split(spectra, train_ids, known_ids, novel_ids)
 
-    by_id = {s.id: s for s in spectra}
-    train_structures = {
-        by_id[i].structure_id for i in train_ids if by_id[i].structure_id is not None
-    }
-    known_structures = {by_id[i].structure_id for i in known_ids}
 
-    assignment = SplitAssignment(
-        train_ids=train_ids,
-        known_ids=known_ids,
-        novel_ids=novel_ids,
-        train_structures=train_structures,
-        known_structures=known_structures,
-        novel_structures=novel_structures,
-    )
-    assignment.validate()
-    return assignment
+def _checked_split(
+    spectra: list[Spectrum], train_ids: set[str], known_ids: set[str], novel_ids: set[str]
+) -> SplitAssignment:
+    """The split of these id sets, once it is checked to be disjoint: no
+    spectrum in two sets, no novel structure with a spectrum in train,
+    and every known structure with one. Raises DataError otherwise."""
+    if train_ids & known_ids or train_ids & novel_ids or known_ids & novel_ids:
+        raise DataError("spectrum id sets overlap across splits")
+    structure_of = {s.id: s.structure_id for s in spectra}
+
+    def structures(ids: set[str]) -> set[str]:
+        return {structure_of[i] for i in ids} - {None}
+
+    train_structures = structures(train_ids)
+    if structures(novel_ids) & train_structures:
+        raise DataError("novel structures leak into the training structures")
+    if not structures(known_ids) <= train_structures:
+        raise DataError("known spectra reference structures absent from train")
+    return SplitAssignment(train_ids, known_ids, novel_ids)
 
 
 def write_manifest(path, spectra: list[Spectrum], assignment: SplitAssignment) -> None:
@@ -145,16 +150,4 @@ def read_manifest(path, spectra: list[Spectrum]) -> SplitAssignment:
     if missing:
         raise DataError(f"manifest does not cover spectra: {sorted(missing)}")
 
-    def _structs(ids: set[str]) -> set[str]:
-        return {by_id[i].structure_id for i in ids if by_id[i].structure_id is not None}
-
-    assignment = SplitAssignment(
-        train_ids=sets["train"],
-        known_ids=sets["known"],
-        novel_ids=sets["novel"],
-        train_structures=_structs(sets["train"]),
-        known_structures=_structs(sets["known"]),
-        novel_structures=_structs(sets["novel"]),
-    )
-    assignment.validate()
-    return assignment
+    return _checked_split(spectra, sets["train"], sets["known"], sets["novel"])

@@ -179,14 +179,12 @@ class MoleculeRecord:
 
 @dataclass
 class SplitAssignment:
-    """Structure-disjoint train/known/novel spectrum assignment."""
+    """The train/known/novel spectrum ids of a split. ``splits.make_split``
+    and ``splits.read_manifest`` check that it is structure-disjoint."""
 
     train_ids: set[str]
     known_ids: set[str]
     novel_ids: set[str]
-    train_structures: set[str]
-    known_structures: set[str]
-    novel_structures: set[str]
 
     def split_of(self, spectrum_id: str) -> str:
         if spectrum_id in self.train_ids:
@@ -196,14 +194,3 @@ class SplitAssignment:
         if spectrum_id in self.novel_ids:
             return "novel"
         raise DataError(f"spectrum {spectrum_id!r} is not in any split")
-
-    def validate(self) -> None:
-        """Check the disjointness contract; raises on violation."""
-        if self.train_ids & self.known_ids or self.train_ids & self.novel_ids or (
-            self.known_ids & self.novel_ids
-        ):
-            raise DataError("spectrum id sets overlap across splits")
-        if self.novel_structures & self.train_structures:
-            raise DataError("novel structures leak into the training structures")
-        if not self.known_structures <= self.train_structures:
-            raise DataError("known spectra reference structures absent from train")

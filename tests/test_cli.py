@@ -354,6 +354,81 @@ class TestSearchPredictExport:
         ranks = [int(line.split("\t")[1]) for line in lines[1:]]
         assert ranks == [1, 2] * 3
 
+    def test_search_reads_no_label_files(self, workspace, tmp_path, monkeypatch):
+        import mzembed.data
+
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:3]))
+        results = workspace["out"] / "search_results.tsv"
+        search = ["search", "--mode", "siamese", "--queries", str(queries), "--k", "2"]
+        assert main([*search, *common_args(workspace)]) == 0
+        with_labels = results.read_bytes()
+        results.unlink()
+
+        def no_labels(*args):
+            raise AssertionError("search read the label files")
+
+        monkeypatch.setattr(mzembed.data, "load_molecules", no_labels)
+        unlabeled = ["--config", str(workspace["config"]), "--out-dir", str(workspace["out"])]
+        assert main([*search, *unlabeled]) == 0
+        assert results.read_bytes() == with_labels
+
+    @staticmethod
+    def baseline_predictions(workspace, tmp_path, capsys, key=None, value=None):
+        """predict --mode properties-baseline on the workspace's baseline
+        checkpoint, with the config's ``key`` set to ``value``: the exit
+        code, stderr and the predictions' bytes."""
+        lines = CONFIG_SMALL.splitlines()
+        if key is not None:
+            lines = [line for line in lines if not line.startswith(f"{key}=")] + [f"{key}={value}"]
+        config = tmp_path / f"{key}.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:3]))
+        out = tmp_path / f"out-{key}"
+        capsys.readouterr()
+        code = main(
+            ["predict", "--mode", "properties-baseline", "--queries", str(queries),
+             "--checkpoint", str(workspace["out"] / "model_properties-baseline.ckpt"),
+             "--config", str(config), "--out-dir", str(out)]
+        )
+        predictions = out / "predictions.tsv"
+        return code, capsys.readouterr().err, predictions.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("key,value", [("layers", "2"), ("heads", "2"), ("embedding", "token")])
+    def test_baseline_checkpoint_loads_under_other_encoder_settings(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        # The baseline's config text names d and its bins only, so a
+        # setting it never reads does not refuse its checkpoint.
+        code, _, want = self.baseline_predictions(workspace, tmp_path, capsys)
+        assert code == 0
+        assert self.baseline_predictions(workspace, tmp_path, capsys, key, value) == (0, "", want)
+
+    def test_baseline_checkpoint_refuses_another_width(self, workspace, tmp_path, capsys):
+        code, err, written = self.baseline_predictions(workspace, tmp_path, capsys, "d", "16")
+        assert code == 2 and written is None
+        assert err.endswith(
+            "checkpoint config digest does not match the requested config: "
+            "d is 8 in the checkpoint, 16 requested\n"
+        )
+
+    @pytest.mark.parametrize("command", ["search", "eval", "predict", "export-embeddings"])
+    def test_mistyped_out_dir_is_not_created(self, workspace, tmp_path, capsys, command):
+        # Only a command that writes an output creates the out-dir; one
+        # that cannot find its checkpoint or dataset leaves no trace.
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+        typo = tmp_path / "typo"
+        args = [command, "--config", str(workspace["config"]), "--out-dir", str(typo)]
+        if command in ("search", "predict"):
+            args += ["--queries", str(queries)]
+        capsys.readouterr()
+        assert main(args) == 2
+        missing = "prepared dataset incomplete" if command == "eval" else "checkpoint not found"
+        assert capsys.readouterr().err.startswith(f"error: {missing}")
+        assert not typo.exists()
+
     def test_zero_intensity_query_exits_2(self, workspace, tmp_path, capsys):
         zero = Spectrum(
             id="zero_q0000", precursor=Peak(1000.0, 1.0),
@@ -871,18 +946,15 @@ class TestIndexCache:
         # /1 magic. Neither that file nor its rows under the /2 magic is
         # read: the key covers the magic.
         import mzembed.search
-        from mzembed.cli import load_dataset, load_model, split_sets
+        from mzembed.cli import load_dataset, load_model
 
         results, index = self.cold_search(paths)
         settings = Settings(
             read_config_file(str(paths["config"])),
-            argparse.Namespace(out_dir=str(paths["out"]),
-                               fingerprints=str(paths["fingerprints"]),
-                               properties=str(paths["properties"])),
+            argparse.Namespace(out_dir=str(paths["out"])),
         )
         weights, _, cfg = load_model(settings, "siamese")
-        spectra, _, assignment = load_dataset(settings)
-        library = split_sets(spectra, assignment)[0]
+        library = load_dataset(settings)[0]
         v1_magic = b"MZEMBED-INDEX/1\n"
         with monkeypatch.context() as patch:
             patch.setattr(mzembed.search, "INDEX_MAGIC", v1_magic)
@@ -1168,14 +1240,17 @@ class TestConfigText:
         )
 
     def test_baseline_bin_lines(self):
+        # The baseline reads no encoder setting but the width d.
         default = run_config_text(settings_of(), "properties-baseline")
-        assert default == DESCRIBE_SIN.format("binary64") + (
-            "mode=properties-baseline\nbin_width=0.1\nbin_max_mz=2000.0\n"
+        assert default == (
+            "d=8\nschema_version=1\nmode=properties-baseline\n"
+            "bin_width=0.1\nbin_max_mz=2000.0\n"
         )
         custom = settings_of(precision="32", **{"bin-width": "0.2", "max-mz": "1500"})
-        assert run_config_text(custom, "properties-baseline") == DESCRIBE_SIN.format(
-            "binary32"
-        ) + "mode=properties-baseline\nbin_width=0.2\nbin_max_mz=1500.0\n"
+        assert run_config_text(custom, "properties-baseline") == (
+            "d=8\nschema_version=1\nmode=properties-baseline\n"
+            "bin_width=0.2\nbin_max_mz=1500.0\n"
+        )
 
 
 def snapshot(directory):

@@ -332,8 +332,9 @@ class TestSplits:
         by_structure = {}
         for s in spectra:
             by_structure.setdefault(s.structure_id, set()).add(s.id)
-        assert len(assignment.novel_structures) == 3
-        for structure in assignment.novel_structures:
+        novel_structures = {s.structure_id for s in spectra if s.id in assignment.novel_ids}
+        assert len(novel_structures) == 3
+        for structure in novel_structures:
             assert by_structure[structure] <= assignment.novel_ids
 
     def test_known_structures_stay_in_train(self):
@@ -379,7 +380,6 @@ class TestSplits:
         assert again.train_ids == assignment.train_ids
         assert again.known_ids == assignment.known_ids
         assert again.novel_ids == assignment.novel_ids
-        assert again.novel_structures == assignment.novel_structures
 
     def test_manifest_rejects_unknown_spectra(self, tmp_path):
         spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
@@ -388,6 +388,48 @@ class TestSplits:
         write_manifest(path, spectra, assignment)
         with pytest.raises(DataError):
             read_manifest(path, spectra[:-1])
+
+    @staticmethod
+    def edited_manifest(tmp_path, spectra, assignment, new_split):
+        """The assignment's manifest with each row's split replaced by
+        new_split(spectrum_id, structure_id, split)."""
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, spectra, assignment)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        edited = []
+        for row in rows:
+            spectrum_id, structure_id, split = row.split("\t")
+            split = new_split(spectrum_id, structure_id, split)
+            edited.append(f"{spectrum_id}\t{structure_id}\t{split}")
+        path.write_text("\n".join([header, *edited]) + "\n", encoding="utf-8")
+        return path
+
+    def test_manifest_refuses_a_novel_spectrum_in_train(self, tmp_path):
+        spectra, _ = toy_dataset(n_structures=6, spectra_per=3)
+        assignment = make_split(spectra, n_novel=2, n_known=2, seed=5)
+        moved = min(assignment.novel_ids)
+        path = self.edited_manifest(
+            tmp_path, spectra, assignment,
+            lambda spectrum_id, sid, split: "train" if spectrum_id == moved else split,
+        )
+        with pytest.raises(DataError, match="^novel structures leak into the training structures$"):
+            read_manifest(path, spectra)
+
+    def test_manifest_refuses_a_known_structure_absent_from_train(self, tmp_path):
+        spectra, _ = toy_dataset(n_structures=6, spectra_per=3)
+        assignment = make_split(spectra, n_novel=2, n_known=2, seed=5)
+        structure = next(
+            s.structure_id for s in sorted(spectra, key=lambda s: s.id)
+            if s.id in assignment.train_ids
+        )
+        path = self.edited_manifest(
+            tmp_path, spectra, assignment,
+            lambda spectrum_id, sid, split: "known" if sid == structure else split,
+        )
+        with pytest.raises(
+            DataError, match="^known spectra reference structures absent from train$"
+        ):
+            read_manifest(path, spectra)
 
 
 class TestFileLineEnds:

@@ -13,13 +13,16 @@ Also: no package module imports a name it never reads, none but
 ``encoder.py`` calls ``encode_batch`` other than for training, none
 but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``,
 none but ``properties.py`` names a label-scaler record, and none calls
-``search_embedding`` or ``top_k`` once per loop iteration.
+``search_embedding`` or ``top_k`` once per loop iteration. Every
+package module parses at the oldest Python that ``pyproject.toml``
+names in ``requires-python``.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -509,3 +512,28 @@ def f(molecules, pairs, bits):
     g = [p for p in pairs if tanimoto(*p)]
 """
     assert [line for line, _ in calls_in_loops(source, {"tanimoto"})] == [5, 6, 8, 12, 13]
+
+
+def oldest_python():
+    """The (major, minor) of pyproject.toml's ``requires-python = ">=X.Y"``."""
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert match, "pyproject.toml names no lowest Python version"
+    return int(match[1]), int(match[2])
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_parses_on_the_oldest_supported_python(path):
+    # Syntax only: a library call added in a later version goes unseen.
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=oldest_python())
+
+
+def test_oldest_python_check_refuses_newer_syntax():
+    # except* came with Python 3.11.
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert oldest_python() < (3, 11)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=oldest_python())
+    ast.parse(source, feature_version=(3, 11))
