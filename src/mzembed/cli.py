@@ -27,6 +27,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
+# Grid rows embedded and written at a time by export-embeddings.
+EXPORT_BLOCK_ROWS = 4096
+
 
 # --------------------------------------------------------------- settings
 
@@ -533,6 +536,15 @@ def cmd_predict(settings: Settings) -> int:
     return EXIT_OK
 
 
+def export_blocks(count: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of the export's blocks: ``EXPORT_BLOCK_ROWS``
+    each, the last one longer. No block but a whole one-row grid has one
+    row, because a one-row matmul rounds differently from the rows of a
+    larger one."""
+    starts = range(0, max(count - 1, 1), EXPORT_BLOCK_ROWS)
+    return list(zip(starts, [*starts[1:], count]))
+
+
 def cmd_export_embeddings(settings: Settings) -> int:
     import numpy as np
 
@@ -541,26 +553,32 @@ def cmd_export_embeddings(settings: Settings) -> int:
 
     mode = _encoder_mode(settings)
     model, _scaler, enc_cfg = load_model(settings, mode)
+    table = model.named()
 
     count = settings.get("grid-count")
     grid = settings.get("grid-start") + np.arange(count, dtype=np.float64) * settings.get("grid-step")
-
-    with no_grad():
-        emb = mz_embedding(grid, enc_cfg, model.named()).data
-
-    lines = [
-        "mz\tfrac_mz\tprecision\t"
-        + "\t".join(f"e{i}" for i in range(emb.shape[1]))
-    ]
     frac = fractional_mz(grid)
+    precision = str(enc_cfg.precision)
     # One format string per line: formatting value by value took twice
     # as long, and a separate string for the components raised peak RSS.
-    line_format = "\t".join(["%.5f", "%.5f", "%s"] + ["%.8g"] * emb.shape[1])
-    precision = str(enc_cfg.precision)
-    for mz, fr, row in zip(grid.tolist(), frac.tolist(), emb):
-        lines.append(line_format % (mz, fr, precision, *row.tolist()))
+    line_format = "\t".join(["%.5f", "%.5f", "%s"] + ["%.8g"] * enc_cfg.d) + "\n"
+    header = "\t".join(["mz", "frac_mz", "precision"] + [f"e{i}" for i in range(enc_cfg.d)]) + "\n"
+
+    def write(tmp):
+        # Embedded, formatted and written a block at a time, so memory
+        # stays bounded at any grid size.
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(header)
+            for start, stop in export_blocks(count):
+                with no_grad():
+                    emb = mz_embedding(grid[start:stop], enc_cfg, table).data
+                handle.write("".join(
+                    line_format % (mz, fr, precision, *row.tolist())
+                    for mz, fr, row in zip(grid[start:stop].tolist(), frac[start:stop].tolist(), emb)
+                ))
+
     path = out_path(settings, "embedding_export.tsv")
-    publish(path, "\n".join(lines) + "\n")
+    publish(path, write)
     print(f"wrote {path} ({grid.shape[0]} rows)")
     return EXIT_OK
 

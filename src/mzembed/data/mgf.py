@@ -80,11 +80,12 @@ def _read_peaks(lines: str, line_no: int):
 def parse_mgf(text: str) -> list[Spectrum]:
     """Parse MGF text into spectra.
 
-    Every block must carry a unique TITLE (used as the spectrum id) and a
-    PEPMASS header. STRUCTUREID, when present, becomes the structure id.
-    All other headers are preserved verbatim in metadata with uppercased
-    keys. Each spectrum records how many decimal places every m/z value
-    carried in the source, precursor first.
+    Every block must carry a unique TITLE (used as the spectrum id, so
+    it may hold no tab) and a PEPMASS header. STRUCTUREID, when present,
+    becomes the structure id. All other headers are preserved verbatim
+    in metadata with uppercased keys. Each spectrum records how many
+    decimal places every m/z value carried in the source, precursor
+    first.
 
     Lines are the text split at "\n", each stripped of whitespace. A
     block's peak lines are read in one go into two arrays; no Peak is
@@ -164,6 +165,9 @@ def _finish_block(
     title = headers.pop("TITLE", None)
     if title is None or not title:
         raise ParseError("spectrum block is missing a TITLE header", block_line)
+    if "\t" in title:
+        # The id is a column of every TSV output; a tab would split it.
+        raise ParseError(f"TITLE {title!r} holds a tab", block_line)
     if title in seen_ids:
         raise ParseError(
             f"duplicate TITLE {title!r} (first seen at line {seen_ids[title]})",

@@ -13,15 +13,18 @@ import math
 
 import numpy as np
 
+# Matchings with at most this many candidate pairs are solved exactly.
+EXACT_LIMIT = 12
 
-def score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=12):
+
+def score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol):
     """Modified cosine score between two peak lists.
 
     Peaks i (from a) and j (from b) are pairable when their m/z
     difference, directly or shifted by the precursor mass difference
     prec_diff, is within tol. Each pair weighs sqrt(Ia)*sqrt(Ib); the
     score is the total weight of a maximal one-to-one matching divided
-    by sqrt(sum Ia) * sqrt(sum Ib). Matchings with at most exact_limit
+    by sqrt(sum Ia) * sqrt(sum Ib). Matchings with at most EXACT_LIMIT
     candidate pairs are solved exactly; larger ones greedily by
     descending weight with ties broken by (i, j).
     """
@@ -49,7 +52,7 @@ def score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=
     w, ii, jj = w[order], ii[order], jj[order]
     n = w.shape[0]
 
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         total = _exact_best(w, ii, jj, n)
     else:
         used_a = [False] * n_a

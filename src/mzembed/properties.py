@@ -93,7 +93,8 @@ class LabelScaler:
 
 
 def r2_score(predicted, actual) -> float:
-    """Coefficient of determination, 1 - SS_res / SS_tot."""
+    """Coefficient of determination, 1 - SS_res / SS_tot. Undefined, and
+    refused, for fewer than 2 points or equal actual values."""
     predicted = np.asarray(predicted, dtype=np.float64).reshape(-1)
     actual = np.asarray(actual, dtype=np.float64).reshape(-1)
     if predicted.shape != actual.shape:
@@ -102,9 +103,10 @@ def r2_score(predicted, actual) -> float:
         )
     if actual.shape[0] < 2:
         raise DataError("R-squared needs at least 2 points")
-    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-    if ss_tot == 0.0:
+    # Equal values can leave a rounding residue in SS_tot, so compare them.
+    if np.ptp(actual) == 0.0:
         raise NumericsError("R-squared undefined: actual values are constant")
+    ss_tot = float(np.sum((actual - actual.mean()) ** 2))
     ss_res = float(np.sum((actual - predicted) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -189,8 +191,7 @@ def property_predictor(model, scaler: LabelScaler, cfg: EncoderConfig, bin_width
 class PropertyReport:
     """Per-property R-squared on known/novel splits plus the averaged row."""
 
-    rows: list[tuple[str, float, float]]  # (property, known R2, novel R2); nan = split absent
-    evaluation_unit: str = "per-spectrum"
+    rows: list[tuple[str, float, float]]  # (property, known R2, novel R2); nan = undefined
 
     @property
     def average(self) -> tuple[float, float]:
@@ -200,7 +201,7 @@ class PropertyReport:
 
     def serialize(self) -> str:
         lines = [
-            f"# evaluation_unit={self.evaluation_unit}",
+            "# evaluation_unit=per-spectrum",
             "property\tknown_r2\tnovel_r2",
         ]
         avg_known, avg_novel = self.average
@@ -215,13 +216,19 @@ def evaluate_properties(
     molecules: dict[str, MoleculeRecord],
     predict_fn,
 ) -> PropertyReport:
-    """Build the known/novel R-squared table from a prediction callable."""
-    per_split = dict.fromkeys(("known", "novel"), [float("nan")] * N_PROPERTIES)
+    """Build the known/novel R-squared table from a prediction callable.
+    A cell is nan where R-squared is undefined: the split is absent or
+    has fewer than 2 spectra, or the property's values in it are equal."""
+    nan = float("nan")
+    per_split = dict.fromkeys(("known", "novel"), [nan] * N_PROPERTIES)
     for name in per_split:
-        if eval_sets.get(name):
+        if len(eval_sets.get(name, ())) >= 2:
             labels = spectrum_labels(eval_sets[name], molecules)
             preds = predict_fn(eval_sets[name])
-            per_split[name] = [r2_score(preds[:, j], labels[:, j]) for j in range(N_PROPERTIES)]
+            per_split[name] = [
+                r2_score(preds[:, j], labels[:, j]) if np.ptp(labels[:, j]) else nan
+                for j in range(N_PROPERTIES)
+            ]
     return PropertyReport(rows=list(zip(PROPERTY_NAMES, per_split["known"], per_split["novel"])))
 
 

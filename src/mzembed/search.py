@@ -115,7 +115,6 @@ class EmbeddingIndex:
 class SearchResult:
     query_id: str
     hits: list[tuple[str, str | None, float]]  # (spectrum_id, structure_id, score)
-    k: int
 
 
 def _normalize_rows(matrix: np.ndarray, ids: list[str], what: str = "spectrum") -> np.ndarray:
@@ -281,7 +280,7 @@ def search_embedding(
     scores = (index.matrix @ q[:, :, None])[:, :, 0]
     ids, structures = index.spectrum_ids, index.structure_ids
     return [
-        SearchResult(query_id, [(ids[r], structures[r], float(row[r])) for r in order], k)
+        SearchResult(query_id, [(ids[r], structures[r], float(row[r])) for r in order])
         for query_id, row, order in zip(query_ids, scores, top_k(scores, ids, k))
     ]
 

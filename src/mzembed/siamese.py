@@ -15,7 +15,7 @@ from .rng import stream_rng
 from .tensor import Tensor, cosine_similarity
 from .training import TrainConfig, TrainLog, apply_step, fit, make_optimizer
 
-DEFAULT_BIN_COUNT = 10
+BIN_COUNT = 10
 EXACT_ENUMERATION_LIMIT = 2000
 REJECTION_TARGET = 1000
 REJECTION_MAX_DRAWS = 500_000
@@ -99,10 +99,9 @@ def bin_of(label, bin_count: int):
 def build_similarity_bins(
     molecules: dict[str, MoleculeRecord],
     structures: list[str],
-    bin_count: int = DEFAULT_BIN_COUNT,
     seed: int = 0,
 ) -> SimilarityBins:
-    """Bin structure pairs by Tanimoto.
+    """Bin structure pairs by Tanimoto into ``BIN_COUNT`` bins.
 
     Up to ``EXACT_ENUMERATION_LIMIT`` structures every pair i <= j is a
     candidate, in row-major order, and each bin keeps all of its own.
@@ -110,8 +109,6 @@ def build_similarity_bins(
     (i, j), ordered so i <= j, and each bin keeps the first
     ``REJECTION_TARGET`` of its own. Bins left empty are unreachable.
     """
-    if bin_count < 1:
-        raise ConfigError(f"bin count must be positive, got {bin_count}")
     names = sorted(set(structures))
     bits = fingerprint_block(molecules, names)
     n = len(names)
@@ -127,8 +124,8 @@ def build_similarity_bins(
         spans = (slice(i, i + SCORE_BLOCK) for i in range(0, len(a), SCORE_BLOCK))
         blocks = ((bits[a[s]], bits[b[s]]) for s in spans)
     t = np.concatenate([np.empty(0), *(tanimoto_many(x, y) for x, y in blocks)])
-    k = bin_of(t, bin_count)
-    kept = [np.flatnonzero(k == bin_)[:cap] for bin_ in range(bin_count)]
+    k = bin_of(t, BIN_COUNT)
+    kept = [np.flatnonzero(k == bin_)[:cap] for bin_ in range(BIN_COUNT)]
     return SimilarityBins(names, [a[p] for p in kept], [b[p] for p in kept], [t[p] for p in kept])
 
 
@@ -180,12 +177,8 @@ def siamese_loss(emb_a: Tensor, emb_b: Tensor, labels) -> Tensor:
 
     Accepts (d,) vectors or (B, d) batches; labels broadcast to match.
     """
-    cos = cosine_similarity(emb_a, emb_b)
-    if isinstance(labels, Tensor):
-        labels = labels.data
-    target = Tensor(np.asarray(labels, dtype=np.float64))
-    diff = cos - target
-    return (diff * diff).mean() if diff.ndim else diff * diff
+    diff = cosine_similarity(emb_a, emb_b) - Tensor(np.asarray(labels, dtype=np.float64))
+    return (diff * diff).mean()
 
 
 def _pair_mse(pairs: list[PairSample], rows: Mapping[str, np.ndarray]) -> float:

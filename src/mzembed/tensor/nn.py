@@ -38,6 +38,8 @@ from ..errors import ConfigError, DimensionError
 from .core import Tensor, _nodes, _unbroadcast
 
 LAYER_NORM_EPS = 1e-5
+# cosine_similarity refuses an input whose squared norm is below this.
+MIN_SQUARED_NORM = 1e-30
 
 
 def relu(x: Tensor) -> Tensor:
@@ -125,8 +127,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(y, (nx,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (``LAYER_NORM_EPS``
+    added to the variance), then scale.
 
     One graph node with parents ``(x, gain, bias)`` that keeps the
     normalized input and the standard deviation, and the gain if ``x``
@@ -140,7 +143,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     inv_n = np.asarray(1.0 / xd.shape[-1], dtype=xd.dtype)
     centered = xd - xd.sum(axis=-1, keepdims=True) * inv_n
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    sigma = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
+    sigma = np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=var.dtype))
     xhat = centered / sigma
     nx, ng, nb = _nodes(x, gain, bias)
     sg, sb = gain.data.shape, bias.data.shape
@@ -369,15 +372,16 @@ def multi_head_attention(
     return linear(_merge_heads(out), params.wo, params.bo)
 
 
-def cosine_similarity(a: Tensor, b: Tensor, min_norm: float = 1e-30):
+def cosine_similarity(a: Tensor, b: Tensor):
     """Row-wise cosine similarity of (..., d) tensors, in-graph.
 
-    Raises on (numerically) zero-norm inputs rather than dividing by 0.
+    Raises on (numerically) zero-norm inputs, a squared norm below
+    ``MIN_SQUARED_NORM``, rather than dividing by 0.
     """
     from ..errors import NumericsError
 
     na = (a * a).sum(axis=-1)
     nb = (b * b).sum(axis=-1)
-    if np.any(na.data < min_norm) or np.any(nb.data < min_norm):
+    if np.any(na.data < MIN_SQUARED_NORM) or np.any(nb.data < MIN_SQUARED_NORM):
         raise NumericsError("cosine similarity of a zero-norm embedding")
     return (a * b).sum(axis=-1) / (na.sqrt() * nb.sqrt())

@@ -11,6 +11,8 @@ import numpy as np
 from ..errors import ConfigError
 from .core import Tensor
 
+ADAM_EPS = 1e-8
+
 
 def global_grad_norm(grads) -> float:
     total = 0.0
@@ -51,14 +53,12 @@ class Adam:
         lr: float = 5.0e-5,
         beta1: float = 0.9,
         beta2: float = 0.999,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -73,7 +73,7 @@ class Adam:
 
         Per parameter, in this order and rounding at each operation:
         ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g²``,
-        ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, then, with weight
+        ``p -= lr (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)``, then, with weight
         decay, ``p -= (lr wd) p``.
         """
         self.t += 1
@@ -91,7 +91,7 @@ class Adam:
             v *= dt(b2)
             v += np.multiply(dt(1.0 - b2), np.multiply(g, g, out=a), out=a)
             step = np.multiply(dt(self.lr), np.divide(m, dt(bc1), out=a), out=a)
-            denom = np.add(np.sqrt(np.divide(v, dt(bc2), out=b), out=b), dt(self.eps), out=b)
+            denom = np.add(np.sqrt(np.divide(v, dt(bc2), out=b), out=b), dt(ADAM_EPS), out=b)
             p.data -= np.divide(step, denom, out=a)
             if self.weight_decay:
                 p.data -= np.multiply(dt(self.lr * self.weight_decay), p.data, out=a)

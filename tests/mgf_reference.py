@@ -40,10 +40,10 @@ def _parse_number(token: str, line_no: int, what: str) -> tuple[float, int]:
 def parse_mgf(text: str) -> list[Spectrum]:
     """Parse MGF text into spectra.
 
-    Every block must carry a unique TITLE (used as the spectrum id) and a
-    PEPMASS header. STRUCTUREID, when present, becomes the structure id.
-    All other headers are preserved verbatim in metadata with uppercased
-    keys. Each spectrum records how many decimal places every m/z value
+    Every block must carry a unique TITLE (used as the spectrum id, with
+    no tab) and a PEPMASS header. STRUCTUREID, when present, becomes the
+    structure id. All other headers are preserved verbatim in metadata
+    with uppercased keys. Each spectrum records how many decimal places every m/z value
     carried in the source, precursor first.
     """
     spectra: list[Spectrum] = []
@@ -131,6 +131,8 @@ def _finish_block(
     title = headers.pop("TITLE", None)
     if title is None or not title:
         raise ParseError("spectrum block is missing a TITLE header", block_line)
+    if "\t" in title:
+        raise ParseError(f"TITLE {title!r} holds a tab", block_line)
     if title in seen_ids:
         raise ParseError(
             f"duplicate TITLE {title!r} (first seen at line {seen_ids[title]})",

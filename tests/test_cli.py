@@ -180,6 +180,20 @@ class TestPrepare:
         assert capsys.readouterr().err.startswith(f"error: line {line_no}: peak m/z '{big}'")
         assert snapshot(paths["out"]) == before
 
+    def test_title_with_a_tab_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The id is the first column of the manifest; a tab in it made a
+        # 4-column row that every later command refused.
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        before = snapshot(paths["out"])
+        first = paths["spectra"][0].id
+        text = paths["raw"].read_text()
+        paths["raw"].write_text(text.replace(f"TITLE={first}\n", f"TITLE={first}\t0\n", 1))
+        capsys.readouterr()
+        assert run_prepare(paths) == 2
+        assert capsys.readouterr().err == f"error: line 1: TITLE {first + chr(9) + '0'!r} holds a tab\n"
+        assert snapshot(paths["out"]) == before
+
 
 class TestTrain:
     def test_siamese_artifacts(self, workspace):
@@ -310,6 +324,23 @@ class TestEval:
         assert main(["eval", "--mode", "properties-baseline", *common_args(workspace)]) == 0
         assert (workspace["out"] / "property_report_properties-baseline.tsv").exists()
 
+    @pytest.mark.parametrize("mode", ["properties", "properties-baseline"])
+    @pytest.mark.parametrize("flags,column", [
+        (["--n-novel", "1", "--n-known", "4"], 2),
+        (["--n-novel", "2", "--n-known", "1"], 1),
+    ], ids=["one_novel_structure", "one_known_spectrum"])
+    def test_undefined_r2_is_written_as_nan(self, tmp_path, mode, flags, column):
+        # One novel structure holds every property constant, and one known
+        # spectrum is too few points: eval used to exit 1 and 2 on them.
+        paths = write_inputs(tmp_path)
+        assert main(["prepare", "--spectra", str(paths["raw"]), *flags, *common_args(paths)]) == 0
+        assert main(["train", "--mode", mode, "--epochs", "0", *common_args(paths)]) == 0
+        assert main(["eval", "--mode", mode, *common_args(paths)]) == 0
+        report = (paths["out"] / f"property_report_{mode}.tsv").read_text().splitlines()
+        rows = [line.split("\t") for line in report[2:]]
+        assert [row[0] for row in rows] == ["all", *PROPERTY_NAMES]
+        assert all(row[column] == "nan" for row in rows)
+
     def test_config_digest_mismatch_exits_2(self, workspace, tmp_path, capsys):
         # Same checkpoint, different architecture settings. The config text
         # train saved beside the checkpoint names the differing key.
@@ -353,6 +384,23 @@ class TestSearchPredictExport:
         assert len(lines) == 1 + 3 * 2
         ranks = [int(line.split("\t")[1]) for line in lines[1:]]
         assert ranks == [1, 2] * 3
+
+    @pytest.mark.parametrize("command,mode", [("search", "siamese"), ("predict", "properties")])
+    def test_query_title_with_a_tab_exits_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, command, mode
+    ):
+        # A tab in a query id used to add a column to the output rows.
+        queries = tmp_path / "queries.mgf"
+        second = workspace["spectra"][1].id
+        text = serialize_mgf(workspace["spectra"][:2])
+        queries.write_text(text.replace(f"TITLE={second}\n", f"TITLE=q\t{second}\n"))
+        before = snapshot(workspace["out"])
+        capsys.readouterr()
+        code = main([command, "--mode", mode, "--queries", str(queries), *common_args(workspace)])
+        assert code == 2
+        line = text.splitlines().index("BEGIN IONS", 1) + 1
+        assert capsys.readouterr().err == f"error: line {line}: TITLE {'q' + chr(9) + second!r} holds a tab\n"
+        assert snapshot(workspace["out"]) == before
 
     def test_search_reads_no_label_files(self, workspace, tmp_path, monkeypatch):
         import mzembed.data
@@ -783,6 +831,76 @@ class TestSearchPredictExport:
             f"binary{precision} requested\n"
         )
         assert not (out / "embedding_export.tsv").exists()
+
+
+class TestExportBlocks:
+    def test_blocks_cover_the_grid_with_no_one_row_block(self):
+        size = cli.EXPORT_BLOCK_ROWS
+        for count in (1, 2, 3, size - 1, size, size + 1, size + 2, 2 * size + 1, 3 * size + 7):
+            blocks = cli.export_blocks(count)
+            assert blocks[0][0] == 0 and blocks[-1][1] == count
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            rows = [stop - start for start, stop in blocks]
+            assert all(n == size for n in rows[:-1])
+            assert rows[-1] <= size + 1 and (rows[-1] >= 2 or count == 1)
+
+    @pytest.mark.parametrize("count", [1, 2, cli.EXPORT_BLOCK_ROWS + 1, cli.EXPORT_BLOCK_ROWS + 2])
+    def test_blocked_export_equals_the_whole_grid(self, tmp_path, count):
+        # The grid is embedded a block at a time; the file must hold the
+        # bytes of one embedding of the whole grid.
+        from mzembed.embed import fractional_mz, mz_embedding
+        from mzembed.tensor import no_grad
+
+        config, out, cfg, weights = saved_export_model(
+            tmp_path, f"grid-start=80\ngrid-step=0.21\ngrid-count={count}\n"
+        )
+        assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 0
+        grid = 80.0 + np.arange(count, dtype=np.float64) * 0.21
+        with no_grad():
+            emb = mz_embedding(grid, cfg, weights.named()).data
+        line = "\t".join(["%.5f", "%.5f", "%s"] + ["%.8g"] * 8)
+        lines = ["mz\tfrac_mz\tprecision\t" + "\t".join(f"e{i}" for i in range(8))] + [
+            line % (mz, fr, cfg.precision, *row.tolist())
+            for mz, fr, row in zip(grid.tolist(), fractional_mz(grid).tolist(), emb)
+        ]
+        assert (out / "embedding_export.tsv").read_text() == "\n".join(lines) + "\n"
+
+
+class TestRectangularOutputs:
+    def test_every_tsv_row_has_the_header_width(self, tmp_path):
+        # Spectrum and structure ids with spaces and non-ASCII letters go
+        # through every command; no TSV row may gain or lose a column.
+        paths = write_inputs(tmp_path)
+        raw = paths["raw"].read_text()
+        raw = re.sub(r"^TITLE=(.*)$", r"TITLE=spectre \1 ü", raw, flags=re.M)
+        raw = re.sub(r"^STRUCTUREID=(.*)$", r"STRUCTUREID=mol é \1", raw, flags=re.M)
+        paths["raw"].write_text(raw, encoding="utf-8")
+        for key in ("fingerprints", "properties"):
+            text = paths[key].read_text()
+            paths[key].write_text(re.sub(r"^(m\d+)\t", r"mol é \1\t", text, flags=re.M), encoding="utf-8")
+        queries = tmp_path / "queries.mgf"
+        queries.write_text(raw.replace("TITLE=spectre", "TITLE=requête"), encoding="utf-8")
+
+        args = common_args(paths)
+        assert run_prepare(paths) == 0
+        for mode in ("siamese", "properties", "properties-baseline"):
+            assert main(["train", "--mode", mode, "--epochs", "0", *args]) == 0
+            assert main(["eval", "--mode", mode, *args]) == 0
+        assert main(["search", "--mode", "siamese", "--queries", str(queries), *args]) == 0
+        for mode in ("properties", "properties-baseline"):
+            assert main(["predict", "--mode", mode, "--queries", str(queries), *args]) == 0
+
+        written = sorted(paths["out"].glob("*.tsv"))
+        assert len(written) == 15
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            rows = [line for line in text.split("\n")[:-1] if not line.startswith("#")]
+            width = len(rows[0].split("\t"))
+            assert all(len(row.split("\t")) == width for row in rows), path.name
+        manifest = (paths["out"] / "split_manifest.tsv").read_text(encoding="utf-8")
+        assert "spectre s0_0 ü\tmol é m0\t" in manifest
+        hits = (paths["out"] / "search_results.tsv").read_text(encoding="utf-8")
+        assert "requête s0_0 ü\t1\t" in hits
 
 
 def saved_export_model(tmp_path, lines):

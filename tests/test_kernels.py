@@ -188,7 +188,7 @@ class TestScoreProperties:
 
 
 class TestGreedyFallback:
-    def test_greedy_can_underestimate(self):
+    def test_greedy_can_underestimate(self, monkeypatch):
         # a0 pairs with both b peaks, a1 only with b0. Greedy grabs the
         # heaviest pair (a0,b0) and strands a1; the exact search takes
         # the two cross pairs instead.
@@ -197,9 +197,8 @@ class TestGreedyFallback:
         int_a = np.array([1.0, 0.81])
         int_b = np.array([1.0, 0.81])
         exact = score_modified_cosine(mz_a, int_a, mz_b, int_b, 0.2, 0.1)
-        greedy = score_modified_cosine(
-            mz_a, int_a, mz_b, int_b, 0.2, 0.1, exact_limit=0
-        )
+        monkeypatch.setattr("mzembed.kernels._reference.EXACT_LIMIT", 0)
+        greedy = score_modified_cosine(mz_a, int_a, mz_b, int_b, 0.2, 0.1)
         denom = math.sqrt(1.81) * math.sqrt(1.81)
         assert math.isclose(exact, 1.8 / denom, rel_tol=1e-12)
         assert math.isclose(greedy, 1.0 / denom, rel_tol=1e-12)
@@ -219,7 +218,7 @@ class TestGreedyFallback:
 
 
 class TestLoopParity:
-    def test_bit_identical_to_loop_kernel(self, rng):
+    def test_bit_identical_to_loop_kernel(self, rng, monkeypatch):
         for trial in range(200):
             n_a = int(rng.integers(1, 15))
             n_b = int(rng.integers(1, 15))
@@ -244,9 +243,8 @@ class TestLoopParity:
             prec_diff = float(rng.uniform(-3.0, 3.0))
             tol = float(rng.uniform(0.2, 2.0))
             limit = 12 * (trial % 2)
-            got = score_modified_cosine(
-                mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=limit
-            )
+            monkeypatch.setattr("mzembed.kernels._reference.EXACT_LIMIT", limit)
+            got = score_modified_cosine(mz_a, int_a, mz_b, int_b, prec_diff, tol)
             want = loop_score(mz_a, int_a, mz_b, int_b, prec_diff, tol, exact_limit=limit)
             assert got == want, (trial, got, want)
 

@@ -102,6 +102,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_mgf(SIMPLE + "\n" + SIMPLE)
 
+    @pytest.mark.parametrize("title", ["s0\t0", "a\tb\tc", "\t\ts0\tx"])
+    def test_title_with_a_tab_rejected(self, title):
+        # The id is a column of every TSV output. Tabs at either end are
+        # stripped with the header value; one inside is refused.
+        text = "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1\nEND IONS\n\n"
+        with pytest.raises(ParseError) as err:
+            parse_mgf(text + SIMPLE.replace("spec_001", title))
+        assert err.value.line == 7
+        assert str(err.value) == f"line 7: TITLE {title.strip()!r} holds a tab"
+
     def test_duplicate_header_rejected(self):
         with pytest.raises(ParseError):
             parse_mgf(SIMPLE.replace("CHARGE=2+", "CHARGE=2+\nCHARGE=3+"))

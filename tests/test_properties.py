@@ -97,6 +97,14 @@ class TestR2:
         with pytest.raises(NumericsError):
             r2_score(np.arange(5.0), np.full(5, 2.0))
 
+    def test_equal_values_refused_despite_rounding(self):
+        # The mean of three 0.1s is not 0.1, so SS_tot of equal values
+        # came out near 6e-34 and R-squared near -1e33.
+        actual = np.full(3, 0.1)
+        assert np.sum((actual - actual.mean()) ** 2) > 0.0
+        with pytest.raises(NumericsError):
+            r2_score(np.array([0.0, 0.1, 0.2]), actual)
+
 
 class TestBaseline:
     def test_init_deterministic_and_named(self):
@@ -261,6 +269,33 @@ class TestEvaluate:
         for name, known, novel in report.rows:
             # Axis-0 means differ from column means by an ulp at most.
             assert abs(known) <= 1e-12
+
+    def test_fewer_than_two_spectra_give_nan(self):
+        spectra, molecules = toy_dataset(n_structures=4, spectra_per=2, seed=8)
+
+        def perfect(batch):
+            return spectrum_labels(batch, molecules)
+
+        report = evaluate_properties({"known": spectra[:1], "novel": spectra}, molecules, perfect)
+        assert all(np.isnan(known) and novel == 1.0 for _, known, novel in report.rows)
+        assert np.isnan(report.average[0]) and report.average[1] == 1.0
+        assert report.serialize().splitlines()[2] == "all\tnan\t1.000000"
+
+    def test_equal_values_of_a_property_give_nan(self):
+        # One structure: every property is constant over the split. Two
+        # structures that share one property: only that cell is nan.
+        spectra, molecules = toy_dataset(n_structures=4, spectra_per=2, seed=8)
+        molecules["m1"].properties[3] = molecules["m0"].properties[3]
+
+        def perfect(batch):
+            return spectrum_labels(batch, molecules)
+
+        one, two = spectra[:2], spectra[:4]
+        report = evaluate_properties({"known": two, "novel": one}, molecules, perfect)
+        for j, (name, known, novel) in enumerate(report.rows):
+            assert np.isnan(known) if j == 3 else known == 1.0
+            assert np.isnan(novel)
+        assert np.isnan(report.average[0]) and np.isnan(report.average[1])
 
     def test_unknown_set_names_ignored(self, rng):
         spectra, molecules = toy_dataset(n_structures=4, spectra_per=2, seed=8)

@@ -8,7 +8,7 @@ from scipy import stats
 from conftest import toy_dataset, toy_molecule
 from mzembed.data import MoleculeRecord
 from mzembed.encoder import EncoderConfig, encode_many, encode_spectrum, init_weights
-from mzembed.errors import ConfigError, DataError, DimensionError
+from mzembed.errors import DataError, DimensionError
 from mzembed.rng import stream_rng
 from mzembed.siamese import (
     PairSample,
@@ -199,7 +199,7 @@ class TestBins:
     def test_exact_enumeration_covers_all_pairs(self, rng):
         molecules = {f"m{i}": toy_molecule(f"m{i}", rng) for i in range(6)}
         names = sorted(molecules)
-        bins = build_similarity_bins(molecules, names, bin_count=10)
+        bins = build_similarity_bins(molecules, names)
         assert bins.names == names
         # 6 choose 2 unordered pairs plus 6 self-pairs.
         entries = [(a, b, float.fromhex(t)) for r in table(bins) for a, b, t in r]
@@ -212,10 +212,11 @@ class TestBins:
                 assert bin_of(float.fromhex(t), 10) == k
 
     @pytest.mark.parametrize("bin_count", [1, 7, 10])
-    def test_exact_enumeration_equals_the_per_pair_loop(self, rng, bin_count):
+    def test_exact_enumeration_equals_the_per_pair_loop(self, rng, monkeypatch, bin_count):
+        monkeypatch.setattr("mzembed.siamese.BIN_COUNT", bin_count)
         molecules = mixed_molecules(rng)
         names = sorted(molecules)
-        bins = build_similarity_bins(molecules, names, bin_count=bin_count)
+        bins = build_similarity_bins(molecules, names)
         assert table(bins) == reference_table(per_pair_bins(molecules, names, bin_count))
         molecules["wide"] = MoleculeRecord("wide", np.zeros(65, dtype=np.uint8), np.zeros(10))
         with pytest.raises(DimensionError, match="widths differ"):
@@ -223,7 +224,7 @@ class TestBins:
 
     def test_self_pairs_make_top_bin_reachable(self, rng):
         molecules = {f"m{i}": toy_molecule(f"m{i}", rng) for i in range(4)}
-        bins = build_similarity_bins(molecules, sorted(molecules), bin_count=10)
+        bins = build_similarity_bins(molecules, sorted(molecules))
         top = table(bins)[-1]
         assert {(a, b) for a, b, _ in top} >= {(m, m) for m in molecules}
 
@@ -232,16 +233,11 @@ class TestBins:
         with pytest.raises(DataError):
             build_similarity_bins(molecules, ["m0", "m1"])
 
-    def test_bad_bin_count_rejected(self, rng):
-        molecules = {"m0": toy_molecule("m0", rng)}
-        with pytest.raises(ConfigError):
-            build_similarity_bins(molecules, ["m0"], bin_count=0)
-
     def test_rejection_sampling_beyond_exact_limit(self, rng, monkeypatch):
         past_the_limit(monkeypatch, target=5, max_draws=2000)
         molecules = {f"m{i:02d}": toy_molecule(f"m{i:02d}", rng) for i in range(30)}
         names = sorted(molecules)
-        bins = build_similarity_bins(molecules, names, bin_count=10, seed=3)
+        bins = build_similarity_bins(molecules, names, seed=3)
         assert table(bins) == reference_table(per_pair_sampler(molecules, names, 10, 3, 5, 2000))
         assert table(bins) != table(build_similarity_bins(molecules, names, seed=4))
         assert max(len(t) for t in bins.t) == 5
@@ -273,9 +269,10 @@ class TestBins:
         # All-zero and non-binary fingerprints, bins that fill and bins
         # that do not, blocks that split the draws unevenly, no draws.
         past_the_limit(monkeypatch, target=target, max_draws=max_draws, block=block)
+        monkeypatch.setattr("mzembed.siamese.BIN_COUNT", bin_count)
         molecules = mixed_molecules(rng)
         names = sorted(molecules)
-        bins = build_similarity_bins(molecules, names, bin_count=bin_count, seed=5)
+        bins = build_similarity_bins(molecules, names, seed=5)
         assert table(bins) == reference_table(
             per_pair_sampler(molecules, names, bin_count, 5, target, max_draws)
         )
@@ -290,8 +287,9 @@ class TestBins:
         with pytest.raises(DimensionError, match="widths differ"):
             build_similarity_bins(molecules, sorted(molecules))
 
-    def test_unreachable_property(self):
-        bins = build_similarity_bins({}, [], bin_count=3)
+    def test_unreachable_property(self, monkeypatch):
+        monkeypatch.setattr("mzembed.siamese.BIN_COUNT", 3)
+        bins = build_similarity_bins({}, [])
         assert bins.bin_count == 3
         assert bins.unreachable == [0, 1, 2]
 

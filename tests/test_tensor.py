@@ -983,7 +983,7 @@ class TestOptimizer:
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         w0 = rng.normal(size=(4,)).astype(np.float32)
         w = Tensor(w0.copy(), requires_grad=True)
-        opt = Adam({"w": w}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam({"w": w}, lr=lr, beta1=b1, beta2=b2)
         ref = w0.astype(np.float64).copy()
         m = np.zeros(4)
         v = np.zeros(4)
