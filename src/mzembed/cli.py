@@ -347,8 +347,6 @@ def cmd_prepare(settings: Settings) -> int:
     audit_lines = ["structure_id\tn_train\tn_known\tn_novel"]
     counts: dict[str, list[int]] = {}
     for s in kept:
-        if s.structure_id is None:
-            continue
         row = counts.setdefault(s.structure_id, [0, 0, 0])
         row[("train", "known", "novel").index(assignment.split_of(s.id))] += 1
     for sid in sorted(counts):

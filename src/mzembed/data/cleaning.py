@@ -1,11 +1,13 @@
 """Spectrum quality filtering.
 
-Three rules, applied to every spectrum:
+Four rules, applied to every spectrum:
 
 * at least 5 peaks in total, precursor included,
-* every m/z value recorded with at least 3 decimal places in the source, and
+* every m/z value recorded with at least 3 decimal places in the source,
 * at least one fragment with a positive intensity (an all-zero spectrum
-  has nothing to normalize by and cannot be encoded).
+  has nothing to normalize by and cannot be encoded), and
+* a structure id (training, evaluation and the property models all
+  read a spectrum's labels through it).
 
 Spectra without decimal-place records (synthetic constructions) fail the
 second rule; the filter judges recorded source precision, not float
@@ -54,6 +56,8 @@ def rejection_reason(spectrum: Spectrum) -> str | None:
         )
     if spectrum.fragments.intensity.max() <= 0:
         return "all fragment intensities are zero"
+    if spectrum.structure_id is None:
+        return "no structure id"
     return None
 
 

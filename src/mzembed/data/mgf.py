@@ -80,12 +80,12 @@ def _read_peaks(lines: str, line_no: int):
 def parse_mgf(text: str) -> list[Spectrum]:
     """Parse MGF text into spectra.
 
-    Every block must carry a unique TITLE (used as the spectrum id, so
-    it may hold no tab) and a PEPMASS header. STRUCTUREID, when present,
-    becomes the structure id. All other headers are preserved verbatim
-    in metadata with uppercased keys. Each spectrum records how many
-    decimal places every m/z value carried in the source, precursor
-    first.
+    Every block must carry a unique TITLE (used as the spectrum id) and
+    a PEPMASS header. STRUCTUREID, when present, becomes the structure
+    id. Neither id may hold a tab or a line break. All other headers
+    are preserved verbatim in metadata with uppercased keys. Each
+    spectrum records how many decimal places every m/z value carried in
+    the source, precursor first.
 
     Lines are the text split at "\n", each stripped of whitespace. A
     block's peak lines are read in one go into two arrays; no Peak is
@@ -154,6 +154,16 @@ def parse_mgf(text: str) -> list[Spectrum]:
     return spectra
 
 
+def _refuse_separators(key: str, value: str, block_line: int) -> None:
+    """Refuse an id that holds a tab or a line break: the id is a column
+    of the TSV files, and either would split its row there. The line
+    breaks are those of ``str.splitlines``, which the files' readers use."""
+    if "\t" in value:
+        raise ParseError(f"{key} {value!r} holds a tab", block_line)
+    if len(value.splitlines()) > 1:
+        raise ParseError(f"{key} {value!r} holds a line break", block_line)
+
+
 def _finish_block(
     headers: dict[str, str],
     peaks: tuple | None,
@@ -165,9 +175,7 @@ def _finish_block(
     title = headers.pop("TITLE", None)
     if title is None or not title:
         raise ParseError("spectrum block is missing a TITLE header", block_line)
-    if "\t" in title:
-        # The id is a column of every TSV output; a tab would split it.
-        raise ParseError(f"TITLE {title!r} holds a tab", block_line)
+    _refuse_separators("TITLE", title, block_line)
     if title in seen_ids:
         raise ParseError(
             f"duplicate TITLE {title!r} (first seen at line {seen_ids[title]})",
@@ -196,6 +204,8 @@ def _finish_block(
     structure_id = headers.pop("STRUCTUREID", None)
     if structure_id == "":
         structure_id = None
+    elif structure_id is not None:
+        _refuse_separators("STRUCTUREID", structure_id, block_line)
 
     if peaks is None:
         raise ParseError(f"spectrum {title!r} has no fragment peaks", block_line)

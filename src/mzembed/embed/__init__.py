@@ -2,7 +2,7 @@
 
 from .features import (
     PRECURSOR_INTENSITY,
-    bin_spectrum,
+    bin_spectra,
     fractional_mz,
     is_normalized,
     mz_embedding,
@@ -29,7 +29,7 @@ __all__ = [
     "PrecisionMode",
     "SinusoidalConfig",
     "TokenVocab",
-    "bin_spectrum",
+    "bin_spectra",
     "cast_mz",
     "fractional_mz",
     "is_normalized",

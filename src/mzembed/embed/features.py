@@ -84,12 +84,13 @@ def peak_embed(mz, intensity, cfg: EncoderConfig, table: dict[str, Tensor]) -> T
 
 
 def bin_count(bin_width: float, max_mz: float) -> int:
-    """The length of ``bin_spectrum``'s vector: max_mz / bin_width bins
+    """The width of ``bin_spectra``'s rows: max_mz / bin_width bins
     covering [0, max_mz), so a width must divide max_mz (to 1e-9)."""
-    if bin_width <= 0:
-        raise ConfigError(f"bin width must be positive, got {bin_width}")
-    if max_mz <= bin_width:
-        raise ConfigError(f"bin max m/z must exceed the bin width, got {max_mz}")
+    # Written so that nan fails each comparison and is refused.
+    if not 0 < bin_width < np.inf:
+        raise ConfigError(f"bin width must be positive and finite, got {bin_width}")
+    if not bin_width < max_mz < np.inf:
+        raise ConfigError(f"bin max m/z must be finite and exceed the bin width, got {max_mz}")
     ratio = max_mz / bin_width
     n_bins = round(ratio)
     if abs(ratio - n_bins) > 1e-9 * ratio:
@@ -97,23 +98,23 @@ def bin_count(bin_width: float, max_mz: float) -> int:
     return n_bins
 
 
-def bin_spectrum(
-    spectrum: Spectrum, bin_width: float = 0.1, max_mz: float = 2000.0
-) -> np.ndarray:
-    """Fixed-length binned view of the fragments, values capped at 1.
+def bin_spectra(spectra: list[Spectrum], bin_width: float, max_mz: float) -> np.ndarray:
+    """The spectra's fragments binned: an (n, bins) array, one row per
+    spectrum, values capped at 1.
 
     Each fragment adds its (normalized) intensity to bin
-    floor(mz / bin_width), in ``fragment_arrays`` order, so the sums do
-    not depend on the stored order. The bins cover [0, max_mz)
-    (``bin_count``); fragments at or beyond max_mz contribute nothing.
-    The precursor is not binned.
+    floor(mz / bin_width) of its row, in ``fragment_arrays`` order, so
+    the sums do not depend on the stored order, nor a row on the other
+    spectra. The bins cover [0, max_mz) (``bin_count``); fragments at or
+    beyond max_mz contribute nothing. The precursor is not binned.
     """
     n_bins = bin_count(bin_width, max_mz)
-    mz, intensity = spectrum.fragment_arrays()
-    idx = np.floor(mz / bin_width)
-    inside = idx < n_bins
-    out = np.zeros(n_bins, dtype=np.float64)
-    np.add.at(out, idx[inside].astype(np.intp), intensity[inside])
+    out = np.zeros((len(spectra), n_bins), dtype=np.float64)
+    for row, spectrum in zip(out, spectra):
+        mz, intensity = spectrum.fragment_arrays()
+        idx = np.floor(mz / bin_width)
+        inside = idx < n_bins
+        np.add.at(row, idx[inside].astype(np.intp), intensity[inside])
     np.minimum(out, 1.0, out=out)
     return out
 

@@ -32,9 +32,9 @@ class SinusoidalConfig:
     d: int = 512
 
     def __post_init__(self):
-        if not (0 < self.lambda_min < self.lambda_max):
+        if not (0 < self.lambda_min < self.lambda_max < np.inf):
             raise ConfigError(
-                f"need 0 < lambda_min < lambda_max, got {self.lambda_min}, {self.lambda_max}"
+                f"need 0 < lambda_min < lambda_max < inf, got {self.lambda_min}, {self.lambda_max}"
             )
         if self.d % 2 != 0 or self.d < 4:
             raise ConfigError(f"embedding dimension must be even and >= 4, got {self.d}")

@@ -23,10 +23,13 @@ class TokenVocab:
     max_mz: float = 2000.0
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
-        if self.max_mz <= self.resolution:
-            raise ConfigError(f"max_mz must exceed the resolution, got {self.max_mz}")
+        # Written so that nan fails each comparison and is refused.
+        if not 0 < self.resolution < np.inf:
+            raise ConfigError(f"resolution must be positive and finite, got {self.resolution}")
+        if not self.resolution < self.max_mz < np.inf:
+            raise ConfigError(
+                f"max_mz must be finite and exceed the resolution, got {self.max_mz}"
+            )
 
     @property
     def n_mz_tokens(self) -> int:

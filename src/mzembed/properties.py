@@ -20,7 +20,7 @@ import numpy as np
 
 from .data.labels import PROPERTY_NAMES
 from .data.types import MoleculeRecord, Spectrum
-from .embed.features import bin_spectrum
+from .embed.features import bin_count, bin_spectra
 from .encoder import (
     EncoderConfig,
     ModelWeights,
@@ -171,10 +171,14 @@ def predict_baseline(
     bin_width: float = DEFAULT_BIN_WIDTH,
     bin_max_mz: float = 2000.0,
 ) -> np.ndarray:
-    """Baseline property predictions in natural units from binned spectra."""
-    x = np.stack([bin_spectrum(s, bin_width, bin_max_mz) for s in spectra], axis=0)
+    """Baseline property predictions in natural units from binned spectra.
+
+    The call's spectra pass through the network as one matrix, and a
+    matmul's rounding depends on its row count, so a row can change in
+    the last bits with the other spectra in the list.
+    """
     with no_grad():
-        scaled = baseline_forward(Tensor(x), params)
+        scaled = baseline_forward(Tensor(bin_spectra(spectra, bin_width, bin_max_mz)), params)
     return scaler.invert(scaled.data)
 
 
@@ -256,20 +260,19 @@ def train_properties(
     labels_scaled = scaler.apply(labels_raw)
 
     if baseline:
-        binned = np.stack(
-            [bin_spectrum(s, bin_width, bin_max_mz) for s in train_spectra], axis=0
-        )
-        model = init_table(baseline_shapes(binned.shape[1], enc_cfg.d), trn_cfg.seed)
+        # Each step bins its own spectra: no binned row is kept per
+        # training spectrum.
+        shapes = baseline_shapes(bin_count(bin_width, bin_max_mz), enc_cfg.d)
+        model = init_table(shapes, trn_cfg.seed)
 
-        def forward(indices, rng):
-            return baseline_forward(Tensor(binned[indices]), model)
+        def forward(chunk, rng):
+            return baseline_forward(Tensor(bin_spectra(chunk, bin_width, bin_max_mz)), model)
 
     else:
         model = init_weights(enc_cfg, seed=trn_cfg.seed, head_out=N_PROPERTIES)
         head = FeedForwardParams.of(model.named(), "head")
 
-        def forward(indices, rng):
-            chunk = [train_spectra[i] for i in indices]
+        def forward(chunk, rng):
             embs = encode_batch(chunk, enc_cfg, model, mode="train", rng=rng)
             return feed_forward(embs, head)
 
@@ -287,7 +290,8 @@ def train_properties(
         return stream_rng(trn_cfg.seed, "data", epoch).permutation(len(train_spectra))
 
     def step(indices, rng, where):
-        diff = forward(indices, rng) - Tensor(labels_scaled[indices])
+        chunk = [train_spectra[i] for i in indices]
+        diff = forward(chunk, rng) - Tensor(labels_scaled[indices])
         loss = (diff * diff).mean(axis=-1).mean()
         apply_step(loss, params, adam, trn_cfg.clip, where=where)
         return float(loss.data)

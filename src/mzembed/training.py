@@ -37,11 +37,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        for name in ("batch_size", "lr", "beta1", "beta2", "clip", "pairs_per_epoch", "eval_pairs"):
+        for name in ("batch_size", "pairs_per_epoch", "eval_pairs"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        # Written so that nan fails every comparison and is refused.
+        for name, ok, requirement in (
+            ("lr", 0 < self.lr < np.inf, "positive and finite"),
+            ("clip", 0 < self.clip < np.inf, "positive and finite"),
+            ("beta1", 0 < self.beta1 < 1, "in (0, 1)"),
+            ("beta2", 0 < self.beta2 < 1, "in (0, 1)"),
+            ("weight_decay", 0 <= self.weight_decay < np.inf, "non-negative and finite"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {requirement}, got {getattr(self, name)}")
 
 
 def make_optimizer(params: dict[str, Tensor], cfg: TrainConfig) -> Adam:

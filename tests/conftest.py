@@ -64,6 +64,19 @@ def toy_dataset(n_structures=5, spectra_per=4, seed=42, **spectrum_kw):
     return spectra, molecules
 
 
+def bin_one(spectrum, bin_width, max_mz):
+    """One spectrum's binned vector, binned on its own: the reference
+    that every row of ``bin_spectra`` must equal bit for bit."""
+    n_bins = round(max_mz / bin_width)
+    mz, intensity = spectrum.fragment_arrays()
+    idx = np.floor(mz / bin_width)
+    inside = idx < n_bins
+    out = np.zeros(n_bins, dtype=np.float64)
+    np.add.at(out, idx[inside].astype(np.intp), intensity[inside])
+    np.minimum(out, 1.0, out=out)
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

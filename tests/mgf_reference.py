@@ -40,9 +40,9 @@ def _parse_number(token: str, line_no: int, what: str) -> tuple[float, int]:
 def parse_mgf(text: str) -> list[Spectrum]:
     """Parse MGF text into spectra.
 
-    Every block must carry a unique TITLE (used as the spectrum id, with
-    no tab) and a PEPMASS header. STRUCTUREID, when present, becomes the
-    structure id. All other headers are preserved verbatim in metadata
+    Every block must carry a unique TITLE (used as the spectrum id) and a
+    PEPMASS header. STRUCTUREID, when present, becomes the structure id.
+    Neither id may hold a tab or a line break. All other headers are preserved verbatim in metadata
     with uppercased keys. Each spectrum records how many decimal places every m/z value
     carried in the source, precursor first.
     """
@@ -119,6 +119,14 @@ def parse_mgf(text: str) -> list[Spectrum]:
     return spectra
 
 
+def _refuse_separators(key: str, value: str, block_line: int) -> None:
+    if "\t" in value:
+        raise ParseError(f"{key} {value!r} holds a tab", block_line)
+    for ch in value:
+        if ch in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+            raise ParseError(f"{key} {value!r} holds a line break", block_line)
+
+
 def _finish_block(
     headers: dict[str, str],
     peaks: list[Peak],
@@ -131,8 +139,7 @@ def _finish_block(
     title = headers.pop("TITLE", None)
     if title is None or not title:
         raise ParseError("spectrum block is missing a TITLE header", block_line)
-    if "\t" in title:
-        raise ParseError(f"TITLE {title!r} holds a tab", block_line)
+    _refuse_separators("TITLE", title, block_line)
     if title in seen_ids:
         raise ParseError(
             f"duplicate TITLE {title!r} (first seen at line {seen_ids[title]})",
@@ -161,6 +168,8 @@ def _finish_block(
     structure_id = headers.pop("STRUCTUREID", None)
     if structure_id == "":
         structure_id = None
+    elif structure_id is not None:
+        _refuse_separators("STRUCTUREID", structure_id, block_line)
 
     if not peaks:
         raise ParseError(f"spectrum {title!r} has no fragment peaks", block_line)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import os
 import importlib.util
 import re
@@ -103,6 +104,16 @@ def run_prepare(paths, extra=()):
     )
 
 
+def with_separator(text, block, key, separator):
+    """``text`` with ``separator`` put inside the value of header ``key``
+    of block number ``block``, and that value."""
+    blocks = text.split("\n\n")
+    value = re.search(rf"^{key}=(.*)$", blocks[block], re.M).group(1)
+    bad = "q" + separator + value
+    blocks[block] = blocks[block].replace(f"{key}={value}\n", f"{key}={bad}\n")
+    return "\n\n".join(blocks), bad
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Prepared dataset with one trained model per mode."""
@@ -193,6 +204,43 @@ class TestPrepare:
         assert run_prepare(paths) == 2
         assert capsys.readouterr().err == f"error: line 1: TITLE {first + chr(9) + '0'!r} holds a tab\n"
         assert snapshot(paths["out"]) == before
+
+    @pytest.mark.parametrize("key", ["TITLE", "STRUCTUREID"])
+    @pytest.mark.parametrize("separator", ["\r", "\x85", "\u2028"])
+    def test_id_with_a_line_break_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, key, separator
+    ):
+        # Text-mode reading split the manifest row at "\r" and returned
+        # a short row; str.splitlines splits at each of these.
+        paths = write_inputs(tmp_path)
+        assert run_prepare(paths) == 0
+        before = snapshot(paths["out"])
+        text = paths["raw"].read_text()
+        bad_text, bad_id = with_separator(text, 0, key, separator)
+        paths["raw"].write_text(bad_text, encoding="utf-8")
+        capsys.readouterr()
+        assert run_prepare(paths) == 2
+        assert capsys.readouterr().err == f"error: line 1: {key} {bad_id!r} holds a line break\n"
+        assert snapshot(paths["out"]) == before
+
+    def test_unlabeled_spectra_are_rejected_and_every_mode_runs(self, tmp_path):
+        # prepare used to keep them: property training then exited 2 on
+        # any of them, siamese eval whenever one was a top hit.
+        paths = write_inputs(tmp_path)
+        unlabeled = [s.id for s in paths["spectra"][1::6]]
+        spectra = [
+            dataclasses.replace(s, structure_id=None) if s.id in unlabeled else s
+            for s in paths["spectra"]
+        ]
+        paths["raw"].write_text(serialize_mgf(spectra))
+        assert run_prepare(paths) == 0
+        rejections = (paths["out"] / "rejections.tsv").read_text().splitlines()
+        assert rejections[1:] == [f"{i}\tno structure id" for i in unlabeled]
+        manifest = (paths["out"] / "split_manifest.tsv").read_text().split()
+        assert not set(unlabeled) & set(manifest)
+        for mode in ("siamese", "properties", "properties-baseline"):
+            assert main(["train", "--mode", mode, *common_args(paths)]) == 0
+        assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
 
 
 class TestTrain:
@@ -400,6 +448,23 @@ class TestSearchPredictExport:
         assert code == 2
         line = text.splitlines().index("BEGIN IONS", 1) + 1
         assert capsys.readouterr().err == f"error: line {line}: TITLE {'q' + chr(9) + second!r} holds a tab\n"
+        assert snapshot(workspace["out"]) == before
+
+    @pytest.mark.parametrize("key", ["TITLE", "STRUCTUREID"])
+    @pytest.mark.parametrize("command,mode", [("search", "siamese"), ("predict", "properties")])
+    def test_query_id_with_a_line_break_exits_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, command, mode, key
+    ):
+        queries = tmp_path / "queries.mgf"
+        text = serialize_mgf(workspace["spectra"][:2])
+        bad_text, bad_id = with_separator(text, 1, key, "\r")
+        queries.write_text(bad_text, encoding="utf-8")
+        before = snapshot(workspace["out"])
+        capsys.readouterr()
+        code = main([command, "--mode", mode, "--queries", str(queries), *common_args(workspace)])
+        assert code == 2
+        line = text.splitlines().index("BEGIN IONS", 1) + 1
+        assert capsys.readouterr().err == f"error: line {line}: {key} {bad_id!r} holds a line break\n"
         assert snapshot(workspace["out"]) == before
 
     def test_search_reads_no_label_files(self, workspace, tmp_path, monkeypatch):
@@ -1449,6 +1514,61 @@ class TestRangeChecks:
         assert capsys.readouterr().err == (
             "error: bin width 0.3 does not divide bin max m/z 2000.0\n"
         )
+        assert snapshot(out) == before
+
+
+# Every float-valued setting, each with a command, mode and kind that
+# read it, and the words of its refusal. max-mz has two readers: the
+# token vocabulary, and the baseline's bins under the sin kind.
+FLOAT_READERS = [
+    ("threshold", "eval", "siamese", "", "setting 'threshold'"),
+    ("tolerance", "eval", "siamese", "", "setting 'tolerance'"),
+    ("bin-width", "train", "properties-baseline", "", "setting 'bin-width'"),
+    ("grid-start", "export-embeddings", "siamese", "", "setting 'grid-start'"),
+    ("grid-step", "export-embeddings", "siamese", "", "setting 'grid-step'"),
+    ("dropout", "train", "siamese", "", "dropout must be"),
+    ("lambda-min", "train", "siamese", "", "lambda_min"),
+    ("lambda-max", "train", "siamese", "", "lambda_max"),
+    ("resolution", "train", "siamese", "embedding=token", "resolution must be"),
+    ("max-mz", "train", "siamese", "embedding=token", "max_mz must be"),
+    ("max-mz", "train", "properties-baseline", "", "bin max m/z must be"),
+    ("lr", "train", "siamese", "", "lr must be"),
+    ("beta1", "train", "siamese", "", "beta1 must be"),
+    ("beta2", "train", "siamese", "", "beta2 must be"),
+    ("weight-decay", "train", "siamese", "", "weight_decay must be"),
+    ("clip", "train", "properties", "", "clip must be"),
+]
+
+
+class TestNonFiniteSettings:
+    """nan, inf or -inf in a float setting exits 2 before any output."""
+
+    def test_every_float_setting_has_a_reader(self):
+        floats = {key for key, spec in SETTINGS.items() if spec.parse is float}
+        assert {row[0] for row in FLOAT_READERS} == floats
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key,command,mode,extra,message", FLOAT_READERS)
+    def test_non_finite_value_exits_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, key, command, mode, extra, message, value
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        config = tmp_path / "run.cfg"
+        # Replace the key's line where the config sets it: a second line
+        # would be refused as a duplicate, whatever its value.
+        text = re.sub(rf"^{key}=.*\n", "", CONFIG_SMALL, flags=re.M)
+        config.write_text(text + f"{key}={value}\n" + (extra and extra + "\n"))
+        args = ["--config", str(config), "--out-dir", str(out)]
+        if command != "export-embeddings":
+            args += ["--fingerprints", str(workspace["fingerprints"]),
+                     "--properties", str(workspace["properties"])]
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main([command, "--mode", mode, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
         assert snapshot(out) == before
 
 

@@ -178,9 +178,26 @@ class TestCleaning:
         lit = Spectrum(
             id="s", precursor=zero.precursor,
             fragments=zero.fragments[:-1] + (Peak(105.0, 0.5),),
+            structure_id=zero.structure_id,
             mz_decimals=zero.mz_decimals,
         )
         assert rejection_reason(lit) is None
+
+    def test_missing_structure_id_rejected_last(self):
+        good = spectrum_with(6, 4)
+        unlabeled = Spectrum(
+            id="u", precursor=good.precursor, fragments=good.fragments,
+            mz_decimals=good.mz_decimals,
+        )
+        assert rejection_reason(unlabeled) == "no structure id"
+        kept, rejected = clean_spectra([good, unlabeled])
+        assert kept == [good] and rejected == [("u", "no structure id")]
+        # A spectrum that breaks an earlier rule too reports that rule.
+        short = Spectrum(
+            id="t", precursor=good.precursor, fragments=good.fragments[:3],
+            mz_decimals=good.mz_decimals[:4],
+        )
+        assert "peak" in rejection_reason(short)
 
     def test_clean_spectra_partitions(self):
         good = spectrum_with(6, 4)

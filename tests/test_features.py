@@ -6,12 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import toy_spectrum
+from conftest import bin_one, toy_spectrum
 from mzembed.data import Peak, Spectrum
 from mzembed.embed import (
     PRECURSOR_INTENSITY,
     TokenVocab,
-    bin_spectrum,
+    bin_spectra,
     fractional_mz,
     is_normalized,
     mz_embedding,
@@ -32,6 +32,13 @@ class TestTokenVocab:
         assert vocab.n_mz_tokens == 20001  # 0.0 through 2000.0 inclusive
         assert vocab.unknown_id == 20001
         assert vocab.size == 20002
+
+    @pytest.mark.parametrize("resolution,max_mz", [
+        (float("nan"), 2000.0), (float("inf"), 2000.0), (0.1, float("nan")), (0.1, float("inf")), (0.0, 2000.0), (0.1, 0.1),
+    ])
+    def test_bad_grid_rejected(self, resolution, max_mz):
+        with pytest.raises(ConfigError):
+            TokenVocab(resolution, max_mz)
 
     def test_rounding_is_half_even(self):
         vocab = TokenVocab()
@@ -166,7 +173,7 @@ class TestBinning:
                 Peak(250.55, 0.3),
             ),
         )
-        vec = bin_spectrum(s, bin_width=0.1, max_mz=1000.0)
+        vec = bin_spectra([s], bin_width=0.1, max_mz=1000.0)[0]
         assert vec.shape == (10000,)
         assert vec[1000] == 1.0  # floor(100.0x / 0.1)
         assert vec[2505] == pytest.approx(0.3)
@@ -177,7 +184,7 @@ class TestBinning:
             id="b", precursor=Peak(123.45, 2.0),
             fragments=(Peak(600.0, 0.5),) * 1 + tuple(Peak(700.0 + i, 0.1) for i in range(4)),
         )
-        vec = bin_spectrum(s, 0.1, 1000.0)
+        vec = bin_spectra([s], 0.1, 1000.0)[0]
         assert vec[1234] == 0.0
 
     def test_out_of_range_dropped(self):
@@ -185,14 +192,14 @@ class TestBinning:
             id="b", precursor=Peak(500.0, 2.0),
             fragments=(Peak(1500.0, 0.9), Peak(100.0, 0.4)),
         )
-        vec = bin_spectrum(s, 0.1, 1000.0)
+        vec = bin_spectra([s], 0.1, 1000.0)[0]
         assert vec.sum() == pytest.approx(0.4)
 
     @pytest.mark.parametrize("bin_width,max_mz", [(0.0, 1000.0), (0.1, 0.1), (0.1, -5.0)])
     def test_bad_grid_rejected(self, bin_width, max_mz):
         s = Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=(Peak(100.0, 0.4),))
         with pytest.raises(ConfigError):
-            bin_spectrum(s, bin_width, max_mz)
+            bin_spectra([s], bin_width, max_mz)[0]
 
     @pytest.mark.parametrize("bin_width,max_mz", [(0.3, 2000.0), (0.7, 2000.0)])
     def test_width_not_dividing_max_mz_rejected(self, bin_width, max_mz):
@@ -222,18 +229,51 @@ class TestBinning:
                 if idx < 10000:
                     want[idx] += v
             np.minimum(want, 1.0, out=want)
-            assert bin_spectrum(s, 0.1, 1000.0).tobytes() == want.tobytes()
+            assert bin_spectra([s], 0.1, 1000.0)[0].tobytes() == want.tobytes()
 
     def test_fragment_order_leaves_bits(self):
         # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round differently.
         peaks = [Peak(100.01, 0.1), Peak(100.02, 0.2), Peak(100.03, 0.3)]
         vectors = {
-            bin_spectrum(
-                Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=order), 0.1, 1000.0
-            ).tobytes()
+            bin_spectra(
+                [Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=order)], 0.1, 1000.0
+            )[0].tobytes()
             for order in itertools.permutations(peaks)
         }
         assert len(vectors) == 1
+
+
+    @pytest.mark.parametrize("bin_width,max_mz", [
+        (float("nan"), 1000.0), (float("inf"), 1000.0), (0.1, float("nan")),
+        (0.1, float("inf")), (0.1, -float("inf")),
+    ])
+    def test_non_finite_grid_rejected(self, bin_width, max_mz):
+        with pytest.raises(ConfigError, match="finite"):
+            bin_count(bin_width, max_mz)
+
+    def test_batch_rows_equal_each_spectrum_binned_alone(self, rng):
+        # Differently sized spectra, peaks sharing a bin, peaks at and
+        # beyond max_mz, and one spectrum whose every peak is out of range.
+        spectra = [
+            toy_spectrum(f"s{i}", "m", rng, n_peaks=(5 + 9 * i, 6 + 9 * i), mz_range=(90.0, 1200.0))
+            for i in range(5)
+        ]
+        crowded = Spectrum(
+            id="c", precursor=Peak(500.0, 2.0),
+            fragments=(Peak(100.01, 0.1), Peak(100.02, 0.2), Peak(100.03, 0.3),
+                       Peak(999.99, 0.7), Peak(1000.0, 0.9), Peak(1000.01, 0.4)),
+        )
+        beyond = Spectrum(id="b", precursor=Peak(500.0, 2.0), fragments=(Peak(1000.0, 0.5),) * 5)
+        batch = [spectra[0], crowded, *spectra[1:3], beyond, *spectra[3:]]
+        got = bin_spectra(batch, 0.1, 1000.0)
+        assert got.shape == (len(batch), 10000) and got.dtype == np.float64
+        for row, s in zip(got, batch):
+            assert row.tobytes() == bin_one(s, 0.1, 1000.0).tobytes()
+        assert not got[4].any()
+
+    def test_empty_list_gives_no_rows(self):
+        got = bin_spectra([], 0.5, 1000.0)
+        assert got.shape == (0, 2000) and got.dtype == np.float64
 
 
 class TestFractionalMass:

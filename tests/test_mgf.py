@@ -112,6 +112,25 @@ class TestParseErrors:
         assert err.value.line == 7
         assert str(err.value) == f"line 7: TITLE {title.strip()!r} holds a tab"
 
+    @pytest.mark.parametrize("key,value", [("TITLE", "spec_001"), ("STRUCTUREID", "mol_7")])
+    @pytest.mark.parametrize("separator", ["\t", *"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
+    def test_id_with_a_tab_or_line_break_rejected(self, key, value, separator):
+        # Either would split the id's TSV row: text-mode reading ends a
+        # line at "\r", str.splitlines at each of these.
+        text = "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1\nEND IONS\n\n"
+        bad = value[:2] + separator + value[2:]
+        with pytest.raises(ParseError) as err:
+            parse_mgf(text + SIMPLE.replace(f"{key}={value}", f"{key}={bad}"))
+        what = "a tab" if separator == "\t" else "a line break"
+        assert str(err.value) == f"line 7: {key} {bad!r} holds {what}"
+
+    @pytest.mark.parametrize("key,value", [("TITLE", "spec_001"), ("STRUCTUREID", "mol_7")])
+    @pytest.mark.parametrize("separator", ["\x1f", "\xa0", "\u2009", " "])
+    def test_id_with_other_inner_whitespace_kept(self, key, value, separator):
+        bad = value[:2] + separator + value[2:]
+        (s,) = parse_mgf(SIMPLE.replace(f"{key}={value}", f"{key}={bad}"))
+        assert (s.id if key == "TITLE" else s.structure_id) == bad
+
     def test_duplicate_header_rejected(self):
         with pytest.raises(ParseError):
             parse_mgf(SIMPLE.replace("CHARGE=2+", "CHARGE=2+\nCHARGE=3+"))
@@ -353,7 +372,7 @@ class TestAgainstReference:
         "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1\nBEGIN IONS\n",
         "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\nEND IONS\n",
         "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n1e5 1\nEND IONS\n",
-        "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1 \r\nEND IONS\n",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1\u2028\r\nEND IONS\n",
     ])
     def test_edge_cases_parse_the_same(self, text):
         assert parse_outcome(parse_mgf, text) == parse_outcome(mgf_reference.parse_mgf, text)

@@ -4,9 +4,9 @@ report table and the training loop."""
 import numpy as np
 import pytest
 
-from conftest import toy_dataset, toy_spectrum
+from conftest import bin_one, toy_dataset, toy_spectrum
 from mzembed.data import PROPERTY_NAMES
-from mzembed.embed import bin_spectrum
+from mzembed.embed import bin_spectra
 from mzembed.encoder import EncoderConfig, init_table, init_weights
 from mzembed.errors import ConfigError, DataError, NumericsError
 from mzembed.properties import (
@@ -136,7 +136,7 @@ class TestBaseline:
 
     def test_forward_on_binned_spectrum(self, rng):
         s = toy_spectrum("s", "m", rng)
-        x = bin_spectrum(s, 0.1, 2000.0)
+        x = bin_spectra([s], 0.1, 2000.0)[0]
         params = init_table(baseline_shapes(x.shape[0], 8), seed=0)
         out = baseline_forward(Tensor(x[None, :]), params)
         assert out.data.shape == (1, 10)
@@ -144,7 +144,7 @@ class TestBaseline:
 
     def test_predict_baseline_inverts_the_scaler(self, rng):
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
-        x = np.stack([bin_spectrum(s, 0.5, 1000.0) for s in spectra])
+        x = np.stack([bin_spectra([s], 0.5, 1000.0)[0] for s in spectra])
         params = init_table(baseline_shapes(x.shape[1], 8), seed=0)
         scaler = LabelScaler.fit(rng.normal(2.0, 3.0, size=(30, 10)))
         got = predict_baseline(spectra, params, scaler, 0.5, 1000.0)
@@ -338,6 +338,56 @@ class TestTrainLoop:
         assert shapes == baseline_shapes(2000, 8)  # 1000 / 0.5 bins, d=8
         assert log.meta["mode"] == "properties-baseline"
         assert log.rows[-1][1] < log.rows[0][1]
+
+    @pytest.mark.parametrize("batch_size", [4, 5])
+    def test_baseline_equals_binning_the_split_up_front(self, monkeypatch, batch_size):
+        # The reference bins every training spectrum once and gathers
+        # each step's rows from that matrix; binning each step instead
+        # must give the same weights and the same log. 8 spectra: a
+        # batch of 4 divides them, a batch of 5 leaves a step of 3.
+        import mzembed.properties
+
+        spectra, molecules, _ = self.setup_data()
+        trn = TrainConfig(epochs=3, batch_size=batch_size, lr=1e-3, seed=5)
+        stepped = train_properties(
+            spectra, molecules, trn, small_cfg(), baseline=True, bin_width=0.5, bin_max_mz=1000.0
+        )
+        binned = np.stack([bin_one(s, 0.5, 1000.0) for s in spectra])
+        row_of = {s.id: i for i, s in enumerate(spectra)}
+        monkeypatch.setattr(
+            mzembed.properties, "bin_spectra",
+            lambda chunk, width, max_mz: binned[[row_of[s.id] for s in chunk]],
+        )
+        up_front = train_properties(
+            spectra, molecules, trn, small_cfg(), baseline=True, bin_width=0.5, bin_max_mz=1000.0
+        )
+        for (name, got), want in zip(stepped[0].named().items(), up_front[0].named().values()):
+            assert got.data.tobytes() == want.data.tobytes(), name
+
+        def without_wall_time(log):
+            return [line.rpartition("\t")[0] for line in log.serialize().splitlines()]
+
+        assert without_wall_time(stepped[3]) == without_wall_time(up_front[3])
+
+    def test_baseline_bins_at_most_a_batch_at_a_time(self, monkeypatch):
+        # As train calls it, with no eval sets: no call bins more than
+        # one step's spectra, and each epoch's calls cover the 8 spectra.
+        import mzembed.properties
+
+        spectra, molecules, _ = self.setup_data()
+        trn = TrainConfig(epochs=2, batch_size=3, lr=1e-3, seed=5)
+        sizes = []
+        real = mzembed.properties.bin_spectra
+
+        def counting(chunk, *args):
+            sizes.append(len(chunk))
+            return real(chunk, *args)
+
+        monkeypatch.setattr(mzembed.properties, "bin_spectra", counting)
+        train_properties(
+            spectra, molecules, trn, small_cfg(), baseline=True, bin_width=0.5, bin_max_mz=1000.0
+        )
+        assert sizes == [3, 3, 2] * 2
 
     def test_rerun_is_bit_identical(self):
         spectra, molecules, trn = self.setup_data()

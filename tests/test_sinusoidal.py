@@ -48,6 +48,14 @@ class TestWavelengths:
             SinusoidalConfig(d=0).validate() if hasattr(SinusoidalConfig(d=0), "validate") else wavelengths(SinusoidalConfig(d=0))
 
 
+    @pytest.mark.parametrize("lambda_min,lambda_max", [
+        (float("nan"), 1000.0), (0.01, float("nan")), (0.01, float("inf")), (-float("inf"), 1000.0), (float("inf"), float("inf")),
+    ])
+    def test_non_finite_wavelength_rejected(self, lambda_min, lambda_max):
+        with pytest.raises(ConfigError):
+            SinusoidalConfig(lambda_min, lambda_max, 16)
+
+
 class TestEmbedding:
     def test_shape_and_interleaving(self):
         cfg = SinusoidalConfig(d=16)

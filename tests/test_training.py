@@ -29,6 +29,23 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(eval_pairs=0)
 
+    @pytest.mark.parametrize("field,value,requirement", [
+        ("lr", float("nan"), "positive and finite"),
+        ("lr", float("inf"), "positive and finite"),
+        ("clip", float("nan"), "positive and finite"),
+        ("clip", float("inf"), "positive and finite"),
+        ("beta1", 1.5, "in (0, 1)"),
+        ("beta1", 0.0, "in (0, 1)"),
+        ("beta1", float("nan"), "in (0, 1)"),
+        ("beta2", 1.0, "in (0, 1)"),
+        ("weight_decay", float("nan"), "non-negative and finite"),
+        ("weight_decay", float("inf"), "non-negative and finite"),
+    ])
+    def test_optimizer_settings_out_of_range_rejected(self, field, value, requirement):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{field: value})
+        assert str(err.value) == f"{field} must be {requirement}, got {value}"
+
     def test_zero_epochs_allowed(self):
         assert TrainConfig(epochs=0).epochs == 0
 
