@@ -372,7 +372,8 @@ class TestAgainstReference:
         "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1\nBEGIN IONS\n",
         "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\nEND IONS\n",
         "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n1e5 1\nEND IONS\n",
-        "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1\u2028\r\nEND IONS\n",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1 \r\nEND IONS\n",
+        "BEGIN IONS\nTITLE=a\nPEPMASS=500.1\n100.1 1 \r\nEND IONS\n",
     ])
     def test_edge_cases_parse_the_same(self, text):
         assert parse_outcome(parse_mgf, text) == parse_outcome(mgf_reference.parse_mgf, text)
