@@ -501,7 +501,7 @@ def cmd_search(settings: Settings) -> int:
     index = cached_index(out_path(settings, f"index_{mode}.bin"), train, enc_cfg, model)
     embeddings = encode_many(queries, enc_cfg, model)
     lines = ["query_id\trank\thit_id\thit_structure\tscore"] + [
-        f"{result.query_id}\t{rank}\t{hit_id}\t{hit_structure or ''}\t{score:.6f}"
+        f"{result.query_id}\t{rank}\t{hit_id}\t{hit_structure}\t{score:.6f}"
         for result in search_embedding(embeddings, index, k, [q.id for q in queries])
         for rank, (hit_id, hit_structure, score) in enumerate(result.hits, start=1)
     ]
@@ -550,11 +550,17 @@ def cmd_export_embeddings(settings: Settings) -> int:
     from .tensor import no_grad
 
     mode = _encoder_mode(settings)
+    start, step = settings.get("grid-start"), settings.get("grid-step")
+    count = settings.get("grid-count")
+    if not math.isfinite(start + (count - 1) * step):
+        raise ConfigError(
+            f"the grid's last m/z, grid-start + (grid-count - 1) x grid-step = "
+            f"{start!r} + {count - 1} x {step!r}, is not finite"
+        )
     model, _scaler, enc_cfg = load_model(settings, mode)
     table = model.named()
 
-    count = settings.get("grid-count")
-    grid = settings.get("grid-start") + np.arange(count, dtype=np.float64) * settings.get("grid-step")
+    grid = start + np.arange(count, dtype=np.float64) * step
     frac = fractional_mz(grid)
     precision = str(enc_cfg.precision)
     # One format string per line: formatting value by value took twice

@@ -1,7 +1,8 @@
 """Spectrum records, MGF IO, cleaning, labels and splits."""
 
 from .cleaning import MIN_MZ_DECIMALS, MIN_PEAKS, clean_spectra, rejection_reason, write_rejection_log
-from .labels import PROPERTY_NAMES, load_molecules, parse_fingerprints, parse_properties, validate_coverage
+from .labels import PROPERTY_NAMES, labeled_structures, load_molecules, parse_fingerprints
+from .labels import parse_properties, validate_coverage
 from .mgf import load_mgf, parse_mgf, save_mgf, serialize_mgf
 from .splits import make_split, read_manifest, write_manifest
 from .types import Fragments, MoleculeRecord, Peak, SplitAssignment, Spectrum
@@ -16,6 +17,7 @@ __all__ = [
     "SplitAssignment",
     "Spectrum",
     "clean_spectra",
+    "labeled_structures",
     "load_mgf",
     "load_molecules",
     "make_split",

@@ -155,19 +155,20 @@ def load_molecules(fingerprint_path, property_path) -> dict[str, MoleculeRecord]
     }
 
 
+def labeled_structures(spectra: list[Spectrum]) -> list[str]:
+    """The sorted distinct structure ids of library spectra. Every library
+    spectrum is labeled: DataError names the first one without an id."""
+    for s in spectra:
+        if s.structure_id is None:
+            raise DataError(f"spectrum {s.id!r} has no structure id")
+    return sorted({s.structure_id for s in spectra})
+
+
 def validate_coverage(
     spectra: list[Spectrum], molecules: dict[str, MoleculeRecord]
 ) -> None:
-    """Require a molecule record for every structure a spectrum references.
-
-    Spectra without a structure id are exempt; they carry no label.
-    """
-    missing = sorted(
-        {
-            s.structure_id
-            for s in spectra
-            if s.structure_id is not None and s.structure_id not in molecules
-        }
-    )
+    """Require a structure id on every spectrum and a molecule record for
+    every structure they reference."""
+    missing = [sid for sid in labeled_structures(spectra) if sid not in molecules]
     if missing:
         raise DataError(f"no molecule records for structures: {missing}")

@@ -5,7 +5,7 @@ its spectra leave the training data, so novel evaluation sees molecules
 the model never trained on. The known set holds individual spectra whose
 structure keeps at least one other spectrum in train, so known
 evaluation sees familiar molecules through unfamiliar measurements.
-Spectra without a structure label always stay in train.
+Every spectrum must carry a structure id; one without is refused.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from collections import Counter
 
 from ..errors import ConfigError, DataError
 from ..rng import stream_rng
+from .labels import labeled_structures
 from .types import SplitAssignment, Spectrum
 
 
@@ -32,7 +33,7 @@ def make_split(
     if len(set(ids)) != len(ids):
         raise DataError("duplicate spectrum ids in split input")
 
-    structures = sorted({s.structure_id for s in spectra if s.structure_id is not None})
+    structures = labeled_structures(spectra)
     if n_novel > len(structures):
         raise DataError(
             f"cannot pick {n_novel} novel structures from {len(structures)} available"
@@ -44,7 +45,7 @@ def make_split(
     novel_ids = {s.id for s in spectra if s.structure_id in novel_structures}
 
     pool = [s for s in spectra if s.id not in novel_ids]
-    pool_counts = Counter(s.structure_id for s in pool if s.structure_id is not None)
+    pool_counts = Counter(s.structure_id for s in pool)
 
     # Greedy pass over a shuffled pool: a spectrum may become known only
     # while its structure still has a second spectrum to leave in train.
@@ -55,7 +56,7 @@ def make_split(
             break
         candidate = pool_sorted[i]
         sid = candidate.structure_id
-        if sid is None or pool_counts[sid] < 2:
+        if pool_counts[sid] < 2:
             continue
         known_ids.add(candidate.id)
         pool_counts[sid] -= 1
@@ -65,8 +66,6 @@ def make_split(
         )
 
     train_ids = {s.id for s in pool} - known_ids
-    if not train_ids:
-        raise DataError("split leaves no training spectra")
     return _checked_split(spectra, train_ids, known_ids, novel_ids)
 
 
@@ -74,14 +73,17 @@ def _checked_split(
     spectra: list[Spectrum], train_ids: set[str], known_ids: set[str], novel_ids: set[str]
 ) -> SplitAssignment:
     """The split of these id sets, once it is checked to be disjoint: no
-    spectrum in two sets, no novel structure with a spectrum in train,
-    and every known structure with one. Raises DataError otherwise."""
+    spectrum in two sets, at least one in train, no novel structure with
+    a spectrum in train, and every known structure with one. Raises
+    DataError otherwise."""
     if train_ids & known_ids or train_ids & novel_ids or known_ids & novel_ids:
         raise DataError("spectrum id sets overlap across splits")
+    if not train_ids:
+        raise DataError("split leaves no training spectra")
     structure_of = {s.id: s.structure_id for s in spectra}
 
     def structures(ids: set[str]) -> set[str]:
-        return {structure_of[i] for i in ids} - {None}
+        return {structure_of[i] for i in ids}
 
     train_structures = structures(train_ids)
     if structures(novel_ids) & train_structures:
@@ -94,19 +96,12 @@ def _checked_split(
 def write_manifest(path, spectra: list[Spectrum], assignment: SplitAssignment) -> None:
     """Write the split as a TSV sorted by spectrum id.
 
-    Columns: spectrum_id, structure_id (empty when unlabeled), split.
+    Columns: spectrum_id, structure_id (never empty), split.
     The output is a pure function of the assignment, so identical splits
     produce identical bytes.
     """
-    rows = []
-    for spectrum in sorted(spectra, key=lambda s: s.id):
-        rows.append(
-            (
-                spectrum.id,
-                spectrum.structure_id or "",
-                assignment.split_of(spectrum.id),
-            )
-        )
+    ordered = sorted(spectra, key=lambda s: s.id)
+    rows = [(s.id, s.structure_id, assignment.split_of(s.id)) for s in ordered]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("spectrum_id\tstructure_id\tsplit\n")
         for row in rows:
@@ -138,7 +133,9 @@ def read_manifest(path, spectra: list[Spectrum]) -> SplitAssignment:
             raise DataError(f"{path}:{line_no}: unknown spectrum {spectrum_id!r}")
         if spectrum_id in seen:
             raise DataError(f"{path}:{line_no}: duplicate spectrum {spectrum_id!r}")
-        recorded = by_id[spectrum_id].structure_id or ""
+        if not structure_id:
+            raise DataError(f"{path}:{line_no}: spectrum {spectrum_id!r} has no structure id")
+        recorded = by_id[spectrum_id].structure_id
         if structure_id != recorded:
             raise DataError(
                 f"{path}:{line_no}: structure mismatch for {spectrum_id!r}: "

@@ -138,7 +138,7 @@ def spectrum_labels(
     """Per-spectrum label rows; every spectrum must resolve to a molecule."""
     rows = []
     for s in spectra:
-        if s.structure_id is None or s.structure_id not in molecules:
+        if s.structure_id not in molecules:
             raise DataError(f"spectrum {s.id!r} has no resolvable structure")
         rows.append(molecules[s.structure_id].properties)
     return np.stack(rows, axis=0)

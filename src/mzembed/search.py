@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .data.labels import labeled_structures
 from .data.types import MoleculeRecord, Spectrum
 from .encoder import (
     EncoderConfig,
@@ -70,7 +71,7 @@ def modified_cosine(a: Spectrum, b: Spectrum, tol: float = DEFAULT_TOLERANCE) ->
 
 def cosine_hits(
     queries: list[Spectrum], library: list[Spectrum], tol: float = DEFAULT_TOLERANCE
-) -> list[tuple[Spectrum, str, str | None, float]]:
+) -> list[tuple[Spectrum, str, str, float]]:
     """Each query's best ``modified_cosine`` match in library, as the
     (query, hit id, hit structure, score) rows ``summarize_hits`` reads.
 
@@ -94,7 +95,7 @@ class EmbeddingIndex:
 
     matrix: np.ndarray  # (n, d), rows unit norm
     spectrum_ids: list[str]
-    structure_ids: list[str | None]
+    structure_ids: list[str]
     raw: np.ndarray  # (n, d), the encode_many rows
 
     def __post_init__(self):
@@ -114,7 +115,7 @@ class EmbeddingIndex:
 @dataclass
 class SearchResult:
     query_id: str
-    hits: list[tuple[str, str | None, float]]  # (spectrum_id, structure_id, score)
+    hits: list[tuple[str, str, float]]  # (spectrum_id, structure_id, score)
 
 
 def _normalize_rows(matrix: np.ndarray, ids: list[str], what: str = "spectrum") -> np.ndarray:
@@ -139,13 +140,15 @@ def build_index(
     """Encode reference spectra and assemble the search index.
 
     Rows are ordered by spectrum id, so the same data and weights always
-    produce the same index bytes.
+    produce the same index bytes. A spectrum without a structure id is
+    refused.
     """
     ordered = sorted(spectra, key=lambda s: s.id)
     return _assemble_index(encode_many(ordered, cfg, weights), ordered)
 
 
 def _assemble_index(raw: np.ndarray, ordered: list[Spectrum]) -> EmbeddingIndex:
+    labeled_structures(ordered)  # refuses a spectrum without a structure id
     ids = [s.id for s in ordered]
     return EmbeddingIndex(
         matrix=_normalize_rows(raw, ids),
@@ -336,7 +339,7 @@ def evaluate_search(
 
 
 def summarize_hits(
-    hits: list[tuple[Spectrum, str, str | None, float]],
+    hits: list[tuple[Spectrum, str, str, float]],
     molecules: dict[str, MoleculeRecord],
     threshold: float = DEFAULT_TANIMOTO_THRESHOLD,
     query_set: str = "",
@@ -354,9 +357,9 @@ def summarize_hits(
     if not hits:
         raise DataError("no query hits to summarize")
     for query, hit_id, hit_structure, _ in hits:
-        if query.structure_id is None or query.structure_id not in molecules:
+        if query.structure_id not in molecules:
             raise DataError(f"query {query.id!r} has no resolvable structure")
-        if hit_structure is None or hit_structure not in molecules:
+        if hit_structure not in molecules:
             raise DataError(f"hit {hit_id!r} has no resolvable structure")
     bits = fingerprint_block(molecules, [q.structure_id for q, *_ in hits] + [h[2] for h in hits])
     sims = tanimoto_many(bits[: len(hits)], bits[len(hits) :]).tolist()

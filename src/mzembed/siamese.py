@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data.labels import labeled_structures
 from .data.types import MoleculeRecord, Spectrum
 from .encoder import EncoderConfig, ModelWeights, encode_batch, encode_many, init_weights
 from .errors import ConfigError, DataError, DimensionError
@@ -148,8 +149,7 @@ def sample_uniform_pairs(
 
     spectra_of: dict[str, list[str]] = {}
     for s in sorted(spectra, key=lambda x: x.id):
-        if s.structure_id is not None:
-            spectra_of.setdefault(s.structure_id, []).append(s.id)
+        spectra_of.setdefault(s.structure_id, []).append(s.id)
 
     has_spectra = np.array([s in spectra_of for s in bins.names], dtype=bool)
     usable = [np.flatnonzero(has_spectra[a] & has_spectra[b]) for a, b in zip(bins.a, bins.b)]
@@ -202,9 +202,9 @@ def eval_pair_sample(
     """The fixed pair sample whose MSE is reported for split ``name``:
     ``eval_pairs`` pairs over the split's own similarity bins, drawn from
     the split's evaluation stream, so training logs and ``eval`` agree."""
-    structures = sorted({s.structure_id for s in spectra if s.structure_id is not None})
+    structures = labeled_structures(spectra)
     if not structures:
-        raise DataError(f"evaluation set {name!r} has no labeled structures")
+        raise DataError(f"evaluation set {name!r} has no spectra")
     bins = build_similarity_bins(molecules, structures, seed=trn_cfg.seed)
     return sample_uniform_pairs(
         molecules, spectra, bins, trn_cfg.eval_pairs, stream_rng(trn_cfg.seed, "eval", name)
@@ -229,11 +229,9 @@ def train_siamese(
     if len(by_id) != len(train_spectra):
         raise DataError("duplicate spectrum ids in training data")
 
-    train_structures = sorted(
-        {s.structure_id for s in train_spectra if s.structure_id is not None}
-    )
+    train_structures = labeled_structures(train_spectra)
     if not train_structures:
-        raise DataError("no labeled structures in the training spectra")
+        raise DataError("no training spectra")
     bins = build_similarity_bins(molecules, train_structures, seed=trn_cfg.seed)
 
     weights = init_weights(enc_cfg, seed=trn_cfg.seed)

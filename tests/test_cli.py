@@ -854,6 +854,25 @@ class TestSearchPredictExport:
         assert f"setting {key!r}" in err and err.endswith(f"got {value!r}\n")
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("embedding", ["sin", "token"])
+    @pytest.mark.parametrize("line", [
+        "grid-step=1e308\ngrid-count=3", "grid-start=1e308\ngrid-step=1e308\ngrid-count=2",
+    ])
+    def test_grid_beyond_binary64_exits_2_before_loading(self, tmp_path, capsys, embedding, line):
+        # The last grid point overflowed to inf after numpy overflow
+        # warnings, and the m/z cast then exited 1.
+        config, out, _, _ = saved_export_model(tmp_path, f"embedding={embedding}\n{line}\n")
+        (out / "model_siamese.ckpt").unlink()
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: the grid's last m/z, grid-start + (grid-count - 1) x grid-step = "
+        ) and captured.err.endswith(", is not finite\n")
+        assert snapshot(out) == before
+
     def test_token_grid_beyond_max_mz_exports_the_unknown_row(self, tmp_path):
         config, out, cfg, weights = saved_export_model(
             tmp_path, "embedding=token\ngrid-start=1e300\ngrid-step=1e300\ngrid-count=3\n"
@@ -1514,6 +1533,90 @@ class TestRangeChecks:
         assert capsys.readouterr().err == (
             "error: bin width 0.3 does not divide bin max m/z 2000.0\n"
         )
+        assert snapshot(out) == before
+
+
+class TestUnlabeledLibrary:
+    """Every library spectrum is labeled: a prepared directory edited to
+    hold one without a structure id, or a split without a training
+    spectrum, is refused when read, before any output."""
+
+    @staticmethod
+    def edited_copy(workspace, tmp_path):
+        """A copy of the workspace's out-dir whose first manifest spectrum
+        has an empty STRUCTUREID in cleaned.mgf and an empty manifest
+        cell: (out-dir, that spectrum's id)."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        manifest = out / "split_manifest.tsv"
+        header, first, *rows = manifest.read_text(encoding="utf-8").splitlines()
+        spectrum_id, structure_id, split = first.split("\t")
+        manifest.write_text(
+            "\n".join([header, f"{spectrum_id}\t\t{split}", *rows]) + "\n", encoding="utf-8"
+        )
+        cleaned = out / "cleaned.mgf"
+        text, n = re.subn(
+            rf"(TITLE={re.escape(spectrum_id)}\n(?:.*\n)*?)STRUCTUREID={re.escape(structure_id)}\n",
+            r"\1STRUCTUREID=\n", cleaned.read_text(encoding="utf-8"), count=1,
+        )
+        assert n == 1
+        cleaned.write_text(text, encoding="utf-8")
+        assert next(s for s in load_mgf(cleaned) if s.id == spectrum_id).structure_id is None
+        return out, spectrum_id
+
+    @staticmethod
+    def args(workspace, tmp_path, out, command, mode):
+        args = [command, "--mode", mode, "--config", str(workspace["config"]),
+                "--out-dir", str(out), "--fingerprints", str(workspace["fingerprints"]),
+                "--properties", str(workspace["properties"])]
+        if command == "search":
+            queries = tmp_path / "queries.mgf"
+            queries.write_text(serialize_mgf(workspace["spectra"][:2]))
+            args += ["--queries", str(queries)]
+        return args
+
+    @pytest.mark.parametrize("command,mode", [
+        *(("train", mode) for mode in cli.MODES),
+        *(("eval", mode) for mode in cli.MODES),
+        ("search", "siamese"),
+        ("search", "properties"),
+    ])
+    def test_unlabeled_spectrum_exits_2_at_its_manifest_line(
+        self, workspace, tmp_path, capsys, command, mode
+    ):
+        # Siamese train and search used to exit 0, search with an empty
+        # hit_structure cell.
+        out, spectrum_id = self.edited_copy(workspace, tmp_path)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(self.args(workspace, tmp_path, out, command, mode)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out / 'split_manifest.tsv'}:2: spectrum {spectrum_id!r} has no structure id\n"
+        )
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command", ["search", "eval"])
+    def test_manifest_without_train_rows_exits_2_and_writes_no_index(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # Both used to publish a 0-row index_siamese.bin, then exit 2 with
+        # "cannot search an empty index".
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        (out / "index_siamese.bin").unlink(missing_ok=True)
+        manifest = out / "split_manifest.tsv"
+        header, *rows = manifest.read_text(encoding="utf-8").splitlines()
+        novel = [row.rsplit("\t", 1)[0] + "\tnovel" for row in rows]
+        manifest.write_text("\n".join([header, *novel]) + "\n", encoding="utf-8")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(self.args(workspace, tmp_path, out, command, "siamese")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: split leaves no training spectra\n"
+        assert not (out / "index_siamese.bin").exists()
         assert snapshot(out) == before
 
 

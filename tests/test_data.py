@@ -16,6 +16,7 @@ from mzembed.data import (
     Peak,
     Spectrum,
     clean_spectra,
+    labeled_structures,
     load_molecules,
     make_split,
     parse_fingerprints,
@@ -326,11 +327,24 @@ class TestHexDecoding:
             validate_coverage(spectra, molecules)
         assert "m1" in str(err.value)
 
-    def test_unlabeled_spectra_are_exempt(self):
+    def test_unlabeled_spectra_are_refused(self):
         spectra, molecules = toy_dataset(n_structures=2, spectra_per=2)
         rng = np.random.default_rng(0)
         unlabeled = toy_spectrum("anon", None, rng)
-        validate_coverage(spectra + [unlabeled], molecules)
+        with pytest.raises(DataError, match="^spectrum 'anon' has no structure id$"):
+            validate_coverage(spectra + [unlabeled], molecules)
+
+    def test_labeled_structures_are_sorted_and_distinct(self):
+        spectra, _ = toy_dataset(n_structures=3, spectra_per=2)
+        assert labeled_structures(spectra[::-1]) == ["m0", "m1", "m2"]
+        assert labeled_structures([]) == []
+
+    def test_labeled_structures_names_the_first_unlabeled_spectrum(self):
+        spectra, _ = toy_dataset(n_structures=3, spectra_per=2)
+        rng = np.random.default_rng(0)
+        anon = [toy_spectrum(f"anon{i}", None, rng) for i in range(2)]
+        with pytest.raises(DataError, match="^spectrum 'anon1' has no structure id$"):
+            labeled_structures(spectra[:3] + anon[::-1] + spectra[3:])
 
 
 class TestSplits:
@@ -365,12 +379,12 @@ class TestSplits:
             if s.id in assignment.known_ids:
                 assert remaining.get(s.structure_id, 0) >= 1
 
-    def test_unlabeled_spectra_always_train(self):
+    def test_unlabeled_spectrum_is_refused(self):
         spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
         rng = np.random.default_rng(0)
         anon = toy_spectrum("anon", None, rng)
-        assignment = make_split(spectra + [anon], n_novel=1, n_known=2, seed=0)
-        assert "anon" in assignment.train_ids
+        with pytest.raises(DataError, match="^spectrum 'anon' has no structure id$"):
+            make_split(spectra + [anon], n_novel=1, n_known=2, seed=0)
 
     def test_same_seed_same_split(self):
         spectra, _ = toy_dataset(n_structures=10, spectra_per=4)
@@ -431,6 +445,53 @@ class TestSplits:
         )
         with pytest.raises(DataError, match="^novel structures leak into the training structures$"):
             read_manifest(path, spectra)
+
+    def test_manifest_refuses_an_empty_structure_column(self, tmp_path):
+        spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
+        assignment = make_split(spectra, n_novel=1, n_known=2, seed=5)
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, spectra, assignment)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        spectrum_id, _, split = lines[3].split("\t")
+        lines[3] = f"{spectrum_id}\t\t{split}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"^{re.escape(str(path))}:4: spectrum {spectrum_id!r} has no structure id$"
+        # Refused at its line whether or not the spectrum has an id.
+        with pytest.raises(DataError, match=message):
+            read_manifest(path, spectra)
+        unlabeled = [
+            dataclasses.replace(s, structure_id=None) if s.id == spectrum_id else s
+            for s in spectra
+        ]
+        with pytest.raises(DataError, match=message):
+            read_manifest(path, unlabeled)
+
+    def test_manifest_refuses_an_unlabeled_spectrum_under_a_structure(self, tmp_path):
+        spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
+        assignment = make_split(spectra, n_novel=1, n_known=2, seed=5)
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, spectra, assignment)
+        unlabeled = [dataclasses.replace(spectra[0], structure_id=None), *spectra[1:]]
+        with pytest.raises(
+            DataError,
+            match=f"^{re.escape(str(path))}:2: structure mismatch for 's0_0': "
+            "manifest says 'm0', data says None$",
+        ):
+            read_manifest(path, unlabeled)
+
+    def test_manifest_refuses_a_split_without_train(self, tmp_path):
+        # Every row novel: both readers refuse it before any command
+        # writes an output.
+        spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
+        assignment = make_split(spectra, n_novel=1, n_known=2, seed=5)
+        path = self.edited_manifest(tmp_path, spectra, assignment, lambda *_: "novel")
+        with pytest.raises(DataError, match="^split leaves no training spectra$"):
+            read_manifest(path, spectra)
+
+    def test_split_without_train_is_refused(self):
+        spectra, _ = toy_dataset(n_structures=2, spectra_per=1)
+        with pytest.raises(DataError, match="^split leaves no training spectra$"):
+            make_split(spectra, n_novel=2, n_known=0, seed=0)
 
     def test_manifest_refuses_a_known_structure_absent_from_train(self, tmp_path):
         spectra, _ = toy_dataset(n_structures=6, spectra_per=3)

@@ -62,6 +62,13 @@ class TestIndex:
         norms = np.linalg.norm(index.matrix, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
+    def test_unlabeled_spectrum_is_refused(self, rng):
+        cfg, weights = small_model()
+        spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(3)]
+        spectra.insert(1, toy_spectrum("anon", None, rng))
+        with pytest.raises(DataError, match="^spectrum 'anon' has no structure id$"):
+            build_index(spectra, cfg, weights)
+
     def test_same_inputs_same_index_bytes(self, rng):
         cfg, weights = small_model()
         spectra = [toy_spectrum(f"s{i}", "m", rng) for i in range(4)]
@@ -81,7 +88,8 @@ class TestIndex:
         # binary16 tops out at 65504, so this fragment m/z cannot be cast.
         cfg, weights = small_model()
         huge = normalize_intensities(
-            Spectrum(id="huge", precursor=Peak(1000.0, 1.0), fragments=(Peak(70000.0, 1.0),))
+            Spectrum(id="huge", precursor=Peak(1000.0, 1.0), fragments=(Peak(70000.0, 1.0),),
+                     structure_id="m")
         )
         spectra = [toy_spectrum("ok", "m", rng), huge]
         with pytest.raises(DataError) as info:
@@ -109,12 +117,12 @@ class TestIndex:
     def test_misaligned_ids_rejected(self):
         with pytest.raises(DataError):
             EmbeddingIndex(
-                matrix=np.eye(3), spectrum_ids=["a", "b"], structure_ids=[None, None, None],
+                matrix=np.eye(3), spectrum_ids=["a", "b"], structure_ids=["m", "m", "m"],
                 raw=np.eye(3),
             )
         with pytest.raises(DataError):
             EmbeddingIndex(
-                matrix=np.eye(3), spectrum_ids=["a", "b", "c"], structure_ids=[None] * 3,
+                matrix=np.eye(3), spectrum_ids=["a", "b", "c"], structure_ids=["m"] * 3,
                 raw=np.eye(2),
             )
 
@@ -346,6 +354,23 @@ class TestCachedIndex:
         assert path.read_bytes() == (
             INDEX_MAGIC + index_key(library, cfg, weights) + built.raw.astype("<f8").tobytes()
         )
+
+    def test_unlabeled_spectrum_is_refused_with_or_without_its_file(self, inputs):
+        # The key holds ids and peaks, not structure ids: the file of the
+        # labeled library matches, and is not replaced. Without a file,
+        # none is written.
+        path, library, cfg, weights = inputs
+        cached_index(path, library, cfg, weights)
+        stored = path.read_bytes()
+        unlabeled = [*library[:2], dataclasses.replace(library[2], structure_id=None), *library[3:]]
+        assert index_key(unlabeled, cfg, weights) == index_key(library, cfg, weights)
+        with pytest.raises(DataError, match="^spectrum 's2' has no structure id$"):
+            cached_index(path, unlabeled, cfg, weights)
+        assert path.read_bytes() == stored
+        path.unlink()
+        with pytest.raises(DataError, match="^spectrum 's2' has no structure id$"):
+            cached_index(path, unlabeled, cfg, weights)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_file_is_rebuilt(self, inputs, value):

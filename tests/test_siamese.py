@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import toy_dataset, toy_molecule
+from conftest import toy_dataset, toy_molecule, toy_spectrum
 from mzembed.data import MoleculeRecord
 from mzembed.encoder import EncoderConfig, encode_many, encode_spectrum, init_weights
 from mzembed.errors import DataError, DimensionError
@@ -15,6 +15,7 @@ from mzembed.siamese import (
     _pair_mse,
     bin_of,
     build_similarity_bins,
+    eval_pair_sample,
     sample_uniform_pairs,
     siamese_loss,
     tanimoto,
@@ -545,9 +546,34 @@ class TestTrainLoop:
             train_siamese(spectra + [spectra[0]], molecules, trn, enc)
 
     def test_unlabeled_training_set_rejected(self, rng):
-        from conftest import toy_spectrum
-
         spectra, molecules, enc, trn = self.small_setup()
         orphans = [toy_spectrum(f"o{i}", None, rng) for i in range(4)]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^spectrum 'o0' has no structure id$"):
             train_siamese(orphans, molecules, trn, enc)
+
+    def test_unlabeled_spectrum_is_named(self, rng):
+        spectra, molecules, enc, trn = self.small_setup()
+        anon = toy_spectrum("anon", None, rng)
+        with pytest.raises(DataError, match="^spectrum 'anon' has no structure id$"):
+            train_siamese([*spectra, anon], molecules, trn, enc)
+        with pytest.raises(DataError, match="^spectrum 'anon' has no structure id$"):
+            train_siamese(spectra, molecules, trn, enc, eval_sets={"novel": [anon]})
+
+    def test_empty_training_set_rejected(self):
+        _, molecules, enc, trn = self.small_setup()
+        with pytest.raises(DataError, match="^no training spectra$"):
+            train_siamese([], molecules, trn, enc)
+
+
+class TestEvalPairSample:
+    def test_unlabeled_spectrum_is_named(self, rng):
+        spectra, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=21)
+        trn = TrainConfig(seed=13, eval_pairs=8)
+        anon = toy_spectrum("anon", None, rng)
+        with pytest.raises(DataError, match="^spectrum 'anon' has no structure id$"):
+            eval_pair_sample("known", [*spectra[:2], anon, *spectra[2:]], molecules, trn)
+
+    def test_empty_set_rejected(self):
+        _, molecules = toy_dataset(n_structures=3, spectra_per=2, seed=21)
+        with pytest.raises(DataError, match="^evaluation set 'novel' has no spectra$"):
+            eval_pair_sample("novel", [], molecules, TrainConfig(seed=13, eval_pairs=8))

@@ -12,7 +12,9 @@ Also: no package module imports a name it never reads, none but
 ``data/types.py`` reads ``Spectrum.fragments`` peak by peak, none but
 ``encoder.py`` calls ``encode_batch`` other than for training, none
 but ``embed/features.py`` and ``encoder.py`` compares a ``.kind``,
-none but ``properties.py`` names a label-scaler record, and none calls
+none but the MGF parser and writer, cleaning and ``data/labels.py``
+compares a ``.structure_id`` with ``None``, none but ``properties.py``
+names a label-scaler record, and none calls
 ``search_embedding`` or ``top_k`` once per loop iteration. Every
 package module parses at the oldest Python that ``pyproject.toml``
 names in ``requires-python``.
@@ -381,6 +383,51 @@ def f(cfg, kind):
     e = cfg.kind
 """
     assert [line for line, _ in kind_comparisons(source)] == [3, 4, 6]
+
+
+def structure_id_none_tests(source):
+    """(line, code) of each comparison of a ``.structure_id`` attribute
+    with ``None``: a branch for an unlabeled spectrum."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = (node.left, *node.comparators)
+        label = any(isinstance(side, ast.Attribute) and side.attr == "structure_id" for side in sides)
+        none = any(isinstance(side, ast.Constant) and side.value is None for side in sides)
+        if label and none:
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+# Queries may be unlabeled, so the MGF parser and writer keep the case;
+# cleaning refuses such a library spectrum, and data/labels.py holds the
+# one check every other library entry point calls.
+LABEL_OWNERS = tuple(PACKAGE / "data" / name for name in ("mgf.py", "cleaning.py", "labels.py"))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p not in LABEL_OWNERS),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_structure_id_is_tested_for_none_only_by_its_owners(path):
+    assert structure_id_none_tests(path.read_text(encoding="utf-8")) == []
+
+
+def test_structure_id_check_sees_each_kind():
+    source = """
+def f(s, spectra, structure_id):
+    a = s.structure_id is None
+    b = s.structure_id is not None
+    c = s.structure_id == None
+    d = sorted({x.structure_id for x in spectra if x.structure_id is not None})
+    e = None != s.query.structure_id
+    g = structure_id is None
+    h = s.structure_id in spectra
+    i = s.structure_id == ""
+"""
+    assert [line for line, _ in structure_id_none_tests(source)] == [3, 4, 5, 6, 7]
 
 
 def scaler_literals(source):
