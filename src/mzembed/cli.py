@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import CheckpointError, ConfigError, DataError, MzembedError, ParseError
-from .outputs import publish
+from .outputs import publish, tsv
 
 SCHEMA_VERSION = "1"
 
@@ -338,21 +338,18 @@ def cmd_prepare(settings: Settings) -> int:
     )
 
     publish(out_path(settings, "cleaned.mgf"), serialize_mgf(kept))
-    publish(
-        out_path(settings, "split_manifest.tsv"),
-        lambda tmp: write_manifest(tmp, kept, assignment),
-    )
-    publish(out_path(settings, "rejections.tsv"), lambda tmp: write_rejection_log(tmp, rejected))
+    write_manifest(out_path(settings, "split_manifest.tsv"), kept, assignment)
+    write_rejection_log(out_path(settings, "rejections.tsv"), rejected)
 
-    audit_lines = ["structure_id\tn_train\tn_known\tn_novel"]
     counts: dict[str, list[int]] = {}
     for s in kept:
         row = counts.setdefault(s.structure_id, [0, 0, 0])
         row[("train", "known", "novel").index(assignment.split_of(s.id))] += 1
-    for sid in sorted(counts):
-        row = counts[sid]
-        audit_lines.append(f"{sid}\t{row[0]}\t{row[1]}\t{row[2]}")
-    publish(out_path(settings, "label_audit.tsv"), "\n".join(audit_lines) + "\n")
+    audit = [(sid, *counts[sid]) for sid in sorted(counts)]
+    publish(
+        out_path(settings, "label_audit.tsv"),
+        tsv(("structure_id", "n_train", "n_known", "n_novel"), audit),
+    )
 
     print(
         f"prepared {len(kept)} spectra ({len(rejected)} rejected), "
@@ -445,14 +442,13 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
     rows.update(zip((s.id for s in queries), held))
 
     # Pair MSE per split.
-    mse_lines = ["set\tmse\tn_pairs"]
+    mse_rows = []
     for name, spectra in (("train", train), ("known", known), ("novel", novel)):
         if not spectra:
             continue
         pairs = eval_pair_sample(name, spectra, molecules, trn_cfg)
-        mse = _pair_mse(pairs, rows)
-        mse_lines.append(f"{name}\t{mse:.6f}\t{len(pairs)}")
-    publish(out_path(settings, "pair_mse.tsv"), "\n".join(mse_lines) + "\n")
+        mse_rows.append((name, f"{_pair_mse(pairs, rows):.6f}", len(pairs)))
+    publish(out_path(settings, "pair_mse.tsv"), tsv(("set", "mse", "n_pairs"), mse_rows))
 
     # Embedding retrieval and the modified-cosine baseline, both against
     # the training reference library.
@@ -477,13 +473,10 @@ def _eval_siamese(settings, train, known, novel, molecules, weights, enc_cfg) ->
         summarize_hits(hits[part], molecules, threshold, name, include_exact)
         for name, include_exact, part in sets
     ]
-    for filename, write, rows in (
-        ("search_accuracy.tsv", write_accuracy_report, reports),
-        ("search_audit.tsv", write_search_audit, reports),
-        ("cosine_accuracy.tsv", write_accuracy_report, cosine_reports),
-        ("cosine_audit.tsv", write_search_audit, cosine_reports),
-    ):
-        publish(out_path(settings, filename), lambda tmp: write(tmp, rows))
+    write_accuracy_report(out_path(settings, "search_accuracy.tsv"), reports)
+    write_search_audit(out_path(settings, "search_audit.tsv"), reports)
+    write_accuracy_report(out_path(settings, "cosine_accuracy.tsv"), cosine_reports)
+    write_search_audit(out_path(settings, "cosine_audit.tsv"), cosine_reports)
     print("wrote pair_mse.tsv, search_accuracy.tsv, search_audit.tsv, cosine_accuracy.tsv")
     return EXIT_OK
 
@@ -500,13 +493,13 @@ def cmd_search(settings: Settings) -> int:
     k = settings.get("k")
     index = cached_index(out_path(settings, f"index_{mode}.bin"), train, enc_cfg, model)
     embeddings = encode_many(queries, enc_cfg, model)
-    lines = ["query_id\trank\thit_id\thit_structure\tscore"] + [
-        f"{result.query_id}\t{rank}\t{hit_id}\t{hit_structure}\t{score:.6f}"
+    hits = [
+        (result.query_id, rank, hit_id, hit_structure, f"{score:.6f}")
         for result in search_embedding(embeddings, index, k, [q.id for q in queries])
         for rank, (hit_id, hit_structure, score) in enumerate(result.hits, start=1)
     ]
     path = out_path(settings, "search_results.tsv")
-    publish(path, "\n".join(lines) + "\n")
+    publish(path, tsv(("query_id", "rank", "hit_id", "hit_structure", "score"), hits))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -525,11 +518,9 @@ def cmd_predict(settings: Settings) -> int:
     predict_fn = property_predictor(model, scaler, enc_cfg, *baseline_bins(settings, enc_cfg))
     queries = load_queries(settings)
     preds = predict_fn(queries)
-    lines = ["spectrum_id\t" + "\t".join(PROPERTY_NAMES)]
-    for s, row in zip(queries, preds):
-        lines.append(s.id + "\t" + "\t".join(f"{v:.6f}" for v in row))
+    rows = [(s.id, *(f"{v:.6f}" for v in row)) for s, row in zip(queries, preds)]
     path = out_path(settings, "predictions.tsv")
-    publish(path, "\n".join(lines) + "\n")
+    publish(path, tsv(("spectrum_id", *PROPERTY_NAMES), rows))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -566,7 +557,7 @@ def cmd_export_embeddings(settings: Settings) -> int:
     # One format string per line: formatting value by value took twice
     # as long, and a separate string for the components raised peak RSS.
     line_format = "\t".join(["%.5f", "%.5f", "%s"] + ["%.8g"] * enc_cfg.d) + "\n"
-    header = "\t".join(["mz", "frac_mz", "precision"] + [f"e{i}" for i in range(enc_cfg.d)]) + "\n"
+    header = tsv(["mz", "frac_mz", "precision"] + [f"e{i}" for i in range(enc_cfg.d)], ())
 
     def write(tmp):
         # Embedded, formatted and written a block at a time, so memory

@@ -17,6 +17,7 @@ everything and rejects nothing.
 
 from __future__ import annotations
 
+from ..outputs import publish, tsv
 from .types import Spectrum
 
 MIN_PEAKS = 5
@@ -62,8 +63,5 @@ def rejection_reason(spectrum: Spectrum) -> str | None:
 
 
 def write_rejection_log(path, rejected: list[tuple[str, str]]) -> None:
-    """Write the rejection report as a two-column TSV with a header row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("spectrum_id\treason\n")
-        for spectrum_id, reason in rejected:
-            handle.write(f"{spectrum_id}\t{reason}\n")
+    """Publish the rejection report as a two-column TSV with a header row."""
+    publish(path, tsv(("spectrum_id", "reason"), rejected))

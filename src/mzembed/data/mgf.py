@@ -16,6 +16,7 @@ import re
 import numpy as np
 
 from ..errors import ParseError
+from ..outputs import publish
 from .types import Fragments, Peak, Spectrum
 
 # Plain positional decimals only. Exponent notation would make the
@@ -263,5 +264,4 @@ def load_mgf(path) -> list[Spectrum]:
 
 
 def save_mgf(path, spectra: list[Spectrum]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_mgf(spectra))
+    publish(path, serialize_mgf(spectra))

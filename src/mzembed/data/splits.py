@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from ..errors import ConfigError, DataError
+from ..outputs import publish, tsv
 from ..rng import stream_rng
 from .labels import labeled_structures
 from .types import SplitAssignment, Spectrum
@@ -94,7 +95,7 @@ def _checked_split(
 
 
 def write_manifest(path, spectra: list[Spectrum], assignment: SplitAssignment) -> None:
-    """Write the split as a TSV sorted by spectrum id.
+    """Publish the split as a TSV sorted by spectrum id.
 
     Columns: spectrum_id, structure_id (never empty), split.
     The output is a pure function of the assignment, so identical splits
@@ -102,10 +103,7 @@ def write_manifest(path, spectra: list[Spectrum], assignment: SplitAssignment) -
     """
     ordered = sorted(spectra, key=lambda s: s.id)
     rows = [(s.id, s.structure_id, assignment.split_of(s.id)) for s in ordered]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("spectrum_id\tstructure_id\tsplit\n")
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
+    publish(path, tsv(("spectrum_id", "structure_id", "split"), rows))
 
 
 def read_manifest(path, spectra: list[Spectrum]) -> SplitAssignment:

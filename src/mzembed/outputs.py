@@ -1,5 +1,6 @@
 """Output files that appear whole: a reader sees the previous file or the
-new one, never a partly written one."""
+new one, never a partly written one. Every table is one TSV format
+(``tsv``)."""
 
 from __future__ import annotations
 
@@ -25,3 +26,18 @@ def publish(path, content) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def tsv(header, rows, comments=()) -> str:
+    """The text of a table: a ``# comment`` line per comment, the header,
+    then one line per row, cells joined by tabs and each line ending in
+    "\n". A cell is written as ``str`` gives it, so a caller formats its
+    floats itself. A row whose width differs from the header's raises
+    ValueError."""
+    lines = [f"# {comment}" for comment in comments]
+    lines.append("\t".join(header))
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"table row has {len(row)} cells for {len(header)} columns")
+        lines.append("\t".join(map(str, row)))
+    return "".join(line + "\n" for line in lines)

@@ -30,6 +30,7 @@ from .encoder import (
     init_weights,
 )
 from .errors import ConfigError, DataError, NumericsError
+from .outputs import tsv
 from .rng import stream_rng
 from .tensor import (
     FeedForwardParams,
@@ -204,15 +205,12 @@ class PropertyReport:
         return float(np.mean(known)), float(np.mean(novel))
 
     def serialize(self) -> str:
-        lines = [
-            "# evaluation_unit=per-spectrum",
-            "property\tknown_r2\tnovel_r2",
-        ]
-        avg_known, avg_novel = self.average
-        lines.append(f"all\t{avg_known:.6f}\t{avg_novel:.6f}")
-        for name, known, novel in self.rows:
-            lines.append(f"{name}\t{known:.6f}\t{novel:.6f}")
-        return "\n".join(lines) + "\n"
+        rows = [("all", *self.average), *self.rows]
+        return tsv(
+            ("property", "known_r2", "novel_r2"),
+            [(name, f"{known:.6f}", f"{novel:.6f}") for name, known, novel in rows],
+            ["evaluation_unit=per-spectrum"],
+        )
 
 
 def evaluate_properties(

@@ -43,7 +43,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, DimensionError, NumericsError
 from .kernels import score_modified_cosine
-from .outputs import publish
+from .outputs import publish, tsv
 from .siamese import fingerprint_block, tanimoto_many
 
 DEFAULT_TOLERANCE = 0.1
@@ -388,26 +388,23 @@ def summarize_hits(
 
 
 def write_accuracy_report(path, reports: list[AccuracyReport]) -> None:
-    """Accuracy rows as TSV: query set, match kind, accuracy, structure count."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("query_set\tmatch\taccuracy\tn_structures\n")
-        for report in reports:
-            if report.exact is not None:
-                handle.write(
-                    f"{report.query_set}\texact\t{report.exact:.6f}\t{report.n_structures}\n"
-                )
-            handle.write(
-                f"{report.query_set}\tapproximate\t{report.approximate:.6f}\t{report.n_structures}\n"
-            )
+    """Publish accuracy rows as TSV: query set, match kind, accuracy,
+    structure count."""
+    rows = [
+        (report.query_set, match, f"{accuracy:.6f}", report.n_structures)
+        for report in reports
+        for match, accuracy in (("exact", report.exact), ("approximate", report.approximate))
+        if accuracy is not None
+    ]
+    publish(path, tsv(("query_set", "match", "accuracy", "n_structures"), rows))
 
 
 def write_search_audit(path, reports: list[AccuracyReport]) -> None:
-    """Per-query audit as TSV: query, hit, score, exact flag, tanimoto."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("query_set\tquery_id\thit_id\tscore\texact\ttanimoto\n")
-        for report in reports:
-            for query_id, hit_id, score, is_exact, sim in report.audit:
-                handle.write(
-                    f"{report.query_set}\t{query_id}\t{hit_id}\t{score:.6f}"
-                    f"\t{int(is_exact)}\t{sim:.6f}\n"
-                )
+    """Publish the per-query audit as TSV: query, hit, score, exact flag,
+    tanimoto."""
+    rows = [
+        (report.query_set, query_id, hit_id, f"{score:.6f}", int(is_exact), f"{sim:.6f}")
+        for report in reports
+        for query_id, hit_id, score, is_exact, sim in report.audit
+    ]
+    publish(path, tsv(("query_set", "query_id", "hit_id", "score", "exact", "tanimoto"), rows))

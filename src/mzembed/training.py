@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
+from .outputs import tsv
 from .rng import stream_rng
 from .tensor import Adam, Tensor, clip_gradients
 
@@ -127,11 +128,11 @@ class TrainLog:
         self.rows.append(tuple(values))
 
     def serialize(self) -> str:
-        lines = [f"# {k}={v}" for k, v in sorted(self.meta.items())]
-        lines.append("\t".join(self.columns))
-        for row in self.rows:
-            lines.append("\t".join(_format_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return tsv(
+            self.columns,
+            [[_format_cell(v) for v in row] for row in self.rows],
+            [f"{k}={v}" for k, v in sorted(self.meta.items())],
+        )
 
 
 def _format_cell(value) -> str:
