@@ -12,8 +12,10 @@ thread budget (``pin_blas``).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
+import shutil
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -525,13 +527,55 @@ def cmd_predict(settings: Settings) -> int:
     return EXIT_OK
 
 
-def export_blocks(count: int) -> list[tuple[int, int]]:
-    """(start, stop) rows of the export's blocks: ``EXPORT_BLOCK_ROWS``
-    each, the last one longer. No block but a whole one-row grid has one
-    row, because a one-row matmul rounds differently from the rows of a
-    larger one."""
+def export_blocks(count: int):
+    """(start, stop) rows of the export's blocks, made one at a time:
+    ``EXPORT_BLOCK_ROWS`` each, the last one longer. No block but a whole
+    one-row grid has one row, because a one-row matmul rounds differently
+    from the rows of a larger one."""
     starts = range(0, max(count - 1, 1), EXPORT_BLOCK_ROWS)
-    return list(zip(starts, [*starts[1:], count]))
+    return zip(starts, itertools.chain(starts[1:], [count]))
+
+
+def check_export_grid(settings: Settings, enc_cfg) -> None:
+    """Refuse, before a checkpoint loads, a grid whose last m/z is not
+    finite, whose ends the model's m/z features refuse, or whose file
+    cannot fit in the free space of the out-dir's filesystem."""
+    from .embed.features import mz_features
+
+    start, step = settings.get("grid-start"), settings.get("grid-step")
+    count = settings.get("grid-count")
+    try:
+        last = start + (count - 1) * step
+    except OverflowError:  # a count beyond binary64
+        last = math.inf
+    if not math.isfinite(last):
+        raise ConfigError(
+            f"the grid's last m/z, grid-start + (grid-count - 1) x grid-step = "
+            f"{start!r} + {count - 1} x {step!r}, is not finite"
+        )
+    grid = f"grid-start={start!r}, grid-step={step!r}, grid-count={count}"
+    try:
+        mz_features([start, last], enc_cfg)
+    except MzembedError as exc:
+        raise ConfigError(f"the grid {grid} cannot be embedded: {exc}") from None
+    # The shortest row: "0.00000\t0.00000\tbinaryNN", a tab and one
+    # character per component, and the line end.
+    need = count * (25 + 2 * enc_cfg.d)
+    free = free_bytes(settings.require("out-dir"))
+    if need > free:
+        raise ConfigError(
+            f"the grid {grid} needs at least {need} bytes, "
+            f"and the out-dir's filesystem has {free} free"
+        )
+
+
+def free_bytes(directory: str) -> int:
+    """The free bytes of the filesystem that holds ``directory``, or its
+    nearest existing parent when it does not exist yet."""
+    probe = os.path.abspath(directory)
+    while not os.path.isdir(probe):
+        probe = os.path.dirname(probe)
+    return shutil.disk_usage(probe).free
 
 
 def cmd_export_embeddings(settings: Settings) -> int:
@@ -541,18 +585,12 @@ def cmd_export_embeddings(settings: Settings) -> int:
     from .tensor import no_grad
 
     mode = _encoder_mode(settings)
+    check_export_grid(settings, build_configs(settings)[0])
     start, step = settings.get("grid-start"), settings.get("grid-step")
     count = settings.get("grid-count")
-    if not math.isfinite(start + (count - 1) * step):
-        raise ConfigError(
-            f"the grid's last m/z, grid-start + (grid-count - 1) x grid-step = "
-            f"{start!r} + {count - 1} x {step!r}, is not finite"
-        )
     model, _scaler, enc_cfg = load_model(settings, mode)
     table = model.named()
 
-    grid = start + np.arange(count, dtype=np.float64) * step
-    frac = fractional_mz(grid)
     precision = str(enc_cfg.precision)
     # One format string per line: formatting value by value took twice
     # as long, and a separate string for the components raised peak RSS.
@@ -560,21 +598,22 @@ def cmd_export_embeddings(settings: Settings) -> int:
     header = tsv(["mz", "frac_mz", "precision"] + [f"e{i}" for i in range(enc_cfg.d)], ())
 
     def write(tmp):
-        # Embedded, formatted and written a block at a time, so memory
-        # stays bounded at any grid size.
+        # Each block's grid is built from its own rows, then embedded,
+        # formatted and written, so memory stays bounded at any grid size.
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(header)
-            for start, stop in export_blocks(count):
+            for lo, hi in export_blocks(count):
+                grid = start + np.arange(lo, hi, dtype=np.float64) * step
                 with no_grad():
-                    emb = mz_embedding(grid[start:stop], enc_cfg, table).data
+                    emb = mz_embedding(grid, enc_cfg, table).data
                 handle.write("".join(
                     line_format % (mz, fr, precision, *row.tolist())
-                    for mz, fr, row in zip(grid[start:stop].tolist(), frac[start:stop].tolist(), emb)
+                    for mz, fr, row in zip(grid.tolist(), fractional_mz(grid).tolist(), emb)
                 ))
 
     path = out_path(settings, "embedding_export.tsv")
     publish(path, write)
-    print(f"wrote {path} ({grid.shape[0]} rows)")
+    print(f"wrote {path} ({count} rows)")
     return EXIT_OK
 
 

@@ -51,6 +51,16 @@ def is_normalized(spectrum: Spectrum) -> bool:
     return 0 < peak_max <= 1.0
 
 
+def mz_features(mz, cfg: EncoderConfig) -> np.ndarray:
+    """The weight-free input of the kind's m/z embedding, for a 1-D array
+    of m/z: SE(mz), (n, d), for the sin kind, the token ids, (n,), for the
+    token kind. An m/z the kind cannot embed raises as in
+    ``sinusoidal_embed`` and ``tokenize_mz``."""
+    if cfg.kind == "sin":
+        return sinusoidal_embed(mz, cfg.sinusoidal, cfg.precision)
+    return np.atleast_1d(tokenize_mz(mz, cfg.vocab))
+
+
 def mz_embedding(mz, cfg: EncoderConfig, table: dict[str, Tensor]) -> Tensor:
     """The m/z half of a peak embedding: FF(SE(mz)) through ``peak.inner``
     for the sin kind, the ``peak.table`` rows of TE(mz) for the token kind.
@@ -60,17 +70,16 @@ def mz_embedding(mz, cfg: EncoderConfig, table: dict[str, Tensor]) -> Tensor:
     sinusoidal features are constants of the graph.
     """
     mz = np.asarray(mz, dtype=np.float64)
-    flat = mz.reshape(-1)
+    features = mz_features(mz.reshape(-1), cfg)
     if cfg.kind == "sin":
-        se = sinusoidal_embed(flat, cfg.sinusoidal, cfg.precision).reshape(mz.shape + (cfg.d,))
+        se = features.reshape(mz.shape + (cfg.d,))
         return feed_forward(Tensor(se), FeedForwardParams.of(table, "peak.inner"))
-    ids = np.atleast_1d(tokenize_mz(flat, cfg.vocab))
     rows = table["peak.table"]
     if rows.data.shape[0] != cfg.vocab.size:
         raise ConfigError(
             f"embedding table has {rows.data.shape[0]} rows, vocabulary needs {cfg.vocab.size}"
         )
-    return gather_rows(rows, ids).reshape(mz.shape + (rows.data.shape[1],))
+    return gather_rows(rows, features).reshape(mz.shape + (rows.data.shape[1],))
 
 
 def peak_embed(mz, intensity, cfg: EncoderConfig, table: dict[str, Tensor]) -> Tensor:

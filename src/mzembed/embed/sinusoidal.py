@@ -14,11 +14,12 @@ small-molecule mass range).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, NumericsError
 from .precision import BINARY64, PrecisionMode, cast_mz
 
 LAMBDA_MIN_DEFAULT = 10.0 ** -2.5
@@ -55,7 +56,10 @@ def sinusoidal_embed(mz, cfg: SinusoidalConfig, mode: PrecisionMode = BINARY64):
 
     Accepts a scalar (returns shape (d,)) or a 1-D array (returns
     (n, d)). The m/z values are cast through ``mode`` (``cast_mz``);
-    the arithmetic after the cast and the output are binary64.
+    the arithmetic after the cast and the output are binary64. An m/z
+    whose largest angle, 2*pi*mz / lambda_min, overflows binary64 (above
+    about 9.0e304 Da at the default lambda_min) raises NumericsError: its
+    sin and cos would be nan.
     """
     arr = np.asarray(mz, dtype=np.float64)
     scalar = arr.shape == ()
@@ -65,7 +69,15 @@ def sinusoidal_embed(mz, cfg: SinusoidalConfig, mode: PrecisionMode = BINARY64):
     if np.any(arr < 0):
         raise DataError(f"m/z must be non-negative, got min {arr.min()}")
 
-    angle = (2.0 * np.pi * cast_mz(arr, mode)[:, None]) / wavelengths(cfg)[None, :]
+    cast = cast_mz(arr, mode)
+    top = float(cast.max(initial=0.0))
+    # The angle's own arithmetic on Python floats, which overflow to inf
+    # without a warning; the largest m/z over lambda_min is the largest angle.
+    if not math.isfinite(2.0 * np.pi * top / float(cfg.lambda_min)):
+        raise NumericsError(
+            f"m/z {top!r} is too large to embed: 2*pi*mz / lambda_min overflows binary64"
+        )
+    angle = (2.0 * np.pi * cast[:, None]) / wavelengths(cfg)[None, :]
     out = np.empty((arr.shape[0], cfg.d), dtype=np.float64)
     out[:, 0::2] = np.sin(angle)
     out[:, 1::2] = np.cos(angle)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -389,6 +390,39 @@ class TestEval:
         assert [row[0] for row in rows] == ["all", *PROPERTY_NAMES]
         assert all(row[column] == "nan" for row in rows)
 
+    @pytest.mark.parametrize("n_novel,n_known", [(0, 4), (2, 0), (0, 0)])
+    def test_siamese_eval_drops_an_empty_split(self, tmp_path, n_novel, n_known):
+        # An empty held-out split has no pair MSE row, no accuracy rows
+        # and no audit rows, in the embedding and the cosine files alike.
+        paths = write_inputs(tmp_path)
+        assert main(
+            ["prepare", "--spectra", str(paths["raw"]), "--n-novel", str(n_novel),
+             "--n-known", str(n_known), *common_args(paths)]
+        ) == 0
+        assert main(["train", "--mode", "siamese", "--epochs", "0", *common_args(paths)]) == 0
+        assert main(["eval", "--mode", "siamese", *common_args(paths)]) == 0
+        out = paths["out"]
+
+        def first_columns(name, n=1):
+            header, *rows = (out / name).read_text().splitlines()
+            return header, [tuple(row.split("\t")[:n]) for row in rows]
+
+        held = [("known", n_known), ("novel", 4 * n_novel)]
+        assert first_columns("pair_mse.tsv") == (
+            "set\tmse\tn_pairs", [("train",)] + [(name,) for name, n in held if n]
+        )
+        accuracy = [("known", "exact")] * bool(n_known) + [
+            (name, "approximate") for name, n in held if n
+        ]
+        audit = [(name,) for name, n in held for _ in range(n)]
+        for kind in ("search", "cosine"):
+            assert first_columns(f"{kind}_accuracy.tsv", 2) == (
+                "query_set\tmatch\taccuracy\tn_structures", accuracy
+            )
+            assert first_columns(f"{kind}_audit.tsv") == (
+                "query_set\tquery_id\thit_id\tscore\texact\ttanimoto", audit
+            )
+
     def test_config_digest_mismatch_exits_2(self, workspace, tmp_path, capsys):
         # Same checkpoint, different architecture settings. The config text
         # train saved beside the checkpoint names the differing key.
@@ -597,6 +631,31 @@ class TestSearchPredictExport:
             "error: failed to encode spectrum 'huge_q0000': "
             "m/z overflows binary16: max |value| 70000.0\n"
         )
+
+    def test_query_beyond_the_sinusoid_bound_exits_2(self, workspace, tmp_path, capsys):
+        # 2*pi*mz / lambda_min overflowed binary64 for this fragment, and
+        # predict wrote a row of nan.
+        huge = Spectrum(
+            id="huge_q0000", precursor=Peak(1000.0, 1.0),
+            fragments=(Peak(100.0, 1.0), Peak(1e306, 1.0)),
+        )
+        queries = tmp_path / "huge.mgf"
+        queries.write_text(serialize_mgf([huge]))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(
+            ["predict", "--mode", "properties", "--queries", str(queries),
+             "--checkpoint", str(workspace["out"] / "model_properties.ckpt"),
+             "--config", str(workspace["config"]), "--out-dir", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: failed to encode spectrum 'huge_q0000': m/z 1e+306 is too large "
+            "to embed: 2*pi*mz / lambda_min overflows binary64\n"
+        )
+        assert not (out / "predictions.tsv").exists()
 
     @pytest.mark.parametrize(
         "command,mode,output",
@@ -873,6 +932,65 @@ class TestSearchPredictExport:
         ) and captured.err.endswith(", is not finite\n")
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("embedding,line,message", [
+        ("sin", "precision=16\ngrid-start=65000\ngrid-step=260\ngrid-count=3",
+         "the grid grid-start=65000.0, grid-step=260.0, grid-count=3 cannot be embedded: "
+         "m/z overflows binary16: max |value| 65520.0"),
+        ("sin", "grid-start=1e306\ngrid-count=2",
+         "the grid grid-start=1e+306, grid-step=0.02, grid-count=2 cannot be embedded: "
+         "m/z 1e+306 is too large to embed: 2*pi*mz / lambda_min overflows binary64"),
+        ("sin", "grid-count=1" + "0" * 400,
+         "the grid's last m/z, grid-start + (grid-count - 1) x grid-step = "
+         "0.0 + " + "9" * 400 + " x 0.02, is not finite"),
+        ("token", "grid-count=1" + "0" * 400,
+         "the grid's last m/z, grid-start + (grid-count - 1) x grid-step = "
+         "0.0 + " + "9" * 400 + " x 0.02, is not finite"),
+        ("sin", "grid-count=100000000000000000000",
+         "the grid grid-start=0.0, grid-step=0.02, grid-count=100000000000000000000 "
+         "needs at least 4100000000000000000000 bytes, and the out-dir's filesystem has "),
+        ("token", "grid-count=100000000000000000000",
+         "the grid grid-start=0.0, grid-step=0.02, grid-count=100000000000000000000 "
+         "needs at least 4100000000000000000000 bytes, and the out-dir's filesystem has "),
+    ], ids=["binary16", "angle", "count_sin", "count_token", "size_sin", "size_token"])
+    def test_unexportable_grid_exits_2_before_loading(
+        self, tmp_path, capsys, embedding, line, message
+    ):
+        # Each exited 1 after loading, with an overflow error, a traceback
+        # or a file of nan rows.
+        config, out, _, _ = saved_export_model(tmp_path, f"embedding={embedding}\n{line}\n")
+        (out / "model_siamese.ckpt").unlink()
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["export-embeddings", "--config", str(config), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert snapshot(out) == before
+
+    def test_export_bound_is_the_free_space(self, tmp_path, capsys, monkeypatch):
+        # A 20-row d=8 file needs at least 20 x (25 + 2 x 8) = 820 bytes.
+        config, out, _, _ = saved_export_model(tmp_path, "grid-count=20\n")
+        target = tmp_path / "new" / "dir"
+        args = ["export-embeddings", "--checkpoint", str(out / "model_siamese.ckpt"),
+                "--config", str(config), "--out-dir", str(target)]
+        probed = []
+
+        def usage(path):
+            probed.append(path)
+            return SimpleNamespace(free=free)
+
+        monkeypatch.setattr(shutil, "disk_usage", usage)
+        free = 819
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.endswith(
+            "needs at least 820 bytes, and the out-dir's filesystem has 819 free\n"
+        )
+        assert probed == [str(tmp_path)] and not (tmp_path / "new").exists()
+        free = 820
+        assert main(args) == 0
+        assert len((target / "embedding_export.tsv").read_text().splitlines()) == 21
+
     def test_token_grid_beyond_max_mz_exports_the_unknown_row(self, tmp_path):
         config, out, cfg, weights = saved_export_model(
             tmp_path, "embedding=token\ngrid-start=1e300\ngrid-step=1e300\ngrid-count=3\n"
@@ -921,12 +1039,14 @@ class TestExportBlocks:
     def test_blocks_cover_the_grid_with_no_one_row_block(self):
         size = cli.EXPORT_BLOCK_ROWS
         for count in (1, 2, 3, size - 1, size, size + 1, size + 2, 2 * size + 1, 3 * size + 7):
-            blocks = cli.export_blocks(count)
+            blocks = list(cli.export_blocks(count))
             assert blocks[0][0] == 0 and blocks[-1][1] == count
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
             rows = [stop - start for start, stop in blocks]
             assert all(n == size for n in rows[:-1])
             assert rows[-1] <= size + 1 and (rows[-1] >= 2 or count == 1)
+        # The blocks are made one at a time, so no list holds a huge grid's.
+        assert next(cli.export_blocks(10**20)) == (0, size)
 
     @pytest.mark.parametrize("count", [1, 2, cli.EXPORT_BLOCK_ROWS + 1, cli.EXPORT_BLOCK_ROWS + 2])
     def test_blocked_export_equals_the_whole_grid(self, tmp_path, count):

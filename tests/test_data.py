@@ -252,6 +252,13 @@ class TestLabels:
             parse_fingerprints("m1\txyzw\n")
 
 
+PROPERTY_HEADER = "structure_id\t" + "\t".join(PROPERTY_NAMES)
+
+
+def property_row(structure_id, value="1.0"):
+    return structure_id + "\t" + "\t".join([value] * len(PROPERTY_NAMES))
+
+
 def per_digit_hex_to_bits(token, line_no):
     """The former decoder, one table lookup per hex digit: the reference
     for ``labels._hex_to_bits``."""
@@ -309,6 +316,56 @@ class TestHexDecoding:
         row = "m1\t" + "\t".join(["1.0"] * 9 + ["nan"])
         with pytest.raises(ParseError):
             parse_properties(header + "\n" + row + "\n")
+
+    @pytest.mark.parametrize("text,error,line,message", [
+        ("", DataError, None, "fingerprint file contains no records"),
+        ("# a comment\n\n", DataError, None, "fingerprint file contains no records"),
+        ("m1\tff\tff\n", ParseError, 1,
+         "fingerprint line must be 'structure_id<TAB>hex', got 3 fields"),
+        ("m1\tff\n# a comment\nm1\t00\n", ParseError, 3, "duplicate fingerprint for 'm1'"),
+        ("m1\tff\nm2\tfff\n", ParseError, 2,
+         "fingerprint width 12 for 'm2' differs from earlier width 8"),
+    ])
+    def test_fingerprint_refusals(self, text, error, line, message):
+        with pytest.raises(error) as err:
+            parse_fingerprints(text)
+        assert getattr(err.value, "line", None) == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("text,error,line,message", [
+        ("", DataError, None, "property file contains no records"),
+        ("# a comment\n\n", DataError, None, "property file contains no records"),
+        (PROPERTY_HEADER + "\n# a comment\n", DataError, None,
+         "property file contains no records"),
+        (PROPERTY_HEADER + "\nm1\t1.0\n", ParseError, 2, "expected 11 columns, got 2"),
+        (PROPERTY_HEADER + "\n" + property_row("m1") + "\n\n" + property_row("m1") + "\n",
+         ParseError, 4, "duplicate properties for 'm1'"),
+        (PROPERTY_HEADER + "\n" + property_row("m1", "x"), ParseError, 2,
+         "non-numeric property value: could not convert string to float: 'x'"),
+        (PROPERTY_HEADER + "\n" + property_row("m1", "inf"), ParseError, 2,
+         "non-finite property value for 'm1'"),
+    ])
+    def test_property_refusals(self, text, error, line, message):
+        with pytest.raises(error) as err:
+            parse_properties(text)
+        assert getattr(err.value, "line", None) == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("fingerprint_ids,property_ids,message", [
+        (["m1", "m2"], ["m1"], "missing properties for ['m2']"),
+        (["m1"], ["m1", "m2"], "missing fingerprints for ['m2']"),
+        (["m1", "m3"], ["m1", "m2"], "missing properties for ['m3']; missing fingerprints for ['m2']"),
+    ])
+    def test_load_molecules_names_the_unmatched_ids(
+        self, tmp_path, fingerprint_ids, property_ids, message
+    ):
+        fp = tmp_path / "fp.tsv"
+        fp.write_text("".join(f"{sid}\tff\n" for sid in fingerprint_ids))
+        pr = tmp_path / "props.tsv"
+        pr.write_text(PROPERTY_HEADER + "\n" + "\n".join(map(property_row, property_ids)))
+        with pytest.raises(DataError) as err:
+            load_molecules(fp, pr)
+        assert str(err.value) == "label files disagree: " + message
 
     def test_load_molecules_requires_matching_ids(self, tmp_path):
         fp = tmp_path / "fp.tsv"
@@ -419,6 +476,27 @@ class TestSplits:
         write_manifest(path, spectra, assignment)
         with pytest.raises(DataError):
             read_manifest(path, spectra[:-1])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: ["spectrum_id\tsplit", *lines[1:]], "{path}: not a split manifest (bad header)"),
+        (lambda lines: [*lines[:2], lines[2] + "\textra", *lines[3:]],
+         "{path}:3: expected 3 columns, got 4"),
+        (lambda lines: [*lines[:2], lines[2].replace("novel", "test"), *lines[3:]],
+         "{path}:3: unknown split 'test'"),
+        (lambda lines: [*lines, lines[1]], "{path}:14: duplicate spectrum 's0_0'"),
+        (lambda lines: [lines[0], *lines[3:]], "manifest does not cover spectra: ['s0_0', 's0_1']"),
+    ], ids=["header", "columns", "split", "duplicate", "uncovered"])
+    def test_manifest_refusals(self, tmp_path, edit, message):
+        spectra, _ = toy_dataset(n_structures=4, spectra_per=3)
+        assignment = make_split(spectra, n_novel=1, n_known=2, seed=5)
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, spectra, assignment)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:3] == ["s0_0\tm0\tnovel", "s0_1\tm0\tnovel"]
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_manifest(path, spectra)
+        assert str(err.value) == message.format(path=path)
 
     @staticmethod
     def edited_manifest(tmp_path, spectra, assignment, new_split):

@@ -2,6 +2,8 @@
 and behavior under reduced input precision."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from mzembed.embed import (
     sinusoidal_embed,
     wavelengths,
 )
-from mzembed.errors import ConfigError, DataError
+from mzembed.errors import ConfigError, DataError, NumericsError
 
 
 class TestWavelengths:
@@ -91,6 +93,38 @@ class TestEmbedding:
     def test_output_is_float64(self):
         out = sinusoidal_embed(np.array([100.0]), SinusoidalConfig(d=8), BINARY16)
         assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("lambda_min", [LAMBDA_MIN_DEFAULT, 10.0])
+    def test_largest_embeddable_mz(self, lambda_min):
+        # Above it the angle 2*pi*mz / lambda_min overflowed binary64, and
+        # sin and cos of the infinite angle made a row of nan.
+        cfg = SinusoidalConfig(lambda_min=lambda_min, lambda_max=1e4, d=8)
+
+        def angle_is_finite(mz):
+            with np.errstate(over="ignore"):
+                return np.isfinite((2.0 * np.pi * np.array([mz])) / lambda_min)[0]
+
+        # 2*pi*mz itself overflows first when lambda_min is above 1.
+        bound = sys.float_info.max / (2.0 * math.pi) * min(lambda_min, 1.0)
+        while angle_is_finite(math.nextafter(bound, math.inf)):
+            bound = math.nextafter(bound, math.inf)
+        while not angle_is_finite(bound):
+            bound = math.nextafter(bound, 0.0)
+        out = sinusoidal_embed(np.array([0.0, bound]), cfg)
+        assert np.all(np.isfinite(out))
+        above = math.nextafter(bound, math.inf)
+        for mz in (above, np.array([1.0, above, 2.0])):
+            with pytest.raises(NumericsError, match=re.escape(f"m/z {above!r} is too large")):
+                sinusoidal_embed(mz, cfg)
+
+    def test_default_bound_is_about_9e304(self):
+        cfg = SinusoidalConfig(d=8)
+        sinusoidal_embed(9.0e304, cfg)
+        with pytest.raises(NumericsError):
+            sinusoidal_embed(9.1e304, cfg)
+
+    def test_empty_input_gives_no_rows(self):
+        assert sinusoidal_embed(np.array([]), SinusoidalConfig(d=8)).shape == (0, 8)
 
 
 class TestInputPrecision:
