@@ -354,7 +354,8 @@ class TestHexDecoding:
     @pytest.mark.parametrize("fingerprint_ids,property_ids,message", [
         (["m1", "m2"], ["m1"], "missing properties for ['m2']"),
         (["m1"], ["m1", "m2"], "missing fingerprints for ['m2']"),
-        (["m1", "m3"], ["m1", "m2"], "missing properties for ['m3']; missing fingerprints for ['m2']"),
+        (["m1", "m3"], ["m1", "m2"],
+         "missing properties for ['m3']; missing fingerprints for ['m2']"),
     ])
     def test_load_molecules_names_the_unmatched_ids(
         self, tmp_path, fingerprint_ids, property_ids, message
@@ -478,7 +479,8 @@ class TestSplits:
             read_manifest(path, spectra[:-1])
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda lines: ["spectrum_id\tsplit", *lines[1:]], "{path}: not a split manifest (bad header)"),
+        (lambda lines: ["spectrum_id\tsplit", *lines[1:]],
+         "{path}: not a split manifest (bad header)"),
         (lambda lines: [*lines[:2], lines[2] + "\textra", *lines[3:]],
          "{path}:3: expected 3 columns, got 4"),
         (lambda lines: [*lines[:2], lines[2].replace("novel", "test"), *lines[3:]],
